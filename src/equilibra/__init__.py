@@ -16,10 +16,8 @@ Core surface:
 - verification: rational verification via product games, achaotic variant.
 - cli: the `equilibra` command.
 
-Hot graph kernels run on a compiled Cython core with a pure-Python twin,
-selected at import (EQUILIBRA_PURE_KERNELS=1 forces the fallback).
+The graph kernels (reachability, attractors, SCCs) shared by these modules
+live in `equilibra._kernels`.
 """
 
 __version__ = "0.1.0"
-
-from ._kernels import IMPL as kernel_impl  # noqa: F401

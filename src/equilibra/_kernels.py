@@ -1,11 +1,25 @@
-"""Pure-Python graph kernels.
+"""Graph kernels: reachability, attractors and strongly connected components.
 
-Semantics twin of the compiled `_speedups` module; graphs are CSR arrays
-over int vertex ids.  Every function here must stay bit-identical to its
-compiled counterpart (the test suite runs both).
+`reachable`, `attractor` and `scc` work on CSR arrays over int vertex ids
+(`csr` builds them); `IndexedGraph` maps named vertices onto those arrays.
+`scc_of` and `reach` take named (any hashable) vertices directly.
 """
 
-IMPL = "pure"
+
+def csr(n, edges):
+    """Build (off, dst) CSR adjacency from an int edge list."""
+    count = [0] * (n + 1)
+    for u, _ in edges:
+        count[u + 1] += 1
+    for i in range(n):
+        count[i + 1] += count[i]
+    off = list(count)
+    dst = [0] * len(edges)
+    fill = list(off)
+    for u, v in edges:
+        dst[fill[u]] = v
+        fill[u] += 1
+    return off, dst
 
 
 def reachable(n, off, dst, sources):
@@ -95,3 +109,53 @@ def scc(n, off, dst):
                             break
                     ncomp += 1
     return comp, ncomp
+
+
+def scc_of(vertices, edges):
+    """SCCs of a digraph over hashable vertices: (component id per vertex
+    as a dict, count).  Ids are those `scc` gives when vertex k of
+    `vertices` is int k and the edges keep their order, so callers that
+    pick witnesses by component id see a stable numbering."""
+    vertices = list(vertices)
+    index = {v: k for k, v in enumerate(vertices)}
+    n = len(vertices)
+    comp, ncomp = scc(n, *csr(n, [(index[u], index[v]) for u, v in edges]))
+    return dict(zip(vertices, comp)), ncomp
+
+
+def reach(succ, sources, within=None):
+    """Vertices reachable from `sources` along `succ` (a mapping from a
+    vertex to its successors), sources included.  With `within` (a set),
+    paths never leave it and sources outside it are dropped."""
+    seen = set(sources)
+    if within is not None:
+        seen &= within
+    stack = list(seen)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+class IndexedGraph:
+    """Int-indexed digraph with the CSR forms `reachable` and `attractor`
+    take."""
+
+    def __init__(self, vertices, edges):
+        self.vertices = list(vertices)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.n = len(self.vertices)
+        iedges = [(self.index[u], self.index[v]) for u, v in edges]
+        self.off, self.dst = csr(self.n, iedges)
+        self.poff, self.psrc = csr(self.n, [(v, u) for u, v in iedges])
+
+    def mask(self, vs):
+        m = [0] * self.n
+        for v in vs:
+            m[self.index[v]] = 1
+        return m
+
+    def unmask(self, m):
+        return {self.vertices[i] for i in range(self.n) if m[i]}

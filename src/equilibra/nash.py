@@ -11,6 +11,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF
 from .games import GameError, Lasso, eval_lasso, payoff_vector
 from . import zerosum as zs
+from ._kernels import reach, scc_of
 from .negotiation import is_lambda_consistent
 
 
@@ -96,11 +97,10 @@ def _parity_witness(game, forbidden, ztup):
             and all(game.payoff.color(p, v) >= z for p, z in ztup.items())]
     keepset = set(keep)
     succ = {u: [w for w in arena.succ(u) if w in keepset] for u in keep}
-    g = zs.IndexedGraph(keep, [(u, w) for u in keep for w in succ[u]])
-    comp, ncomp = zs.K.scc(g.n, g.off, g.dst)
+    comp, _ = scc_of(keep, [(u, w) for u in keep for w in succ[u]])
     members = {}
-    for idx, u in enumerate(g.vertices):
-        members.setdefault(comp[idx], []).append(u)
+    for u in keep:
+        members.setdefault(comp[u], []).append(u)
     outside = set(arena.vertices) - set(forbidden)
     reach = zs.reachable_from(arena, [arena.init],
                               [(u, w) for (u, w) in arena.edges
@@ -487,15 +487,12 @@ def _energy_feasible(game, player, nodes, succ, start):
                 outs.append((nxt, e2))
         graph[(node, e)] = outs
     order = sorted(graph, key=str)
-    idx = {s: i for i, s in enumerate(order)}
-    edges = [(idx[s], idx[t]) for s in order for t in graph[s]]
-    off, dst = zs.K.csr(len(order), edges)
-    comp, _ = zs.K.scc(len(order), off, dst)
+    comp, _ = scc_of(order, [(s, t) for s in order for t in graph[s]])
     sizes = {}
     for s in order:
-        sizes[comp[idx[s]]] = sizes.get(comp[idx[s]], 0) + 1
+        sizes[comp[s]] = sizes.get(comp[s], 0) + 1
     for s in order:
-        c = comp[idx[s]]
+        c = comp[s]
         if sizes[c] > 1 or s in graph[s]:
             return True
     return False
@@ -546,43 +543,27 @@ def verify_ne_generic(game, profile):
 def _best_parity(game, i, nodes, succ, start):
     order = sorted(nodes, key=str)
     colors = sorted({game.payoff.color(i, v) for (v, q) in nodes})
-    reach = _graph_reach(order, succ, start)
+    seen = reach(succ, [start])
     for e in sorted((c for c in colors if c % 2 == 0)):
         keep = [s for s in order if game.payoff.color(i, s[0]) >= e
-                and s in reach]
+                and s in seen]
         kset = set(keep)
         inner = {s: [t for t in succ[s] if t in kset] for s in keep}
-        idx = {s: k for k, s in enumerate(keep)}
-        edges = [(idx[s], idx[t]) for s in keep for t in inner[s]]
-        off, dst = zs.K.csr(len(keep), edges)
-        comp, _ = zs.K.scc(len(keep), off, dst)
+        comp, _ = scc_of(keep, [(s, t) for s in keep for t in inner[s]])
         sizes = {}
         for s in keep:
-            sizes[comp[idx[s]]] = sizes.get(comp[idx[s]], 0) + 1
+            sizes[comp[s]] = sizes.get(comp[s], 0) + 1
         for s in keep:
             if game.payoff.color(i, s[0]) != e:
                 continue
-            c = comp[idx[s]]
+            c = comp[s]
             if sizes[c] > 1 or s in inner[s]:
                 return Fraction(1)
     return Fraction(0)
 
 
-def _graph_reach(order, succ, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in succ[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
 def _best_mp(game, i, nodes, succ, start):
-    order = sorted(_graph_reach(sorted(nodes, key=str), succ, start),
-                   key=str)
+    order = sorted(reach(succ, [start]), key=str)
     idx = {s: k for k, s in enumerate(order)}
     edges = []
     for s in order:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_ext, parse_ext
 from .games import GameError, Lasso, eval_lasso, canonical_cycle
 from . import zerosum as zs
+from ._kernels import reach, scc_of
 from .simplex import lex_min_vertex, OPTIMAL
 
 
@@ -111,11 +112,10 @@ def _exists_consistent_play(game, lam, i, v0, S):
         allowed[u] = outs
 
     verts = sorted(arena.vertices)
-    g = zs.IndexedGraph(verts, [(u, x) for u in verts for x in allowed[u]])
-    comp, _ = zs.K.scc(g.n, g.off, g.dst)
+    comp, _ = scc_of(verts, [(u, x) for u in verts for x in allowed[u]])
     by_comp = {}
-    for idx, u in enumerate(g.vertices):
-        by_comp.setdefault(comp[idx], []).append(u)
+    for u in verts:
+        by_comp.setdefault(comp[u], []).append(u)
     for members in by_comp.values():
         mset = set(members)
         for size in range(1, len(members) + 1):
@@ -129,35 +129,19 @@ def _exists_consistent_play(game, lam, i, v0, S):
 
 
 def _strongly_connected(Cset, allowed):
+    """Cset (non-empty) is strongly connected along `allowed` and every
+    vertex in it keeps an edge inside it."""
     inner = {u: [x for x in allowed[u] if x in Cset] for u in Cset}
     if any(not outs for outs in inner.values()):
         return False
     start = next(iter(Cset))
-    for seed in (start,):
-        seen = {seed}
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for x in inner[u]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        if seen != Cset:
-            return False
-    # backward
+    if reach(inner, [start]) != Cset:
+        return False
     rev = {u: [] for u in Cset}
     for u in Cset:
         for x in inner[u]:
             rev[x].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for x in rev[u]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return seen == Cset
+    return reach(rev, [start]) == Cset
 
 
 def _consistent_cycle_reaches(game, lam, v0, Cset, allowed):
@@ -588,7 +572,6 @@ class _MpContext:
                             continue
                         W = W0 | set(q)
                         floors = {}
-                        bad = False
                         for x in set(h) | set(c) | W:
                             if lam[x] == NINF:
                                 continue
@@ -596,8 +579,6 @@ class _MpContext:
                             f = floors.get(j)
                             if f is None or lam[x] > f:
                                 floors[j] = lam[x]
-                        if bad:
-                            continue
                         res = self._lp(W0, floors)
                         if res is None:
                             continue
@@ -757,8 +738,7 @@ def _assignment_value(ctx, root, assignment, cheap=False):
             elif a[3] >= m:
                 edges.add((nodes[a[1]], nodes[a[2]]))
                 posts.append((nodes[a[1]], nodes[a[2]]))
-        g_off, g_dst = zs.K.csr(len(nodes), sorted(edges))
-        comp, _ = zs.K.scc(len(nodes), g_off, g_dst)
+        comp, _ = scc_of(range(len(nodes)), sorted(edges))
         for (pu, pw) in posts:
             if comp[pu] == comp[pw]:
                 if m > best:
@@ -819,7 +799,7 @@ def _mp_value_at(ctx, root, stop_at=None):
         return min(best_holder[0], stop_at + 1)
 
     def rec(assignment, needed):
-        #短 cheap bound (accepts + length-2 deviation cycles) prunes most
+        # cheap bound (accepts + length-2 deviation cycles) prunes most
         # branches; the exact cycle analysis runs at leaves only
         cheap_val, reach = _assignment_value(ctx, root, assignment,
                                              cheap=True)

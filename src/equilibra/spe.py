@@ -13,9 +13,11 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_rational
 from .games import GameError, eval_lasso, payoff_vector, cycle_id
 from . import zerosum as zs
+from ._kernels import reach, scc_of
 from .negotiation import (vacuous_requirement, nego_parity, nego_mp,
                           is_lambda_consistent, family_consistent,
-                          _MpContext, requirement_to_json)
+                          _MpContext, _strongly_connected,
+                          requirement_to_json)
 from .nash import Query, search_consistent_parity, search_consistent_combo
 
 
@@ -80,12 +82,9 @@ def check_reduced_prover_parity(game, lam, i, u, tau):
     for e in evens:
         keep = [(v, w, c) for (v, w, c) in arcs if c >= e]
         nodes = sorted({v for (v, _, _) in keep} | {w for (_, w, _) in keep})
-        idx = {v: k for k, v in enumerate(nodes)}
-        edges = [(idx[v], idx[w]) for (v, w, _) in keep]
-        off, dst = zs.K.csr(len(nodes), edges)
-        comp, _ = zs.K.scc(len(nodes), off, dst)
+        comp, _ = scc_of(nodes, [(v, w) for (v, w, _) in keep])
         for (v, w, c) in keep:
-            if c == e and comp[idx[v]] == comp[idx[w]]:
+            if c == e and comp[v] == comp[w]:
                 return False
     return True
 
@@ -221,8 +220,7 @@ def mp_deviation_graph_value(game, lam, i, tau, alpha):
     edges = {(idx[v], idx[w]) for (v, w, _, _) in pre}
     hot = [(idx[v], idx[w]) for (v, w, m) in post if m > alpha]
     edges |= set(hot)
-    off, dst = zs.K.csr(len(roots), sorted(edges))
-    comp, _ = zs.K.scc(len(roots), off, dst)
+    comp, _ = scc_of(range(len(roots)), sorted(edges))
     for (a, b) in hot:
         if comp[a] == comp[b]:
             return False
@@ -251,16 +249,8 @@ def _validate_family(game, v, fam):
     if not entry:
         raise GameError("tail set W is not entered from the punishing cycle")
     # W must be reachable inside itself from some entry successor
-    reach = set()
-    stack = [s for s in entry]
-    reach |= set(stack)
-    while stack:
-        x = stack.pop()
-        for w in arena.succ(x):
-            if w in fam.W and w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if reach != fam.W:
+    if reach({x: arena.succ(x) for x in fam.W}, entry, within=fam.W) \
+            != fam.W:
         raise GameError("tail set W is not reachable from the cycle exit")
 
 
@@ -302,9 +292,10 @@ def check_mp_witness(game, eps, witness, query):
                 Fraction(0))
             for j in game.players)
     # W strongly connected and accessible from init through W'
-    if not _strongly_connected_set(W, inner):
+    if not _strongly_connected(W, inner):
         return False
-    if not _reach_within(arena, arena.init, W, Wp):
+    if not W & reach({u: arena.succ(u) for u in Wp}, [arena.init],
+                     within=Wp):
         return False
     for p in game.players:
         if not (query.lo(p) <= payoffs[p] and payoffs[p] <= query.hi(p)):
@@ -323,29 +314,6 @@ def check_mp_witness(game, eps, witness, query):
         if not mp_deviation_graph_value(game, lam, i, tmap, bound):
             return False
     return True
-
-
-def _strongly_connected_set(W, inner):
-    from .negotiation import _strongly_connected
-    return _strongly_connected(set(W), inner)
-
-
-def _reach_within(arena, src, target, allowed):
-    if src in target:
-        return True
-    if src not in allowed:
-        return False
-    seen = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for w in arena.succ(u):
-            if w in target:
-                return True
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything here works on an indexed view of an arena (or on a raw digraph)
 and returns exact values.  The graph kernels (attractor, reachability, SCC)
-are delegated to the compiled/pure core.
+come from `equilibra._kernels`.
 """
 
 from fractions import Fraction
@@ -11,33 +11,9 @@ from . import _kernels as K
 from .games import GameError, canonical_cycle
 
 
-class IndexedGraph:
-    """Int-indexed digraph with CSR forms for the kernels."""
-
-    def __init__(self, vertices, edges):
-        self.vertices = list(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.n = len(self.vertices)
-        self.iedges = [(self.index[u], self.index[v]) for u, v in edges]
-        self.off, self.dst = K.csr(self.n, self.iedges)
-        self.poff, self.psrc = K.csr_pred(self.n, self.iedges)
-        self.succ = [[] for _ in range(self.n)]
-        for u, v in self.iedges:
-            self.succ[u].append(v)
-
-    def mask(self, vs):
-        m = [0] * self.n
-        for v in vs:
-            m[self.index[v]] = 1
-        return m
-
-    def unmask(self, m):
-        return {self.vertices[i] for i in range(self.n) if m[i]}
-
-
 def arena_graph(arena, edge_subset=None):
     edges = arena.edges if edge_subset is None else sorted(edge_subset)
-    return IndexedGraph(arena.vertices, edges)
+    return K.IndexedGraph(arena.vertices, edges)
 
 
 def attractor(arena, coalition, target, edge_subset=None):
@@ -106,7 +82,7 @@ def _almost_sure(arena, protags, adversaries, target, edge_subset):
         nodes = sorted(alive | target)
         sub = [(u, v) for u, v in edges if u in alive and
                (v in alive or v in target)]
-        g = IndexedGraph(nodes, sub)
+        g = K.IndexedGraph(nodes, sub)
         coal = g.mask([v for v in nodes if arena.owner[v] not in adversaries])
         pos = g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
                                    coal, g.mask(target)))
@@ -237,12 +213,16 @@ def karp_min_mean(n, edges):
         w = Fraction(w)
         denom = denom * w.denominator // _gcd(denom, w.denominator)
     iedges = [(u, v, int(Fraction(w) * denom)) for u, v, w in edges]
-    comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in iedges]))
+    comp, ncomp = K.scc_of(range(n), [(u, v) for u, v, _ in iedges])
+    members = [[] for _ in range(ncomp)]
+    for v in range(n):
+        members[comp[v]].append(v)
+    inner = [[] for _ in range(ncomp)]
+    for u, v, w in iedges:
+        if comp[u] == comp[v]:
+            inner[comp[u]].append((u, v, w))
     best = None
-    for c in range(ncomp):
-        nodes = [v for v in range(n) if comp[v] == c]
-        sub = [(u, v, w) for u, v, w in iedges
-               if comp[u] == c and comp[v] == c]
+    for nodes, sub in zip(members, inner):
         if not sub:
             continue
         ren = {v: i for i, v in enumerate(nodes)}
@@ -426,22 +406,18 @@ def _product(lists):
 def _min_reachable_cycle_means(vertices, edges, weight):
     """For each vertex: min mean over cycles reachable from it (graph has a
     cycle from everywhere by the no-deadend invariant)."""
-    g = IndexedGraph(vertices, edges)
-    comp, ncomp = K.scc(g.n, g.off, g.dst)
-    comp_best = [None] * ncomp
-    for c in range(ncomp):
-        sub = [(u, v, weight(g.vertices[u], g.vertices[v]))
-               for (u, v) in g.iedges if comp[u] == c and comp[v] == c]
-        if sub:
-            comp_best[c] = karp_min_mean(g.n, sub)
-    order = sorted(range(g.n), key=lambda v: comp[v])
+    index = {v: k for k, v in enumerate(vertices)}
+    comp, ncomp = K.scc_of(vertices, edges)
     best = [None] * ncomp
     for c in range(ncomp):
-        best[c] = comp_best[c]
+        sub = [(index[u], index[v], weight(u, v))
+               for (u, v) in edges if comp[u] == c and comp[v] == c]
+        if sub:
+            best[c] = karp_min_mean(len(vertices), sub)
     changed = True
     while changed:
         changed = False
-        for (u, v) in g.iedges:
+        for (u, v) in edges:
             cu, cv = comp[u], comp[v]
             if cu == cv:
                 continue
@@ -449,4 +425,4 @@ def _min_reachable_cycle_means(vertices, edges, weight):
                                          or best[cv] < best[cu]):
                 best[cu] = best[cv]
                 changed = True
-    return {g.vertices[i]: best[comp[i]] for i in range(g.n)}
+    return {v: best[comp[v]] for v in vertices}

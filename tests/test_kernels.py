@@ -1,11 +1,10 @@
-"""Compiled and pure kernels must agree exactly."""
-
-import random
+"""Graph kernels against naive definitions written out here."""
 
 from hypothesis import given, settings, strategies as st
 
-from equilibra._kernels import pure, csr, csr_pred
-from equilibra import _kernels as K
+from equilibra._kernels import (attractor, csr, reach, reachable, scc,
+                                scc_of)
+from equilibra.negotiation import _strongly_connected
 
 
 graphs = st.integers(1, 9).flatmap(
@@ -14,58 +13,106 @@ graphs = st.integers(1, 9).flatmap(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                  max_size=25),
         st.lists(st.booleans(), min_size=n, max_size=n),
-        st.lists(st.booleans(), min_size=n, max_size=n)))
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.permutations(range(n))))
 
 
-@settings(max_examples=120, deadline=None)
+def closure(edges, sources, inside):
+    """Everything reachable from `sources` in the subgraph on `inside`."""
+    seen = set(sources) & inside
+    while True:
+        more = {v for u, v in edges if u in seen and v in inside} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+def least_attractor(n, edges, coalition, target):
+    """Least fixed point of the one-step attractor operator."""
+    attr = set(target)
+    while True:
+        more = set()
+        for u in set(range(n)) - attr:
+            outs = [v for w, v in edges if w == u]
+            if (any(v in attr for v in outs) if u in coalition
+                    else outs and all(v in attr for v in outs)):
+                more.add(u)
+        if not more:
+            return attr
+        attr |= more
+
+
+@settings(max_examples=150, deadline=None)
 @given(graphs)
-def test_twins_agree(data):
-    n, edges, coal, tgt = data
-    edges = sorted(set(edges))
+def test_kernels_match_naive_definitions(data):
+    n, edges, coal, tgt, sub, perm = data
+    everything = set(range(n))
+    coalition = {v for v in range(n) if coal[v]}
+    target = {v for v in range(n) if tgt[v]}
     off, dst = csr(n, edges)
-    poff, psrc = csr_pred(n, edges)
-    coal = [1 if b else 0 for b in coal]
-    tgt = [1 if b else 0 for b in tgt]
-    assert pure.reachable(n, off, dst, tgt) == K.reachable(n, off, dst, tgt)
-    assert (pure.attractor(n, off, dst, poff, psrc, coal, tgt)
-            == K.attractor(n, off, dst, poff, psrc, coal, tgt))
-    assert pure.scc(n, off, dst) == K.scc(n, off, dst)
+    poff, psrc = csr(n, [(v, u) for u, v in edges])
+
+    def mask(vs):
+        return [1 if v in vs else 0 for v in range(n)]
+
+    assert reachable(n, off, dst, mask(target)) == mask(
+        closure(edges, target, everything))
+    assert attractor(n, off, dst, poff, psrc, mask(coalition),
+                     mask(target)) == mask(
+        least_attractor(n, edges, coalition, target))
+
+    # same component iff mutually reachable; ids in reverse topological
+    # order, so no edge runs from a lower id to a higher one
+    comp, ncomp = scc(n, off, dst)
+    reach_of = [closure(edges, {v}, everything) for v in range(n)]
+    for u in range(n):
+        for v in range(n):
+            assert (comp[u] == comp[v]) == (v in reach_of[u]
+                                            and u in reach_of[v])
+    assert set(comp) == set(range(ncomp))
+    assert all(comp[u] >= comp[v] for u, v in edges)
+
+    # vertex-keyed forms: ids follow the caller's vertex order
+    names = [f"v{perm[k]}" for k in range(n)]
+    named = [(names[u], names[v]) for u, v in edges]
+    assert scc_of(names, named) == (dict(zip(names, comp)), ncomp)
+    succ = {names[u]: [names[v] for w, v in edges if w == u]
+            for u in range(n)}
+    within = {v for v in range(n) if sub[v]}
+    assert reach(succ, [names[v] for v in target]) == {
+        names[v] for v in closure(edges, target, everything)}
+    assert reach(succ, [names[v] for v in target],
+                 within={names[v] for v in within}) == {
+        names[v] for v in closure(edges, target, within)}
+
+    # strongly connected subsets: non-empty, every vertex keeps an inner
+    # edge, all of it mutually reachable inside
+    if within:
+        allowed = {u: [v for w, v in edges if w == u] for u in range(n)}
+        expect = (all(any(v in within for v in allowed[u]) for u in within)
+                  and all(closure(edges, {u}, within) == within
+                          for u in within))
+        assert _strongly_connected(within, allowed) == expect
 
 
 def test_attractor_semantics():
     # a -> b -> c, target {c}; coalition owns a only
     n, edges = 3, [(0, 1), (1, 2), (1, 0), (2, 2)]
     off, dst = csr(n, edges)
-    poff, psrc = csr_pred(n, edges)
-    res = pure.attractor(n, off, dst, poff, psrc, [1, 0, 0], [0, 0, 1])
+    poff, psrc = csr(n, [(v, u) for u, v in edges])
+    res = attractor(n, off, dst, poff, psrc, [1, 0, 0], [0, 0, 1])
     # b is not coalition and has an edge to a (outside), so not attracted;
     # hence a cannot reach the target either
     assert res == [0, 0, 1]
-    res = pure.attractor(n, off, dst, poff, psrc, [1, 1, 0], [0, 0, 1])
+    res = attractor(n, off, dst, poff, psrc, [1, 1, 0], [0, 0, 1])
     assert res == [1, 1, 1]
 
 
 def test_scc_basic():
     n, edges = 5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (4, 4)]
     off, dst = csr(n, edges)
-    comp, ncomp = pure.scc(n, off, dst)
+    comp, ncomp = scc(n, off, dst)
     assert ncomp == 3
     assert comp[0] == comp[1] and comp[2] == comp[3]
     assert len({comp[0], comp[2], comp[4]}) == 3
-
-
-def test_fallback_selection():
-    import os
-    import subprocess
-    import sys
-    code = ("import equilibra; print(equilibra.kernel_impl); "
-            "from equilibra.corpus import load_game; "
-            "from equilibra.negotiation import nego_iterate; "
-            "seq, conv = nego_iterate(load_game('fig_ne_spe')); "
-            "print(conv, seq[-1]['a'])")
-    env = dict(os.environ, EQUILIBRA_PURE_KERNELS="1")
-    res = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[0] == "pure"
-    assert res.stdout.splitlines()[1] == "True 1"

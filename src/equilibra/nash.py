@@ -12,7 +12,7 @@ from .rationals import PINF, NINF
 from .games import GameError, Lasso, eval_lasso, payoff_vector
 from . import zerosum as zs
 from ._kernels import reach, scc_of
-from .negotiation import is_lambda_consistent
+from .negotiation import is_lambda_consistent, _mp_structure
 
 
 class Query:
@@ -39,7 +39,8 @@ def val_requirement(game):
     if game.mode == "parity":
         vals = {p: zs.parity_value(game, p) for p in game.players}
     elif game.mode == "mean-payoff":
-        vals = {p: zs.mp_values(game, p) for p in game.players}
+        shared = _mp_structure(game)
+        vals = {p: shared.values(p) for p in game.players}
     else:
         raise GameError(f"adversarial values unsupported in {game.mode}")
     return {v: vals[game.arena.owner[v]][v] for v in game.arena.vertices}
@@ -200,14 +201,11 @@ def search_consistent_combo(game, lam, query):
     arena = game.arena
     players = list(game.players)
     v0 = arena.init
-    from .negotiation import _sc_subsets  # shared helper
-    for W0 in _sc_subsets(arena):
+    shared = _mp_structure(game)
+    for W0 in shared.sc_subsets:
         if any(lam[u] == PINF for u in W0):
             continue
-        cycles = zs.simple_cycles(
-            W0, lambda u: [w for w in arena.succ(u) if w in W0])
-        if not cycles:
-            continue
+        cycles = shared.scyc[W0]
         for path in _paths_into(arena, v0, W0):
             Wp = W0 | set(path)
             if any(lam[u] == PINF for u in Wp):

@@ -7,8 +7,10 @@ Parity and mean-payoff instantiations are provided; their (eps-)fixed
 points characterize (eps-)SPE outcomes.
 """
 
+import functools
 import itertools
 import json
+import weakref
 from fractions import Fraction
 
 from .rationals import PINF, NINF, format_ext, parse_ext
@@ -453,13 +455,11 @@ def _sc_subsets(arena):
     """Nonempty vertex sets strongly connected with at least one edge."""
     subs = []
     verts = sorted(arena.vertices)
+    succ = {u: arena.succ(u) for u in verts}
     for size in range(1, len(verts) + 1):
         for C in itertools.combinations(verts, size):
             Cset = set(C)
-            allowed = {u: [w for w in arena.succ(u) if w in Cset]
-                       for u in Cset}
-            if all(allowed[u] for u in Cset) and \
-                    _strongly_connected(Cset, allowed):
+            if _strongly_connected(Cset, succ):
                 subs.append(frozenset(Cset))
     return subs
 
@@ -488,49 +488,107 @@ def _connectors(arena, entries, W0, cap):
     return sorted(outs)
 
 
-class _MpContext:
-    """Per-(game, lambda, player) candidate machinery for the reduced
-    negotiation game."""
+_STRUCTURES = weakref.WeakKeyDictionary()
 
-    def __init__(self, game, lam, i):
-        self.game = game
-        self.lam = lam
-        self.i = i
+
+def _mp_structure(game):
+    """The requirement-independent `_MpStructure` of `game`, built on first
+    use and kept for as long as the game object lives."""
+    shared = _STRUCTURES.get(game)
+    if shared is None:
+        shared = _STRUCTURES[game] = _MpStructure(game)
+    return shared
+
+
+class _MpStructure:
+    """What the reduced negotiation game of one mean-payoff game shares
+    across requirements: cycle rotations, strongly connected cores with
+    their inner cycles, simple histories and connectors, cycle means, and
+    per player the LP-vertex payoffs, adversarial values and deviation
+    arcs; plus the memo of `nego_mp` on the requirement.
+
+    It holds only a weak reference to its game, so the weak key in
+    `_STRUCTURES` can die.  The entries stay valid for the game's lifetime
+    because nothing mutates a game after construction.  Every part is
+    built on first use (adversarial values alone never pay for the
+    cores), and every entry is stored only once it is complete, so a
+    computation stopped half way (a budget alarm) leaves nothing behind
+    that a later call could read.
+    """
+
+    def __init__(self, game):
+        self._game = weakref.ref(game)
         self.arena = game.arena
-        self.cycles = _all_cycle_seqs(game.arena)
-        self.sc_subsets = _sc_subsets(game.arena)
-        self.scyc = {}
-        for W0 in self.sc_subsets:
-            inner = [c for c in zs.simple_cycles(
-                W0, lambda u: [w for w in self.arena.succ(u) if w in W0])]
-            self.scyc[W0] = inner
+        self.payoff = game.payoff
+        self.n = len(game.arena.vertices)
+        self.nego_memo = {}
+        self._paths = {}
+        self._connectors = {}
+        self._means = {}
         self._lp_cache = {}
-        self._pools = {}
-        self._arc_cache = {}
-        self._min_accept = {}
-        self._vals = None
+        self._vals = {}
+        self._pre = {}
+        self._post = {}
+
+    @functools.cached_property
+    def cycles(self):
+        return _all_cycle_seqs(self.arena)
+
+    @functools.cached_property
+    def sc_subsets(self):
+        return _sc_subsets(self.arena)
+
+    @functools.cached_property
+    def scyc(self):
+        """Inner simple cycles of every strongly connected core."""
+        arena = self.arena
+        return {W0: zs.simple_cycles(
+                    W0, lambda u: [w for w in arena.succ(u) if w in W0])
+                for W0 in self.sc_subsets}
+
+    def paths_from(self, u):
+        out = self._paths.get(u)
+        if out is None:
+            out = self._paths[u] = _simple_paths_from(self.arena, u, self.n)
+        return out
+
+    def connectors(self, last, W0):
+        """Connectors into W0 from the successors of a cycle's last
+        vertex."""
+        key = (last, W0)
+        out = self._connectors.get(key)
+        if out is None:
+            out = self._connectors[key] = _connectors(
+                self.arena, set(self.arena.succ(last)), W0, self.n)
+        return out
 
     def mp_of(self, cyc, player):
-        return zs.cycle_mean(cyc, lambda u, v:
-                             self.game.payoff.reward(player, u, v))
+        key = (cyc, player)
+        m = self._means.get(key)
+        if m is None:
+            m = self._means[key] = zs.cycle_mean(
+                cyc, lambda u, v: self.payoff.reward(player, u, v))
+        return m
 
-    def _lp(self, W0, floors):
-        key = (W0, tuple(sorted(floors.items())))
+    def lp(self, i, W0, floors):
+        """Lex-least LP vertex over W0's cycle combinations meeting the
+        per-player `floors` (sorted (player, floor) pairs), i's payoff
+        first: (xbar, combo), or None when infeasible."""
+        key = (i, W0, floors)
         if key in self._lp_cache:
             return self._lp_cache[key]
         cycles = self.scyc[W0]
-        players = self.game.players
-        nvar = len(cycles)
-        a_eq = [[Fraction(1)] * nvar]
+        players = self.arena.players
+        a_eq = [[Fraction(1)] * len(cycles)]
         b_eq = [Fraction(1)]
         a_ge = []
         b_ge = []
-        for j, f in floors.items():
+        for j, f in floors:
             a_ge.append([self.mp_of(c, j) for c in cycles])
             b_ge.append(f)
-        objectives = [[self.mp_of(c, self.i) for c in cycles]]
+        objectives = [[self.mp_of(c, i) for c in cycles]]
         for j in players:
-            if j != self.i:
+            if j != i:
                 objectives.append([self.mp_of(c, j) for c in cycles])
         status, alpha = lex_min_vertex(objectives, a_eq, b_eq, a_ge, b_ge)
         if status != OPTIMAL:
@@ -545,30 +603,97 @@ class _MpContext:
         self._lp_cache[key] = res
         return res
 
+    def values(self, i):
+        """Adversarial mean-payoff values of player i."""
+        vals = self._vals.get(i)
+        if vals is None:
+            vals = self._vals[i] = zs.mp_values(self._game(), i)
+        return vals
+
+    def pre_arcs(self, i, h, c):
+        """Deviation options of i before the punishing cycle: (target,
+        weight of the projected segment for i, segment edge count)."""
+        key = (i, h, c)
+        out = self._pre.get(key)
+        if out is not None:
+            return out
+        arena = self.arena
+        r = self.payoff.reward
+        arcs = set()
+        walk = h + c
+        wsum = Fraction(0)
+        for k, z in enumerate(walk):
+            if k > 0:
+                wsum += r(i, walk[k - 1], z)
+            if arena.owner[z] != i:
+                continue
+            for w in sorted(arena.succ(z)):
+                arcs.add((w, wsum + r(i, z, w), k + 1))
+        out = self._pre[key] = sorted(arcs)
+        return out
+
+    def post_arcs(self, i, c, W):
+        """Deviation options of i after the punishing cycle: (target, mean
+        of the pumped cycle for i)."""
+        key = (i, c, W)
+        out = self._post.get(key)
+        if out is not None:
+            return out
+        arena = self.arena
+        m = self.mp_of(c, i)
+        arcs = set()
+        for z in sorted(W):
+            if arena.owner[z] != i:
+                continue
+            for w in sorted(arena.succ(z)):
+                arcs.add((w, m))
+        out = self._post[key] = sorted(arcs)
+        return out
+
+
+class _MpContext:
+    """Per-(game, lambda, player) view of the reduced negotiation game.
+
+    Only the proposal pools and their least acceptances depend on the
+    requirement; they live here and die with the view.  Everything else
+    (cycles, cores, LP-vertex payoffs, adversarial values, deviation arcs)
+    is read from the game's `_MpStructure`, shared by every view on the
+    same game object.
+    """
+
+    def __init__(self, game, lam, i):
+        self.game = game
+        self.lam = lam
+        self.i = i
+        self.arena = game.arena
+        self.shared = _mp_structure(game)
+        self._pools = {}
+        self._min_accept = {}
+
     def pool(self, u):
         """Candidate families proposable at u, dominance-pruned and sorted
         by (acceptance for i, h, c, W)."""
         if u in self._pools:
             return self._pools[u]
         arena = self.arena
+        shared = self.shared
         lam = self.lam
+        blocked = {x for x in arena.vertices if lam[x] == PINF}
         cands = {}
-        n = len(arena.vertices)
-        for h in _simple_paths_from(arena, u, n):
-            if any(lam[x] == PINF for x in h):
+        for h in shared.paths_from(u):
+            if blocked.intersection(h):
                 continue
             last = h[-1]
-            for c in self.cycles:
+            for c in shared.cycles:
                 if c[0] not in arena.succ(last):
                     continue
-                if any(lam[x] == PINF for x in c):
+                if blocked.intersection(c):
                     continue
-                entries = set(arena.succ(c[-1]))
-                for W0 in self.sc_subsets:
-                    if any(lam[x] == PINF for x in W0):
+                for W0 in shared.sc_subsets:
+                    if blocked.intersection(W0):
                         continue
-                    for q in _connectors(arena, entries, W0, n):
-                        if any(lam[x] == PINF for x in q):
+                    for q in shared.connectors(c[-1], W0):
+                        if blocked.intersection(q):
                             continue
                         W = W0 | set(q)
                         floors = {}
@@ -579,7 +704,8 @@ class _MpContext:
                             f = floors.get(j)
                             if f is None or lam[x] > f:
                                 floors[j] = lam[x]
-                        res = self._lp(W0, floors)
+                        res = shared.lp(self.i, W0,
+                                        tuple(sorted(floors.items())))
                         if res is None:
                             continue
                         xbar, combo = res
@@ -593,8 +719,8 @@ class _MpContext:
                       key=lambda f: (f.xbar[self.i], f.h, f.c,
                                      tuple(sorted(f.W))))
         pool = self._prune_dominated(pool)
-        self._pools[u] = pool
         self._min_accept[u] = (pool[0].xbar[self.i] if pool else PINF)
+        self._pools[u] = pool
         return pool
 
     def min_accept(self, u):
@@ -605,9 +731,7 @@ class _MpContext:
     def val_lb(self, u):
         """Adversarial value: a lower bound on the negotiation value at u
         for every requirement (monotonicity from the vacuous one)."""
-        if self._vals is None:
-            self._vals = zs.mp_values(self.game, self.i)
-        return self._vals[u]
+        return self.shared.values(self.i)[u]
 
     def targets(self, fam):
         t = {w for (w, _, _) in self.pre_arcs(fam)}
@@ -637,42 +761,10 @@ class _MpContext:
         return kept
 
     def pre_arcs(self, fam):
-        """Deviation options before the punishing cycle: (target, weight of
-        the projected segment for i, segment edge count)."""
-        cached = self._arc_cache.get((fam.key(), "pre"))
-        if cached is not None:
-            return cached
-        arcs = set()
-        walk = list(fam.h) + list(fam.c)
-        r = self.game.payoff.reward
-        wsum = Fraction(0)
-        for k, z in enumerate(walk):
-            if k > 0:
-                wsum += r(self.i, walk[k - 1], z)
-            if self.arena.owner[z] != self.i:
-                continue
-            for w in sorted(self.arena.succ(z)):
-                arcs.add((w, wsum + r(self.i, z, w), k + 1))
-        out = sorted(arcs)
-        self._arc_cache[(fam.key(), "pre")] = out
-        return out
+        return self.shared.pre_arcs(self.i, fam.h, fam.c)
 
     def post_arcs(self, fam):
-        """Deviation options after the punishing cycle: (target, mean of the
-        pumped cycle for i)."""
-        cached = self._arc_cache.get((fam.key(), "post"))
-        if cached is not None:
-            return cached
-        m = self.mp_of(fam.c, self.i)
-        arcs = set()
-        for z in sorted(fam.W):
-            if self.arena.owner[z] != self.i:
-                continue
-            for w in sorted(self.arena.succ(z)):
-                arcs.add((w, m))
-        out = sorted(arcs)
-        self._arc_cache[(fam.key(), "post")] = out
-        return out
+        return self.shared.post_arcs(self.i, fam.c, fam.W)
 
 
 def _assignment_value(ctx, root, assignment, cheap=False):
@@ -843,19 +935,25 @@ def _mp_value_at(ctx, root, stop_at=None):
 def nego_mp(game, lam):
     """One application of the negotiation function on a mean-payoff game,
     via stationary Prover strategies in the reduced negotiation game with
-    LP-vertex punishment payoffs."""
+    LP-vertex punishment payoffs.  Memoized per game object on the
+    requirement; every call returns a fresh dict."""
     if game.mode != "mean-payoff":
         raise GameError("nego_mp needs mean-payoff mode")
     arena = game.arena
-    out = {}
-    for i in game.players:
-        mine = [v for v in arena.vertices if arena.owner[v] == i]
-        if not mine:
-            continue
-        ctx = _MpContext(game, lam, i)
-        for v in mine:
-            out[v], _ = _mp_value_at(ctx, v)
-    return out
+    memo = _mp_structure(game).nego_memo
+    key = tuple(lam[v] for v in arena.vertices)
+    out = memo.get(key)
+    if out is None:
+        out = {}
+        for i in game.players:
+            mine = [v for v in arena.vertices if arena.owner[v] == i]
+            if not mine:
+                continue
+            ctx = _MpContext(game, lam, i)
+            for v in mine:
+                out[v], _ = _mp_value_at(ctx, v)
+        memo[key] = out
+    return dict(out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from . import zerosum as zs
 from ._kernels import reach, scc_of
 from .negotiation import (vacuous_requirement, nego_parity, nego_mp,
                           is_lambda_consistent, family_consistent,
-                          _MpContext, _strongly_connected,
+                          _MpContext, _mp_value_at, _strongly_connected,
                           requirement_to_json)
 from .nash import Query, search_consistent_parity, search_consistent_combo
 
@@ -367,7 +367,6 @@ def _prover_maps(game, lam, eps, roots_by_player):
 def _assignment_within(ctx, root, bound):
     """First complete proposal assignment whose Challenger value stays at
     or below `bound` (short-circuited negotiation search)."""
-    from .negotiation import _mp_value_at
     val, assignment = _mp_value_at(ctx, root, stop_at=bound)
     if assignment is None or val > bound:
         return None

@@ -406,14 +406,18 @@ def _product(lists):
 def _min_reachable_cycle_means(vertices, edges, weight):
     """For each vertex: min mean over cycles reachable from it (graph has a
     cycle from everywhere by the no-deadend invariant)."""
-    index = {v: k for k, v in enumerate(vertices)}
     comp, ncomp = K.scc_of(vertices, edges)
-    best = [None] * ncomp
-    for c in range(ncomp):
-        sub = [(index[u], index[v], weight(u, v))
-               for (u, v) in edges if comp[u] == c and comp[v] == c]
-        if sub:
-            best[c] = karp_min_mean(len(vertices), sub)
+    local = {}
+    size = [0] * ncomp
+    for v in vertices:
+        local[v] = size[comp[v]]
+        size[comp[v]] += 1
+    inner = [[] for _ in range(ncomp)]
+    for (u, v) in edges:
+        if comp[u] == comp[v]:
+            inner[comp[u]].append((local[u], local[v], weight(u, v)))
+    best = [karp_min_mean(size[c], sub) if sub else None
+            for c, sub in enumerate(inner)]
     changed = True
     while changed:
         changed = False

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import equilibra
 from equilibra.cli import run
 
 
@@ -121,7 +122,11 @@ def test_byte_stability(capsys):
 
 
 def test_console_script():
+    # the child imports the same equilibra as this process, installed or not
     env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(equilibra.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     res = subprocess.run([sys.executable, "-m", "equilibra.cli",
                           "validate", "fig_ne_spe"],
                          capture_output=True, text=True, env=env)

@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
 
+from equilibra import negotiation
 from equilibra.corpus import load_game
-from equilibra.games import GameError
+from equilibra.games import GameError, parse_game, serialize_game
 from equilibra.negotiation import (vacuous_requirement, nego_mp,
-                                   nego_iterate, is_eps_fixed_point)
-from equilibra.nash import val_requirement
+                                   nego_iterate, is_eps_fixed_point,
+                                   _MpContext)
+from equilibra.nash import Query, val_requirement
+from equilibra.spe import spe_exists_mp, epsilon_min_search
 from equilibra.rationals import PINF, NINF
 from conftest import random_mp_game
 
@@ -83,3 +88,153 @@ def test_mode_errors():
     fig = load_game("fig_ne_spe")
     with pytest.raises(GameError):
         nego_mp(fig, vacuous_requirement(fig))
+
+
+# ---------------------------------------------------------------------------
+# the per-game negotiation structure and memo against cold copies
+
+
+def cold_copy(game):
+    """The same game as a new object, so no shared structure carries over."""
+    return parse_game(serialize_game(game))
+
+
+# (n, seeds), three games per size, about two seconds in all.  Among the
+# first seeds, n=4 seed 2 and n=5 seeds 1 and 6 cost 2-10 s each in the
+# tests below, and n=5 seed 0 more than 15 s: nine-edge games whose
+# branch-and-bound leaves are the cost ROADMAP item 4 is about
+SMALL_MP_SEEDS = {3: (0, 1, 2), 4: (0, 1, 3), 5: (2, 3, 4)}
+
+
+def small_mp_games():
+    for n, seeds in SMALL_MP_SEEDS.items():
+        for seed in seeds:
+            yield random_mp_game(random.Random(100 * n + seed), n=n)
+
+
+def plain(res):
+    out = dict(res)
+    if "witness" in out:
+        out["witness"] = out["witness"].to_json()
+    return out
+
+
+def pools(game, lam, i, v):
+    return [(f.key(), f.combo) for f in _MpContext(game, lam, i).pool(v)]
+
+
+def requirements_to_check(game, rng):
+    """nego_iterate's requirements, then random ones in pairs that differ
+    at one vertex only (the last one included)."""
+    seq, _ = nego_iterate(game, max_iters=6)
+    verts = game.arena.vertices
+    values = [NINF, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    for v in (verts[-1], rng.choice(verts)):
+        lam = {u: rng.choice(values) for u in verts}
+        seq.append(lam)
+        seq.append(dict(lam, **{v: rng.choice(
+            [x for x in values if x != lam[v]])}))
+    return seq
+
+
+def test_warm_nego_matches_cold_copy():
+    rng = random.Random(7)
+    games = list(small_mp_games()) + [load_game(name) for name in
+                                      ("sans_spe", "inf_spe", "chaos")]
+    for g in games:
+        lams = requirements_to_check(g, rng)
+        for lam in lams:
+            assert nego_mp(g, lam) == nego_mp(cold_copy(g), lam), \
+                (serialize_game(g), lam)
+        # the pools show every family's LP payoff and combination, not only
+        # the ones that end up setting a value; each player's are built on
+        # a copy that no other player has touched
+        for i in g.players:
+            cold = cold_copy(g)
+            mine = [v for v in g.arena.vertices if g.arena.owner[v] == i]
+            for lam in lams:
+                for v in mine:
+                    assert pools(g, lam, i, v) == pools(cold, lam, i, v)
+
+
+def test_warm_spe_and_eps_min_match_cold_copy():
+    for g in small_mp_games():
+        nego_iterate(g, max_iters=6)
+        for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            warm = spe_exists_mp(g, eps, Query(), max_iters=8)
+            cold = spe_exists_mp(cold_copy(g), eps, Query(), max_iters=8)
+            assert plain(warm) == plain(cold), (serialize_game(g), eps)
+        warm = epsilon_min_search(g, precision_bits=6, max_iters=8)
+        cold = epsilon_min_search(cold_copy(g), precision_bits=6,
+                                  max_iters=8)
+        assert warm == cold, serialize_game(g)
+
+
+def test_nego_mp_returns_a_fresh_dict():
+    sans = load_game("sans_spe")
+    lam = vacuous_requirement(sans)
+    first = nego_mp(sans, lam)
+    want = dict(first)
+    first["a"] = PINF
+    first.clear()
+    assert nego_mp(sans, lam) == want
+
+
+def test_adversarial_values_build_no_cores():
+    chaos = load_game("chaos")
+    val_requirement(chaos)
+    built = vars(negotiation._mp_structure(chaos))
+    assert not {"cycles", "sc_subsets", "scyc"} & set(built)
+
+
+def test_structure_dies_with_the_game():
+    sans = load_game("sans_spe")
+    nego_iterate(sans, max_iters=8)
+    assert sans in negotiation._STRUCTURES
+    ref = weakref.ref(sans)
+    del sans
+    gc.collect()
+    assert ref() is None
+
+
+class Interrupt(BaseException):
+    """Stands for a budget alarm landing inside the LP."""
+
+
+def test_interrupted_nego_leaves_no_half_filled_entry(monkeypatch):
+    # its multi-cycle cores keep the LP busy
+    game = load_game("not_stationary")
+    seq, _ = nego_iterate(game, max_iters=2)
+    lam = seq[2]
+    want = nego_mp(cold_copy(game), lam)
+    real = negotiation.lex_min_vertex
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(negotiation, "lex_min_vertex", counting)
+    nego_mp(cold_copy(game), lam)
+    total = len(calls)
+    assert total > 2
+    for stop in sorted({1, 2, total // 2, total}):
+        g = cold_copy(game)
+        calls.clear()
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == stop:
+                raise Interrupt()
+            return real(*args)
+
+        monkeypatch.setattr(negotiation, "lex_min_vertex", failing)
+        with pytest.raises(Interrupt):
+            nego_mp(g, lam)
+        monkeypatch.setattr(negotiation, "lex_min_vertex", real)
+        assert nego_mp(g, lam) == want, stop
+        cold = cold_copy(game)
+        for v in game.arena.vertices:
+            i = game.arena.owner[v]
+            assert pools(g, lam, i, v) == pools(cold, lam, i, v), stop
+

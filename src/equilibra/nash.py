@@ -13,6 +13,7 @@ from .games import GameError, Lasso, eval_lasso, payoff_vector
 from . import zerosum as zs
 from ._kernels import reach, scc_of
 from .negotiation import is_lambda_consistent, _mp_structure
+from .simplex import lp_feasible
 
 
 class Query:
@@ -262,10 +263,7 @@ def _combo_feasible(game, cycles, lo, hi):
     cycle set; tries a shared combination first, then the general min-form
     with an argmin assignment per bounded dimension."""
     players = list(game.players)
-
-    def mp(c, p):
-        return zs.cycle_mean(c, lambda u, v: game.payoff.reward(p, u, v))
-
+    mp = _mp_structure(game).mp_of
     n = len(cycles)
     a_eq = [[Fraction(1)] * n]
     b_eq = [Fraction(1)]
@@ -278,7 +276,6 @@ def _combo_feasible(game, cycles, lo, hi):
         if hi[p] != PINF:
             a_ge.append([-mp(c, p) for c in cycles])
             b_ge.append(-hi[p])
-    from .simplex import lp_feasible
     feas, alpha = lp_feasible(a_eq, b_eq, a_ge, b_ge, nvar=n)
     if feas:
         combos = {p: {i: a for i, a in enumerate(alpha) if a != 0}

@@ -810,7 +810,7 @@ def _assignment_value(ctx, root, assignment, cheap=False):
         _, u, w, wt, ln = a
         prev = nodes[u]
         for step in range(ln - 1):
-            unit.append((prev, extra, Fraction(0)))
+            unit.append((prev, extra, 0))
             prev = extra
             extra += 1
         unit.append((prev, nodes[w], wt))

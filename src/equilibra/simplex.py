@@ -1,10 +1,26 @@
 """Exact-rational LP solving, small and dense.
 
-Two-phase simplex with Bland's rule over Fractions: no tolerance artifacts,
-which the fixed-point equality tests downstream rely on.  Variables are
-nonnegative; constraints come as equalities and >= inequalities.
+Two-phase simplex with Bland's rule: no tolerance artifacts, which the
+fixed-point equality tests downstream rely on.  Variables are nonnegative;
+constraints come as equalities and >= inequalities, with int or Fraction
+coefficients.
+
+The tableau holds Python ints.  Each row is a list of ints (its right-hand
+side last) with one positive int denominator of its own, reduced by the gcd
+of its entries after every update; the reduced-cost row is the tableau's
+last row, carried the same way and updated by the same pivots.  Because the
+denominator is per row, the artificial column of row i reads 1 in row i, so
+phase 1 minimizes the plain sum of the artificials.  Fractions are built only
+for the returned point and value.
+
+The pivot order is fixed: the entering column is the least index with a
+negative reduced cost, the leaving row the least ratio with ties broken by
+the least basic index, and leftover artificials are driven out row by row on
+their first nonzero column.  Witnesses downstream are the vertices this
+order reaches, so another order, even a faster one, could change answers.
 """
 
+import math
 from fractions import Fraction
 
 OPTIMAL = "optimal"
@@ -17,114 +33,143 @@ def lp_minimize(cost, a_eq, b_eq, a_ge=(), b_ge=()):
 
     Returns (status, x, value).
     """
-    rows = []
-    rhs = []
     nvar = len(cost)
-    for r, b in zip(a_eq, b_eq):
-        rows.append(list(r))
-        rhs.append(Fraction(b))
-    for r, b in zip(a_ge, b_ge):
-        # a.x >= b  ->  a.x - s = b with surplus s >= 0
-        rows.append(list(r))
-        rhs.append(Fraction(b))
-    nsur = len(list(a_ge))
+    a_eq = list(a_eq)
+    a_ge = list(a_ge)
+    nsur = len(a_ge)
     total = nvar + nsur
+    given = list(zip(a_eq, b_eq)) + list(zip(a_ge, b_ge))
+    m = len(given)
     tab = []
-    for i, row in enumerate(rows):
-        line = [Fraction(x) for x in row] + [Fraction(0)] * nsur
-        k = i - len(list(a_eq))
+    den = []
+    for i, (r, b) in enumerate(given):
+        line, d = _scaled(list(r) + [b])
+        rhs = line.pop()
+        line += [0] * nsur
+        k = i - len(a_eq)
         if k >= 0:
-            line[nvar + k] = Fraction(-1)
-        tab.append(line)
-    for i in range(len(tab)):
-        if rhs[i] < 0:
-            tab[i] = [-x for x in tab[i]]
-            rhs[i] = -rhs[i]
-    m = len(tab)
-    # phase 1: artificial basis
-    basis = []
-    for i in range(m):
-        tab[i] = tab[i] + [Fraction(1) if j == i else Fraction(0)
-                           for j in range(m)]
-        basis.append(total + i)
-    width = total + m
-    phase1 = [Fraction(0)] * total + [Fraction(1)] * m
-    res = _run_simplex(tab, rhs, basis, phase1, width)
-    if res == UNBOUNDED:
+            # a.x >= b  ->  a.x - s = b with surplus s >= 0
+            line[nvar + k] = -d
+        if rhs < 0:
+            line = [-x for x in line]
+            rhs = -rhs
+        art = [0] * m
+        art[i] = d
+        tab.append(line + art + [rhs])
+        den.append(d)
+    # phase 1: artificial basis, minimize the sum of the artificials
+    basis = [total + i for i in range(m)]
+    obj, oden = _priced([0] * total + [1] * m + [0], 1, tab, den, basis)
+    tab.append(obj)
+    den.append(oden)
+    if _run_simplex(tab, den, basis, total + m) == UNBOUNDED:
         return INFEASIBLE, None, None
-    if sum(rhs[i] for i in range(m) if basis[i] >= total) != 0:
-        if _phase1_value(tab, rhs, basis, total) != 0:
-            return INFEASIBLE, None, None
-    if _phase1_value(tab, rhs, basis, total) != 0:
+    if any(tab[i][-1] for i in range(m) if basis[i] >= total):
         return INFEASIBLE, None, None
     # drive remaining artificials out of the basis when possible
     for i in range(m):
         if basis[i] >= total:
-            piv = None
+            row = tab[i]
             for j in range(total):
-                if tab[i][j] != 0:
-                    piv = j
+                if row[j]:
+                    _pivot(tab, den, basis, i, j)
                     break
-            if piv is not None:
-                _pivot(tab, rhs, basis, i, piv)
-    # drop artificial columns
-    keep_rows = [i for i in range(m) if basis[i] < total]
-    tab = [tab[i][:total] for i in keep_rows]
-    rhs = [rhs[i] for i in keep_rows]
-    basis = [basis[i] for i in keep_rows]
-    phase2 = [Fraction(c) for c in cost] + [Fraction(0)] * nsur
-    res = _run_simplex(tab, rhs, basis, phase2, total)
-    if res == UNBOUNDED:
+    # drop artificial rows and columns and the phase-1 objective
+    keep = [i for i in range(m) if basis[i] < total]
+    tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
+    den = [den[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj, oden = _priced(*_scaled(list(cost) + [0] * (nsur + 1)), tab, den,
+                        basis)
+    tab.append(obj)
+    den.append(oden)
+    if _run_simplex(tab, den, basis, total) == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * nvar
     for i, bv in enumerate(basis):
         if bv < nvar:
-            x[bv] = rhs[i]
-    value = sum(c * v for c, v in zip(cost, x))
-    return OPTIMAL, x, value
+            x[bv] = Fraction(tab[i][-1], den[i])
+    # the objective row's right-hand side is minus the objective value
+    return OPTIMAL, x, Fraction(-tab[-1][-1], den[-1])
 
 
-def _phase1_value(tab, rhs, basis, total):
-    return sum(rhs[i] for i in range(len(basis)) if basis[i] >= total)
+def _scaled(values):
+    """Ints over the least common denominator of int/Fraction values."""
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _pivot(tab, rhs, basis, r, c):
-    pv = tab[r][c]
-    tab[r] = [x / pv for x in tab[r]]
-    rhs[r] /= pv
-    for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-            rhs[i] -= f * rhs[r]
+def _priced(obj, d, tab, den, basis):
+    """Reduced costs of the cost row obj/d: the basic columns eliminated."""
+    for row, p, bv in zip(tab, den, basis):
+        if obj[bv]:
+            obj, d = _combine(obj, d, obj[bv], row, p)
+    return obj, d
+
+
+def _combine(row, d, f, prow, p):
+    """row/d - (f/d) * prow/p as (ints, denominator), gcd-reduced; prow/p
+    is a row whose pivot entry is 1, so f/d is what row/d holds there."""
+    new = [x * p - f * y for x, y in zip(row, prow)]
+    d *= p
+    g = math.gcd(d, *new)
+    if g > 1:
+        new = [x // g for x in new]
+        d //= g
+    return new, d
+
+
+def _pivot(tab, den, basis, r, c):
+    """Pivot on (r, c): row r is scaled so its entry in column c is 1 and
+    column c is eliminated from every other row, the objective row last."""
+    row = tab[r]
+    p = row[c]
+    if p < 0:
+        row = [-x for x in row]
+        p = -p
+    g = math.gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+        p //= g
+    tab[r] = row
+    den[r] = p
     basis[r] = c
+    for i, other in enumerate(tab):
+        f = other[c]
+        if f and i != r:
+            tab[i], den[i] = _combine(other, den[i], f, row, p)
 
 
-def _run_simplex(tab, rhs, basis, cost, width):
-    m = len(tab)
+def _run_simplex(tab, den, basis, width):
+    """Bland's rule on tab (objective row last) over the first `width`
+    columns, until no reduced cost is negative."""
+    m = len(basis)
+    obj = tab[m]
     while True:
-        # reduced costs for the current basis
-        y = [cost[basis[i]] for i in range(m)]
         entering = None
         for j in range(width):
-            red = cost[j] - sum(y[i] * tab[i][j] for i in range(m))
-            if red < 0:
+            if obj[j] < 0:
                 entering = j  # Bland: least index
                 break
         if entering is None:
             return OPTIMAL
+        # least ratio rhs/a over rows with a > 0; the row denominators
+        # cancel, so the ratios compare by cross-multiplying the ints
         leaving = None
-        best = None
         for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = rhs[i] / tab[i][entering]
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leaving])):
-                    best = ratio
-                    leaving = i
+            a = tab[i][entering]
+            if a > 0:
+                b = tab[i][-1]
+                if leaving is None:
+                    leaving, la, lb = i, a, b
+                    continue
+                lhs, rhs = b * la, lb * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, la, lb = i, a, b
         if leaving is None:
             return UNBOUNDED
-        _pivot(tab, rhs, basis, leaving, entering)
+        _pivot(tab, den, basis, leaving, entering)
+        obj = tab[m]
 
 
 def lp_feasible(a_eq, b_eq, a_ge=(), b_ge=(), nvar=None):

@@ -209,7 +209,7 @@ def mp_deviation_graph_value(game, lam, i, tau, alpha):
     for (v, w, wt, ln) in pre:
         prev = idx[v]
         for _ in range(ln - 1):
-            unit.append((prev, extra, Fraction(0)))
+            unit.append((prev, extra, 0))
             prev = extra
             extra += 1
         unit.append((prev, idx[w], wt))

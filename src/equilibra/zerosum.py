@@ -5,6 +5,7 @@ and returns exact values.  The graph kernels (attractor, reachability, SCC)
 come from `equilibra._kernels`.
 """
 
+import math
 from fractions import Fraction
 
 from . import _kernels as K
@@ -208,11 +209,10 @@ def karp_min_mean(n, edges):
     Weights are scaled to integers once, the DP runs on ints."""
     if not edges:
         return None
-    denom = 1
-    for _, _, w in edges:
-        w = Fraction(w)
-        denom = denom * w.denominator // _gcd(denom, w.denominator)
-    iedges = [(u, v, int(Fraction(w) * denom)) for u, v, w in edges]
+    ws = [Fraction(w) for _, _, w in edges]
+    denom = math.lcm(*[w.denominator for w in ws])
+    iedges = [(u, v, w.numerator * (denom // w.denominator))
+              for (u, v, _), w in zip(edges, ws)]
     comp, ncomp = K.scc_of(range(n), [(u, v) for u, v, _ in iedges])
     members = [[] for _ in range(ncomp)]
     for v in range(n):
@@ -259,12 +259,6 @@ def karp_min_mean(n, edges):
                 if best is None or val < best:
                     best = val
     return best
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def karp_max_mean(n, edges):

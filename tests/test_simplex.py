@@ -1,7 +1,9 @@
 import random
 
 from fractions import Fraction as F
+from hypothesis import example, given, settings, strategies as st
 
+import simplex_reference as ref
 from equilibra.simplex import lp_minimize, lp_feasible, lex_min_vertex, \
     OPTIMAL, INFEASIBLE, UNBOUNDED
 
@@ -63,3 +65,103 @@ def test_lex_min():
         [[F(1), F(1), F(1)]], [F(1)],
         [[F(0), F(1), F(2)], [F(1), F(0), F(2)]], [F(1), F(1)])
     assert st == OPTIMAL and x == [F(1, 3)] * 3
+
+
+# -- the integer-row simplex against the Fraction simplex it replaced -------
+
+numbers = st.one_of(st.integers(-4, 4),
+                    st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+# Beale's cycling example, its <= rows written as >= rows
+BEALE = ([F(-3, 4), 20, F(-1, 2), 6], [], [],
+         [[F(-1, 4), 8, 1, -9], [F(-1, 2), 12, F(1, 2), -3], [0, 0, -1, 0]],
+         [0, 0, -1])
+# redundant equalities: an artificial stays basic at zero on the second row
+# and is driven out by pivoting on a negative entry
+DRIVE_OUT = ([1, 1], [[1, 1], [1, -1], [2, 0]], [0, 0, 0], [], [])
+# a tie in the ratio test that the least basic index, not the least row,
+# must break
+RATIO_TIE = ([0, 0], [[0, 1]], [2], [[-1, 1], [2, 1]], [0, 0])
+# an artificial left on a row with several nonzero columns: driving it out
+# on the first one leads phase 2 to a different optimal vertex than the last
+DRIVE_OUT_COLUMN = ([0, -1, 0, 0], [[0, 2, -2, -2], [1, 1, 1, 1],
+                                    [0, -2, 2, 2]], [0, 1, 0], [], [])
+INFEASIBLE_LP = ([0, 0], [[1, 1], [2, 2]], [1, 3], [], [])
+UNBOUNDED_LP = ([-1, 0], [[1, -1]], [F(-1, 2)], [[0, 1]], [F(1, 3)])
+
+
+@st.composite
+def lps(draw):
+    """(cost, a_eq, b_eq, a_ge, b_ge) with int and Fraction entries,
+    degenerate right-hand sides and redundant equality rows."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(numbers, min_size=n, max_size=n)
+    cost = draw(row)
+    a_eq = draw(st.lists(row, max_size=3))
+    b_eq = [draw(numbers) for _ in a_eq]
+    a_ge = draw(st.lists(row, max_size=3))
+    b_ge = [draw(numbers) for _ in a_ge]
+    if draw(st.booleans()):
+        # degenerate: every right-hand side zero but possibly the last
+        b_eq = [0] * len(b_eq)
+        b_ge = [0] * (len(b_ge) - 1) + b_ge[-1:]
+    if draw(st.booleans()):
+        # the probability simplex, as in every LP negotiation solves
+        a_eq.append([1] * n)
+        b_eq.append(1)
+    for _ in range(draw(st.integers(0, 2)) if a_eq else 0):
+        i = draw(st.integers(0, len(a_eq) - 1))
+        j = draw(st.integers(0, len(a_eq) - 1))
+        k = draw(st.sampled_from([1, -1, 2, F(1, 2)]))
+        c = draw(st.sampled_from([0, 1]))
+        a_eq.append([k * x + c * y for x, y in zip(a_eq[i], a_eq[j])])
+        b_eq.append(k * b_eq[i] + c * b_eq[j])
+    order = draw(st.permutations(range(len(a_eq))))
+    return (cost, [a_eq[i] for i in order], [b_eq[i] for i in order],
+            a_ge, b_ge)
+
+
+def same_result(got, want):
+    assert got == want
+    for v in got[1] or ():
+        assert type(v) is F
+
+
+@settings(max_examples=200, deadline=None)
+@given(lps())
+@example(BEALE)
+@example(DRIVE_OUT)
+@example(RATIO_TIE)
+@example(DRIVE_OUT_COLUMN)
+@example(INFEASIBLE_LP)
+@example(UNBOUNDED_LP)
+def test_lp_minimize_matches_reference(lp):
+    got = lp_minimize(*lp)
+    same_result(got, ref.lp_minimize(*lp))
+    if got[0] == OPTIMAL:
+        assert type(got[2]) is F
+
+
+@settings(max_examples=100, deadline=None)
+@given(lps())
+@example(DRIVE_OUT)
+@example(RATIO_TIE)
+@example(INFEASIBLE_LP)
+def test_lp_feasible_matches_reference(lp):
+    _, a_eq, b_eq, a_ge, b_ge = lp
+    nvar = len(lp[0])
+    same_result(lp_feasible(a_eq, b_eq, a_ge, b_ge, nvar=nvar),
+                ref.lp_feasible(a_eq, b_eq, a_ge, b_ge, nvar=nvar))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lps().flatmap(lambda lp: st.tuples(st.just(lp), st.lists(
+    st.lists(numbers, min_size=len(lp[0]), max_size=len(lp[0])),
+    max_size=2))))
+@example((BEALE, [[0, 0, 1, 0], [1, 1, 1, 1]]))
+@example((DRIVE_OUT, [[-1, 1]]))
+@example((DRIVE_OUT_COLUMN, [[0, 0, 1, 0]]))
+def test_lex_min_vertex_matches_reference(case):
+    (cost, a_eq, b_eq, a_ge, b_ge), more = case
+    objectives = [cost] + more
+    same_result(lex_min_vertex(objectives, a_eq, b_eq, a_ge, b_ge),
+                ref.lex_min_vertex(objectives, a_eq, b_eq, a_ge, b_ge))

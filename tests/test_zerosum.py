@@ -139,10 +139,15 @@ def test_min_mean_cycle_examples():
 
 def test_karp_vs_enumeration():
     rng = random.Random(5)
-    for _ in range(40):
+
+    def weight(kind):
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for kind in ["fraction"] * 40 + ["int"] * 20 + ["mixed"] * 20:
         g = random_parity_game(rng, n=5)
-        weights = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                   for e in g.arena.edges}
+        weights = {e: weight(kind) for e in g.arena.edges}
         idx = g.arena.index
         edges = [(idx[u], idx[v], weights[(u, v)])
                  for (u, v) in g.arena.edges]

@@ -9,10 +9,11 @@ import itertools
 from fractions import Fraction
 
 from .rationals import PINF, NINF
-from .games import GameError, Lasso, eval_lasso, payoff_vector
+from .games import GameError, Lasso, eval_lasso, payoff_vector, cycle_id
 from . import zerosum as zs
 from ._kernels import reach, scc_of
-from .negotiation import is_lambda_consistent, _mp_structure
+from .negotiation import (is_lambda_consistent, parity_components,
+                          _mp_structure)
 from .simplex import lp_feasible
 
 
@@ -60,81 +61,31 @@ def ne_outcome_check(game, lasso):
 
 
 def search_consistent_parity(game, lam, query):
-    """A lambda-consistent play within thresholds, exact: enumerate payoff
-    bit-vectors and per-player minimal infinite colors, then search a
-    strongly connected witness set.  Returns a Lasso or None."""
+    """A lambda-consistent play within thresholds, exact: the colour-tuple
+    SCC search (`negotiation.parity_components`) over payoff bit-vectors
+    and per-player minimal infinite colors, first component reachable from
+    the initial vertex.  Returns a Lasso or None."""
     arena = game.arena
-    players = list(game.players)
     v0 = arena.init
-    colors = {p: sorted({game.payoff.color(p, v) for v in arena.vertices})
-              for p in players}
-    for bits in itertools.product((Fraction(1), Fraction(0)),
-                                  repeat=len(players)):
-        bvec = dict(zip(players, bits))
-        if not query.admits(bvec):
+    succ = {u: arena.succ(u) for u in arena.vertices}
+    for bvec, forbidden, comps in parity_components(game, lam, succ):
+        if not query.admits(bvec) or v0 in forbidden:
             continue
-        forbidden = set()
-        ok = True
-        for v in arena.vertices:
-            if bvec[arena.owner[v]] < lam[v]:
-                forbidden.add(v)
-        if v0 in forbidden:
-            continue
-        zchoices = []
-        for p in players:
-            want_even = bvec[p] == 1
-            zchoices.append([z for z in colors[p]
-                             if (z % 2 == 0) == want_even])
-        for zbar in itertools.product(*zchoices):
-            ztup = dict(zip(players, zbar))
-            lasso = _parity_witness(game, forbidden, ztup)
-            if lasso is not None:
-                return lasso
-    return None
-
-
-def _parity_witness(game, forbidden, ztup):
-    arena = game.arena
-    keep = [v for v in arena.vertices if v not in forbidden
-            and all(game.payoff.color(p, v) >= z for p, z in ztup.items())]
-    keepset = set(keep)
-    succ = {u: [w for w in arena.succ(u) if w in keepset] for u in keep}
-    comp, _ = scc_of(keep, [(u, w) for u in keep for w in succ[u]])
-    members = {}
-    for u in keep:
-        members.setdefault(comp[u], []).append(u)
-    outside = set(arena.vertices) - set(forbidden)
-    reach = zs.reachable_from(arena, [arena.init],
-                              [(u, w) for (u, w) in arena.edges
-                               if u in outside and w in outside]) \
-        if arena.init not in forbidden else set()
-    for c in sorted(members):
-        K = members[c]
-        kset = set(K)
-        inner = {u: [w for w in succ[u] if w in kset] for u in K}
-        if len(K) == 1 and K[0] not in inner[K[0]]:
-            continue
-        witnesses = []
-        good = True
-        for p, z in ztup.items():
-            cands = [u for u in K if game.payoff.color(p, u) == z]
-            if not cands:
-                good = False
-                break
-            witnesses.append(min(cands))
-        if not good:
-            continue
-        if not any(u in reach for u in K):
-            continue
-        cycle = _cycle_through(K, inner, witnesses)
-        if cycle is None:
-            continue
-        entry = cycle[0]
-        prefix = _bfs_path(arena, arena.init, entry,
-                           lambda v: v not in forbidden)
-        if prefix is None:
-            continue
-        return Lasso(prefix[:-1], cycle)
+        reached = reach(succ, [v0],
+                        within=set(arena.vertices) - forbidden)
+        for K, witnesses in comps:
+            if not any(u in reached for u in K):
+                continue
+            kset = set(K)
+            inner = {u: [w for w in succ[u] if w in kset] for u in K}
+            cycle = _cycle_through(K, inner, witnesses)
+            if cycle is None:
+                continue
+            prefix = _bfs_path(arena, v0, cycle[0],
+                               lambda v: v not in forbidden)
+            if prefix is None:
+                continue
+            return Lasso(prefix[:-1], cycle)
     return None
 
 
@@ -156,7 +107,6 @@ def _cycle_through(K, inner, targets):
         u = walk[0]
         if u in inner[u]:
             return [u]
-        seg = None
         for w in sorted(inner[u]):
             back = _bfs_path_graph(inner, w, u)
             if back is not None:
@@ -329,14 +279,12 @@ def _combo_feasible(game, cycles, lo, hi):
 
 
 def _combo_out(cycles, combos):
-    from .games import cycle_id
     return {p: {cycle_id(cycles[i]): a for i, a in cmb.items()}
             for p, cmb in combos.items()}
 
 
 def _combo_lasso(game, arena, v0, path, W0, cycles, combos, payoffs):
     """A concrete lasso when a single cycle realizes the payoff vector."""
-    from .games import cycle_id
     for c in cycles:
         cid = cycle_id(c)
         if all(len(cmb) == 1 and cid in cmb for cmb in combos.values()):
@@ -579,7 +527,7 @@ def _verify_ne_expectation(game, profile, transform=None, tol=None):
 
     def value_of(dist, player):
         return sum((dist[t] * _pay(game, t, player, transform)
-                    for t in dist), _zero(transform))
+                    for t in dist), Fraction(0))
 
     for i in game.players:
         mine = value_of(probs, i)
@@ -604,14 +552,9 @@ def _pay(game, t, player, transform):
     return transform(player, x)
 
 
-def _zero(transform):
-    return Fraction(0)
-
-
 def _best_expectation(game, profile, i, transform=None):
     """Best expected value for i against the profile: positional policies
     in the finite product MDP, chains solved exactly."""
-    from .games import Chain, chain_hit_probabilities
     arena = game.arena
     nodes, succ = _product_states(game, profile, i)
     start = (arena.init, profile.initial)
@@ -668,4 +611,4 @@ def _policy_value(game, profile, succ, start, fixed, i, transform):
     chain = Chain(states, trans, 0, terminal_of)
     probs, _ = chain_hit_probabilities(chain)
     return sum((probs[t] * _pay(game, t, i, transform) for t in probs),
-               _zero(transform))
+               Fraction(0))

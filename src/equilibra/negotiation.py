@@ -87,47 +87,101 @@ def _parity_constraint(lam, v):
     return 1
 
 
+def parity_components(game, lam, succ):
+    """The colour-tuple SCC search for lambda-consistent parity plays, along
+    the successor map `succ` (defined on every arena vertex).
+
+    For each payoff bit vector (players in order, 1 before 0) yields
+    (bvec, forbidden, comps): `forbidden` holds the vertices whose
+    requirement their owner's bit misses, and the lazy `comps` yields, for
+    each tuple z of minimal colours of matching parity, every non-trivial
+    SCC K of `succ` restricted to the non-forbidden vertices with colours
+    >= z that holds a colour-z_p vertex for every player p, as
+    (K, witnesses), witnesses[k] being the least such vertex of player k.
+    A play that reaches K avoiding `forbidden` and then cycles through all
+    of K is lambda-consistent with payoff bvec, and every such play ends
+    in one of these components.  Polynomial in the graph, exponential only
+    in the number of players.
+    """
+    arena = game.arena
+    players = list(game.players)
+    colors = {p: sorted({game.payoff.color(p, v) for v in arena.vertices})
+              for p in players}
+    for bits in itertools.product((Fraction(1), Fraction(0)),
+                                  repeat=len(players)):
+        bvec = dict(zip(players, bits))
+        forbidden = {v for v in arena.vertices
+                     if bvec[arena.owner[v]] < lam[v]}
+        zchoices = [[z for z in colors[p] if (z % 2 == 0) == (bvec[p] == 1)]
+                    for p in players]
+        yield bvec, forbidden, _tuple_components(game, succ, forbidden,
+                                                 players, zchoices)
+
+
+def _tuple_components(game, succ, forbidden, players, zchoices):
+    arena = game.arena
+    color = game.payoff.color
+    for zbar in itertools.product(*zchoices):
+        ztup = list(zip(players, zbar))
+        keep = [v for v in arena.vertices if v not in forbidden
+                and all(color(p, v) >= z for p, z in ztup)]
+        keepset = set(keep)
+        comp, _ = scc_of(keep, [(u, w) for u in keep for w in succ[u]
+                                if w in keepset])
+        members = {}
+        for u in keep:
+            members.setdefault(comp[u], []).append(u)
+        for c in sorted(members):
+            K = members[c]
+            if len(K) == 1 and K[0] not in succ[K[0]]:
+                continue
+            witnesses = []
+            for p, z in ztup:
+                cands = [u for u in K if color(p, u) == z]
+                if not cands:
+                    break
+                witnesses.append(min(cands))
+            else:
+                yield K, witnesses
+
+
 def parity_feasible_region(game, lam, i):
     """Greatest set S of vertices admitting a lambda-consistent play whose
     deviation options for player i all stay inside S.  Outside S the
-    negotiation value is +inf (no lambda-rational profile exists)."""
-    arena = game.arena
-    S = set(arena.vertices)
+    negotiation value is +inf (no lambda-rational profile exists).
+
+    Computed by the colour-tuple SCC search (`parity_components`), one
+    search per round of the fixpoint: polynomial in the graph, exponential
+    only in the number of players."""
+    S = set(game.arena.vertices)
     while True:
-        newS = {v for v in S if _exists_consistent_play(game, lam, i, v, S)}
+        newS = _feasible_round(game, lam, i, S)
         if newS == S:
             return S
         S = newS
 
 
-def _exists_consistent_play(game, lam, i, v0, S):
+def _feasible_round(game, lam, i, S):
+    """The vertices of S with a lambda-consistent play along the edges
+    whose deviation options for player i stay in S (other players' edges
+    may leave S): backward reachability, avoiding the forbidden vertices,
+    from the components `parity_components` yields."""
     arena = game.arena
     allowed = {}
     for u in arena.vertices:
-        outs = []
-        for x in arena.succ(u):
-            if arena.owner[u] == i:
-                others = [w for w in arena.succ(u) if w != x]
-                if any(w not in S for w in others):
-                    continue
-            outs.append(x)
+        outs = arena.succ(u)
+        if arena.owner[u] == i:
+            outs = [x for x in outs if all(w in S for w in outs if w != x)]
         allowed[u] = outs
-
-    verts = sorted(arena.vertices)
-    comp, _ = scc_of(verts, [(u, x) for u in verts for x in allowed[u]])
-    by_comp = {}
-    for u in verts:
-        by_comp.setdefault(comp[u], []).append(u)
-    for members in by_comp.values():
-        mset = set(members)
-        for size in range(1, len(members) + 1):
-            for C in itertools.combinations(sorted(mset), size):
-                Cset = set(C)
-                if not _strongly_connected(Cset, allowed):
-                    continue
-                if _consistent_cycle_reaches(game, lam, v0, Cset, allowed):
-                    return True
-    return False
+    pred = {u: [] for u in arena.vertices}
+    for u in arena.vertices:
+        for x in allowed[u]:
+            pred[x].append(u)
+    live = set()
+    for _, forbidden, comps in parity_components(game, lam, allowed):
+        targets = [u for K, _ in comps for u in K]
+        live |= reach(pred, targets, within=set(arena.vertices) - forbidden)
+    return S & live
 
 
 def _strongly_connected(Cset, allowed):
@@ -144,33 +198,6 @@ def _strongly_connected(Cset, allowed):
         for x in inner[u]:
             rev[x].append(u)
     return reach(rev, [start]) == Cset
-
-
-def _consistent_cycle_reaches(game, lam, v0, Cset, allowed):
-    arena = game.arena
-    forbidden = set()
-    for u in arena.vertices:
-        con = _parity_constraint(lam, u)
-        if con == -1:
-            forbidden.add(u)
-        elif con == 1:
-            owner = arena.owner[u]
-            mincol = min(game.payoff.color(owner, c) for c in Cset)
-            if mincol % 2 == 1:
-                forbidden.add(u)
-    if Cset & forbidden or v0 in forbidden:
-        return False
-    seen = {v0}
-    stack = [v0]
-    while stack:
-        u = stack.pop()
-        if u in Cset:
-            return True
-        for x in allowed[u]:
-            if x not in seen and x not in forbidden:
-                seen.add(x)
-                stack.append(x)
-    return False
 
 
 def _constr_players(game, lam, v):
@@ -353,9 +380,11 @@ def nego_parity(game, lam):
     """One application of the negotiation function on a parity game.
 
     Computed as the value of the Pi-compressed concrete negotiation game:
-    +inf outside the feasibility region, then a Rabin solve (projection
-    parity for the constrained player, or a violated limit requirement
-    after deviations stop) deciding 0 versus 1.
+    +inf outside the feasibility region (`parity_feasible_region`, found
+    by the colour-tuple SCC search: polynomial in the graph, exponential
+    only in the number of players), then a Rabin solve (projection parity
+    for the constrained player, or a violated limit requirement after
+    deviations stop) deciding 0 versus 1.
     """
     if game.mode != "parity":
         raise GameError("nego_parity needs parity mode")
@@ -987,19 +1016,21 @@ def is_eps_fixed_point(game, lam, eps):
     nego is non-decreasing)."""
     if eps < 0:
         raise GameError("eps must be nonnegative")
-    nxt = nego(game, lam)
-    for v in game.arena.vertices:
-        cur = lam[v]
-        new = nxt[v]
+    return _eps_fixed(lam, nego(game, lam), eps, game.arena.vertices)
+
+
+def _eps_fixed(lam, nxt, eps, vertices):
+    """nxt <= lam + eps on `vertices`, +inf only where lam is +inf, and
+    no finite nxt over a -inf lam."""
+    for v in vertices:
+        cur, new = lam[v], nxt[v]
         if new == PINF:
             if cur != PINF:
                 return False
             continue
         if cur == PINF:
             continue
-        if cur == NINF:
-            return False
-        if new > cur + eps:
+        if cur == NINF or new > cur + eps:
             return False
     return True
 

@@ -17,7 +17,7 @@ from ._kernels import reach, scc_of
 from .negotiation import (vacuous_requirement, nego_parity, nego_mp,
                           is_lambda_consistent, family_consistent,
                           _MpContext, _mp_value_at, _strongly_connected,
-                          requirement_to_json)
+                          _eps_fixed, requirement_to_json)
 from .nash import Query, search_consistent_parity, search_consistent_combo
 
 
@@ -318,20 +318,6 @@ def check_mp_witness(game, eps, witness, query):
 
 # ---------------------------------------------------------------------------
 # eps-SPE existence for mean-payoff
-
-
-def _eps_fixed(lam, nxt, eps, vertices):
-    for v in vertices:
-        cur, new = lam[v], nxt[v]
-        if new == PINF:
-            if cur != PINF:
-                return False
-            continue
-        if cur == PINF:
-            continue
-        if cur == NINF or new > cur + eps:
-            return False
-    return True
 
 
 def _adjust(lam, nxt, eps, vertices):

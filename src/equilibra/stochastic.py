@@ -15,6 +15,7 @@ from .rationals import PINF
 from .games import (GameError, MemoryProfile, induced_chain,
                     chain_hit_probabilities)
 from . import zerosum as zs
+from ._kernels import reach
 from .nash import _verify_ne_expectation
 
 
@@ -63,35 +64,16 @@ def chain_support(game, profile):
     hit with positive probability, plus 0 when some reachable bottom SCC
     carries no terminal."""
     chain = induced_chain(game, profile)
-    n = len(chain.states)
-    reach = {chain.init}
-    stack = [chain.init]
-    while stack:
-        k = stack.pop()
-        for j, _ in chain.trans[k]:
-            if j not in reach:
-                reach.add(j)
-                stack.append(j)
-    terms = {chain.terminal_of[k] for k in reach if k in chain.terminal_of}
-    nonterm = False
-    for k in reach:
-        if k in chain.terminal_of:
-            continue
-        seen = {k}
-        stk = [k]
-        hits_terminal = False
-        while stk:
-            x = stk.pop()
-            if x in chain.terminal_of:
-                hits_terminal = True
-                break
-            for j, _ in chain.trans[x]:
-                if j not in seen:
-                    seen.add(j)
-                    stk.append(j)
-        if not hits_terminal:
-            nonterm = True
-            break
+    succ = [[j for j, _ in out] for out in chain.trans]
+    pred = [[] for _ in chain.trans]
+    for k, outs in enumerate(succ):
+        for j in outs:
+            pred[j].append(k)
+    reached = reach(succ, [chain.init])
+    terms = {chain.terminal_of[k] for k in reached if k in chain.terminal_of}
+    # non-termination: a reachable state from which no terminal is reachable
+    ends = reach(pred, list(chain.terminal_of))
+    nonterm = any(k not in ends for k in reached)
     supports = {}
     for p in game.players:
         vals = {game.payoff.terminal_payoffs[t][p] for t in terms}
@@ -305,22 +287,18 @@ def _support_measures(game, edges, mode):
     fully randomizing profiles, "positional" for first-visit commitment,
     "averse" for per-visit re-randomization (same as chain)."""
     arena = game.arena
-    reach = zs.reachable_from(arena, [arena.init], edges)
-    terms = {t for t in game.terminals() if t in reach}
-    nonterm = False
+    reached = zs.reachable_from(arena, [arena.init], edges)
+    terms = {t for t in game.terminals() if t in reached}
     if mode in ("chain", "averse"):
-        for u in sorted(reach):
-            if arena.is_terminal(u):
-                continue
-            sub = zs.reachable_from(arena, [u], edges)
-            if not any(arena.is_terminal(t) for t in sub):
-                nonterm = True
-                break
+        pred = {v: [] for v in arena.vertices}
+        for u, w in edges:
+            pred[w].append(u)
+        nonterm = bool(reached - reach(pred, game.terminals()))
     else:
         # a positional sample can trap the play in a terminal-free region:
         # players pick single edges, chance keeps all its branches
         avoid = _sure_avoid_region(game, edges)
-        nonterm = bool(avoid & reach)
+        nonterm = bool(avoid & reached)
     return terms, nonterm
 
 
@@ -591,39 +569,25 @@ def _search_slots(game, partition, query, states, slots):
         seen = {init}
         stack = [init]
         terms = set()
+        pred = {init: []}
         while stack:
-            v, q = stack.pop()
+            s = stack.pop()
+            v, q = s
             if arena.is_terminal(v):
                 terms.add(v)
                 continue
             k = slot_of[(q, v)]
             if k not in assign:
                 return None, None, None, k
-            for (w, q2) in moves(q, v, assign[k]):
-                nxt = (w, q2)
+            for nxt in moves(q, v, assign[k]):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
+                    pred[nxt] = []
+                pred[nxt].append(s)
         # non-termination: some closure state with no terminal below it
-        nonterm = False
-        for s in seen:
-            if arena.is_terminal(s[0]):
-                continue
-            sub = {s}
-            stk = [s]
-            hit = False
-            while stk:
-                v, q = stk.pop()
-                if arena.is_terminal(v):
-                    hit = True
-                    break
-                for nxt in moves(q, v, assign[slot_of[(q, v)]]):
-                    if nxt not in sub:
-                        sub.add(nxt)
-                        stk.append(nxt)
-            if not hit:
-                nonterm = True
-                break
+        ends = reach(pred, [s for s in seen if arena.is_terminal(s[0])])
+        nonterm = len(ends) < len(seen)
         return seen, terms, nonterm, None
 
     def build(assign):

@@ -206,13 +206,13 @@ def min_mean_cycle(arena, weight, restrict=None):
 def karp_min_mean(n, edges):
     """Karp's algorithm: exact min cycle mean over a digraph given as
     (u, v, weight) triples; returns None if acyclic.  Value only.
-    Weights are scaled to integers once, the DP runs on ints."""
+    Weights (ints or Fractions) are scaled to integers once, the DP and
+    the comparisons run on ints."""
     if not edges:
         return None
-    ws = [Fraction(w) for _, _, w in edges]
-    denom = math.lcm(*[w.denominator for w in ws])
+    denom = math.lcm(*[w.denominator for _, _, w in edges])
     iedges = [(u, v, w.numerator * (denom // w.denominator))
-              for (u, v, _), w in zip(edges, ws)]
+              for u, v, w in edges]
     comp, ncomp = K.scc_of(range(n), [(u, v) for u, v, _ in iedges])
     members = [[] for _ in range(ncomp)]
     for v in range(n):
@@ -254,11 +254,10 @@ def karp_min_mean(n, edges):
                 num, den = dm - dk, m - k
                 if worst is None or num * worst[1] > worst[0] * den:
                     worst = (num, den)
-            if worst is not None:
-                val = Fraction(worst[0], worst[1] * denom)
-                if best is None or val < best:
-                    best = val
-    return best
+            if worst is not None and (
+                    best is None or worst[0] * best[1] < best[0] * worst[1]):
+                best = worst
+    return None if best is None else Fraction(best[0], best[1] * denom)
 
 
 def karp_max_mean(n, edges):

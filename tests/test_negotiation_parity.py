@@ -3,16 +3,19 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
+
+import parity_region_reference as ref
 
 from equilibra.corpus import load_game
 from equilibra.games import GameError, Lasso, Arena, PayoffSpec, Game
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
                                    nego_iterate, is_eps_fixed_point,
                                    is_lambda_consistent, build_concrete_nego,
-                                   parity_feasible_region)
-from equilibra.nash import val_requirement
+                                   parity_feasible_region, _feasible_round)
+from equilibra.nash import Query, search_consistent_parity, val_requirement
 from equilibra.rationals import PINF, NINF
-from conftest import random_parity_game
+from conftest import PLAYERS, random_parity_game
 
 
 def test_vacuous():
@@ -97,14 +100,18 @@ def test_consistent_lasso_implies_finite():
             assert v not in S
 
 
-def test_deviation_robust_infinity():
-    # a consistent lasso exists from v, yet nego is +inf because the
-    # controller's deviation leads somewhere with no consistent play
+def deviation_robust_game():
     arena = Arena(["circle"], ["v", "w"], {"v": "circle", "w": "circle"},
                   [("v", "v"), ("v", "w"), ("w", "w")], init="v")
     game = Game(arena, PayoffSpec("parity", colors={
         "v": {"circle": 0}, "w": {"circle": 1}}))
-    lam = {"v": Fraction(0), "w": Fraction(1)}
+    return game, {"v": Fraction(0), "w": Fraction(1)}
+
+
+def test_deviation_robust_infinity():
+    # a consistent lasso exists from v, yet nego is +inf because the
+    # controller's deviation leads somewhere with no consistent play
+    game, lam = deviation_robust_game()
     assert is_lambda_consistent(game, lam, Lasso([], ["v"]))
     out = nego_parity(game, lam)
     assert out["v"] is PINF and out["w"] is PINF
@@ -282,3 +289,69 @@ def test_three_player_first_iterate():
 def val_requirement_local(game):
     from equilibra.nash import val_requirement
     return val_requirement(game)
+
+
+# ---------------------------------------------------------------------------
+# the colour-tuple SCC search against the subset enumeration it replaced
+# (tests/parity_region_reference.py)
+
+REQUIREMENTS = [NINF, Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
+                Fraction(2), PINF]
+THRESHOLDS = [None, Fraction(0), Fraction(1, 2), Fraction(1)]
+
+
+@st.composite
+def parity_cases(draw):
+    """(game, lam, player, S, query): a parity game with 1-3 players,
+    colours 0-3 and shuffled vertex and edge orders, a requirement that
+    need not be Boolean, one of its players, a vertex subset and payoff
+    thresholds."""
+    players = PLAYERS[:draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 5))
+    vertices = draw(st.permutations([f"v{k}" for k in range(n)]))
+    owner = {v: draw(st.sampled_from(players)) for v in vertices}
+    edges = {(v, w) for v in vertices
+             for w in draw(st.sets(st.sampled_from(vertices), min_size=1,
+                                   max_size=3))}
+    for v in vertices[1:]:
+        if all(w != v for _, w in edges):
+            edges.add((draw(st.sampled_from(vertices)), v))
+    edges = draw(st.permutations(sorted(edges)))
+    colors = {v: {p: draw(st.integers(0, 3)) for p in players}
+              for v in vertices}
+    arena = Arena(players, vertices, owner, edges, init=vertices[0])
+    game = Game(arena, PayoffSpec("parity", colors=colors))
+    lam = {v: draw(st.sampled_from(REQUIREMENTS)) for v in vertices}
+    S = {v for v in vertices if draw(st.booleans())}
+    lower, upper = {}, {}
+    for p in players:
+        for bound in (lower, upper):
+            x = draw(st.sampled_from(THRESHOLDS))
+            if x is not None:
+                bound[p] = x
+    return game, lam, draw(st.sampled_from(players)), S, Query(lower, upper)
+
+
+DEVIATION_ROBUST = deviation_robust_game() + ("circle", {"v"}, Query())
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity_cases())
+@example(DEVIATION_ROBUST)
+def test_feasible_region_matches_subset_enumeration(case):
+    game, lam, i, S, _ = case
+    assert parity_feasible_region(game, lam, i) == \
+        ref.parity_feasible_region(game, lam, i)
+    assert _feasible_round(game, lam, i, S) == {
+        v for v in S if ref._exists_consistent_play(game, lam, i, v, S)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity_cases())
+@example(DEVIATION_ROBUST)
+def test_consistent_parity_search_matches_reference(case):
+    game, lam, _, _, query = case
+    got = search_consistent_parity(game, lam, query)
+    assert got == ref.search_consistent_parity(game, lam, query)
+    if got is not None:
+        assert is_lambda_consistent(game, lam, got)

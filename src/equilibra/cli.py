@@ -1,61 +1,76 @@
 """Command-line front end: machine-readable JSON answers on stdout,
 diagnostics on stderr, exit 0 for any computed answer (including "no" and
-"unknown") and 2 for usage or input errors."""
+"unknown") and 2 for usage or input errors.
+
+Every command is declared once, in `COMMANDS`, and the parser is built from
+that table once per process.  Handlers call the library through this
+module's globals, so a tracer that rebinds those names sees every call."""
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from .rationals import parse_rational, parse_ext, format_ext, PINF, NINF
 from .games import (GameError, Lasso, parse_game, serialize_game,
-                    parse_memory, eval_lasso, payoff_vector, product_game,
-                    vacuous_memory, MemoryProfile)
-from .negotiation import (vacuous_requirement, nego, nego_iterate,
+                    serialize_memory, parse_memory, eval_lasso,
+                    payoff_vector, product_game, vacuous_memory,
+                    MemoryProfile)
+from .negotiation import (Family, vacuous_requirement, nego, nego_iterate,
                           is_eps_fixed_point, requirement_to_json,
                           requirement_from_json)
 from .nash import Query, ne_outcome_check, ne_constrained_exists, \
     verify_ne_energy
 from .spe import (spe_exists_parity, spe_exists_mp, epsilon_min_search,
                   check_mp_witness, MpWitness)
-from .negotiation import Family
 from .stochastic import (RiskPartition, EntropicParams, extreme_measure,
                          entropic_measure, verify_xrse, xrse_exists,
                          xrse_constrained_optimists, xrse_search_bounded,
-                         uniform_profile)
+                         uniform_profile, verify_erse_stationary)
 from .verification import rational_verify, achaotic_rational_verify_mp
 from . import corpus
 
 
-def _load_game_arg(path):
+def _input_text(path, names, what):
+    """The UTF-8 file `path`, else the corpus entry in `names` so named."""
     if os.path.exists(path):
         with open(path, "rb") as fh:
-            return parse_game(fh.read().decode("utf-8"))
+            return fh.read().decode("utf-8")
     name = os.path.splitext(os.path.basename(path))[0]
-    if name in corpus.GAMES:
-        return corpus.load_game(name)
-    raise GameError(f"no such game file or corpus entry: {path}")
+    if name in names:
+        return corpus.read_text(name)
+    raise GameError(f"no such {what}: {path}")
 
 
 def _load_memory_arg(path, arena):
-    if os.path.exists(path):
+    text = _input_text(path, corpus.MACHINES, "memory-structure file")
+    return parse_memory(text, arena)
+
+
+def _read_json(option, path, decode):
+    """`decode` of the JSON in the UTF-8 file `path`; an unreadable file or
+    a document that `decode` cannot take apart is an input error."""
+    try:
         with open(path, "rb") as fh:
-            return parse_memory(fh.read().decode("utf-8"), arena)
-    name = os.path.splitext(os.path.basename(path))[0]
-    if name in corpus.MACHINES:
-        return corpus.load_memory(name, arena)
-    raise GameError(f"no such memory-structure file: {path}")
+            return decode(json.loads(fh.read().decode("utf-8")))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise GameError(f"{option} {path}: {type(e).__name__}: {e}")
+
+
+def _rational(option, text, parse=parse_rational):
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise GameError(f"{option}: bad rational {text!r} ({e})")
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, Fraction) or x is PINF or x is NINF:
         return format_ext(x)
-    if x is PINF or x is NINF:
-        return format_ext(x)
-    if isinstance(x, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(x, mpmath.mpf):
         return mpmath.nstr(x, 20)
     if isinstance(x, Lasso):
         return str(x)
@@ -65,30 +80,33 @@ def _jsonable(x):
         return {"h": list(x.h), "c": list(x.c), "W": sorted(x.W),
                 "x": {p: _jsonable(v) for p, v in sorted(x.xbar.items())}}
     if isinstance(x, MemoryProfile):
-        from .games import serialize_memory
         return json.loads(serialize_memory(x))
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = list(x)
-        if isinstance(x, (set, frozenset)):
-            items = sorted(items, key=str)
-        return [_jsonable(v) for v in items]
+    if isinstance(x, (set, frozenset)):
+        return [_jsonable(v) for v in sorted(x, key=str)]
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
     return x
 
 
+def _assignments(option, items, parse=parse_rational, players=None):
+    """name -> value of a repeatable `name=p/q` option; with `players`,
+    each name must be one of them."""
+    out = {}
+    for item in items or []:
+        if "=" not in item:
+            raise GameError(f"{option} {item!r} must be name=p/q")
+        name, val = item.split("=", 1)
+        if players is not None and name not in players:
+            raise GameError(f"unknown player {name!r} in {option}")
+        out[name] = _rational(option, val, parse)
+    return out
+
+
 def _thresholds(args, game):
-    lower = {}
-    upper = {}
-    for spec, store in ((args.lower or [], lower), (args.upper or [], upper)):
-        for item in spec:
-            if "=" not in item:
-                raise GameError(f"threshold {item!r} must be name=p/q")
-            name, val = item.split("=", 1)
-            if name not in game.players:
-                raise GameError(f"unknown player {name!r} in threshold")
-            store[name] = parse_ext(val)
-    return Query(lower, upper)
+    return Query(_assignments("--lower", args.lower, parse_ext, game.players),
+                 _assignments("--upper", args.upper, parse_ext, game.players))
 
 
 def _partition(args, game):
@@ -100,341 +118,307 @@ def _partition(args, game):
     return RiskPartition(game, [s for s in spec.split(",") if s])
 
 
-def _rho(args, game):
-    rho = {}
-    for item in args.rho or []:
-        name, val = item.split("=", 1)
-        rho[name] = parse_rational(val)
-    base = "e" if args.base == "e" else parse_rational(args.base)
+def _rho(args):
+    rho = _assignments("--rho", args.rho)
+    base = "e" if args.base == "e" else _rational("--base", args.base)
     return EntropicParams(base, rho, precision=args.precision)
 
 
-def _emit(result, fmt):
-    if fmt == "pretty":
-        print(json.dumps(result, indent=2, sort_keys=True))
+def _leader_args(args, game):
+    """(game, memory structure, Leader, threshold) from the `LEADER`
+    options; without --machine the memory structure is vacuous."""
+    memory = (_load_memory_arg(args.machine, game.arena) if args.machine
+              else vacuous_memory(game.arena, args.leader))
+    return game, memory, args.leader, _rational("--threshold", args.threshold)
+
+
+def _read_requirement(args, game):
+    if not args.requirement:
+        return vacuous_requirement(game)
+    lam = _read_json("--requirement", args.requirement,
+                     requirement_from_json)
+    missing = [v for v in game.arena.vertices if v not in lam]
+    if missing:
+        raise GameError(f"requirement misses vertex {missing[0]}")
+    return lam
+
+
+def _trace_json(trace):
+    return [{key: _edges(val) if key == "edges"
+             else f"{val[0]}->{val[1]}" if key == "cut" else _jsonable(val)
+             for key, val in row.items()} for row in trace]
+
+
+def _edges(edges):
+    return [f"{u}->{v}" for (u, v) in edges]
+
+
+def _yes_no(ok):
+    return "yes" if ok else "no"
+
+
+def _validate(args, game):
+    return "yes", {"players": list(game.players), "mode": game.mode,
+                   "vertices": len(game.arena.vertices),
+                   "edges": len(game.arena.edges)}
+
+
+def _eval(args, game):
+    lasso = Lasso.parse(args.lasso)
+    val = eval_lasso(game, lasso, args.player)
+    return "yes", {"value": _jsonable(val),
+                   "all": _jsonable(payoff_vector(game, lasso))}
+
+
+def _nego(args, game):
+    out = nego(game, _read_requirement(args, game))
+    return "yes", {"nego": requirement_to_json(out)}
+
+
+def _nego_iterate(args, game):
+    seq, conv = nego_iterate(game, max_iters=args.max)
+    return ("yes" if conv else "unknown",
+            {"converged": conv,
+             "iterates": [requirement_to_json(l) for l in seq]})
+
+
+def _fixed_point(args, game):
+    lam = _read_requirement(args, game)
+    eps = _rational("--eps", args.eps)
+    return (_yes_no(is_eps_fixed_point(game, lam, eps)),
+            {"eps": format_ext(eps)})
+
+
+def _ne_check(args, game):
+    lasso = Lasso.parse(args.lasso)
+    ok = ne_outcome_check(game, lasso)
+    return _yes_no(ok), {"payoffs": _jsonable(payoff_vector(game, lasso))}
+
+
+def _ne_exists(args, game):
+    res = ne_constrained_exists(game, _thresholds(args, game))
+    return res["answer"], _jsonable(res)
+
+
+def _spe_exists(args, game):
+    query = _thresholds(args, game)
+    eps = _rational("--eps", args.eps)
+    if game.mode == "parity":
+        if eps != 0:
+            raise GameError("parity SPE existence takes eps = 0")
+        res = spe_exists_parity(game, query)
     else:
-        print(json.dumps(result, sort_keys=True))
-    for d in result.get("diagnostics", []):
-        print(d, file=sys.stderr)
+        res = spe_exists_mp(game, eps, query, max_iters=args.max)
+    payload = dict(res)
+    if "lam" in payload:
+        payload["lam"] = requirement_to_json(payload["lam"])
+    return res["answer"], _jsonable(payload)
 
 
+def _spe_check_witness(args, game):
+    query = _thresholds(args, game)
+    eps = _rational("--eps", args.eps)
+    witness = _read_json("--witness", args.witness, MpWitness.from_json)
+    return _yes_no(check_mp_witness(game, eps, witness, query)), {}
+
+
+def _eps_min(args, game):
+    res = epsilon_min_search(game, precision_bits=args.precision,
+                             max_iters=args.max)
+    return res["answer"], _jsonable({k: v for k, v in res.items()
+                                     if k != "answer"})
+
+
+def _product(args, game):
+    memory = _load_memory_arg(args.machine, game.arena)
+    prod = product_game(game, memory, args.leader)
+    return "yes", json.loads(serialize_game(prod))
+
+
+def _rational_verify(args, game):
+    concept = "Nash" if args.concept == "nash" else "SubgamePerfect"
+    res = rational_verify(*_leader_args(args, game), concept,
+                          max_iters=args.max)
+    return res["answer"], _jsonable(res)
+
+
+def _achaotic_verify(args, game):
+    res = achaotic_rational_verify_mp(*_leader_args(args, game),
+                                      max_iters=args.max,
+                                      precision_bits=args.precision)
+    return res["answer"], _jsonable(res)
+
+
+def _xrse_exists(args, game):
+    partition = _partition(args, game)
+    edges, trace = xrse_exists(game, partition)
+    measures = extreme_measure(game, partition, uniform_profile(game, edges))
+    return "yes", {"edges": _edges(edges), "measures": _jsonable(measures),
+                   "trace": _trace_json(trace)}
+
+
+def _xrse_constrained(args, game):
+    partition = _partition(args, game)
+    res = xrse_constrained_optimists(game, _thresholds(args, game),
+                                     partition)
+    payload = {"trace": _trace_json(res["trace"])}
+    if "edges" in res:
+        payload["edges"] = _edges(res["edges"])
+        payload["measures"] = _jsonable(res["measures"])
+    return res["answer"], payload
+
+
+def _xrse_search(args, game):
+    partition = _partition(args, game)
+    res = xrse_search_bounded(game, partition, _thresholds(args, game),
+                              args.memory_bound)
+    if res["answer"] == "yes":
+        return "yes", {"profile": _jsonable(res["profile"]),
+                       "states": res["states"]}
+    return ("no", {"scope": f"memory-bound {args.memory_bound}"},
+            ["exhausted all profiles within the memory bound; a larger "
+             "bound could still admit an XRSE"])
+
+
+def _xrse_verify(args, game):
+    partition = _partition(args, game)
+    profile = _load_memory_arg(args.profile, game.arena)
+    ok = verify_xrse(game, partition, profile)
+    measures = extreme_measure(game, partition, profile)
+    return _yes_no(ok), {"measures": _jsonable(measures)}
+
+
+def _er_eval(args, game):
+    profile = _load_memory_arg(args.profile, game.arena)
+    params = _rho(args)
+    val = entropic_measure(game, params, profile, args.player)
+    return "yes", {"value": _jsonable(val),
+                   "tolerance": "exact" if isinstance(val, Fraction)
+                   else f"float({params.precision} bits)"}
+
+
+def _erse_verify(args, game):
+    profile = _load_memory_arg(args.profile, game.arena)
+    ok = verify_erse_stationary(game, _rho(args), profile)
+    return _yes_no(ok), {"tolerance": "1e-9"}
+
+
+def _energy_ne_verify(args, game):
+    profile = _load_memory_arg(args.profile, game.arena)
+    return _yes_no(verify_ne_energy(game, profile)), {}
+
+
+def _corpus_list(args, game):
+    return "yes", {"names": corpus.corpus_list()}
+
+
+def _arg(flag, **kw):
+    return flag, kw
+
+
+def _int(flag, default):
+    return _arg(flag, type=int, default=default)
+
+
+GAME = _arg("game", help="game file or corpus name")
+BOUNDS = [_arg("--lower", action="append", metavar="PLAYER=P/Q"),
+          _arg("--upper", action="append", metavar="PLAYER=P/Q")]
+EPS = _arg("--eps", default="0")
+PLAYER = _arg("--player", required=True)
+PROFILE = _arg("--profile", required=True)
+PESSIMISTS = _arg("--pessimists", default="all")
+LEADER = [_arg("--machine"), _arg("--leader", required=True),
+          _arg("--threshold", required=True)]
+ENTROPIC = [_arg("--rho", action="append"), _arg("--base", default="e"),
+            _int("--precision", 113)]
+
+# name -> (help, arguments, handler), in the order `--help` lists them
+COMMANDS = {
+    "validate": ("parse and validate a game file", [GAME], _validate),
+    "eval": ("payoff of a lasso", [GAME, _arg(
+        "--lasso", required=True,
+        help="prefix;cycle, comma-separated vertices"), PLAYER], _eval),
+    "nego": ("one application of the negotiation function", [GAME, _arg(
+        "--requirement", help="JSON file (default: vacuous)")], _nego),
+    "nego-iterate": ("negotiation iterates from lambda_0",
+                     [GAME, _int("--max", 64)], _nego_iterate),
+    "fixed-point": ("eps-fixed-point test for a requirement",
+                    [GAME, _arg("--requirement", required=True), EPS],
+                    _fixed_point),
+    "ne-check": ("is a lasso an NE outcome",
+                 [GAME, _arg("--lasso", required=True)], _ne_check),
+    "ne-exists": ("constrained NE existence", [GAME, *BOUNDS], _ne_exists),
+    "spe-exists": ("constrained (eps-)SPE existence",
+                   [GAME, *BOUNDS, EPS, _int("--max", 64)], _spe_exists),
+    "spe-check-witness": ("validate an eps-SPE witness", [
+        GAME, _arg("--witness", required=True), EPS, *BOUNDS],
+        _spe_check_witness),
+    "eps-min": ("least eps admitting an eps-SPE",
+                [GAME, _int("--precision", 24), _int("--max", 24)],
+                _eps_min),
+    "product": ("product with a Leader memory structure", [
+        GAME, _arg("--machine", required=True),
+        _arg("--leader", required=True)], _product),
+    "rational-verify": ("rational verification", [
+        GAME, *LEADER, _arg("--concept", choices=["nash", "spe"],
+                            default="spe"), _int("--max", 64)],
+        _rational_verify),
+    "achaotic-verify": ("achaotic subgame-perfect verification", [
+        GAME, *LEADER, _int("--precision", 16), _int("--max", 24)],
+        _achaotic_verify),
+    "xrse-exists": ("stationary XRSE construction", [GAME, PESSIMISTS],
+                    _xrse_exists),
+    "xrse-constrained": ("all-optimist constrained existence", [
+        GAME, _arg("--pessimists", default="none"), *BOUNDS],
+        _xrse_constrained),
+    "xrse-search": ("bounded-memory XRSE search", [
+        GAME, PESSIMISTS, _int("--memory-bound", 2), *BOUNDS], _xrse_search),
+    "xrse-verify": ("XRSE check for a profile", [GAME, PROFILE, PESSIMISTS],
+                    _xrse_verify),
+    "er-eval": ("entropic risk of a profile",
+                [GAME, PROFILE, PLAYER, *ENTROPIC], _er_eval),
+    "erse-verify": ("stationary ERSE check", [GAME, PROFILE, *ENTROPIC],
+                    _erse_verify),
+    "energy-ne-verify": ("NE check in an energy game", [GAME, PROFILE],
+                         _energy_ne_verify),
+    "corpus-list": ("bundled corpus entries", [], _corpus_list),
+}
+
+
+@functools.cache
 def build_parser():
+    """The parser for `COMMANDS`, built once per process and shared."""
     p = argparse.ArgumentParser(
         prog="equilibra",
         description="equilibria in multiplayer graph games")
     p.add_argument("--format", choices=["json", "pretty"], default="json")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.add_argument("game", help="game file or corpus name")
-        return sp
-
-    add("validate", help="parse and validate a game file")
-    sp = add("eval", help="payoff of a lasso")
-    sp.add_argument("--lasso", required=True,
-                    help="prefix;cycle, comma-separated vertices")
-    sp.add_argument("--player", required=True)
-
-    sp = add("nego", help="one application of the negotiation function")
-    sp.add_argument("--requirement", help="JSON file (default: vacuous)")
-    sp = add("nego-iterate", help="negotiation iterates from lambda_0")
-    sp.add_argument("--max", type=int, default=64)
-    sp = add("fixed-point", help="eps-fixed-point test for a requirement")
-    sp.add_argument("--requirement", required=True)
-    sp.add_argument("--eps", default="0")
-
-    sp = add("ne-check", help="is a lasso an NE outcome")
-    sp.add_argument("--lasso", required=True)
-    sp = add("ne-exists", help="constrained NE existence")
-    _add_bounds(sp)
-    sp = add("spe-exists", help="constrained (eps-)SPE existence")
-    _add_bounds(sp)
-    sp.add_argument("--eps", default="0")
-    sp.add_argument("--max", type=int, default=64)
-    sp = add("spe-check-witness", help="validate an eps-SPE witness")
-    sp.add_argument("--witness", required=True)
-    sp.add_argument("--eps", default="0")
-    _add_bounds(sp)
-    sp = add("eps-min", help="least eps admitting an eps-SPE")
-    sp.add_argument("--precision", type=int, default=24)
-    sp.add_argument("--max", type=int, default=24)
-
-    sp = add("product", help="product with a Leader memory structure")
-    sp.add_argument("--machine", required=True)
-    sp.add_argument("--leader", required=True)
-    sp = add("rational-verify", help="rational verification")
-    sp.add_argument("--machine")
-    sp.add_argument("--leader", required=True)
-    sp.add_argument("--threshold", required=True)
-    sp.add_argument("--concept", choices=["nash", "spe"], default="spe")
-    sp.add_argument("--max", type=int, default=64)
-    sp = add("achaotic-verify", help="achaotic subgame-perfect verification")
-    sp.add_argument("--machine")
-    sp.add_argument("--leader", required=True)
-    sp.add_argument("--threshold", required=True)
-    sp.add_argument("--precision", type=int, default=16)
-    sp.add_argument("--max", type=int, default=24)
-
-    sp = add("xrse-exists", help="stationary XRSE construction")
-    sp.add_argument("--pessimists", default="all")
-    sp = add("xrse-constrained", help="all-optimist constrained existence")
-    sp.add_argument("--pessimists", default="none")
-    _add_bounds(sp)
-    sp = add("xrse-search", help="bounded-memory XRSE search")
-    sp.add_argument("--pessimists", default="all")
-    sp.add_argument("--memory-bound", type=int, default=2)
-    _add_bounds(sp)
-    sp = add("xrse-verify", help="XRSE check for a profile")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--pessimists", default="all")
-
-    sp = add("er-eval", help="entropic risk of a profile")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--player", required=True)
-    sp.add_argument("--rho", action="append")
-    sp.add_argument("--base", default="e")
-    sp.add_argument("--precision", type=int, default=113)
-    sp = add("erse-verify", help="stationary ERSE check")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--rho", action="append")
-    sp.add_argument("--base", default="e")
-    sp.add_argument("--precision", type=int, default=113)
-
-    sp = add("energy-ne-verify", help="NE check in an energy game")
-    sp.add_argument("--profile", required=True)
-
-    sub.add_parser("corpus-list", help="bundled corpus entries")
+    for name, (help_, arguments, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag, kw in arguments:
+            sp.add_argument(flag, **kw)
     return p
 
 
-def _add_bounds(sp):
-    sp.add_argument("--lower", action="append", metavar="PLAYER=P/Q")
-    sp.add_argument("--upper", action="append", metavar="PLAYER=P/Q")
-
-
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
     try:
-        result = _dispatch(args)
+        game = (parse_game(_input_text(args.game, corpus.GAMES,
+                                       "game file or corpus entry"))
+                if "game" in args else None)
+        answer, payload, *diagnostics = COMMANDS[args.command][2](args, game)
+        result = {"answer": answer, "payload": payload,
+                  "diagnostics": diagnostics[0] if diagnostics else []}
     except GameError as e:
-        _emit({"answer": "error", "payload": {},
-               "diagnostics": [str(e)]}, args.format)
-        return 2
-    _emit(result, args.format)
-    return 0
-
-
-def _dispatch(args):
-    cmd = args.command
-    if cmd == "corpus-list":
-        return {"answer": "yes", "payload": {"names": corpus.corpus_list()},
-                "diagnostics": []}
-    game = _load_game_arg(args.game)
-    if cmd == "validate":
-        return {"answer": "yes",
-                "payload": {"players": list(game.players),
-                            "mode": game.mode,
-                            "vertices": len(game.arena.vertices),
-                            "edges": len(game.arena.edges)},
-                "diagnostics": []}
-    if cmd == "eval":
-        lasso = Lasso.parse(args.lasso)
-        val = eval_lasso(game, lasso, args.player)
-        return {"answer": "yes",
-                "payload": {"value": _jsonable(val),
-                            "all": _jsonable(payoff_vector(game, lasso))},
-                "diagnostics": []}
-    if cmd == "nego":
-        lam = _read_requirement(args, game)
-        out = nego(game, lam)
-        return {"answer": "yes",
-                "payload": {"nego": requirement_to_json(out)},
-                "diagnostics": []}
-    if cmd == "nego-iterate":
-        seq, conv = nego_iterate(game, max_iters=args.max)
-        return {"answer": "yes" if conv else "unknown",
-                "payload": {"converged": conv,
-                            "iterates": [requirement_to_json(l)
-                                         for l in seq]},
-                "diagnostics": []}
-    if cmd == "fixed-point":
-        lam = _read_requirement(args, game)
-        eps = parse_rational(args.eps)
-        ok = is_eps_fixed_point(game, lam, eps)
-        return {"answer": "yes" if ok else "no",
-                "payload": {"eps": format_ext(eps)}, "diagnostics": []}
-    if cmd == "ne-check":
-        lasso = Lasso.parse(args.lasso)
-        ok = ne_outcome_check(game, lasso)
-        return {"answer": "yes" if ok else "no",
-                "payload": {"payoffs": _jsonable(payoff_vector(game, lasso))},
-                "diagnostics": []}
-    if cmd == "ne-exists":
-        res = ne_constrained_exists(game, _thresholds(args, game))
-        return {"answer": res["answer"], "payload": _jsonable(res),
-                "diagnostics": []}
-    if cmd == "spe-exists":
-        query = _thresholds(args, game)
-        eps = parse_rational(args.eps)
-        if game.mode == "parity":
-            if eps != 0:
-                raise GameError("parity SPE existence takes eps = 0")
-            res = spe_exists_parity(game, query)
-        else:
-            res = spe_exists_mp(game, eps, query, max_iters=args.max)
-        payload = dict(res)
-        if "lam" in payload:
-            payload["lam"] = requirement_to_json(payload["lam"])
-        return {"answer": res["answer"], "payload": _jsonable(payload),
-                "diagnostics": []}
-    if cmd == "spe-check-witness":
-        query = _thresholds(args, game)
-        eps = parse_rational(args.eps)
-        with open(args.witness) as fh:
-            witness = _witness_from_json(json.load(fh), game)
-        ok = check_mp_witness(game, eps, witness, query)
-        return {"answer": "yes" if ok else "no", "payload": {},
-                "diagnostics": []}
-    if cmd == "eps-min":
-        res = epsilon_min_search(game, precision_bits=args.precision,
-                                 max_iters=args.max)
-        return {"answer": res["answer"],
-                "payload": _jsonable({k: v for k, v in res.items()
-                                      if k != "answer"}),
-                "diagnostics": []}
-    if cmd == "product":
-        memory = _load_memory_arg(args.machine, game.arena)
-        prod = product_game(game, memory, args.leader)
-        return {"answer": "yes", "payload": json.loads(serialize_game(prod)),
-                "diagnostics": []}
-    if cmd == "rational-verify":
-        memory = (_load_memory_arg(args.machine, game.arena)
-                  if args.machine else vacuous_memory(game.arena,
-                                                      args.leader))
-        concept = "Nash" if args.concept == "nash" else "SubgamePerfect"
-        res = rational_verify(game, memory, args.leader,
-                              parse_rational(args.threshold), concept,
-                              max_iters=args.max)
-        return {"answer": res["answer"], "payload": _jsonable(res),
-                "diagnostics": []}
-    if cmd == "achaotic-verify":
-        memory = (_load_memory_arg(args.machine, game.arena)
-                  if args.machine else vacuous_memory(game.arena,
-                                                      args.leader))
-        res = achaotic_rational_verify_mp(
-            game, memory, args.leader, parse_rational(args.threshold),
-            max_iters=args.max, precision_bits=args.precision)
-        return {"answer": res["answer"], "payload": _jsonable(res),
-                "diagnostics": []}
-    if cmd == "xrse-exists":
-        partition = _partition(args, game)
-        edges, trace = xrse_exists(game, partition)
-        prof = uniform_profile(game, edges)
-        measures = extreme_measure(game, partition, prof)
-        return {"answer": "yes",
-                "payload": {"edges": [f"{u}->{v}" for (u, v) in edges],
-                            "measures": _jsonable(measures),
-                            "trace": _trace_json(trace)},
-                "diagnostics": []}
-    if cmd == "xrse-constrained":
-        partition = _partition(args, game)
-        res = xrse_constrained_optimists(game, _thresholds(args, game),
-                                         partition)
-        payload = {"trace": _trace_json(res["trace"])}
-        if "edges" in res:
-            payload["edges"] = [f"{u}->{v}" for (u, v) in res["edges"]]
-            payload["measures"] = _jsonable(res["measures"])
-        return {"answer": res["answer"], "payload": payload,
-                "diagnostics": []}
-    if cmd == "xrse-search":
-        partition = _partition(args, game)
-        res = xrse_search_bounded(game, partition, _thresholds(args, game),
-                                  args.memory_bound)
-        if res["answer"] == "yes":
-            return {"answer": "yes",
-                    "payload": {"profile": _jsonable(res["profile"]),
-                                "states": res["states"]},
-                    "diagnostics": []}
-        return {"answer": "no",
-                "payload": {"scope": f"memory-bound {args.memory_bound}"},
-                "diagnostics": [
-                    "exhausted all profiles within the memory bound; a "
-                    "larger bound could still admit an XRSE"]}
-    if cmd == "xrse-verify":
-        partition = _partition(args, game)
-        profile = _load_memory_arg(args.profile, game.arena)
-        ok = verify_xrse(game, partition, profile)
-        measures = extreme_measure(game, partition, profile)
-        return {"answer": "yes" if ok else "no",
-                "payload": {"measures": _jsonable(measures)},
-                "diagnostics": []}
-    if cmd == "er-eval":
-        profile = _load_memory_arg(args.profile, game.arena)
-        params = _rho(args, game)
-        val = entropic_measure(game, params, profile, args.player)
-        return {"answer": "yes",
-                "payload": {"value": _jsonable(val),
-                            "tolerance": "exact" if isinstance(val, Fraction)
-                            else f"float({params.precision} bits)"},
-                "diagnostics": []}
-    if cmd == "erse-verify":
-        from .stochastic import verify_erse_stationary
-        profile = _load_memory_arg(args.profile, game.arena)
-        params = _rho(args, game)
-        ok = verify_erse_stationary(game, params, profile)
-        return {"answer": "yes" if ok else "no",
-                "payload": {"tolerance": "1e-9"}, "diagnostics": []}
-    if cmd == "energy-ne-verify":
-        profile = _load_memory_arg(args.profile, game.arena)
-        ok = verify_ne_energy(game, profile)
-        return {"answer": "yes" if ok else "no", "payload": {},
-                "diagnostics": []}
-    raise GameError(f"unknown command {cmd!r}")
-
-
-def _read_requirement(args, game):
-    if getattr(args, "requirement", None):
-        with open(args.requirement) as fh:
-            lam = requirement_from_json(json.load(fh))
-        missing = [v for v in game.arena.vertices if v not in lam]
-        if missing:
-            raise GameError(f"requirement misses vertex {missing[0]}")
-        return lam
-    return vacuous_requirement(game)
-
-
-def _witness_from_json(doc, game):
-    alpha = {p: {cid: parse_rational(a) for cid, a in cmb.items()}
-             for p, cmb in doc["alpha"].items()}
-    lam = requirement_from_json(doc["lambda"])
-    prover = {}
-    for root, tmap in doc["prover"].items():
-        prover[root] = {
-            v: Family(fd["h"], fd["c"], fd["W"], fd["W"],
-                      {p: parse_rational(x) for p, x in fd["x"].items()},
-                      {})
-            for v, fd in tmap.items()}
-    return MpWitness(doc["W"], doc["Wp"], alpha, lam, prover)
-
-
-def _trace_json(trace):
-    out = []
-    for row in trace:
-        doc = {}
-        for key, val in row.items():
-            if key == "edges":
-                doc["edges"] = [f"{u}->{v}" for (u, v) in val]
-            elif key == "cut":
-                doc["cut"] = f"{val[0]}->{val[1]}"
-            else:
-                doc[key] = _jsonable(val)
-        out.append(doc)
-    return out
+        result = {"answer": "error", "payload": {}, "diagnostics": [str(e)]}
+    print(json.dumps(result, sort_keys=True,
+                     indent=2 if args.format == "pretty" else None))
+    for d in result["diagnostics"]:
+        print(d, file=sys.stderr)
+    return 2 if result["answer"] == "error" else 0
 
 
 def main(argv=None):

@@ -71,21 +71,17 @@ def search_consistent_parity(game, lam, query):
     for bvec, forbidden, comps in parity_components(game, lam, succ):
         if not query.admits(bvec) or v0 in forbidden:
             continue
-        reached = reach(succ, [v0],
-                        within=set(arena.vertices) - forbidden)
+        tree = _bfs_tree(succ, v0, forbidden)
         for K, witnesses in comps:
-            if not any(u in reached for u in K):
+            # K is strongly connected outside `forbidden`: wholly in the tree
+            if K[0] not in tree:
                 continue
             kset = set(K)
             inner = {u: [w for w in succ[u] if w in kset] for u in K}
             cycle = _cycle_through(K, inner, witnesses)
             if cycle is None:
                 continue
-            prefix = _bfs_path(arena, v0, cycle[0],
-                               lambda v: v not in forbidden)
-            if prefix is None:
-                continue
-            return Lasso(prefix[:-1], cycle)
+            return Lasso(_tree_path(tree, cycle[0])[:-1], cycle)
     return None
 
 
@@ -116,30 +112,28 @@ def _cycle_through(K, inner, targets):
 
 
 def _bfs_path_graph(succ, src, dst):
-    if src == dst:
-        return [src]
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        u = queue.pop(0)
+    tree = _bfs_tree(succ, src)
+    return _tree_path(tree, dst) if dst in tree else None
+
+
+def _bfs_tree(succ, src, forbidden=()):
+    """Breadth-first tree from `src` over the vertices outside `forbidden`,
+    successors in sorted order: the parent of every vertex reached."""
+    parent = {src: None}
+    order = [src]
+    for u in order:
         for w in sorted(succ[u]):
-            if w not in prev:
-                prev[w] = u
-                if w == dst:
-                    path = [w]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                queue.append(w)
-    return None
+            if w not in parent and w not in forbidden:
+                parent[w] = u
+                order.append(w)
+    return parent
 
 
-def _bfs_path(arena, src, dst, allow):
-    succ = {u: [w for w in arena.succ(u) if allow(w)]
-            for u in arena.vertices if allow(u)}
-    if not allow(src):
-        return None
-    return _bfs_path_graph(succ, src, dst)
+def _tree_path(parent, dst):
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def search_consistent_combo(game, lam, query):

@@ -10,14 +10,15 @@ iteration blows up at the initial vertex), or unknown at the cap.
 
 from fractions import Fraction
 
-from .rationals import PINF, NINF, format_rational
+from .rationals import PINF, NINF, format_rational, parse_rational
 from .games import GameError, eval_lasso, payoff_vector, cycle_id
 from . import zerosum as zs
 from ._kernels import reach, scc_of
 from .negotiation import (vacuous_requirement, nego_parity, nego_mp,
                           is_lambda_consistent, family_consistent,
                           _MpContext, _mp_value_at, _strongly_connected,
-                          _eps_fixed, requirement_to_json)
+                          _eps_fixed, requirement_to_json,
+                          requirement_from_json, Family)
 from .nash import Query, search_consistent_parity, search_consistent_combo
 
 
@@ -153,6 +154,21 @@ class MpWitness:
             "prover": {root: {v: fam_doc(f) for v, f in sorted(tmap.items())}
                        for root, tmap in sorted(self.prover.items())},
         }
+
+    @classmethod
+    def from_json(cls, doc):
+        """The witness `to_json` wrote."""
+        def family(fd):
+            return Family(fd["h"], fd["c"], fd["W"], fd["W"],
+                          {p: parse_rational(x) for p, x in fd["x"].items()},
+                          {})
+
+        alpha = {p: {cid: parse_rational(a) for cid, a in cmb.items()}
+                 for p, cmb in doc["alpha"].items()}
+        lam = requirement_from_json(doc["lambda"])
+        prover = {root: {v: family(fd) for v, fd in tmap.items()}
+                  for root, tmap in doc["prover"].items()}
+        return cls(doc["W"], doc["Wp"], alpha, lam, prover)
 
 
 def mp_deviation_graph_value(game, lam, i, tau, alpha):

@@ -3,13 +3,12 @@ and construction, the all-optimist constrained-existence algorithms,
 bounded-memory XRSE search, and stationary ERSE verification.
 
 Support-based quantities (extreme measures, the algorithms' working sets)
-are exact; entropic evaluation runs in configurable-precision floats.
+are exact; entropic evaluation runs in configurable-precision floats, and
+only the entropic functions import mpmath.
 """
 
 import itertools
 from fractions import Fraction
-
-import mpmath
 
 from .rationals import PINF
 from .games import (GameError, MemoryProfile, induced_chain,
@@ -49,6 +48,7 @@ class EntropicParams:
         self.precision = precision
 
     def ln_base(self):
+        import mpmath
         if self.base == "e":
             return mpmath.mpf(1)
         return mpmath.log(mpmath.mpf(self.base.numerator)
@@ -109,6 +109,7 @@ def entropic_measure(game, params, profile, player):
     if rho == 0:
         return sum((p * game.payoff.terminal_payoffs[t][player]
                     for t, p in probs.items()), Fraction(0))
+    import mpmath
     with mpmath.workprec(params.precision):
         lnb = params.ln_base()
         acc = mpmath.mpf(0)
@@ -123,6 +124,7 @@ def entropic_measure(game, params, profile, player):
 
 
 def _mpf(x):
+    import mpmath
     f = Fraction(x)
     return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
 
@@ -692,6 +694,7 @@ def modified_reward(params, player, x):
     rho = params.rho.get(player, Fraction(0))
     if rho == 0:
         return x
+    import mpmath
     with mpmath.workprec(params.precision):
         lnb = params.ln_base()
         val = mpmath.exp(-_mpf(rho) * _mpf(x) * lnb)
@@ -707,6 +710,7 @@ def verify_erse_stationary(game, params, profile, tol=None):
         raise GameError("terminal mode required")
     if len(profile.states) != 1:
         raise GameError("profile must be stationary")
+    import mpmath
     if tol is None:
         tol = mpmath.mpf(10) ** (-9)
 

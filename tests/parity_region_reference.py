@@ -14,7 +14,7 @@ from equilibra.games import Lasso
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
 from equilibra.negotiation import _parity_constraint, _strongly_connected
-from equilibra.nash import _cycle_through, _bfs_path
+from equilibra.nash import _cycle_through
 
 
 def parity_feasible_region(game, lam, i):
@@ -163,4 +163,33 @@ def _parity_witness(game, forbidden, ztup):
         if prefix is None:
             continue
         return Lasso(prefix[:-1], cycle)
+    return None
+
+
+# the early-exit path search equilibra.nash ran per component before it
+# kept one breadth-first tree per payoff vector
+def _bfs_path(arena, src, dst, allow):
+    succ = {u: [w for w in arena.succ(u) if allow(w)]
+            for u in arena.vertices if allow(u)}
+    if not allow(src):
+        return None
+    return _bfs_path_graph(succ, src, dst)
+
+
+def _bfs_path_graph(succ, src, dst):
+    if src == dst:
+        return [src]
+    prev = {src: None}
+    queue = [src]
+    while queue:
+        u = queue.pop(0)
+        for w in sorted(succ[u]):
+            if w not in prev:
+                prev[w] = u
+                if w == dst:
+                    path = [w]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return list(reversed(path))
+                queue.append(w)
     return None

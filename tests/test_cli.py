@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import equilibra
+from equilibra import cli
 from equilibra.cli import run
+
+# a stationary profile of `lottery`: circle plays b -> c
+BLUE = {"states": ["q0"], "initial": "q0", "owners": ["circle"],
+        "transitions": [
+            {"from": "q0", "reads": "a", "to": "q0"},
+            {"from": "q0", "reads": "b", "to": "q0", "emit": "c"},
+            {"from": "q0", "reads": "c", "to": "q0"}]}
 
 
 def run_cli(capsys, *argv):
@@ -92,12 +103,7 @@ def test_rational_verify_cli(capsys):
 
 def test_er_eval_cli(tmp_path, capsys):
     prof = tmp_path / "blue.json"
-    prof.write_text(json.dumps({
-        "states": ["q0"], "initial": "q0", "owners": ["circle"],
-        "transitions": [
-            {"from": "q0", "reads": "a", "to": "q0"},
-            {"from": "q0", "reads": "b", "to": "q0", "emit": "c"},
-            {"from": "q0", "reads": "c", "to": "q0"}]}))
+    prof.write_text(json.dumps(BLUE))
     code, doc = run_cli(capsys, "er-eval", "lottery", "--profile",
                         str(prof), "--player", "circle",
                         "--rho", "circle=0")
@@ -121,17 +127,115 @@ def test_byte_stability(capsys):
     assert len(outs) == 1
 
 
-def test_console_script():
-    # the child imports the same equilibra as this process, installed or not
+def child_env():
+    """Environment in which a child process imports the same equilibra as
+    this process, installed or not."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(equilibra.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_console_script():
     res = subprocess.run([sys.executable, "-m", "equilibra.cli",
                           "validate", "fig_ne_spe"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert json.loads(res.stdout)["answer"] == "yes"
+
+
+# runs each argv list of argv[1] through `run` in one fresh process and
+# prints, after each, whether mpmath has been imported
+MPMATH_PROBE = """
+import contextlib, io, json, sys
+from equilibra.cli import run
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0, argv
+    loaded.append("mpmath" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_mpmath_loaded_only_by_entropic_commands(tmp_path):
+    blue = tmp_path / "blue.json"
+    blue.write_text(json.dumps(BLUE))
+    stay = tmp_path / "stay.json"
+    stay.write_text(json.dumps({
+        "states": ["q0"], "initial": "q0", "owners": ["circle", "square"],
+        "transitions": [
+            {"from": "q0", "reads": "a", "to": "q0", "emit": "t1"},
+            {"from": "q0", "reads": "b", "to": "q0", "emit": "t2"}]}))
+    exact = [["validate", "sans_spe"], ["nego", "sans_spe"],
+             ["spe-exists", "inf_spe", "--lower", "circle=1"],
+             ["ne-exists", "fig_ne_spe", "--lower", "circle=1"],
+             ["xrse-search", "ex_extreme2", "--memory-bound", "1"],
+             ["xrse-verify", "ex_extreme1", "--profile", str(stay)],
+             ["rational-verify", "fig_first_example", "--machine",
+              "machine_1player", "--leader", "square", "--threshold",
+              "9/10"]]
+    entropic = [["er-eval", "lottery", "--profile", str(blue), "--player",
+                 "circle", "--rho", "circle=1"]]
+    res = subprocess.run(
+        [sys.executable, "-c", MPMATH_PROBE, json.dumps(exact + entropic)],
+        capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [False] * len(exact) + [True]
+
+
+def test_parser_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert run(["validate", "sans_spe"]) == 0
+    assert run(["ne-exists", "fig_ne_spe", "--lower", "circle=1"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a repeatable option starts empty on every use of the shared parser
+    assert cli.build_parser().parse_args(["ne-exists", "x"]).lower is None
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["nego", "sans_spe", "--requirement", "{missing}"], "--requirement"),
+    (["fixed-point", "fig_ne_spe", "--requirement", "{truncated}"],
+     "--requirement"),
+    (["nego", "sans_spe", "--requirement", "{truncated}"], "--requirement"),
+    (["spe-check-witness", "inf_spe", "--witness", "{missing}"],
+     "--witness"),
+    (["spe-check-witness", "inf_spe", "--witness", "{no_alpha}"],
+     "--witness"),
+    (["spe-exists", "inf_spe", "--eps", "abc"], "--eps"),
+    (["fixed-point", "fig_ne_spe", "--requirement", "{lam}", "--eps",
+      "1/0"], "--eps"),
+    (["ne-exists", "fig_ne_spe", "--lower", "circle=abc"], "--lower"),
+    (["spe-exists", "inf_spe", "--upper", "circle=2/4"], "--upper"),
+    (["rational-verify", "fig_first_example", "--machine",
+      "machine_1player", "--leader", "square", "--threshold", "x"],
+     "--threshold"),
+    (["er-eval", "lottery", "--profile", "{blue}", "--player", "circle",
+      "--rho", "circle"], "--rho"),
+    (["er-eval", "lottery", "--profile", "{blue}", "--player", "circle",
+      "--rho", "circle=one"], "--rho"),
+    (["erse-verify", "lottery", "--profile", "{blue}", "--base", "two"],
+     "--base"),
+])
+def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
+    files = {"missing": tmp_path / "missing.json",
+             "truncated": tmp_path / "truncated.json",
+             "no_alpha": tmp_path / "no_alpha.json",
+             "lam": tmp_path / "lam.json", "blue": tmp_path / "blue.json"}
+    files["truncated"].write_text('{"a": "1", "b"')
+    files["no_alpha"].write_text(json.dumps(
+        {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))
+    files["lam"].write_text(json.dumps({"a": "0", "b": "1", "c": "1"}))
+    files["blue"].write_text(json.dumps(BLUE))
+    argv = [a.format(**files) for a in argv]
+    code = run(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["answer"] == "error" and doc["payload"] == {}
+    assert needle in doc["diagnostics"][0]
+    assert captured.err == doc["diagnostics"][0] + "\n"
 
 
 def test_witness_roundtrip_cli(tmp_path, capsys):
@@ -181,3 +285,108 @@ def test_requirement_file_commands(tmp_path, capsys):
     code, doc = run_cli(capsys, "fixed-point", "fig_ne_spe",
                         "--requirement", str(lam2), "--eps", "0")
     assert doc["answer"] == "yes"
+
+
+# -- golden CLI text ---------------------------------------------------------
+#
+# `cli_golden.json` holds stdout, stderr and exit code of the help texts,
+# the usage errors and one run of every command.  argparse words its
+# messages differently across Python versions, so the file records the
+# version it was written with.  Rewrite it (only when the CLI's text is
+# meant to change) with `PYTHONPATH=src python tests/test_cli.py`.
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "cli_golden.json")
+COMMANDS = ["validate", "eval", "nego", "nego-iterate", "fixed-point",
+            "ne-check", "ne-exists", "spe-exists", "spe-check-witness",
+            "eps-min", "product", "rational-verify", "achaotic-verify",
+            "xrse-exists", "xrse-constrained", "xrse-search", "xrse-verify",
+            "er-eval", "erse-verify", "energy-ne-verify", "corpus-list"]
+# a corpus game for which every required option is missing
+MISSING_OPTIONS = {
+    "eval": "fig_ne_spe", "fixed-point": "fig_ne_spe",
+    "ne-check": "fig_ne_spe", "spe-check-witness": "inf_spe",
+    "product": "fig_first_example", "rational-verify": "fig_first_example",
+    "achaotic-verify": "chaos", "xrse-verify": "ex_extreme1",
+    "er-eval": "lottery", "erse-verify": "lottery",
+    "energy-ne-verify": "fig_ne_spe"}
+RUNS = [
+    ["validate", "sans_spe"],
+    ["--format", "pretty", "eval", "fig_ne_spe", "--lasso", "a,b;c",
+     "--player", "circle"],
+    ["nego", "sans_spe"],
+    ["nego-iterate", "sans_spe", "--max", "8"],
+    ["ne-check", "fig_ne_spe", "--lasso", ";a"],
+    ["ne-exists", "fig_ne_spe", "--lower", "circle=1", "--upper",
+     "square=1"],
+    ["spe-exists", "inf_spe", "--lower", "circle=1", "--upper", "circle=1",
+     "--lower", "square=1", "--upper", "square=1"],
+    ["spe-exists", "sans_spe", "--eps", "1/2", "--max", "4"],
+    ["spe-exists", "fig_first_example", "--eps", "1"],
+    ["eps-min", "sans_spe", "--precision", "6", "--max", "8"],
+    ["product", "fig_first_example", "--machine", "machine_1player",
+     "--leader", "square"],
+    ["rational-verify", "fig_first_example", "--machine", "machine_1player",
+     "--leader", "square", "--threshold", "9/10", "--concept", "nash"],
+    ["rational-verify", "fig_first_example", "--leader", "square",
+     "--threshold", "9/10"],
+    ["achaotic-verify", "chaos", "--leader", "leader",
+     "--threshold=-1/2"],
+    ["xrse-exists", "ex_extreme1"],
+    ["xrse-exists", "ex_extreme2", "--pessimists", "none"],
+    ["xrse-constrained", "ex_extreme1", "--lower", "circle=1"],
+    ["xrse-search", "ex_extreme2", "--memory-bound", "1", "--lower",
+     "circle=1"],
+    ["xrse-search", "ex_extreme1", "--memory-bound", "1", "--lower",
+     "circle=1", "--lower", "square=1", "--upper", "circle=1", "--upper",
+     "square=1"],
+    ["xrse-verify", "ex_extreme1", "--profile", "machine_1player"],
+    ["er-eval", "lottery", "--profile", "machine_1player", "--player",
+     "circle", "--rho", "circle=1"],
+    ["erse-verify", "lottery", "--profile", "machine_1player"],
+    ["energy-ne-verify", "fig_ne_spe", "--profile", "machine_1player"],
+    ["corpus-list"],
+    ["validate", "no-such-game"],
+]
+
+
+def golden_cases():
+    cases = [[], ["--help"], ["frobnicate", "sans_spe"],
+             ["--format", "yaml", "validate", "sans_spe"],
+             ["rational-verify", "fig_first_example", "--leader", "square",
+              "--threshold", "1", "--concept", "both"]]
+    for cmd in COMMANDS:
+        cases.append([cmd, "--help"])
+        cases.append([cmd] if cmd != "corpus-list" else [cmd, "extra"])
+        if cmd in MISSING_OPTIONS:
+            cases.append([cmd, MISSING_OPTIONS[cmd]])
+    return cases + RUNS
+
+
+def replay(argv):
+    """(stdout, stderr, exit code) of one `run`, at a fixed terminal
+    width."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return {"argv": list(argv), "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "code": code}
+
+
+def test_cli_text_matches_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    if golden["python"] != list(sys.version_info[:2]):
+        pytest.skip(f"golden text written by Python {golden['python']}")
+    assert [case["argv"] for case in golden["cases"]] == golden_cases()
+    for case in golden["cases"]:
+        assert replay(case["argv"]) == case, case["argv"]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({"python": list(sys.version_info[:2]),
+                   "cases": [replay(argv) for argv in golden_cases()]},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")

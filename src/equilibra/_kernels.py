@@ -3,6 +3,10 @@
 `reachable`, `attractor` and `scc` work on CSR arrays over int vertex ids
 (`csr` builds them); `IndexedGraph` maps named vertices onto those arrays.
 `scc_of` and `reach` take named (any hashable) vertices directly.
+
+`attractor`, the package's only attractor, works inside a 0/1 sub-game mask
+and ranks the vertices in the order they join, which gives the coalition's
+positional strategy.
 """
 
 
@@ -36,31 +40,40 @@ def reachable(n, off, dst, sources):
     return seen
 
 
-def attractor(n, off, dst, poff, psrc, coalition, target):
-    """Classical attractor.
+def attractor(n, off, dst, poff, psrc, coalition, target, sub):
+    """Attractor inside the sub-game on the 0/1 mask `sub`.
 
-    Least set A containing `target`, closed under: coalition vertex with an
-    edge into A; non-coalition vertex with at least one edge, all of them
-    into A.  Deadend non-targets are never absorbed.
+    Least set A of `sub` vertices containing the targets in `sub`, closed
+    under: coalition vertex with an edge into A; non-coalition vertex with
+    an edge inside `sub`, all of them into A.  Deadend non-targets are
+    never absorbed.  Returns A as join ranks: 0 outside A, 1 for the
+    targets, then 2, 3, ... in the order the other vertices joined
+    (targets pop from a stack filled in id order, predecessors come in
+    `psrc` order).  A coalition vertex of rank r has a successor of rank
+    in 1..r-1, one already in A when it joined: that move is its
+    positional attractor strategy.
     """
-    inset = list(target)
-    count = [off[v + 1] - off[v] for v in range(n)]
-    stack = [v for v in range(n) if target[v]]
+    rank = [t if s else 0 for t, s in zip(target, sub)]
+    joined = 1
+    count = [-1] * n
+    stack = [v for v in range(n) if rank[v]]
     while stack:
         w = stack.pop()
         for k in range(poff[w], poff[w + 1]):
             u = psrc[k]
-            if inset[u]:
+            if rank[u] or not sub[u]:
                 continue
-            if coalition[u]:
-                inset[u] = 1
-                stack.append(u)
-            else:
+            if not coalition[u]:
+                if count[u] < 0:
+                    # successors inside the sub-game, counted on first visit
+                    count[u] = sum(1 for x in dst[off[u]:off[u + 1]] if sub[x])
                 count[u] -= 1
-                if count[u] == 0 and off[u + 1] - off[u] > 0:
-                    inset[u] = 1
-                    stack.append(u)
-    return inset
+                if count[u]:
+                    continue
+            joined += 1
+            rank[u] = joined
+            stack.append(u)
+    return rank
 
 
 def scc(n, off, dst):

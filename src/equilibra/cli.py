@@ -33,11 +33,20 @@ from .verification import rational_verify, achaotic_rational_verify_mp
 from . import corpus
 
 
+def _read_text(what, path):
+    """The UTF-8 file `path`; a file that cannot be read or decoded is an
+    input error."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise GameError(f"{what} {path}: {type(e).__name__}: {e}")
+
+
 def _input_text(path, names, what):
     """The UTF-8 file `path`, else the corpus entry in `names` so named."""
     if os.path.exists(path):
-        with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")
+        return _read_text(what, path)
     name = os.path.splitext(os.path.basename(path))[0]
     if name in names:
         return corpus.read_text(name)
@@ -52,10 +61,10 @@ def _load_memory_arg(path, arena):
 def _read_json(option, path, decode):
     """`decode` of the JSON in the UTF-8 file `path`; an unreadable file or
     a document that `decode` cannot take apart is an input error."""
+    text = _read_text(option, path)
     try:
-        with open(path, "rb") as fh:
-            return decode(json.loads(fh.read().decode("utf-8")))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        return decode(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise GameError(f"{option} {path}: {type(e).__name__}: {e}")
 
 

@@ -206,42 +206,7 @@ def best_extreme_response(game, partition, profile, player):
     profile (threshold sweep on the induced MDP)."""
     mdp = _profile_mdp(game, profile, player)
     pair = partition.as_pair()
-    return _extreme_best_from(mdp, pair, player, mdp.arena.init)
-
-
-def _extreme_best_from(game, partition, player, v):
-    """Threshold sweep without the controlled-vertex restriction (the
-    start may be a chance vertex)."""
-    arena = game.arena
-    pess, _ = partition
-    is_pess = player in pess
-    terms = game.terminals()
-    candidates = sorted({Fraction(0)} |
-                        {game.payoff.terminal_payoffs[t][player]
-                         for t in terms}, reverse=True)
-    others = [p for p in game.players if p != player]
-    for x in candidates:
-        good = {t for t in terms
-                if game.payoff.terminal_payoffs[t][player] >= x}
-        bad = {t for t in terms
-               if game.payoff.terminal_payoffs[t][player] < x}
-        if is_pess:
-            if x > 0:
-                ok = v in zs.almost_sure_reach_game(arena, {player},
-                                                    set(others), good)
-            else:
-                ok = v not in zs.attractor(arena, set(others) | {"chance"},
-                                           bad)
-        else:
-            if x > 0:
-                ok = v in zs.attractor(arena, {player, "chance"}, good)
-            else:
-                forced = zs.almost_sure_reach_game(arena, set(others),
-                                                   {player}, bad)
-                ok = v not in forced
-        if ok:
-            return x
-    return candidates[-1]
+    return zs.extreme_threshold_sweep(mdp, pair, player, mdp.arena.init)
 
 
 def verify_xrse(game, partition, profile):

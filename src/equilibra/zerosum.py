@@ -24,7 +24,8 @@ def attractor(arena, coalition, target, edge_subset=None):
     g = arena_graph(arena, edge_subset)
     coal = g.mask([v for v in arena.vertices if arena.owner[v] in coalition])
     tgt = g.mask(target)
-    res = K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, tgt)
+    res = K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, tgt,
+                      [1] * g.n)
     return g.unmask(res)
 
 
@@ -84,15 +85,16 @@ def _almost_sure(arena, protags, adversaries, target, edge_subset):
         sub = [(u, v) for u, v in edges if u in alive and
                (v in alive or v in target)]
         g = K.IndexedGraph(nodes, sub)
+        full = [1] * g.n
         coal = g.mask([v for v in nodes if arena.owner[v] not in adversaries])
         pos = g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
-                                   coal, g.mask(target)))
+                                   coal, g.mask(target), full))
         zero = alive - pos
         if not zero:
             return alive | target
         coal2 = g.mask([v for v in nodes if arena.owner[v] not in protags])
         bad = g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
-                                   coal2, g.mask(zero)))
+                                   coal2, g.mask(zero), full))
         alive -= bad
         if not alive:
             return set(target)
@@ -102,20 +104,26 @@ def _almost_sure(arena, protags, adversaries, target, edge_subset):
 # extreme adversarial values (simple stochastic games)
 
 
-def extreme_adversarial_value(game, partition, v, edge_subset=None):
+def extreme_adversarial_value(game, partition, v):
     """inf over hostile profiles of sup over i's strategies of the extreme
-    risk measure of i's payoff, where i controls v.
-
-    Decided by a threshold sweep over {0} + terminal payoffs; each
-    threshold is an almost-sure or positive-probability reachability game.
-    """
+    risk measure of i's payoff, where i controls v."""
     arena = game.arena
     if game.mode != "terminal":
         raise GameError("extreme values need terminal mode")
     if arena.is_chance(v) or arena.is_terminal(v):
         raise GameError(f"{v} is chance or terminal")
-    player = arena.owner[v]
-    pess, opt = partition
+    return extreme_threshold_sweep(game, partition, arena.owner[v], v)
+
+
+def extreme_threshold_sweep(game, partition, player, v):
+    """The best extreme risk `player` can secure from `v` (any vertex,
+    chance included) against hostile others.
+
+    Decided by a threshold sweep over {0} + terminal payoffs; each
+    threshold is an almost-sure or positive-probability reachability game.
+    """
+    arena = game.arena
+    pess, _ = partition
     is_pess = player in pess
     terms = game.terminals()
     candidates = sorted({Fraction(0)} |
@@ -128,21 +136,19 @@ def extreme_adversarial_value(game, partition, v, edge_subset=None):
         if is_pess:
             if x > 0:
                 ok = v in almost_sure_reach_game(arena, {player}, set(others),
-                                                 good, edge_subset)
+                                                 good)
             else:
                 # P(bad) = 0: surely avoid bad, chance universal
-                reach_bad = attractor(arena, set(others) | {"chance"}, bad,
-                                      edge_subset)
+                reach_bad = attractor(arena, set(others) | {"chance"}, bad)
                 ok = v not in reach_bad
         else:
             if x > 0:
-                ok = v in attractor(arena, {player, "chance"}, good,
-                                    edge_subset)
+                ok = v in attractor(arena, {player, "chance"}, good)
             else:
                 # some outcome >= x possible: adversaries would need to
                 # force almost-sure absorption in bad terminals
                 forced = almost_sure_reach_game(arena, set(others), {player},
-                                                bad, edge_subset)
+                                                bad)
                 ok = v not in forced
         if ok:
             return x
@@ -272,67 +278,69 @@ def karp_max_mean(n, edges):
 def solve_parity(vertices, succ_map, is_protag, color):
     """Zero-sum parity game: protagonist (side 0) wins a play iff the
     minimal color seen infinitely often is even.  Returns (win0, win1,
-    strat0, strat1) with positional witness strategies on each region."""
-    pred_map = {v: [] for v in vertices}
-    for u in vertices:
-        for w in succ_map[u]:
-            pred_map[w].append(u)
+    strat0, strat1) with positional witness strategies on each region.
 
-    def side(v):
-        return 0 if is_protag(v) else 1
+    `is_protag` and `color` are read once per vertex.  Vertices are
+    numbered in sorted(vertices) order, and a strategy picks the first
+    successor in that order (the least successor when vertices are
+    totally ordered).  Zielonka's recursion runs on 0/1 sub-game
+    masks over that numbering, with `_kernels.attractor` for both of its
+    attractors; attractor strategies are read from its join ranks."""
+    names = sorted(vertices)
+    n = len(names)
+    index = {v: k for k, v in enumerate(names)}
+    col = [color(v) for v in names]
+    protag = [1 if is_protag(v) else 0 for v in names]
+    side = [protag, [1 - x for x in protag]]
+    edges = [(index[u], index[w]) for u in vertices for w in succ_map[u]]
+    off, dst = K.csr(n, edges)
+    poff, psrc = K.csr(n, [(w, u) for u, w in edges])
+    strat = {}
 
-    def attr(sub, sigma, target):
-        inset = set(target)
-        strat = {}
-        count = {v: sum(1 for w in succ_map[v] if w in sub) for v in sub}
-        queue = sorted(target)
-        while queue:
-            w = queue.pop()
-            for u in pred_map[w]:
-                if u not in sub or u in inset:
-                    continue
-                if side(u) == sigma:
-                    strat[u] = min(x for x in succ_map[u] if x in inset)
-                    inset.add(u)
-                    queue.append(u)
-                else:
-                    count[u] -= 1
-                    if count[u] <= 0:
-                        inset.add(u)
-                        queue.append(u)
-        return inset, strat
+    def minus(sub, ranks):
+        return [0 if r else s for s, r in zip(sub, ranks)]
+
+    def moves(ranks, coal, live):
+        # a coalition vertex that joined an attractor moves to its least-id
+        # successor of lower rank (one in the set when it joined)
+        for v in live:
+            if ranks[v] > 1 and coal[v]:
+                strat[v] = min(x for x in dst[off[v]:off[v + 1]]
+                               if 0 < ranks[x] < ranks[v])
 
     def rec(sub):
-        if not sub:
-            return set(), set(), {}, {}
-        m = min(color(v) for v in sub)
+        # the winning masks [w0, w1] of the sub-game on `sub`; each winner's
+        # vertices have their witness move in `strat` (moves left there for
+        # vertices their owner loses are filtered out at the end)
+        live = [v for v in range(n) if sub[v]]
+        if not live:
+            return [sub, sub]
+        m = min(col[v] for v in live)
         sigma = 0 if m % 2 == 0 else 1
-        target = {v for v in sub if color(v) == m}
-        a, astrat = attr(sub, sigma, target)
-        w0, w1, s0, s1 = rec(sub - a)
-        wop = w1 if sigma == 0 else w0
-        if not wop:
-            strat = dict(s0 if sigma == 0 else s1)
-            strat.update(astrat)
-            for v in sorted(target):
-                if side(v) == sigma and v not in strat:
-                    strat[v] = min(w for w in succ_map[v] if w in sub)
-            if sigma == 0:
-                return set(sub), set(), strat, {}
-            return set(), set(sub), {}, strat
-        sop = s1 if sigma == 0 else s0
-        b, bstrat = attr(sub, 1 - sigma, wop)
-        w0b, w1b, s0b, s1b = rec(sub - b)
-        # the opponent keeps W_op via its sub-strategy, attracts B into it
-        strat_op = dict(sop)
-        strat_op.update(bstrat)
-        if sigma == 0:
-            strat_op.update(s1b)
-            return w0b, w1b | b, s0b, strat_op
-        strat_op.update(s0b)
-        return w0b | b, w1b, strat_op, s1b
+        target = [1 if sub[v] and col[v] == m else 0 for v in range(n)]
+        a = K.attractor(n, off, dst, poff, psrc, side[sigma], target, sub)
+        wins = rec(minus(sub, a))
+        if not any(wins[1 - sigma]):
+            moves(a, side[sigma], live)
+            for v in live:
+                if target[v] and side[sigma][v]:
+                    strat[v] = min(x for x in dst[off[v]:off[v + 1]]
+                                   if sub[x])
+            return [sub, [0] * n] if sigma == 0 else [[0] * n, sub]
+        # the opponent keeps its region and attracts B into it
+        b = K.attractor(n, off, dst, poff, psrc, side[1 - sigma],
+                        wins[1 - sigma], sub)
+        moves(b, side[1 - sigma], live)
+        wins = rec(minus(sub, b))
+        wins[1 - sigma] = [1 if x or r else 0
+                           for x, r in zip(wins[1 - sigma], b)]
+        return wins
 
-    return rec(set(vertices))
+    wins = rec([1] * n)
+    regions = [{names[v] for v in range(n) if w[v]} for w in wins]
+    strats = [{names[v]: names[x] for v, x in strat.items()
+               if wins[i][v] and side[i][v]} for i in (0, 1)]
+    return regions[0], regions[1], strats[0], strats[1]
 
 
 def parity_region(arena, colors, coalition):

@@ -218,12 +218,18 @@ def test_parser_built_once_per_process(capsys):
       "--rho", "circle=one"], "--rho"),
     (["erse-verify", "lottery", "--profile", "{blue}", "--base", "two"],
      "--base"),
+    (["validate", "{directory}"], "IsADirectoryError"),
+    (["validate", "{latin1}"], "UnicodeDecodeError"),
+    (["xrse-verify", "ex_extreme1", "--profile", "{latin1}"],
+     "UnicodeDecodeError"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",
              "truncated": tmp_path / "truncated.json",
              "no_alpha": tmp_path / "no_alpha.json",
-             "lam": tmp_path / "lam.json", "blue": tmp_path / "blue.json"}
+             "lam": tmp_path / "lam.json", "blue": tmp_path / "blue.json",
+             "directory": tmp_path, "latin1": tmp_path / "latin1.json"}
+    files["latin1"].write_bytes(b"\xff{}")
     files["truncated"].write_text('{"a": "1", "b"')
     files["no_alpha"].write_text(json.dumps(
         {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))

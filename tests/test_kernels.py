@@ -58,9 +58,32 @@ def test_kernels_match_naive_definitions(data):
 
     assert reachable(n, off, dst, mask(target)) == mask(
         closure(edges, target, everything))
-    assert attractor(n, off, dst, poff, psrc, mask(coalition),
-                     mask(target)) == mask(
-        least_attractor(n, edges, coalition, target))
+    within = {v for v in range(n) if sub[v]}
+    inner = [(u, v) for u, v in edges if u in within and v in within]
+    for inside, arcs in ((everything, edges), (within, inner)):
+        rank = attractor(n, off, dst, poff, psrc, mask(coalition),
+                         mask(target), mask(inside))
+        attracted = least_attractor(n, arcs, coalition, target & inside)
+        assert [1 if r else 0 for r in rank] == mask(attracted)
+        # targets rank 1, the others join one at a time
+        assert [rank[v] == 1 for v in range(n)] == [
+            v in target & inside for v in range(n)]
+        assert sorted(rank[v] for v in attracted - target) == list(
+            range(2, len(attracted - target) + 2))
+        # each coalition vertex that joined has an edge to a vertex that
+        # joined earlier...
+        strategy = {u: min(x for u2, x in arcs
+                           if u2 == u and 0 < rank[x] < rank[u])
+                    for u in (attracted - target) & coalition}
+        assert all(x in attracted for x in strategy.values())
+        # ...and held to that edge, no vertex needs a coalition choice to
+        # be attracted
+        held = [(u, v) for u, v in arcs
+                if u not in strategy or v == strategy[u]]
+        assert least_attractor(n, held, set(), target & inside) == attracted
+        # every other vertex joined after all its successors
+        assert all(0 < rank[x] < rank[u] for u, x in arcs
+                   if u in attracted - target - coalition)
 
     # same component iff mutually reachable; ids in reverse topological
     # order, so no edge runs from a lower id to a higher one
@@ -79,7 +102,6 @@ def test_kernels_match_naive_definitions(data):
     assert scc_of(names, named) == (dict(zip(names, comp)), ncomp)
     succ = {names[u]: [names[v] for w, v in edges if w == u]
             for u in range(n)}
-    within = {v for v in range(n) if sub[v]}
     assert reach(succ, [names[v] for v in target]) == {
         names[v] for v in closure(edges, target, everything)}
     assert reach(succ, [names[v] for v in target],
@@ -101,12 +123,12 @@ def test_attractor_semantics():
     n, edges = 3, [(0, 1), (1, 2), (1, 0), (2, 2)]
     off, dst = csr(n, edges)
     poff, psrc = csr(n, [(v, u) for u, v in edges])
-    res = attractor(n, off, dst, poff, psrc, [1, 0, 0], [0, 0, 1])
+    res = attractor(n, off, dst, poff, psrc, [1, 0, 0], [0, 0, 1], [1, 1, 1])
     # b is not coalition and has an edge to a (outside), so not attracted;
     # hence a cannot reach the target either
     assert res == [0, 0, 1]
-    res = attractor(n, off, dst, poff, psrc, [1, 1, 0], [0, 0, 1])
-    assert res == [1, 1, 1]
+    res = attractor(n, off, dst, poff, psrc, [1, 1, 0], [0, 0, 1], [1, 1, 1])
+    assert res == [3, 2, 1]
 
 
 def test_scc_basic():

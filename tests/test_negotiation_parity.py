@@ -1,12 +1,15 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 import parity_region_reference as ref
+import zielonka_reference
 
+from equilibra import zerosum as zs
 from equilibra.corpus import load_game
 from equilibra.games import GameError, Lasso, Arena, PayoffSpec, Game
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
@@ -355,3 +358,30 @@ def test_consistent_parity_search_matches_reference(case):
     assert got == ref.search_consistent_parity(game, lam, query)
     if got is not None:
         assert is_lambda_consistent(game, lam, got)
+
+
+# ---------------------------------------------------------------------------
+# parity negotiation with the dict/set Zielonka solver it replaced
+# (tests/zielonka_reference.py)
+
+BOOLEAN_REQUIREMENTS = [NINF, Fraction(0), Fraction(1), PINF]
+
+
+@settings(max_examples=50, deadline=None)
+@given(parity_cases(), st.data())
+def test_nego_parity_matches_reference_zielonka(case, data):
+    game = case[0]
+    lam = {v: data.draw(st.sampled_from(BOOLEAN_REQUIREMENTS))
+           for v in game.arena.vertices}
+    got = nego_parity(game, lam)
+    solve = zs.solve_parity
+
+    def reference(*args):
+        # product nodes are only partially ordered, so sorting them need
+        # not give the least successor: compare regions only
+        want = zielonka_reference.solve_parity(*args)
+        assert solve(*args)[:2] == want[:2]
+        return want
+
+    with mock.patch.object(zs, "solve_parity", reference):
+        assert nego_parity(game, lam) == got

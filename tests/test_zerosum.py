@@ -3,11 +3,14 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
+
+import zielonka_reference as ref
 
 from equilibra.corpus import load_game
 from equilibra.games import GameError, Lasso, eval_lasso
 from equilibra import zerosum as zs
-from conftest import (random_parity_game, random_terminal_game,
+from conftest import (PLAYERS, random_parity_game, random_terminal_game,
                       oracle_parity_val, oracle_extreme_value,
                       positional_profiles, outcome_of_choices)
 
@@ -203,6 +206,47 @@ def test_parity_region_partition_and_witness():
             k = seen[cur]
             cyc_colors = [colors[u] for u in seq[k:]]
             assert min(cyc_colors) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# Zielonka on int ids against the dict/set solver it replaced
+# (tests/zielonka_reference.py)
+
+
+@st.composite
+def parity_arenas(draw):
+    """(vertices, succ_map, protagonists, colours): 1-8 distinct string
+    names in shuffled order, owners among 1-3 players, 1-3 successors per
+    vertex in drawn order (repeats allowed), colours 0-3, and the vertices
+    of a drawn coalition of players as the protagonist's."""
+    names = draw(st.lists(st.text("abv0", min_size=1, max_size=3),
+                          min_size=1, max_size=8, unique=True))
+    players = PLAYERS[:draw(st.integers(1, 3))]
+    owner = {v: draw(st.sampled_from(players)) for v in names}
+    succ_map = {v: draw(st.lists(st.sampled_from(names), min_size=1,
+                                 max_size=3)) for v in names}
+    colors = {v: draw(st.integers(0, 3)) for v in names}
+    coalition = draw(st.sets(st.sampled_from(players)))
+    return (names, succ_map, {v for v in names if owner[v] in coalition},
+            colors)
+
+
+def _fig_ne_spe_case():
+    fig = load_game("fig_ne_spe")
+    arena = fig.arena
+    return (list(arena.vertices),
+            {v: list(arena.succ(v)) for v in arena.vertices},
+            {v for v in arena.vertices if arena.owner[v] == "circle"},
+            {v: fig.payoff.color("circle", v) for v in arena.vertices})
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_arenas())
+@example(_fig_ne_spe_case())
+def test_solve_parity_matches_reference(case):
+    vertices, succ_map, protag, colors = case
+    args = (vertices, succ_map, protag.__contains__, colors.__getitem__)
+    assert zs.solve_parity(*args) == ref.solve_parity(*args)
 
 
 def test_mp_values_inf_spe():

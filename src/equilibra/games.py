@@ -60,9 +60,6 @@ class Arena:
     def is_terminal(self, v):
         return self.owner[v] == TERMINAL
 
-    def controlled_by(self, player):
-        return [v for v in self.vertices if self.owner[v] == player]
-
     def validate(self, mode):
         if len(set(self.players)) != len(self.players):
             raise GameError("duplicate player names")
@@ -235,9 +232,6 @@ class Lasso:
     def vertices_seq(self):
         return list(self.prefix) + list(self.cycle)
 
-    def occ(self):
-        return set(self.prefix) | set(self.cycle)
-
     def validate(self, arena):
         seq = self.vertices_seq()
         for v in seq:
@@ -252,14 +246,6 @@ class Lasso:
         else:
             if not arena.is_terminal(seq[-1]):
                 raise GameError("finite lasso must end in a terminal vertex")
-
-    def edge_seq(self):
-        """Edges of prefix + one cycle pass, then cycle edges repeat."""
-        seq = self.vertices_seq()
-        edges = list(zip(seq, seq[1:]))
-        if self.cycle:
-            edges.append((self.cycle[-1], self.cycle[0]))
-        return edges
 
     def cycle_edges(self):
         if not self.cycle:

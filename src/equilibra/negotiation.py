@@ -9,7 +9,6 @@ points characterize (eps-)SPE outcomes.
 
 import functools
 import itertools
-import json
 import weakref
 from fractions import Fraction
 
@@ -186,18 +185,10 @@ def _feasible_round(game, lam, i, S):
 
 def _strongly_connected(Cset, allowed):
     """Cset (non-empty) is strongly connected along `allowed` and every
-    vertex in it keeps an edge inside it."""
-    inner = {u: [x for x in allowed[u] if x in Cset] for u in Cset}
-    if any(not outs for outs in inner.values()):
-        return False
-    start = next(iter(Cset))
-    if reach(inner, [start]) != Cset:
-        return False
-    rev = {u: [] for u in Cset}
-    for u in Cset:
-        for x in inner[u]:
-            rev[x].append(u)
-    return reach(rev, [start]) == Cset
+    vertex in it keeps an edge inside it: one SCC with an inner edge."""
+    inner = [(u, x) for u in Cset for x in allowed[u] if x in Cset]
+    _, ncomp = scc_of(Cset, inner)
+    return ncomp == 1 and bool(inner)
 
 
 def _constr_players(game, lam, v):
@@ -430,10 +421,6 @@ class Family:
         self.xbar = dict(xbar)
         self.combo = dict(combo)
 
-    def key(self):
-        return (self.h, self.c, tuple(sorted(self.W)),
-                tuple(sorted(self.xbar.items())))
-
     def __repr__(self):
         return (f"[{','.join(self.h)}|({','.join(self.c)})^inf|"
                 f"W={{{','.join(sorted(self.W))}}}]")
@@ -469,15 +456,6 @@ def _simple_paths_from(arena, u, cap):
 
     dfs([u])
     return out
-
-
-def _all_cycle_seqs(arena):
-    """All simple cycles, every rotation (the rotation fixes the entry)."""
-    seqs = []
-    for cyc in zs.simple_cycles(arena.vertices, arena.succ):
-        for k in range(len(cyc)):
-            seqs.append(tuple(cyc[k:] + cyc[:k]))
-    return seqs
 
 
 def _sc_subsets(arena):
@@ -531,10 +509,11 @@ def _mp_structure(game):
 
 class _MpStructure:
     """What the reduced negotiation game of one mean-payoff game shares
-    across requirements: cycle rotations, strongly connected cores with
-    their inner cycles, simple histories and connectors, cycle means, and
-    per player the LP-vertex payoffs, adversarial values and deviation
-    arcs; plus the memo of `nego_mp` on the requirement.
+    across requirements: simple cycles and their rotations, strongly
+    connected cores with their inner cycles, connectors, the family shapes
+    proposable at each vertex, cycle means, and per player the LP-vertex
+    payoffs, adversarial values and deviation arcs; plus the memo of
+    `nego_mp` on the requirement.
 
     It holds only a weak reference to its game, so the weak key in
     `_STRUCTURES` can die.  The entries stay valid for the game's lifetime
@@ -551,7 +530,7 @@ class _MpStructure:
         self.payoff = game.payoff
         self.n = len(game.arena.vertices)
         self.nego_memo = {}
-        self._paths = {}
+        self._shapes = {}
         self._connectors = {}
         self._means = {}
         self._lp_cache = {}
@@ -560,8 +539,16 @@ class _MpStructure:
         self._post = {}
 
     @functools.cached_property
+    def simple_cycles(self):
+        """All simple cycles of the arena, canonical and sorted."""
+        return zs.simple_cycles(self.arena.vertices, self.arena.succ)
+
+    @functools.cached_property
     def cycles(self):
-        return _all_cycle_seqs(self.arena)
+        """Every rotation of every simple cycle (the rotation fixes the
+        entry)."""
+        return [c[k:] + c[:k] for c in self.simple_cycles
+                for k in range(len(c))]
 
     @functools.cached_property
     def sc_subsets(self):
@@ -570,15 +557,28 @@ class _MpStructure:
     @functools.cached_property
     def scyc(self):
         """Inner simple cycles of every strongly connected core."""
-        arena = self.arena
-        return {W0: zs.simple_cycles(
-                    W0, lambda u: [w for w in arena.succ(u) if w in W0])
+        return {W0: [c for c in self.simple_cycles if W0.issuperset(c)]
                 for W0 in self.sc_subsets}
 
-    def paths_from(self, u):
-        out = self._paths.get(u)
+    def shapes(self, u):
+        """Every family shape proposable at u, whatever the requirement:
+        (h, c, W0, W, V) for a simple history h from u, a cycle rotation c
+        entered from h's last vertex, a core W0 and a connector q into it
+        from c, with W = W0 | q and V the vertices of h, c and W."""
+        out = self._shapes.get(u)
         if out is None:
-            out = self._paths[u] = _simple_paths_from(self.arena, u, self.n)
+            arena = self.arena
+            out = []
+            for h in _simple_paths_from(arena, u, self.n):
+                entries = arena.succ(h[-1])
+                for c in self.cycles:
+                    if c[0] not in entries:
+                        continue
+                    for W0 in self.sc_subsets:
+                        for q in self.connectors(c[-1], W0):
+                            W = W0.union(q)
+                            out.append((h, c, W0, W, W.union(h, c)))
+            self._shapes[u] = out
         return out
 
     def connectors(self, last, W0):
@@ -641,7 +641,8 @@ class _MpStructure:
 
     def pre_arcs(self, i, h, c):
         """Deviation options of i before the punishing cycle: (target,
-        weight of the projected segment for i, segment edge count)."""
+        weight of the projected segment for i, segment edge count), as the
+        frozenset the dominance prune compares."""
         key = (i, h, c)
         out = self._pre.get(key)
         if out is not None:
@@ -656,27 +657,22 @@ class _MpStructure:
                 wsum += r(i, walk[k - 1], z)
             if arena.owner[z] != i:
                 continue
-            for w in sorted(arena.succ(z)):
+            for w in arena.succ(z):
                 arcs.add((w, wsum + r(i, z, w), k + 1))
-        out = self._pre[key] = sorted(arcs)
+        out = self._pre[key] = frozenset(arcs)
         return out
 
     def post_arcs(self, i, c, W):
         """Deviation options of i after the punishing cycle: (target, mean
-        of the pumped cycle for i)."""
+        of the pumped cycle for i), as a frozenset like `pre_arcs`."""
         key = (i, c, W)
         out = self._post.get(key)
         if out is not None:
             return out
         arena = self.arena
         m = self.mp_of(c, i)
-        arcs = set()
-        for z in sorted(W):
-            if arena.owner[z] != i:
-                continue
-            for w in sorted(arena.succ(z)):
-                arcs.add((w, m))
-        out = self._post[key] = sorted(arcs)
+        out = self._post[key] = frozenset(
+            (w, m) for z in W if arena.owner[z] == i for w in arena.succ(z))
         return out
 
 
@@ -700,54 +696,35 @@ class _MpContext:
         self._min_accept = {}
 
     def pool(self, u):
-        """Candidate families proposable at u, dominance-pruned and sorted
-        by (acceptance for i, h, c, W)."""
+        """Candidate families proposable at u, sorted by (acceptance for
+        i, h, c, W) and dominance-pruned: the shapes at u that visit no
+        vertex of requirement +inf, each with its core's LP-vertex
+        payoff."""
         if u in self._pools:
             return self._pools[u]
         arena = self.arena
-        shared = self.shared
         lam = self.lam
         blocked = {x for x in arena.vertices if lam[x] == PINF}
-        cands = {}
-        for h in shared.paths_from(u):
-            if blocked.intersection(h):
+        cands = []
+        for h, c, W0, W, V in self.shared.shapes(u):
+            if not blocked.isdisjoint(V):
                 continue
-            last = h[-1]
-            for c in shared.cycles:
-                if c[0] not in arena.succ(last):
+            # the LP floors take the max of lambda per owner over h, c and
+            # W, which is exactly family consistency
+            floors = {}
+            for x in V:
+                if lam[x] == NINF:
                     continue
-                if blocked.intersection(c):
-                    continue
-                for W0 in shared.sc_subsets:
-                    if blocked.intersection(W0):
-                        continue
-                    for q in shared.connectors(c[-1], W0):
-                        if blocked.intersection(q):
-                            continue
-                        W = W0 | set(q)
-                        floors = {}
-                        for x in set(h) | set(c) | W:
-                            if lam[x] == NINF:
-                                continue
-                            j = arena.owner[x]
-                            f = floors.get(j)
-                            if f is None or lam[x] > f:
-                                floors[j] = lam[x]
-                        res = shared.lp(self.i, W0,
-                                        tuple(sorted(floors.items())))
-                        if res is None:
-                            continue
-                        xbar, combo = res
-                        fam = Family(h, c, W, W0, xbar, combo)
-                        # the LP floors used max over h,c,W per owner, which
-                        # is exactly family consistency
-                        key = fam.key()
-                        if key not in cands:
-                            cands[key] = fam
-        pool = sorted(cands.values(),
-                      key=lambda f: (f.xbar[self.i], f.h, f.c,
-                                     tuple(sorted(f.W))))
-        pool = self._prune_dominated(pool)
+                j = arena.owner[x]
+                f = floors.get(j)
+                if f is None or lam[x] > f:
+                    floors[j] = lam[x]
+            res = self.shared.lp(self.i, W0, tuple(sorted(floors.items())))
+            if res is not None:
+                cands.append(Family(h, c, W, W0, *res))
+        cands.sort(key=lambda f: (f.xbar[self.i], f.h, f.c,
+                                  tuple(sorted(f.W))))
+        pool = self._prune_dominated(cands)
         self._min_accept[u] = (pool[0].xbar[self.i] if pool else PINF)
         self._pools[u] = pool
         return pool
@@ -772,13 +749,11 @@ class _MpContext:
         sigs = []
         seen_sigs = set()
         for fam in pool:
-            pre = frozenset(self.pre_arcs(fam))
-            post = frozenset(self.post_arcs(fam))
-            x = fam.xbar[self.i]
-            key = (x, pre, post)
+            key = (fam.xbar[self.i], self.pre_arcs(fam), self.post_arcs(fam))
             if key in seen_sigs:
                 continue
             dominated = False
+            x, pre, post = key
             for (x2, pre2, post2) in sigs:
                 if x2 <= x and pre2 <= pre and post2 <= post:
                     dominated = True
@@ -892,7 +867,6 @@ def _mp_value_at(ctx, root, stop_at=None):
     returns it (witness extraction)."""
     best_holder = [PINF]
     best_assign = [None]
-    memo = {}
     lb = ctx.min_accept(root)
     vlb = ctx.val_lb(root)
     if vlb > lb:
@@ -905,14 +879,6 @@ def _mp_value_at(ctx, root, stop_at=None):
         best_assign[0] = dict(greedy)
         if stop_at is not None and val <= stop_at:
             return val, greedy
-
-    def value_of(assignment):
-        key = frozenset((u, f.key()) for u, f in assignment.items())
-        if key in memo:
-            return memo[key]
-        res = _assignment_value(ctx, root, assignment)
-        memo[key] = res
-        return res
 
     def bound():
         if stop_at is None:
@@ -933,7 +899,9 @@ def _mp_value_at(ctx, root, stop_at=None):
                           if u not in assignment),
                          key=lambda u: (len(ctx.pool(u)), u))
         if not pending:
-            val, _ = value_of(assignment)
+            # every leaf is a distinct assignment: the branching vertex is
+            # a function of the assignment and siblings differ there
+            val, _ = _assignment_value(ctx, root, assignment)
             if stop_at is None and val >= best_holder[0]:
                 return False
             if stop_at is not None and val > stop_at:

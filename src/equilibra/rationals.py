@@ -78,10 +78,6 @@ def ext(x):
     return Fraction(x)
 
 
-def is_finite(x):
-    return not isinstance(x, _Infinity)
-
-
 def parse_rational(text):
     """Parse a "p/q" or integer string into a Fraction; q > 0 and gcd = 1
     are required by the file format."""

@@ -315,8 +315,8 @@ def xrse_exists(game, partition):
         acc = zs.reachable_from(arena, [arena.init], edges)
         zs_k = {}
         Ws = {}
+        terms, nonterm = _support_measures(game, edges, "chain")
         for i in pessimists:
-            terms, nonterm = _support_measures(game, edges, "chain")
             vals = {game.payoff.terminal_payoffs[t][i] for t in terms}
             if nonterm:
                 vals.add(Fraction(0))

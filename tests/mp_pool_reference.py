@@ -1,0 +1,257 @@
+# The per-requirement proposal pool that equilibra.negotiation._MpContext.pool
+# replaced, kept verbatim as the reference its filter over the per-game shape
+# table must agree with exactly: same families in the same order, with the
+# same cores, payoffs and cycle combinations, and the same branch-and-bound
+# values and assignments (tests/test_negotiation_mp.py).  Around the loop,
+# the structure it read is kept too: simple histories per call, cycle
+# rotations and core cycles from their own `simple_cycles` runs, deviation
+# arcs as sorted lists, the `Family.key` dedupe and the search's leaf memo.
+# Cores, connectors, LPs and the leaf evaluation are the package's.
+
+import functools
+from fractions import Fraction
+
+from equilibra import zerosum as zs
+from equilibra.negotiation import (Family, _MpContext, _MpStructure,
+                                   _assignment_value, _greedy_assignment,
+                                   _simple_paths_from)
+from equilibra.rationals import NINF, PINF
+
+
+def family_key(fam):
+    return (fam.h, fam.c, tuple(sorted(fam.W)),
+            tuple(sorted(fam.xbar.items())))
+
+
+def _all_cycle_seqs(arena):
+    """All simple cycles, every rotation (the rotation fixes the entry)."""
+    seqs = []
+    for cyc in zs.simple_cycles(arena.vertices, arena.succ):
+        for k in range(len(cyc)):
+            seqs.append(tuple(cyc[k:] + cyc[:k]))
+    return seqs
+
+
+class ReferenceStructure(_MpStructure):
+
+    def __init__(self, game):
+        super().__init__(game)
+        self._paths = {}
+
+    @functools.cached_property
+    def cycles(self):
+        return _all_cycle_seqs(self.arena)
+
+    @functools.cached_property
+    def scyc(self):
+        """Inner simple cycles of every strongly connected core."""
+        arena = self.arena
+        return {W0: zs.simple_cycles(
+                    W0, lambda u: [w for w in arena.succ(u) if w in W0])
+                for W0 in self.sc_subsets}
+
+    def paths_from(self, u):
+        out = self._paths.get(u)
+        if out is None:
+            out = self._paths[u] = _simple_paths_from(self.arena, u, self.n)
+        return out
+
+    def pre_arcs(self, i, h, c):
+        """Deviation options of i before the punishing cycle: (target,
+        weight of the projected segment for i, segment edge count)."""
+        key = (i, h, c)
+        out = self._pre.get(key)
+        if out is not None:
+            return out
+        arena = self.arena
+        r = self.payoff.reward
+        arcs = set()
+        walk = h + c
+        wsum = Fraction(0)
+        for k, z in enumerate(walk):
+            if k > 0:
+                wsum += r(i, walk[k - 1], z)
+            if arena.owner[z] != i:
+                continue
+            for w in sorted(arena.succ(z)):
+                arcs.add((w, wsum + r(i, z, w), k + 1))
+        out = self._pre[key] = sorted(arcs)
+        return out
+
+    def post_arcs(self, i, c, W):
+        """Deviation options of i after the punishing cycle: (target, mean
+        of the pumped cycle for i)."""
+        key = (i, c, W)
+        out = self._post.get(key)
+        if out is not None:
+            return out
+        arena = self.arena
+        m = self.mp_of(c, i)
+        arcs = set()
+        for z in sorted(W):
+            if arena.owner[z] != i:
+                continue
+            for w in sorted(arena.succ(z)):
+                arcs.add((w, m))
+        out = self._post[key] = sorted(arcs)
+        return out
+
+
+class ReferenceContext(_MpContext):
+    """A negotiation view on its own `ReferenceStructure` of the game."""
+
+    def __init__(self, game, lam, i):
+        super().__init__(game, lam, i)
+        self.shared = ReferenceStructure(game)
+
+    def pool(self, u):
+        """Candidate families proposable at u, dominance-pruned and sorted
+        by (acceptance for i, h, c, W)."""
+        if u in self._pools:
+            return self._pools[u]
+        arena = self.arena
+        shared = self.shared
+        lam = self.lam
+        blocked = {x for x in arena.vertices if lam[x] == PINF}
+        cands = {}
+        for h in shared.paths_from(u):
+            if blocked.intersection(h):
+                continue
+            last = h[-1]
+            for c in shared.cycles:
+                if c[0] not in arena.succ(last):
+                    continue
+                if blocked.intersection(c):
+                    continue
+                for W0 in shared.sc_subsets:
+                    if blocked.intersection(W0):
+                        continue
+                    for q in shared.connectors(c[-1], W0):
+                        if blocked.intersection(q):
+                            continue
+                        W = W0 | set(q)
+                        floors = {}
+                        for x in set(h) | set(c) | W:
+                            if lam[x] == NINF:
+                                continue
+                            j = arena.owner[x]
+                            f = floors.get(j)
+                            if f is None or lam[x] > f:
+                                floors[j] = lam[x]
+                        res = shared.lp(self.i, W0,
+                                        tuple(sorted(floors.items())))
+                        if res is None:
+                            continue
+                        xbar, combo = res
+                        fam = Family(h, c, W, W0, xbar, combo)
+                        # the LP floors used max over h,c,W per owner, which
+                        # is exactly family consistency
+                        key = family_key(fam)
+                        if key not in cands:
+                            cands[key] = fam
+        pool = sorted(cands.values(),
+                      key=lambda f: (f.xbar[self.i], f.h, f.c,
+                                     tuple(sorted(f.W))))
+        pool = self._prune_dominated(pool)
+        self._min_accept[u] = (pool[0].xbar[self.i] if pool else PINF)
+        self._pools[u] = pool
+        return pool
+
+    def _prune_dominated(self, pool):
+        kept = []
+        sigs = []
+        seen_sigs = set()
+        for fam in pool:
+            pre = frozenset(self.pre_arcs(fam))
+            post = frozenset(self.post_arcs(fam))
+            x = fam.xbar[self.i]
+            key = (x, pre, post)
+            if key in seen_sigs:
+                continue
+            dominated = False
+            for (x2, pre2, post2) in sigs:
+                if x2 <= x and pre2 <= pre and post2 <= post:
+                    dominated = True
+                    break
+            if not dominated:
+                kept.append(fam)
+                sigs.append(key)
+                seen_sigs.add(key)
+        return kept
+
+
+def mp_value_at(ctx, root, stop_at=None):
+    """Value of the reduced negotiation game at `root`: min over stationary
+    Prover strategies of the Challenger best response, by branch and bound
+    over per-vertex proposal pools.  With `stop_at` the search
+    short-circuits on the first strategy at or below that bound and
+    returns it (witness extraction)."""
+    best_holder = [PINF]
+    best_assign = [None]
+    memo = {}
+    lb = ctx.min_accept(root)
+    vlb = ctx.val_lb(root)
+    if vlb > lb:
+        lb = vlb
+
+    greedy = _greedy_assignment(ctx, root)
+    if greedy is not None:
+        val, _ = _assignment_value(ctx, root, greedy)
+        best_holder[0] = val
+        best_assign[0] = dict(greedy)
+        if stop_at is not None and val <= stop_at:
+            return val, greedy
+
+    def value_of(assignment):
+        key = frozenset((u, family_key(f)) for u, f in assignment.items())
+        if key in memo:
+            return memo[key]
+        res = _assignment_value(ctx, root, assignment)
+        memo[key] = res
+        return res
+
+    def bound():
+        if stop_at is None:
+            return best_holder[0]
+        return min(best_holder[0], stop_at + 1)
+
+    def rec(assignment, needed):
+        # cheap bound (accepts + length-2 deviation cycles) prunes most
+        # branches; the exact cycle analysis runs at leaves only
+        cheap_val, reach = _assignment_value(ctx, root, assignment,
+                                             cheap=True)
+        if stop_at is None:
+            if cheap_val >= best_holder[0]:
+                return False
+        elif cheap_val > stop_at:
+            return False
+        pending = sorted((u for u in (needed & reach)
+                          if u not in assignment),
+                         key=lambda u: (len(ctx.pool(u)), u))
+        if not pending:
+            val, _ = value_of(assignment)
+            if stop_at is None and val >= best_holder[0]:
+                return False
+            if stop_at is not None and val > stop_at:
+                return False
+            if val < best_holder[0]:
+                best_holder[0] = val
+                best_assign[0] = dict(assignment)
+            return (stop_at is not None and val <= stop_at) \
+                or best_holder[0] <= lb
+        u = pending[0]
+        for fam in ctx.pool(u):
+            if fam.xbar[ctx.i] >= bound():
+                break
+            assignment[u] = fam
+            if rec(assignment, needed | ctx.targets(fam)):
+                del assignment[u]
+                return True
+            del assignment[u]
+        return False
+
+    if stop_at is not None and best_holder[0] <= stop_at:
+        return best_holder[0], best_assign[0]
+    if best_holder[0] > lb:
+        rec({}, {root})
+    return best_holder[0], best_assign[0]

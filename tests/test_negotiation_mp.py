@@ -4,17 +4,21 @@ import weakref
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+import mp_pool_reference as ref
 
 from equilibra import negotiation
 from equilibra.corpus import load_game
-from equilibra.games import GameError, parse_game, serialize_game
+from equilibra.games import (Arena, Game, GameError, PayoffSpec, parse_game,
+                             serialize_game)
 from equilibra.negotiation import (vacuous_requirement, nego_mp,
                                    nego_iterate, is_eps_fixed_point,
-                                   _MpContext)
+                                   _MpContext, _mp_value_at)
 from equilibra.nash import Query, val_requirement
 from equilibra.spe import spe_exists_mp, epsilon_min_search
 from equilibra.rationals import PINF, NINF
-from conftest import random_mp_game
+from conftest import PLAYERS, random_mp_game
 
 
 def test_sans_spe_iterates():
@@ -119,8 +123,12 @@ def plain(res):
     return out
 
 
+def described(families):
+    return [(f.h, f.c, f.W0, f.W, f.xbar, f.combo) for f in families]
+
+
 def pools(game, lam, i, v):
-    return [(f.key(), f.combo) for f in _MpContext(game, lam, i).pool(v)]
+    return described(_MpContext(game, lam, i).pool(v))
 
 
 def requirements_to_check(game, rng):
@@ -184,7 +192,8 @@ def test_adversarial_values_build_no_cores():
     chaos = load_game("chaos")
     val_requirement(chaos)
     built = vars(negotiation._mp_structure(chaos))
-    assert not {"cycles", "sc_subsets", "scyc"} & set(built)
+    assert not {"simple_cycles", "cycles", "sc_subsets", "scyc"} & set(built)
+    assert not built["_shapes"]
 
 
 def test_structure_dies_with_the_game():
@@ -198,24 +207,32 @@ def test_structure_dies_with_the_game():
 
 
 class Interrupt(BaseException):
-    """Stands for a budget alarm landing inside the LP."""
+    """Stands for a budget alarm landing inside the LP or while the family
+    shapes are built."""
 
 
 def test_interrupted_nego_leaves_no_half_filled_entry(monkeypatch):
-    # its multi-cycle cores keep the LP busy
+    # its multi-cycle cores keep the LP busy; `_connectors` runs while the
+    # family shapes are built
     game = load_game("not_stationary")
     seq, _ = nego_iterate(game, max_iters=2)
     lam = seq[2]
     want = nego_mp(cold_copy(game), lam)
-    real = negotiation.lex_min_vertex
+    for stopped in ("lex_min_vertex", "_connectors"):
+        interrupt_each_stage(monkeypatch, game, lam, want, stopped)
+
+
+def interrupt_each_stage(monkeypatch, game, lam, want, stopped):
+    real = getattr(negotiation, stopped)
     calls = []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(negotiation, "lex_min_vertex", counting)
+    monkeypatch.setattr(negotiation, stopped, counting)
     nego_mp(cold_copy(game), lam)
+    monkeypatch.setattr(negotiation, stopped, real)
     total = len(calls)
     assert total > 2
     for stop in sorted({1, 2, total // 2, total}):
@@ -228,13 +245,76 @@ def test_interrupted_nego_leaves_no_half_filled_entry(monkeypatch):
                 raise Interrupt()
             return real(*args)
 
-        monkeypatch.setattr(negotiation, "lex_min_vertex", failing)
+        monkeypatch.setattr(negotiation, stopped, failing)
         with pytest.raises(Interrupt):
             nego_mp(g, lam)
-        monkeypatch.setattr(negotiation, "lex_min_vertex", real)
-        assert nego_mp(g, lam) == want, stop
+        monkeypatch.setattr(negotiation, stopped, real)
+        assert nego_mp(g, lam) == want, (stopped, stop)
         cold = cold_copy(game)
         for v in game.arena.vertices:
             i = game.arena.owner[v]
-            assert pools(g, lam, i, v) == pools(cold, lam, i, v), stop
+            assert pools(g, lam, i, v) == pools(cold, lam, i, v), \
+                (stopped, stop)
 
+
+# ---------------------------------------------------------------------------
+# pools and search against the per-requirement enumeration they replaced
+# (tests/mp_pool_reference.py)
+
+REQUIREMENTS = [NINF, Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
+                Fraction(2), PINF]
+STOPS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+MP_CORPUS = ["sans_spe", "inf_spe", "chaos", "not_stationary"]
+
+
+@st.composite
+def sparse_mp_games(draw):
+    """A mean-payoff game with 1-2 players and 3-4 vertices in shuffled
+    order: a tree of edges from the first vertex, one successor for each
+    of its leaves, extra edges up to five in all, and rewards in
+    {-1, 0, 1, 2}."""
+    players = PLAYERS[:draw(st.integers(1, 2))]
+    n = draw(st.integers(3, 4))
+    vertices = draw(st.permutations([f"v{k}" for k in range(n)]))
+    owner = {v: draw(st.sampled_from(players)) for v in vertices}
+    edges = {(draw(st.sampled_from(vertices[:k])), vertices[k])
+             for k in range(1, n)}
+    edges |= {(v, draw(st.sampled_from(vertices))) for v in vertices
+              if all(u != v for u, _ in edges)}
+    edges |= set(draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                         st.sampled_from(vertices)),
+                               max_size=max(0, 5 - len(edges)))))
+    edges = draw(st.permutations(sorted(edges)))
+    rewards = {e: {p: Fraction(draw(st.integers(-1, 2))) for p in players}
+               for e in edges}
+    arena = Arena(players, vertices, owner, edges, init=vertices[0])
+    return Game(arena, PayoffSpec("mean-payoff", rewards=rewards))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_mp_games() | st.sampled_from(MP_CORPUS).map(load_game),
+       st.data())
+def test_pools_and_search_match_reference(game, data):
+    arena = game.arena
+    lam = {v: data.draw(st.sampled_from(REQUIREMENTS))
+           for v in arena.vertices}
+    shared = negotiation._mp_structure(game)
+    reference = ref.ReferenceStructure(game)
+    assert shared.cycles == reference.cycles
+    assert shared.scyc == reference.scyc
+    for i in game.players:
+        ctx = _MpContext(game, lam, i)
+        rctx = ref.ReferenceContext(game, lam, i)
+        for v in arena.vertices:
+            if arena.owner[v] != i:
+                continue
+            assert described(ctx.pool(v)) == described(rctx.pool(v))
+            for stop in (None, data.draw(st.sampled_from(STOPS))):
+                val, got = _mp_value_at(ctx, v, stop_at=stop)
+                rval, want = ref.mp_value_at(rctx, v, stop_at=stop)
+                assert val == rval
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert sorted(got) == sorted(want)
+                    assert described(got[u] for u in sorted(got)) == \
+                        described(want[u] for u in sorted(want))

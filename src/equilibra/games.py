@@ -8,6 +8,7 @@ import json
 from fractions import Fraction
 
 from .rationals import parse_rational, format_rational
+from ._kernels import reach
 
 MODES = ("parity", "mean-payoff", "energy", "discounted-sum", "terminal")
 CHANCE = "chance"
@@ -346,16 +347,17 @@ class MemoryProfile:
         self.transitions = tuple(transitions)
         self.weights = dict(weights or {})
         self.name = name
+        groups = {}
+        for t in self.transitions:
+            groups.setdefault((t[0], t[1]), []).append(t)
+        self._enabled = {key: tuple(g) for key, g in groups.items()}
 
     def enabled(self, state, vertex):
-        return [t for t in self.transitions if t[0] == state and t[1] == vertex]
+        """The transitions reading `vertex` in `state`, in their order."""
+        return self._enabled.get((state, vertex), ())
 
     def is_deterministic(self):
-        seen = {}
-        for t in self.transitions:
-            key = (t[0], t[1])
-            seen[key] = seen.get(key, 0) + 1
-        return all(c == 1 for c in seen.values())
+        return all(len(g) == 1 for g in self._enabled.values())
 
     def weight(self, t):
         if t in self.weights:
@@ -370,6 +372,10 @@ class MemoryProfile:
             if p not in arena.players:
                 raise GameError(f"owner {p!r} is not a player")
         owned = {v for v in arena.vertices if arena.owner[v] in self.owners}
+        for t, w in self.weights.items():
+            if not (0 < w <= 1):
+                raise GameError(f"weight {format_rational(w)} of {t} is not "
+                                "in (0,1]")
         for t in self.transitions:
             if t[0] not in self.states or t[2] not in self.states:
                 raise GameError(f"transition {t} uses unknown state")
@@ -646,6 +652,52 @@ def vacuous_memory(arena, leader):
 
 
 # ---------------------------------------------------------------------------
+# profile x arena product with one free player
+
+
+def profile_product(game, profile, free):
+    """The product of the arena with the profile's memory, walked once
+    from (init, initial): each reached (vertex, state) node -> its moves,
+    a list of (node, weight); terminal nodes have none.
+
+    Chance vertices and `free`'s vertices take every arena edge into the
+    memory's unique next state, weighted by the chance probability (None
+    for `free`, whose outputs are ignored); every other vertex follows the
+    profile's outputs with the profile's weights.  Successors are visited
+    in sorted order."""
+    arena = game.arena
+    start = (arena.init, profile.initial)
+    product = {}
+    seen = {start}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        v, q = node
+        moves = []
+        if not arena.is_terminal(v):
+            group = profile.enabled(q, v)
+            nexts = {t[2] for t in group}
+            if len(nexts) != 1:
+                raise GameError(f"nondeterministic memory update at ({q},{v})")
+            chance = arena.is_chance(v)
+            if chance or arena.owner[v] == free:
+                q2, = nexts
+                moves = [((w, q2), arena.chance_prob[(v, w)] if chance
+                          else None) for w in sorted(arena.succ(v))]
+            else:
+                for t in group:
+                    if len(t) != 4:
+                        raise GameError(f"no output at ({q},{v})")
+                moves = [((t[3], t[2]), profile.weight(t)) for t in group]
+        product[node] = moves
+        for nxt in sorted({nxt for nxt, _ in moves}):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return product
+
+
+# ---------------------------------------------------------------------------
 # induced Markov chain
 
 
@@ -747,19 +799,10 @@ def chain_hit_probabilities(chain):
     for i in range(n):
         for j, _ in chain.trans[i]:
             pred[j].append(i)
-    can = [False] * n
-    stack = list(chain.terminal_of)
-    for i in stack:
-        can[i] = True
-    while stack:
-        j = stack.pop()
-        for i in pred[j]:
-            if not can[i]:
-                can[i] = True
-                stack.append(i)
+    can = reach(pred, chain.terminal_of)
     # linear system x_i(t) = sum_j p_ij x_j(t) restricted to reaching
     # transients; that block of I - P is nonsingular
-    transient = [i for i in range(n) if i not in chain.terminal_of and can[i]]
+    transient = [i for i in sorted(can) if i not in chain.terminal_of]
     tindex = {i: k for k, i in enumerate(transient)}
     m = len(transient)
     a = [[Fraction(0)] * m for _ in range(m)]
@@ -771,14 +814,14 @@ def chain_hit_probabilities(chain):
         for j, p in chain.trans[i]:
             if j in chain.terminal_of:
                 b[r][tpos[chain.terminal_of[j]]] += p
-            elif can[j]:
+            elif j in can:
                 a[r][tindex[j]] -= p
     sol = _solve_linear(a, b)
     if chain.init in chain.terminal_of:
         v0 = chain.terminal_of[chain.init]
         for v in terms:
             probs[v] = Fraction(1) if v == v0 else Fraction(0)
-    elif can[chain.init]:
+    elif chain.init in can:
         r = tindex[chain.init]
         for v in terms:
             probs[v] = sol[r][tpos[v]]

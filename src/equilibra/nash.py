@@ -9,9 +9,10 @@ import itertools
 from fractions import Fraction
 
 from .rationals import PINF, NINF
-from .games import GameError, Lasso, eval_lasso, payoff_vector, cycle_id
+from .games import (GameError, Lasso, eval_lasso, payoff_vector, cycle_id,
+                    profile_product)
 from . import zerosum as zs
-from ._kernels import reach, scc_of
+from ._kernels import scc_of
 from .negotiation import (is_lambda_consistent, parity_components,
                           _mp_structure)
 from .simplex import lp_feasible
@@ -348,59 +349,23 @@ def profile_outcome(game, profile):
         seq.append(node)
 
 
-def _product_states(game, profile, free_player):
-    """Product of arena and profile memory where `free_player` ignores the
-    prescribed outputs (reads still advance the memory)."""
-    arena = game.arena
-    nodes = set()
-    succ = {}
-    todo = [(arena.init, profile.initial)]
-    nodes.add(todo[0])
-    while todo:
-        node = todo.pop()
-        v, q = node
-        outs = []
-        if arena.is_terminal(v):
-            succ[node] = []
-            continue
-        ts = profile.enabled(q, v)
-        nexts = {t[2] for t in ts}
-        if len(nexts) != 1:
-            raise GameError(f"nondeterministic memory update at ({q},{v})")
-        q2 = next(iter(nexts))
-        if arena.owner[v] == free_player or arena.is_chance(v):
-            for w in sorted(arena.succ(v)):
-                outs.append((w, q2))
-        else:
-            for t in ts:
-                if len(t) != 4:
-                    raise GameError(f"no output at ({q},{v})")
-                outs.append((t[3], t[2]))
-        succ[node] = sorted(set(outs))
-        for x in succ[node]:
-            if x not in nodes:
-                nodes.add(x)
-                todo.append(x)
-    return nodes, succ
-
-
-def _energy_feasible(game, player, nodes, succ, start):
+def _energy_feasible(game, player, product, start):
     """One-player energy feasibility: a play with the running sum never
     negative exists iff the credit-saturated graph has a reachable cycle."""
     rewards = {}
     cap = Fraction(0)
-    for (v, q) in nodes:
-        for (w, q2) in succ[(v, q)]:
+    for (v, q), moves in product.items():
+        for (w, q2), _ in moves:
             r = game.payoff.reward(player, v, w)
             rewards[((v, q), (w, q2))] = r
             if abs(r) > cap:
                 cap = abs(r)
-    bound = cap * (len(nodes) + 1) + 1
+    bound = cap * (len(product) + 1) + 1
     seen = {(start, Fraction(0))}
     stack = [(start, Fraction(0))]
     while stack:
         node, e = stack.pop()
-        for nxt in succ[node]:
+        for nxt, _ in product[node]:
             e2 = e + rewards[(node, nxt)]
             if e2 < 0:
                 continue
@@ -414,7 +379,7 @@ def _energy_feasible(game, player, nodes, succ, start):
     graph = {}
     for (node, e) in seen:
         outs = []
-        for nxt in succ[node]:
+        for nxt, _ in product[node]:
             e2 = e + rewards[(node, nxt)]
             if e2 < 0:
                 continue
@@ -442,12 +407,12 @@ def verify_ne_energy(game, profile):
         raise GameError("verify_ne_energy needs energy mode")
     profile.validate(game.arena)
     outcome = profile_outcome(game, profile)
+    start = (game.arena.init, profile.initial)
     for i in game.players:
         if eval_lasso(game, outcome, i) == 1:
             continue
-        nodes, succ = _product_states(game, profile, i)
-        start = (game.arena.init, profile.initial)
-        if _energy_feasible(game, i, nodes, succ, start):
+        if _energy_feasible(game, i, profile_product(game, profile, i),
+                            start):
             return False
     return True
 
@@ -464,28 +429,26 @@ def verify_ne_generic(game, profile):
     start = (game.arena.init, profile.initial)
     for i in game.players:
         mine = eval_lasso(game, outcome, i)
-        nodes, succ = _product_states(game, profile, i)
+        product = profile_product(game, profile, i)
         if game.mode == "parity":
-            best = _best_parity(game, i, nodes, succ, start)
+            best = _best_parity(game, i, product)
         elif game.mode == "mean-payoff":
-            best = _best_mp(game, i, nodes, succ, start)
+            best = _best_mp(game, i, product)
         else:
-            best = Fraction(1) if _energy_feasible(game, i, nodes, succ,
+            best = Fraction(1) if _energy_feasible(game, i, product,
                                                    start) else Fraction(0)
         if best > mine:
             return False
     return True
 
 
-def _best_parity(game, i, nodes, succ, start):
-    order = sorted(nodes, key=str)
-    colors = sorted({game.payoff.color(i, v) for (v, q) in nodes})
-    seen = reach(succ, [start])
-    for e in sorted((c for c in colors if c % 2 == 0)):
-        keep = [s for s in order if game.payoff.color(i, s[0]) >= e
-                and s in seen]
+def _best_parity(game, i, product):
+    order = sorted(product, key=str)
+    colors = sorted({game.payoff.color(i, v) for (v, q) in product})
+    for e in (c for c in colors if c % 2 == 0):
+        keep = [s for s in order if game.payoff.color(i, s[0]) >= e]
         kset = set(keep)
-        inner = {s: [t for t in succ[s] if t in kset] for s in keep}
+        inner = {s: [t for t, _ in product[s] if t in kset] for s in keep}
         comp, _ = scc_of(keep, [(s, t) for s in keep for t in inner[s]])
         sizes = {}
         for s in keep:
@@ -499,17 +462,12 @@ def _best_parity(game, i, nodes, succ, start):
     return Fraction(0)
 
 
-def _best_mp(game, i, nodes, succ, start):
-    order = sorted(reach(succ, [start]), key=str)
+def _best_mp(game, i, product):
+    order = sorted(product, key=str)
     idx = {s: k for k, s in enumerate(order)}
-    edges = []
-    for s in order:
-        for t in succ[s]:
-            if t in idx:
-                edges.append((idx[s], idx[t],
-                              game.payoff.reward(i, s[0], t[0])))
-    best = zs.karp_max_mean(len(order), edges)
-    return best
+    edges = [(idx[s], idx[t], game.payoff.reward(i, s[0], t[0]))
+             for s in order for t, _ in product[s]]
+    return zs.karp_max_mean(len(order), edges)
 
 
 def _verify_ne_expectation(game, profile, transform=None, tol=None):
@@ -550,59 +508,32 @@ def _best_expectation(game, profile, i, transform=None):
     """Best expected value for i against the profile: positional policies
     in the finite product MDP, chains solved exactly."""
     arena = game.arena
-    nodes, succ = _product_states(game, profile, i)
-    start = (arena.init, profile.initial)
-    mine = sorted([s for s in nodes if arena.owner[s[0]] == i
-                   and not arena.is_terminal(s[0])], key=str)
-    choice_lists = [succ[s] for s in mine]
+    product = profile_product(game, profile, i)
+    mine = sorted([s for s in product if arena.owner[s[0]] == i], key=str)
     best = None
-    for combo in itertools.product(*choice_lists) if mine else [()]:
-        fixed = dict(zip(mine, combo))
-        val = _policy_value(game, profile, succ, start, fixed, i, transform)
+    for combo in itertools.product(*[[t for t, _ in product[s]]
+                                     for s in mine]):
+        val = _policy_value(game, product, dict(zip(mine, combo)), i,
+                            transform)
         if best is None or val > best:
             best = val
     return best
 
 
-def _policy_value(game, profile, succ, start, fixed, i, transform):
+def _policy_value(game, product, fixed, i, transform):
+    """i's expected payoff when i moves from each of its nodes s to
+    fixed[s] and every other node keeps its product moves."""
     from .games import Chain, chain_hit_probabilities
-    arena = game.arena
-    states = [start]
-    index = {start: 0}
+    states = list(product)
+    index = {s: k for k, s in enumerate(states)}
     trans = []
-    terminal_of = {}
-    todo = [start]
-    while todo:
-        node = todo.pop()
-        k = index[node]
-        while len(trans) <= k:
-            trans.append([])
-        v, q = node
-        if arena.is_terminal(v):
-            terminal_of[k] = v
-            continue
-        if node in fixed:
-            moves = [(fixed[node], Fraction(1))]
-        elif arena.is_chance(v):
-            moves = []
-            for t in succ[node]:
-                moves.append((t, arena.chance_prob[(v, t[0])]))
-        elif arena.owner[v] == i:
-            moves = [(succ[node][0], Fraction(1))]
-        else:
-            group = profile.enabled(q, v)
-            moves = [((t[3], t[2]), profile.weight(t)) for t in group]
+    for s in states:
         acc = {}
-        for nxt, p in moves:
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                todo.append(nxt)
-            acc[index[nxt]] = acc.get(index[nxt], Fraction(0)) + p
-        trans[k] = sorted(acc.items())
-    while len(trans) < len(states):
-        trans.append([])
-    chain = Chain(states, trans, 0, terminal_of)
-    probs, _ = chain_hit_probabilities(chain)
+        for t, p in [(fixed[s], 1)] if s in fixed else product[s]:
+            acc[index[t]] = acc.get(index[t], Fraction(0)) + p
+        trans.append(sorted(acc.items()))
+    terminal_of = {k: s[0] for k, s in enumerate(states)
+                   if game.arena.is_terminal(s[0])}
+    probs, _ = chain_hit_probabilities(Chain(states, trans, 0, terminal_of))
     return sum((probs[t] * _pay(game, t, i, transform) for t in probs),
                Fraction(0))

@@ -745,23 +745,17 @@ class _MpContext:
         return t
 
     def _prune_dominated(self, pool):
+        """The families no earlier kept one dominates.  The pool comes
+        sorted by xbar[i], so an earlier family dominates as soon as its
+        deviation arcs are subsets of the later one's (equal arcs
+        included)."""
         kept = []
         sigs = []
-        seen_sigs = set()
         for fam in pool:
-            key = (fam.xbar[self.i], self.pre_arcs(fam), self.post_arcs(fam))
-            if key in seen_sigs:
-                continue
-            dominated = False
-            x, pre, post = key
-            for (x2, pre2, post2) in sigs:
-                if x2 <= x and pre2 <= pre and post2 <= post:
-                    dominated = True
-                    break
-            if not dominated:
+            pre, post = self.pre_arcs(fam), self.post_arcs(fam)
+            if not any(pre2 <= pre and post2 <= post for pre2, post2 in sigs):
                 kept.append(fam)
-                sigs.append(key)
-                seen_sigs.add(key)
+                sigs.append((pre, post))
         return kept
 
     def pre_arcs(self, fam):

@@ -11,8 +11,8 @@ import itertools
 from fractions import Fraction
 
 from .rationals import PINF
-from .games import (GameError, MemoryProfile, induced_chain,
-                    chain_hit_probabilities)
+from .games import (GameError, MemoryProfile, Arena, CHANCE, TERMINAL,
+                    induced_chain, chain_hit_probabilities, profile_product)
 from . import zerosum as zs
 from ._kernels import reach
 from .nash import _verify_ne_expectation
@@ -133,80 +133,25 @@ def _mpf(x):
 # best responses in the profile-induced MDP
 
 
-def _profile_mdp(game, profile, free_player):
-    """Product of the game with the profile's memory, free_player's
-    vertices kept free, every other choice random.  Returns a derived
-    terminal-mode Game whose only player is free_player."""
-    from .games import Arena, PayoffSpec, Game
-    arena = game.arena
-    nodes = set()
-    owner = {}
-    edges = []
-    probs = {}
-    terminal_pay = {}
-    start = (arena.init, profile.initial)
-
-    def name(node):
-        return "|".join(node)
-
-    todo = [start]
-    nodes.add(start)
-    while todo:
-        node = todo.pop()
-        v, q = node
-        if arena.is_terminal(v):
-            owner[name(node)] = "terminal"
-            terminal_pay[name(node)] = {
-                free_player: game.payoff.terminal_payoffs[v][free_player]}
-            continue
-        if arena.owner[v] == free_player:
-            owner[name(node)] = free_player
-            q2 = _read_next(profile, q, v)
-            for w in sorted(arena.succ(v)):
-                nxt = (w, q2)
-                edges.append((name(node), name(nxt)))
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    todo.append(nxt)
-        else:
-            owner[name(node)] = "chance"
-            if arena.is_chance(v):
-                moves = [((w, _read_next(profile, q, v)),
-                          arena.chance_prob[(v, w)])
-                         for w in sorted(arena.succ(v))]
-            else:
-                group = profile.enabled(q, v)
-                moves = [((t[3], t[2]), profile.weight(t)) for t in group]
-            acc = {}
-            for nxt, pr in moves:
-                acc[nxt] = acc.get(nxt, Fraction(0)) + pr
-            for nxt, pr in sorted(acc.items()):
-                edges.append((name(node), name(nxt)))
-                probs[(name(node), name(nxt))] = pr
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    todo.append(nxt)
-    ordered = [name(start)] + sorted(set(owner) - {name(start)})
-    derived_arena = Arena([free_player], ordered, owner, sorted(set(edges)),
-                          probs, name(start))
-    payoff = PayoffSpec("terminal", terminal_payoffs=terminal_pay)
-    return Game(derived_arena, payoff)
-
-
-def _read_next(profile, q, v):
-    reads = profile.enabled(q, v)
-    nexts = sorted({t[2] for t in reads})
-    if len(nexts) != 1:
-        raise GameError(f"nondeterministic memory update at ({q},{v})")
-    return nexts[0]
-
-
 def best_extreme_response(game, partition, profile, player):
     """Best extreme risk the player can get against the rest of the
-    profile (threshold sweep on the induced MDP)."""
-    mdp = _profile_mdp(game, profile, player)
-    pair = partition.as_pair()
-    return zs.extreme_threshold_sweep(mdp, pair, player, mdp.arena.init)
+    profile: a threshold sweep on the support of the MDP the profile
+    induces, in which the player's product nodes choose and every other
+    non-terminal node moves at random."""
+    arena = game.arena
+    product = profile_product(game, profile, player)
+    owner = {}
+    pay = {}
+    for s in product:
+        o = arena.owner[s[0]]
+        owner[s] = o if o in (player, TERMINAL) else CHANCE
+        if o == TERMINAL:
+            pay[s] = game.payoff.terminal_payoffs[s[0]][player]
+    edges = [(s, t) for s, moves in product.items() for t, _ in moves]
+    start = (arena.init, profile.initial)
+    mdp = Arena([player], product, owner, edges, init=start)
+    return zs.extreme_threshold_sweep(mdp, pay, partition.is_pessimist(player),
+                                      player, start)
 
 
 def verify_xrse(game, partition, profile):

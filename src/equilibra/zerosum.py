@@ -5,6 +5,7 @@ and returns exact values.  The graph kernels (attractor, reachability, SCC)
 come from `equilibra._kernels`.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -112,27 +113,29 @@ def extreme_adversarial_value(game, partition, v):
         raise GameError("extreme values need terminal mode")
     if arena.is_chance(v) or arena.is_terminal(v):
         raise GameError(f"{v} is chance or terminal")
-    return extreme_threshold_sweep(game, partition, arena.owner[v], v)
-
-
-def extreme_threshold_sweep(game, partition, player, v):
-    """The best extreme risk `player` can secure from `v` (any vertex,
-    chance included) against hostile others.
-
-    Decided by a threshold sweep over {0} + terminal payoffs; each
-    threshold is an almost-sure or positive-probability reachability game.
-    """
-    arena = game.arena
+    player = arena.owner[v]
     pess, _ = partition
-    is_pess = player in pess
-    terms = game.terminals()
-    candidates = sorted({Fraction(0)} |
-                        {game.payoff.terminal_payoffs[t][player]
-                         for t in terms}, reverse=True)
-    others = [p for p in game.players if p != player]
+    pay = {t: game.payoff.terminal_payoffs[t][player]
+           for t in game.terminals()}
+    return extreme_threshold_sweep(arena, pay, player in pess, player, v)
+
+
+def extreme_threshold_sweep(arena, pay, is_pess, player, v):
+    """The best extreme risk `player` can secure from `v` (any vertex,
+    chance included) against hostile others: the least payoff in the
+    support of the outcome when `is_pess`, else the greatest.
+
+    `pay` maps each terminal of `arena` to the player's payoff.  Extreme
+    measures depend on supports only, so the arena is read for its graph
+    and owners and needs neither probabilities nor validation.  Decided by
+    a threshold sweep over {0} + terminal payoffs; each threshold is an
+    almost-sure or positive-probability reachability game.
+    """
+    candidates = sorted({Fraction(0)} | set(pay.values()), reverse=True)
+    others = [p for p in arena.players if p != player]
     for x in candidates:
-        good = {t for t in terms if game.payoff.terminal_payoffs[t][player] >= x}
-        bad = {t for t in terms if game.payoff.terminal_payoffs[t][player] < x}
+        good = {t for t, y in pay.items() if y >= x}
+        bad = {t for t, y in pay.items() if y < x}
         if is_pess:
             if x > 0:
                 ok = v in almost_sure_reach_game(arena, {player}, set(others),
@@ -384,7 +387,7 @@ def mp_values(game, player):
         return game.payoff.reward(player, u, v)
 
     best = {v: None for v in arena.vertices}
-    for combo in _product(choice_lists):
+    for combo in itertools.product(*choice_lists):
         fixed = dict(zip(mine, combo))
         edges = [(u, v) for (u, v) in arena.edges
                  if u not in fixed or fixed[u] == v]
@@ -393,15 +396,6 @@ def mp_values(game, player):
             if best[v] is None or vals[v] > best[v]:
                 best[v] = vals[v]
     return best
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head,) + tail
 
 
 def _min_reachable_cycle_means(vertices, edges, weight):

@@ -20,6 +20,24 @@ BLUE = {"states": ["q0"], "initial": "q0", "owners": ["circle"],
             {"from": "q0", "reads": "c", "to": "q0"}]}
 
 
+# circle picks between terminals paying 5 and 1
+FORK = {"players": ["circle"], "mode": "terminal", "init": "a",
+        "vertices": [{"id": "a", "owner": "circle"},
+                     {"id": "tA", "owner": "terminal"},
+                     {"id": "tB", "owner": "terminal"}],
+        "edges": [{"from": "a", "to": "tA"}, {"from": "a", "to": "tB"}],
+        "terminals": {"tA": {"circle": "5"}, "tB": {"circle": "1"}}}
+
+
+def fork_profile(weight_a, weight_b):
+    return {"states": ["q0"], "initial": "q0", "owners": ["circle"],
+            "transitions": [
+                {"from": "q0", "reads": "a", "to": "q0", "emit": "tA",
+                 "weight": weight_a},
+                {"from": "q0", "reads": "a", "to": "q0", "emit": "tB",
+                 "weight": weight_b}]}
+
+
 def run_cli(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
@@ -222,14 +240,26 @@ def test_parser_built_once_per_process(capsys):
     (["validate", "{latin1}"], "UnicodeDecodeError"),
     (["xrse-verify", "ex_extreme1", "--profile", "{latin1}"],
      "UnicodeDecodeError"),
+    (["xrse-verify", "{fork}", "--profile", "{zero_weight}",
+      "--pessimists", "all"], "weight 0 of"),
+    (["er-eval", "{fork}", "--profile", "{heavy}", "--player", "circle",
+      "--rho", "circle=0"], "weight 2 of"),
+    (["er-eval", "{fork}", "--profile", "{heavy}", "--player", "circle",
+      "--rho", "circle=1"], "weight 2 of"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",
              "truncated": tmp_path / "truncated.json",
              "no_alpha": tmp_path / "no_alpha.json",
              "lam": tmp_path / "lam.json", "blue": tmp_path / "blue.json",
-             "directory": tmp_path, "latin1": tmp_path / "latin1.json"}
+             "directory": tmp_path, "latin1": tmp_path / "latin1.json",
+             "fork": tmp_path / "fork.json",
+             "zero_weight": tmp_path / "zero_weight.json",
+             "heavy": tmp_path / "heavy.json"}
     files["latin1"].write_bytes(b"\xff{}")
+    files["fork"].write_text(json.dumps(FORK))
+    files["zero_weight"].write_text(json.dumps(fork_profile("1", "0")))
+    files["heavy"].write_text(json.dumps(fork_profile("2", "-1")))
     files["truncated"].write_text('{"a": "1", "b"')
     files["no_alpha"].write_text(json.dumps(
         {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))
@@ -242,6 +272,38 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     assert code == 2 and doc["answer"] == "error" and doc["payload"] == {}
     assert needle in doc["diagnostics"][0]
     assert captured.err == doc["diagnostics"][0] + "\n"
+
+
+def test_deviation_only_memory_update_must_not_read_the_output(tmp_path,
+                                                              capsys):
+    # circle's profile move a -> t1 never reaches b; at b square's memory
+    # update depends on its output, which only circle's deviation reveals
+    game = {"players": ["circle", "square"], "mode": "terminal",
+            "init": "a",
+            "vertices": [{"id": "a", "owner": "circle"},
+                         {"id": "b", "owner": "square"},
+                         {"id": "t1", "owner": "terminal"},
+                         {"id": "tA", "owner": "terminal"},
+                         {"id": "tB", "owner": "terminal"}],
+            "edges": [{"from": "a", "to": "t1"}, {"from": "a", "to": "b"},
+                      {"from": "b", "to": "tA"}, {"from": "b", "to": "tB"}],
+            "terminals": {"t1": {"circle": "1", "square": "0"},
+                          "tA": {"circle": "2", "square": "0"},
+                          "tB": {"circle": "0", "square": "1"}}}
+    reads = [("q0", "a", "q0", "t1"), ("q1", "a", "q1", "t1"),
+             ("q0", "b", "q0", "tA"), ("q0", "b", "q1", "tB"),
+             ("q1", "b", "q1", "tA")]
+    profile = {"states": ["q0", "q1"], "initial": "q0",
+               "owners": ["circle", "square"],
+               "transitions": [{"from": q, "reads": v, "to": q2, "emit": w}
+                               for q, v, q2, w in reads]}
+    gfile, pfile = tmp_path / "dev.json", tmp_path / "dev_profile.json"
+    gfile.write_text(json.dumps(game))
+    pfile.write_text(json.dumps(profile))
+    code, doc = run_cli(capsys, "xrse-verify", str(gfile), "--profile",
+                        str(pfile), "--pessimists", "all")
+    assert code == 2 and doc["answer"] == "error"
+    assert doc["diagnostics"] == ["nondeterministic memory update at (q0,b)"]
 
 
 def test_witness_roundtrip_cli(tmp_path, capsys):

@@ -211,3 +211,31 @@ def test_product_invariants():
             assert xs[0] == ys[0]  # memory half-step keeps the vertex
         else:
             assert (xs[0], ys[0]) in set(g.arena.edges)
+
+
+@pytest.mark.parametrize("weights,ok", [
+    ((Fraction(1, 3), Fraction(2, 3)), True),
+    ((Fraction(1), Fraction(0)), False),
+    ((Fraction(2), Fraction(-1)), False),
+    ((Fraction(3, 2), Fraction(-1, 2)), False)])
+def test_profile_weights_lie_in_unit_interval(weights, ok):
+    lot = load_game("lottery")
+    to_c, to_t3 = ("q0", "b", "q0", "c"), ("q0", "b", "q0", "t3")
+    prof = MemoryProfile(["q0"], "q0", ["circle"],
+                         [("q0", "a", "q0"), to_c, to_t3, ("q0", "c", "q0")],
+                         weights=dict(zip((to_c, to_t3), weights)))
+    if ok:
+        prof.validate(lot.arena)
+    else:
+        with pytest.raises(GameError, match=r"is not in \(0,1\]"):
+            prof.validate(lot.arena)
+
+
+def test_enabled_keeps_transition_order():
+    ts = [("q0", "b", "q1", "t3"), ("q0", "a", "q0"), ("q0", "b", "q0", "c"),
+          ("q1", "b", "q1", "c")]
+    prof = MemoryProfile(["q0", "q1"], "q0", ["circle"], ts)
+    assert prof.enabled("q0", "b") == (ts[0], ts[2])
+    assert prof.enabled("q1", "a") == ()
+    assert not prof.is_deterministic()
+    assert prof.weight(ts[2]) == Fraction(1, 2)

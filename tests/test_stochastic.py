@@ -14,12 +14,12 @@ from equilibra.stochastic import (RiskPartition, EntropicParams,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
                                   xrse_search_bounded, uniform_profile,
-                                  verify_erse_stationary, _profile_mdp,
-                                  best_extreme_response, _support_measures,
+                                  verify_erse_stationary, _support_measures,
                                   _sure_avoid_region)
 from equilibra import zerosum as zs
 from conftest import random_terminal_game, positional_profiles, \
     profile_of_choices
+from profile_product_reference import _profile_mdp
 
 
 def blue_red(lot):

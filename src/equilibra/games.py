@@ -409,12 +409,26 @@ class MemoryProfile:
 # parsing / serialization
 
 
-def parse_game(text):
-    """Parse the UTF-8 JSON game format; validates all invariants."""
+def _parse_json(text, what, build):
+    """`build` of the JSON document `text`.  Text that is not JSON, and a
+    document that `build` cannot take apart (a missing key, a value of the
+    wrong type), are GameErrors."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GameError(f"not valid JSON: {e}")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise GameError(f"malformed {what}: {type(e).__name__}: {e}")
+
+
+def parse_game(text):
+    """Parse the UTF-8 JSON game format; validates all invariants."""
+    return _parse_json(text, "game", _game_from_json)
+
+
+def _game_from_json(doc):
     for key in ("players", "mode", "vertices", "edges"):
         if key not in doc:
             raise GameError(f"missing top-level key {key!r}")
@@ -502,10 +516,13 @@ def serialize_game(game):
 
 
 def parse_memory(text, arena):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameError(f"not valid JSON: {e}")
+    """Parse the UTF-8 JSON memory-structure format; validated against
+    the arena."""
+    return _parse_json(text, "memory structure",
+                       lambda doc: _memory_from_json(doc, arena))
+
+
+def _memory_from_json(doc, arena):
     transitions = []
     weights = {}
     for tdoc in doc["transitions"]:

@@ -499,6 +499,8 @@ def epsilon_min_search(game, precision_bits=24, max_iters=24):
     to the simplest rational in the final bracket; unknown propagates."""
     if game.mode != "mean-payoff":
         raise GameError("mean-payoff mode required")
+    if precision_bits < 0:
+        raise GameError(f"precision {precision_bits} is negative")
 
     def pred(e):
         return spe_exists_mp(game, e, Query(), max_iters=max_iters)["answer"]

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .rationals import PINF
-from .games import (GameError, MemoryProfile, Arena, CHANCE, TERMINAL,
+from .games import (GameError, MemoryProfile, CHANCE, TERMINAL,
                     induced_chain, chain_hit_probabilities, profile_product)
 from . import zerosum as zs
 from ._kernels import reach
@@ -59,28 +59,32 @@ class EntropicParams:
 # measures of a fixed profile
 
 
-def chain_support(game, profile):
-    """Per-player support of the payoff distribution: payoffs of terminals
-    hit with positive probability, plus 0 when some reachable bottom SCC
-    carries no terminal."""
-    chain = induced_chain(game, profile)
-    succ = [[j for j, _ in out] for out in chain.trans]
-    pred = [[] for _ in chain.trans]
-    for k, outs in enumerate(succ):
-        for j in outs:
+def _support(succ, start, terminal_of):
+    """The support of the outcome from `start` along `succ` (node -> its
+    successor nodes): the terminals reached (`terminal_of` maps terminal
+    nodes to their terminal vertex) and whether some reached node reaches
+    no terminal, that is, whether play can fail to terminate."""
+    reached = reach(succ, [start])
+    pred = {k: [] for k in reached}
+    for k in reached:
+        for j in succ[k]:
             pred[j].append(k)
-    reached = reach(succ, [chain.init])
-    terms = {chain.terminal_of[k] for k in reached if k in chain.terminal_of}
-    # non-termination: a reachable state from which no terminal is reachable
-    ends = reach(pred, list(chain.terminal_of))
-    nonterm = any(k not in ends for k in reached)
-    supports = {}
+    ends = reach(pred, [k for k in reached if k in terminal_of])
+    return ({terminal_of[k] for k in reached if k in terminal_of},
+            len(ends) < len(reached))
+
+
+def _extremes(game, partition, terms, nonterm):
+    """Each player's extreme measure on a support: the least (pessimist)
+    or greatest (optimist) payoff of the terminals `terms`, with 0 added
+    when `nonterm`."""
+    out = {}
     for p in game.players:
         vals = {game.payoff.terminal_payoffs[t][p] for t in terms}
         if nonterm:
             vals.add(Fraction(0))
-        supports[p] = vals
-    return supports
+        out[p] = min(vals) if partition.is_pessimist(p) else max(vals)
+    return out
 
 
 def extreme_measure(game, partition, profile):
@@ -88,12 +92,10 @@ def extreme_measure(game, partition, profile):
     of each player's payoff under the profile."""
     if game.mode != "terminal":
         raise GameError("extreme measures need terminal mode")
-    supports = chain_support(game, profile)
-    out = {}
-    for p in game.players:
-        vals = supports[p]
-        out[p] = min(vals) if partition.is_pessimist(p) else max(vals)
-    return out
+    chain = induced_chain(game, profile)
+    succ = [[j for j, _ in out] for out in chain.trans]
+    return _extremes(game, partition,
+                     *_support(succ, chain.init, chain.terminal_of))
 
 
 def entropic_measure(game, params, profile, player):
@@ -148,10 +150,9 @@ def best_extreme_response(game, partition, profile, player):
         if o == TERMINAL:
             pay[s] = game.payoff.terminal_payoffs[s[0]][player]
     edges = [(s, t) for s, moves in product.items() for t, _ in moves]
-    start = (arena.init, profile.initial)
-    mdp = Arena([player], product, owner, edges, init=start)
-    return zs.extreme_threshold_sweep(mdp, pay, partition.is_pessimist(player),
-                                      player, start)
+    return zs.extreme_threshold_sweep(
+        product, edges, owner, pay, partition.is_pessimist(player), player,
+        (arena.init, profile.initial))
 
 
 def verify_xrse(game, partition, profile):
@@ -159,12 +160,15 @@ def verify_xrse(game, partition, profile):
     induced by the others' part of the profile."""
     if game.mode != "terminal":
         raise GameError("verify_xrse needs terminal mode")
-    measures = extreme_measure(game, partition, profile)
-    for i in game.players:
-        best = best_extreme_response(game, partition, profile, i)
-        if best > measures[i]:
-            return False
-    return True
+    return _unbeaten(game, partition, profile,
+                     extreme_measure(game, partition, profile))
+
+
+def _unbeaten(game, partition, profile, measures):
+    """No player's best extreme response beats their entry of `measures`,
+    the profile's extreme measures."""
+    return all(best_extreme_response(game, partition, profile, i)
+               <= measures[i] for i in game.players)
 
 
 def uniform_profile(game, edge_set, name="uniform"):
@@ -199,18 +203,16 @@ def _support_measures(game, edges, mode):
     fully randomizing profiles, "positional" for first-visit commitment,
     "averse" for per-visit re-randomization (same as chain)."""
     arena = game.arena
-    reached = zs.reachable_from(arena, [arena.init], edges)
-    terms = {t for t in game.terminals() if t in reached}
-    if mode in ("chain", "averse"):
-        pred = {v: [] for v in arena.vertices}
-        for u, w in edges:
-            pred[w].append(u)
-        nonterm = bool(reached - reach(pred, game.terminals()))
-    else:
+    succ = {v: [] for v in arena.vertices}
+    for u, w in edges:
+        succ[u].append(w)
+    terms, nonterm = _support(succ, arena.init,
+                              {t: t for t in game.terminals()})
+    if mode == "positional":
         # a positional sample can trap the play in a terminal-free region:
         # players pick single edges, chance keeps all its branches
-        avoid = _sure_avoid_region(game, edges)
-        nonterm = bool(avoid & reached)
+        nonterm = bool(_sure_avoid_region(game, edges)
+                       & reach(succ, [arena.init]))
     return terms, nonterm
 
 
@@ -237,8 +239,8 @@ def _pessimist_safe_region(game, edges, player, z):
     reach_bad = zs.attractor(arena, set(others) | {"chance"}, bad, edges)
     safe = set(arena.vertices) - reach_bad
     sub_edges = [(u, v) for (u, v) in edges if u in safe and v in safe]
-    ok = zs.almost_sure_reach_mdp(arena, player, good & safe, sub_edges)
-    return {v for v in ok if v in safe}
+    return safe & zs.almost_sure_reach_game(arena, {player}, set(),
+                                            good & safe, sub_edges)
 
 
 def xrse_exists(game, partition):
@@ -258,32 +260,22 @@ def xrse_exists(game, partition):
     k = 0
     while True:
         acc = zs.reachable_from(arena, [arena.init], edges)
-        zs_k = {}
-        Ws = {}
-        terms, nonterm = _support_measures(game, edges, "chain")
-        for i in pessimists:
-            vals = {game.payoff.terminal_payoffs[t][i] for t in terms}
-            if nonterm:
-                vals.add(Fraction(0))
-            zi = min(vals)
-            zs_k[i] = zi
-            Ws[i] = set(arena.vertices) - _pessimist_safe_region(
-                game, edges, i, zi)
+        z = _extremes(game, partition,
+                      *_support_measures(game, edges, "chain"))
+        Ws = {i: set(arena.vertices)
+              - _pessimist_safe_region(game, edges, i, z[i])
+              for i in pessimists}
         trace.append({"k": k, "edges": list(edges),
-                      "z": dict(zs_k), "W": {i: sorted(Ws[i])
-                                             for i in pessimists},
+                      "z": {i: z[i] for i in pessimists},
+                      "W": {i: sorted(Ws[i]) for i in pessimists},
                       "A": sorted(acc)})
-        deviator = None
-        for i in pessimists:
-            if arena.init not in Ws[i]:
-                deviator = i
-                break
+        deviator = next((i for i in pessimists if arena.init not in Ws[i]),
+                        None)
         if deviator is None:
             return edges, trace
         Wi = Ws[deviator]
-        removed = [(u, v) for (u, v) in edges
-                   if u in (acc - Wi) and v in Wi]
-        edges = [e for e in edges if e not in removed]
+        edges = [(u, v) for (u, v) in edges
+                 if not (u in acc and u not in Wi and v in Wi)]
         k += 1
 
 
@@ -324,14 +316,17 @@ def xrse_constrained_optimists(game, query, partition=None):
 
     def measures(es):
         mode = "positional" if not averse else "averse"
-        tset, nonterm = _support_measures(game, es, mode)
-        out = {}
-        for p in game.players:
-            vals = {game.payoff.terminal_payoffs[t][p] for t in tset}
-            if nonterm:
-                vals.add(Fraction(0))
-            out[p] = max(vals) if vals else Fraction(0)
-        return out
+        return _extremes(game, partition, *_support_measures(game, es, mode))
+
+    def frown_step(es):
+        # V-frown: vertices whose adversarial value beats their owner's
+        # measure, and the edges' positive-probability attractor to them
+        z = measures(es)
+        vf = {v for v in val if val[v] > z[arena.owner[v]]}
+        att = zs.positive_prob_attractor(game, vf, es)
+        trace.append({"k": k, "edges": list(es), "z": dict(z),
+                      "Vfrown": sorted(vf), "A": sorted(att)})
+        return z, att
 
     def prune(es, att):
         return [e for e in es if not (e[0] not in att and e[1] in att)]
@@ -344,17 +339,12 @@ def xrse_constrained_optimists(game, query, partition=None):
     if arena.init in att:
         return {"answer": "no", "trace": trace}
     nxt = prune(edges, att)
-    zs_now = None
     if not averse:
         changed = True
         edges = nxt
         while changed:
             k += 1
-            zs_now = measures(edges)
-            vf = {v for v in val if val[v] > zs_now[arena.owner[v]]}
-            att = zs.positive_prob_attractor(game, vf, edges)
-            trace.append({"k": k, "edges": list(edges), "z": dict(zs_now),
-                          "Vfrown": sorted(vf), "A": sorted(att)})
+            zs_now, att = frown_step(edges)
             if arena.init in att:
                 return {"answer": "no", "trace": trace}
             nxt = prune(edges, att)
@@ -370,11 +360,7 @@ def xrse_constrained_optimists(game, query, partition=None):
     while streak < 2:
         k += 1
         if k % 2 == 0:
-            zs_now = measures(edges)
-            vf = {v for v in val if val[v] > zs_now[arena.owner[v]]}
-            att = zs.positive_prob_attractor(game, vf, edges)
-            trace.append({"k": k, "edges": list(edges), "z": dict(zs_now),
-                          "Vfrown": sorted(vf), "A": sorted(att)})
+            _, att = frown_step(edges)
         else:
             winners = zs.almost_sure_reach_game(
                 arena, set(game.players), set(), set(terms), edges)
@@ -432,9 +418,13 @@ def _refinement_edge(game, F):
 def xrse_search_bounded(game, partition, query, memory_bound):
     """Enumerate memory profiles up to the state bound with uniform
     randomization over chosen sub-supports; first profile that verifies
-    as an XRSE with measures in range wins.  Deterministic-first order."""
+    as an XRSE with measures in range wins.  Deterministic-first order.
+    The search checks candidates on the measures it walked; the profile
+    it returns is checked once more, in full, by `verify_xrse`."""
     if game.mode != "terminal":
         raise GameError("terminal mode required")
+    if memory_bound < 1:
+        raise GameError(f"memory bound {memory_bound} is not at least 1")
     arena = game.arena
     controlled = [v for v in arena.vertices
                   if not arena.is_chance(v) and not arena.is_terminal(v)]
@@ -456,6 +446,8 @@ def xrse_search_bounded(game, partition, query, memory_bound):
                 slots.append((q, v, [((q2,),) for q2 in states]))
         found = _search_slots(game, partition, query, states, slots)
         if found is not None:
+            if not verify_xrse(game, partition, found):
+                raise RuntimeError("searched profile fails verify_xrse")
             return {"answer": "yes", "profile": found,
                     "states": nstates}
     return {"answer": "none-at-cap", "memory_bound": memory_bound}
@@ -465,7 +457,9 @@ def _search_slots(game, partition, query, states, slots):
     """Core-first enumeration: assign the slots the on-profile dynamics
     actually reaches, prune whole subtrees on measure mismatch, then fill
     the remaining (deviation-only) slots with verification memoized on the
-    deviation-reachable signature."""
+    deviation-reachable signature.  Filling never changes the on-profile
+    closure, so every full profile is checked against the measures of its
+    closure, and the signature contains that closure."""
     arena = game.arena
     slot_of = {(q, v): k for k, (q, v, _) in enumerate(slots)}
     init = (arena.init, "q0")
@@ -477,30 +471,26 @@ def _search_slots(game, partition, query, states, slots):
         return [(w, q2) for (q2, w) in choice]
 
     def core_frontier(assign):
-        """(closure, terminals, nonterm, next-unassigned-slot)."""
+        """(the closure's successor map, None), or (None, the first
+        unassigned slot it needs)."""
         seen = {init}
         stack = [init]
-        terms = set()
-        pred = {init: []}
+        succ = {}
         while stack:
             s = stack.pop()
             v, q = s
+            succ[s] = []
             if arena.is_terminal(v):
-                terms.add(v)
                 continue
             k = slot_of[(q, v)]
             if k not in assign:
-                return None, None, None, k
-            for nxt in moves(q, v, assign[k]):
+                return None, k
+            succ[s] = moves(q, v, assign[k])
+            for nxt in succ[s]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-                    pred[nxt] = []
-                pred[nxt].append(s)
-        # non-termination: some closure state with no terminal below it
-        ends = reach(pred, [s for s in seen if arena.is_terminal(s[0])])
-        nonterm = len(ends) < len(seen)
-        return seen, terms, nonterm, None
+        return succ, None
 
     def build(assign):
         transitions = []
@@ -523,40 +513,26 @@ def _search_slots(game, partition, query, states, slots):
             v, q = stack.pop()
             if arena.is_terminal(v):
                 continue
-            choice = assign[slot_of[(q, v)]]
-            if arena.is_chance(v):
-                q2s = [choice[0][0]]
-            else:
-                q2s = sorted({q2 for (q2, _) in choice})
-            for q2 in q2s:
+            for q2 in {c[0] for c in assign[slot_of[(q, v)]]}:
                 for w in arena.succ(v):
                     nxt = (w, q2)
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-        sig = []
-        for (v, q) in seen:
-            if arena.is_terminal(v):
-                continue
-            k = slot_of[(q, v)]
-            sig.append((q, v, assign[k]))
-        return frozenset(sig)
+        return frozenset((q, v, assign[slot_of[(q, v)]]) for (v, q) in seen
+                         if not arena.is_terminal(v))
 
     verify_memo = {}
 
-    def full_check(assign):
+    def full_check(assign, measures):
         sig = dev_signature(assign)
-        if sig in verify_memo:
-            return verify_memo[sig]
-        profile = build(assign)
-        ok = verify_xrse(game, partition, profile)
-        verify_memo[sig] = ok
-        return ok
-
-    nslots = len(slots)
+        if sig not in verify_memo:
+            verify_memo[sig] = _unbeaten(game, partition, build(assign),
+                                         measures)
+        return verify_memo[sig]
 
     def rec(assign):
-        closure, terms, nonterm, need = core_frontier(assign)
+        succ, need = core_frontier(assign)
         if need is not None:
             for choice in slots[need][2]:
                 assign[need] = choice
@@ -565,27 +541,22 @@ def _search_slots(game, partition, query, states, slots):
                     return res
                 del assign[need]
             return None
-        measures = {}
-        for p in game.players:
-            vals = {game.payoff.terminal_payoffs[t][p] for t in terms}
-            if nonterm:
-                vals.add(Fraction(0))
-            measures[p] = (min(vals) if partition.is_pessimist(p)
-                           else max(vals))
+        measures = _extremes(game, partition, *_support(
+            succ, init, {s: s[0] for s in succ if arena.is_terminal(s[0])}))
         if not query.admits(measures):
             return None
-        rest = [k for k in range(nslots) if k not in assign]
-        return fill(assign, rest, 0)
+        rest = [k for k in range(len(slots)) if k not in assign]
+        return fill(assign, rest, 0, measures)
 
-    def fill(assign, rest, pos):
+    def fill(assign, rest, pos, measures):
         if pos == len(rest):
-            if full_check(assign):
+            if full_check(assign, measures):
                 return build(assign)
             return None
         k = rest[pos]
         for choice in slots[k][2]:
             assign[k] = choice
-            res = fill(assign, rest, pos + 1)
+            res = fill(assign, rest, pos + 1, measures)
             if res is not None:
                 return res
             del assign[k]

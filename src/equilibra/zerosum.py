@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from . import _kernels as K
-from .games import GameError, canonical_cycle
+from .games import GameError, CHANCE, canonical_cycle
 
 
 def arena_graph(arena, edge_subset=None):
@@ -57,48 +57,41 @@ def positive_prob_attractor(game, target, edge_subset=None):
 # qualitative reachability with randomness
 
 
-def almost_sure_reach_mdp(arena, protagonist, target, edge_subset=None):
-    """States from which `protagonist` has a strategy reaching `target`
-    almost surely when every other vertex (players and chance alike)
-    randomizes over its enabled edges."""
-    return _almost_sure(arena, {protagonist}, set(), target, edge_subset)
-
-
 def almost_sure_reach_game(arena, protagonists, adversaries, target,
                            edge_subset=None):
     """States from which the protagonist coalition forces reaching `target`
     with probability 1 against hostile adversaries; chance is random,
     unlisted players count as random too."""
-    return _almost_sure(arena, set(protagonists), set(adversaries), target,
-                        edge_subset)
-
-
-def _almost_sure(arena, protags, adversaries, target, edge_subset):
-    """Value-1 region: remove positive-reach-failures together with their
-    contamination attractor until stable.  Protagonist and random vertices
-    act existentially for positive reach; adversaries universally.  For
-    contamination the roles flip."""
-    edges = list(arena.edges if edge_subset is None else sorted(edge_subset))
     target = set(target)
-    alive = set(arena.vertices) - target
+    edges = arena.edges if edge_subset is None else sorted(edge_subset)
+    # a target's own moves never matter, and `_value_one` needs none
+    g = K.IndexedGraph(arena.vertices,
+                       [(u, v) for u, v in edges if u not in target])
+    return g.unmask(_value_one(g, arena.owner, set(protagonists),
+                               set(adversaries), g.mask(target)))
+
+
+def _value_one(g, owner, protags, adversaries, target):
+    """Value-1 region, as a 0/1 mask, of reaching the 0/1 mask `target` on
+    the `IndexedGraph` g; `owner` maps g's vertices to owner names.  The
+    targets must have no moves in g.
+
+    The iterated attractor on a shrinking sub-game mask: vertices that
+    cannot reach the targets with positive probability (protagonist and
+    random vertices existential, adversaries universal) are removed with
+    their contamination attractor (the roles flipped) until none is
+    left."""
+    n, off, dst, poff, psrc = g.n, g.off, g.dst, g.poff, g.psrc
+    reach_coal = [0 if owner[v] in adversaries else 1 for v in g.vertices]
+    spoil_coal = [0 if owner[v] in protags else 1 for v in g.vertices]
+    sub = [1] * n
     while True:
-        nodes = sorted(alive | target)
-        sub = [(u, v) for u, v in edges if u in alive and
-               (v in alive or v in target)]
-        g = K.IndexedGraph(nodes, sub)
-        full = [1] * g.n
-        coal = g.mask([v for v in nodes if arena.owner[v] not in adversaries])
-        pos = g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
-                                   coal, g.mask(target), full))
-        zero = alive - pos
-        if not zero:
-            return alive | target
-        coal2 = g.mask([v for v in nodes if arena.owner[v] not in protags])
-        bad = g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
-                                   coal2, g.mask(zero), full))
-        alive -= bad
-        if not alive:
-            return set(target)
+        pos = K.attractor(n, off, dst, poff, psrc, reach_coal, target, sub)
+        zero = [1 if s and not p else 0 for s, p in zip(sub, pos)]
+        if not any(zero):
+            return sub
+        bad = K.attractor(n, off, dst, poff, psrc, spoil_coal, zero, sub)
+        sub = [0 if b else s for s, b in zip(sub, bad)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,42 +110,50 @@ def extreme_adversarial_value(game, partition, v):
     pess, _ = partition
     pay = {t: game.payoff.terminal_payoffs[t][player]
            for t in game.terminals()}
-    return extreme_threshold_sweep(arena, pay, player in pess, player, v)
+    return extreme_threshold_sweep(arena.vertices, arena.edges, arena.owner,
+                                   pay, player in pess, player, v)
 
 
-def extreme_threshold_sweep(arena, pay, is_pess, player, v):
+def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player, v):
     """The best extreme risk `player` can secure from `v` (any vertex,
     chance included) against hostile others: the least payoff in the
     support of the outcome when `is_pess`, else the greatest.
 
-    `pay` maps each terminal of `arena` to the player's payoff.  Extreme
-    measures depend on supports only, so the arena is read for its graph
-    and owners and needs neither probabilities nor validation.  Decided by
-    a threshold sweep over {0} + terminal payoffs; each threshold is an
+    The graph is `vertices` and `edges`; `owner` maps each vertex to a
+    player, CHANCE or TERMINAL, and every player but `player` is hostile.
+    `pay` maps each terminal to the player's payoff; the terminals must
+    have no moves.  Extreme measures depend on supports only, so no
+    probabilities are read.  Decided by a threshold sweep over {0} +
+    terminal payoffs on one indexed graph; each threshold is an
     almost-sure or positive-probability reachability game.
     """
+    g = K.IndexedGraph(vertices, edges)
+    others = set(owner.values()) - {player, CHANCE}
+    vals = [pay.get(u) for u in g.vertices]
+    iv = g.index[v]
+
+    def attracted(coalition, target):
+        coal = [1 if owner[u] in coalition else 0 for u in g.vertices]
+        return K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, target,
+                           [1] * g.n)[iv]
+
     candidates = sorted({Fraction(0)} | set(pay.values()), reverse=True)
-    others = [p for p in arena.players if p != player]
     for x in candidates:
-        good = {t for t, y in pay.items() if y >= x}
-        bad = {t for t, y in pay.items() if y < x}
+        good = [1 if y is not None and y >= x else 0 for y in vals]
+        bad = [1 if y is not None and y < x else 0 for y in vals]
         if is_pess:
             if x > 0:
-                ok = v in almost_sure_reach_game(arena, {player}, set(others),
-                                                 good)
+                ok = _value_one(g, owner, {player}, others, good)[iv]
             else:
                 # P(bad) = 0: surely avoid bad, chance universal
-                reach_bad = attractor(arena, set(others) | {"chance"}, bad)
-                ok = v not in reach_bad
+                ok = not attracted(others | {CHANCE}, bad)
         else:
             if x > 0:
-                ok = v in attractor(arena, {player, "chance"}, good)
+                ok = attracted({player, CHANCE}, good)
             else:
                 # some outcome >= x possible: adversaries would need to
                 # force almost-sure absorption in bad terminals
-                forced = almost_sure_reach_game(arena, set(others), {player},
-                                                bad)
-                ok = v not in forced
+                ok = not _value_one(g, owner, others, {player}, bad)[iv]
         if ok:
             return x
     return candidates[-1]

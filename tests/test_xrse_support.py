@@ -1,0 +1,172 @@
+"""The XRSE support walk (`stochastic._support`), measure fold
+(`stochastic._extremes`) and almost-sure loop (`zerosum._value_one`)
+against the code they replaced (`tests/xrse_support_reference.py`)."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from equilibra.corpus import load_game
+from equilibra.games import Arena, serialize_memory
+from equilibra.nash import Query
+from equilibra.rationals import parse_rational
+from equilibra import stochastic
+from equilibra.stochastic import (RiskPartition, extreme_measure,
+                                  best_extreme_response, uniform_profile,
+                                  xrse_exists, xrse_constrained_optimists,
+                                  xrse_search_bounded, _support_measures)
+from equilibra import zerosum as zs
+
+import xrse_support_reference as ref
+from conftest import (random_terminal_game, random_parity_game,
+                      random_mp_game)
+from test_profile_product import draw_profile
+
+TERMINAL_CORPUS = ["lottery", "ex_extreme1", "ex_extreme2", "ex_extreme3"]
+SEEDS = st.integers(0, 2 ** 32 - 1)
+PAYOFFS = st.sampled_from([(0, 1, 2, 3), (-1, 0, 1, 2)])
+TERMINAL_GAMES = (
+    st.builds(lambda s, pay: random_terminal_game(random.Random(s), n=4,
+                                                  payoffs=pay), SEEDS, PAYOFFS)
+    | st.sampled_from(TERMINAL_CORPUS).map(load_game))
+SMALL_TERMINAL_GAMES = (
+    st.builds(lambda s, pay: random_terminal_game(random.Random(s), n=3,
+                                                  payoffs=pay), SEEDS, PAYOFFS)
+    | st.sampled_from(TERMINAL_CORPUS[:3]).map(load_game))
+ARENAS = (
+    st.builds(lambda s: random_terminal_game(random.Random(s), n=5).arena,
+              SEEDS)
+    | st.builds(lambda s: random_parity_game(random.Random(s), n=5,
+                                             players=3).arena, SEEDS)
+    | st.builds(lambda s: random_mp_game(random.Random(s), n=5).arena, SEEDS)
+    | st.sampled_from(TERMINAL_CORPUS).map(lambda n: load_game(n).arena))
+THRESHOLDS = st.sampled_from([None, "-1", "0", "1", "2", "3", "40"])
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return ("value", f(*args))
+    except Exception as e:
+        return ("raised", type(e).__name__, str(e))
+
+
+def subset(draw, items):
+    return [x for x in items if draw(st.booleans())]
+
+
+def draw_partition(draw, game):
+    return RiskPartition(game, subset(draw, game.players))
+
+
+def draw_query(draw, game):
+    bounds = [{}, {}]
+    for p in game.players:
+        for side in bounds:
+            x = draw(THRESHOLDS)
+            if x is not None:
+                side[p] = parse_rational(x)
+    return Query(*bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARENAS, st.data())
+def test_almost_sure_reach_game_matches_reference(arena, data):
+    # targets may be any vertices, terminal or not, with their out-edges
+    # in the edge set
+    draw = data.draw
+    edges = subset(draw, arena.edges) if draw(st.booleans()) else None
+    target = set(subset(draw, arena.vertices))
+    protags = set(subset(draw, arena.players))
+    adversaries = set(subset(draw, [p for p in arena.players
+                                    if p not in protags]))
+    assert zs.almost_sure_reach_game(arena, protags, adversaries, target,
+                                     edges) == ref.almost_sure_reach_game(
+        arena, protags, adversaries, target, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMINAL_GAMES, st.data())
+def test_measures_and_supports_match_reference(game, data):
+    draw = data.draw
+    part = draw_partition(draw, game)
+    profile = draw_profile(draw, game, deterministic=draw(st.booleans()))
+    assert outcome(extreme_measure, game, part, profile) == outcome(
+        ref.extreme_measure, game, part, profile)
+    edges = sorted(subset(draw, game.arena.edges))
+    for mode in ("chain", "positional", "averse"):
+        assert _support_measures(game, edges, mode) == \
+            ref._support_measures(game, edges, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMINAL_GAMES, st.data())
+def test_xrse_algorithms_match_reference(game, data):
+    draw = data.draw
+    part = draw_partition(draw, game)
+    assert outcome(xrse_exists, game, part) == outcome(
+        ref.xrse_exists, game, part)
+    query = draw_query(draw, game)
+    assert outcome(xrse_constrained_optimists, game, query) == outcome(
+        ref.xrse_constrained_optimists, game, query)
+
+
+def search_outcome(search, game, part, query, bound):
+    res = outcome(search, game, part, query, bound)
+    if res[0] == "value" and "profile" in res[1]:
+        res = ("value", dict(res[1],
+                             profile=serialize_memory(res[1]["profile"])))
+    return res
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bounded_search_matches_reference(data):
+    draw = data.draw
+    bound = draw(st.integers(1, 2))
+    game = draw(TERMINAL_GAMES if bound == 1 else SMALL_TERMINAL_GAMES)
+    part = draw_partition(draw, game)
+    query = draw_query(draw, game)
+    assert search_outcome(xrse_search_bounded, game, part, query, bound) == \
+        search_outcome(ref.xrse_search_bounded, game, part, query, bound)
+
+
+def test_search_builds_a_chain_only_for_its_answer(monkeypatch):
+    # every candidate is checked on the measures the search walked; only
+    # the returned profile goes through `induced_chain`, once
+    seen = []
+    chain = stochastic.induced_chain
+
+    def counted(game, profile):
+        seen.append(profile)
+        return chain(game, profile)
+
+    monkeypatch.setattr(stochastic, "induced_chain", counted)
+    games = [load_game(name) for name in TERMINAL_CORPUS]
+    games += [random_terminal_game(random.Random(seed), n=4)
+              for seed in range(20)]
+    answers = 0
+    for game in games:
+        for pess in ([], game.players):
+            seen.clear()
+            res = xrse_search_bounded(game, RiskPartition(game, pess),
+                                      Query(), 1)
+            expected = [res["profile"]] if res["answer"] == "yes" else []
+            assert seen == expected
+            answers += len(expected)
+    assert answers
+
+
+def test_best_extreme_response_builds_no_arena(monkeypatch):
+    games = [load_game(name) for name in TERMINAL_CORPUS]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("best_extreme_response built an Arena")
+
+    monkeypatch.setattr(Arena, "__init__", refuse)
+    for game in games:
+        profile = uniform_profile(game, game.arena.edges)
+        for pess in ([], game.players):
+            for i in game.players:
+                best_extreme_response(game, RiskPartition(game, pess),
+                                      profile, i)

@@ -376,7 +376,11 @@ class MemoryProfile:
             if not (0 < w <= 1):
                 raise GameError(f"weight {format_rational(w)} of {t} is not "
                                 "in (0,1]")
+        listed = set()
         for t in self.transitions:
+            if t in listed:
+                raise GameError(f"transition {t} is listed twice")
+            listed.add(t)
             if t[0] not in self.states or t[2] not in self.states:
                 raise GameError(f"transition {t} uses unknown state")
             if t[1] not in arena.owner:
@@ -412,14 +416,16 @@ class MemoryProfile:
 def _parse_json(text, what, build):
     """`build` of the JSON document `text`.  Text that is not JSON, and a
     document that `build` cannot take apart (a missing key, a value of the
-    wrong type), are GameErrors."""
+    wrong type, a field that is not a rational), are GameErrors."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GameError(f"not valid JSON: {e}")
     try:
         return build(doc)
-    except (KeyError, TypeError, AttributeError) as e:
+    except GameError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise GameError(f"malformed {what}: {type(e).__name__}: {e}")
 
 
@@ -733,70 +739,36 @@ class Chain:
 
 
 def induced_chain(game, profile):
-    """Markov chain of a profile covering every controlled vertex.
-
-    Requires deterministic reads at non-owned (chance) vertices; weights on
-    co-enabled owned transitions, uniform by default.
-    """
+    """Markov chain of a profile covering every controlled vertex: the
+    chain of `profile_product` with no free player.  Weights on co-enabled
+    owned transitions, uniform by default."""
     arena = game.arena
     if game.mode != "terminal":
         raise GameError("induced_chain needs terminal mode")
     profile.validate(arena)
-    controlled = [v for v in arena.vertices
-                  if not arena.is_chance(v) and not arena.is_terminal(v)]
-    uncovered = [v for v in controlled if arena.owner[v] not in profile.owners]
+    uncovered = [v for v in arena.vertices if arena.owner[v] not in
+                 profile.owners + (CHANCE, TERMINAL)]
     if uncovered:
         raise GameError(f"uncovered controlled vertex {uncovered[0]}")
-    start = (arena.init, profile.initial)
-    states = [start]
-    index = {start: 0}
+    return product_chain(game, profile_product(game, profile, None))
+
+
+def product_chain(game, product, fixed=None):
+    """The Markov chain of a `profile_product` map, its nodes numbered in
+    the map's order (the start node first) and each row merged per
+    successor; a node in `fixed` moves only to fixed[node]."""
+    fixed = fixed or {}
+    states = list(product)
+    index = {s: k for k, s in enumerate(states)}
     trans = []
-    terminal_of = {}
-    todo = [start]
-    while todo:
-        node = todo.pop()
-        i = index[node]
-        while len(trans) <= i:
-            trans.append([])
-        v, q = node
-        if arena.is_terminal(v):
-            terminal_of[i] = v
-            continue
-        moves = []
-        if arena.is_chance(v):
-            reads = profile.enabled(q, v)
-            if len(reads) != 1:
-                raise GameError(f"nondeterministic read at ({q},{v})")
-            q2 = reads[0][2]
-            for w in arena.succ(v):
-                moves.append(((w, q2), arena.chance_prob[(v, w)]))
-        else:
-            group = profile.enabled(q, v)
-            if len({t[2] for t in group}) != 1:
-                raise GameError(f"memory update at ({q},{v}) must not "
-                                "depend on the private roll")
-            for t in group:
-                if len(t) != 4:
-                    raise GameError(f"missing output at ({q},{v})")
-                moves.append(((t[3], t[2]), profile.weight(t)))
-        total = sum(p for _, p in moves)
-        if total != 1:
-            raise GameError(f"outgoing weights at {node} sum to {total}")
-        for nxt, p in moves:
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                todo.append(nxt)
-            trans[i].append((index[nxt], p))
-    while len(trans) < len(states):
-        trans.append([])
-    merged = []
-    for row in trans:
+    for s in states:
         acc = {}
-        for j, p in row:
-            acc[j] = acc.get(j, Fraction(0)) + p
-        merged.append(sorted(acc.items()))
-    return Chain(states, merged, 0, terminal_of)
+        for t, p in [(fixed[s], 1)] if s in fixed else product[s]:
+            acc[index[t]] = acc.get(index[t], Fraction(0)) + p
+        trans.append(sorted(acc.items()))
+    terminal_of = {k: s[0] for k, s in enumerate(states)
+                   if game.arena.is_terminal(s[0])}
+    return Chain(states, trans, 0, terminal_of)
 
 
 def chain_hit_probabilities(chain):

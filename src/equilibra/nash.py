@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from .rationals import PINF, NINF
 from .games import (GameError, Lasso, eval_lasso, payoff_vector, cycle_id,
-                    profile_product)
+                    CHANCE, TERMINAL, profile_product, product_chain,
+                    induced_chain, chain_hit_probabilities)
 from . import zerosum as zs
 from ._kernels import scc_of
 from .negotiation import (is_lambda_consistent, parity_components,
@@ -326,27 +327,23 @@ def ne_constrained_exists(game, query):
 
 
 def profile_outcome(game, profile):
-    """Outcome lasso of a deterministic full profile (no chance)."""
+    """Outcome lasso of a deterministic full profile (no chance): the single
+    move of each node of `profile_product`, followed until a node repeats."""
     arena = game.arena
     if not profile.is_deterministic():
         raise GameError("profile must be deterministic")
+    product = profile_product(game, profile, None)
     node = (arena.init, profile.initial)
-    seen = {node: 0}
-    seq = [node]
-    while True:
+    seen = {}
+    while node not in seen:
         v, q = node
-        ts = profile.enabled(q, v)
-        t = ts[0]
-        if len(t) != 4:
-            raise GameError(f"no output for controlled vertex {v}")
-        node = (t[3], t[2])
-        if node in seen:
-            k = seen[node]
-            prefix = [x[0] for x in seq[:k]]
-            cycle = [x[0] for x in seq[k:]]
-            return Lasso(prefix, cycle)
-        seen[node] = len(seq)
-        seq.append(node)
+        if arena.owner[v] in (CHANCE, TERMINAL):
+            raise GameError(f"no output at ({q},{v})")
+        seen[node] = len(seen)
+        (node, _), = product[node]
+    k = seen[node]
+    play = [v for v, _ in seen]
+    return Lasso(play[:k], play[k:])
 
 
 def _energy_feasible(game, player, product, start):
@@ -473,7 +470,6 @@ def _best_mp(game, i, product):
 def _verify_ne_expectation(game, profile, transform=None, tol=None):
     """Expectation-NE in terminal mode: exact hit probabilities; terminal
     payoffs optionally transformed (used by the entropic-risk check)."""
-    from .games import induced_chain, chain_hit_probabilities
     chain = induced_chain(game, profile)
     probs, _ = chain_hit_probabilities(chain)
 
@@ -523,17 +519,6 @@ def _best_expectation(game, profile, i, transform=None):
 def _policy_value(game, product, fixed, i, transform):
     """i's expected payoff when i moves from each of its nodes s to
     fixed[s] and every other node keeps its product moves."""
-    from .games import Chain, chain_hit_probabilities
-    states = list(product)
-    index = {s: k for k, s in enumerate(states)}
-    trans = []
-    for s in states:
-        acc = {}
-        for t, p in [(fixed[s], 1)] if s in fixed else product[s]:
-            acc[index[t]] = acc.get(index[t], Fraction(0)) + p
-        trans.append(sorted(acc.items()))
-    terminal_of = {k: s[0] for k, s in enumerate(states)
-                   if game.arena.is_terminal(s[0])}
-    probs, _ = chain_hit_probabilities(Chain(states, trans, 0, terminal_of))
+    probs, _ = chain_hit_probabilities(product_chain(game, product, fixed))
     return sum((probs[t] * _pay(game, t, i, transform) for t in probs),
                Fraction(0))

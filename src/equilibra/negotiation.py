@@ -995,65 +995,3 @@ def _eps_fixed(lam, nxt, eps, vertices):
         if cur == NINF or new > cur + eps:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# concrete negotiation game (explicit object, for inspection and tests)
-
-
-def build_concrete_nego(game, lam, i, v0, memory=None):
-    """Reachable fragment of the concrete negotiation game from (v0,{v0}).
-
-    memory="vertices" follows the definition (memory = visited vertices);
-    memory="players" uses the parity compression (constrained players).
-    Returns a dict with vertices (tagged Prover/Challenger) and edges
-    (tagged proposal/acceptation/deviation).
-    """
-    if game.mode not in ("parity", "mean-payoff"):
-        raise GameError("concrete negotiation needs a prefix-independent mode")
-    arena = game.arena
-    if memory is None:
-        memory = "players" if game.mode == "parity" else "vertices"
-
-    def mem0(v):
-        if memory == "vertices":
-            return frozenset([v])
-        return _constr_players(game, lam, v)
-
-    def mem_add(M, v):
-        if memory == "vertices":
-            return M | {v}
-        return M | _constr_players(game, lam, v)
-
-    start = ("P", v0, mem0(v0))
-    verts = {start}
-    edges = []
-    todo = [start]
-    while todo:
-        s = todo.pop()
-        if s[0] == "P":
-            _, v, M = s
-            for x in sorted(arena.succ(v)):
-                t = ("C", v, x, M)
-                edges.append((s, t, "proposal"))
-                if t not in verts:
-                    verts.add(t)
-                    todo.append(t)
-        else:
-            _, v, x, M = s
-            t = ("P", x, mem_add(M, x))
-            edges.append((s, t, "acceptation"))
-            if t not in verts:
-                verts.add(t)
-                todo.append(t)
-            if arena.owner[v] == i:
-                for w in sorted(arena.succ(v)):
-                    if w == x:
-                        continue
-                    t = ("P", w, mem0(w))
-                    edges.append((s, t, "deviation"))
-                    if t not in verts:
-                        verts.add(t)
-                        todo.append(t)
-    return {"vertices": sorted(verts, key=str), "edges": edges,
-            "initial": start}

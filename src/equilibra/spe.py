@@ -11,11 +11,11 @@ iteration blows up at the initial vertex), or unknown at the cap.
 from fractions import Fraction
 
 from .rationals import PINF, NINF, format_rational, parse_rational
-from .games import GameError, eval_lasso, payoff_vector, cycle_id
+from .games import GameError, payoff_vector, cycle_id
 from . import zerosum as zs
 from ._kernels import reach, scc_of
 from .negotiation import (vacuous_requirement, nego_parity, nego_mp,
-                          is_lambda_consistent, family_consistent,
+                          family_consistent,
                           _MpContext, _mp_value_at, _strongly_connected,
                           _eps_fixed, requirement_to_json,
                           requirement_from_json, Family)
@@ -23,71 +23,7 @@ from .nash import Query, search_consistent_parity, search_consistent_combo
 
 
 # ---------------------------------------------------------------------------
-# parity: reduced-strategy checking and exact SPE existence
-
-
-def check_reduced_prover_parity(game, lam, i, u, tau):
-    """Check that reduced proposals hold the controller of u to lam(u).
-
-    tau maps each deviation-reachable vertex to a lambda-consistent lasso
-    proposal from it.  True iff Challenger can neither accept a proposal
-    won by i nor build an infinite-deviation play won by i.
-    """
-    if game.mode != "parity":
-        raise GameError("parity mode required")
-    if lam[u] == PINF:
-        raise GameError("nothing to check at an infeasible vertex")
-    arena = game.arena
-    # validation and deviation closure
-    needed = {u}
-    work = [u]
-    arcs = []
-    accept = {}
-    while work:
-        v = work.pop()
-        if v not in tau:
-            raise GameError(f"no proposal at reachable vertex {v}")
-        prop = tau[v]
-        if prop.first() != v:
-            raise GameError(f"proposal at {v} starts at {prop.first()}")
-        if not is_lambda_consistent(game, lam, prop):
-            raise GameError(f"proposal at {v} is not lambda-consistent")
-        accept[v] = eval_lasso(game, prop, i)
-        walk = list(prop.prefix) + list(prop.cycle)
-        seen_color = None
-        for k, z in enumerate(walk):
-            c = game.payoff.color(i, z)
-            seen_color = c if seen_color is None else min(seen_color, c)
-            if arena.owner[z] != i:
-                continue
-            nxt = walk[k + 1] if k + 1 < len(walk) else prop.cycle[0]
-            # later cycle passes form further deviation classes whose
-            # segment min is the whole-walk min, but they never matter:
-            # an even whole-walk min forces an even cycle min (acceptance
-            # already wins), and odd classes are subsumed by this one
-            for w in sorted(arena.succ(z)):
-                if w == nxt:
-                    continue
-                arcs.append((v, w, seen_color))
-                if w not in needed:
-                    needed.add(w)
-                    work.append(w)
-    if lam[u] >= 1:
-        return True
-    # (a) an accepted proposal won by i
-    if any(accept[v] == 1 for v in needed):
-        return False
-    # (b) an infinite-deviation play satisfying i's parity: a cycle in the
-    # segment graph whose minimal segment color is even
-    evens = sorted({c for (_, _, c) in arcs if c % 2 == 0})
-    for e in evens:
-        keep = [(v, w, c) for (v, w, c) in arcs if c >= e]
-        nodes = sorted({v for (v, _, _) in keep} | {w for (_, w, _) in keep})
-        comp, _ = scc_of(nodes, [(v, w) for (v, w, _) in keep])
-        for (v, w, c) in keep:
-            if c == e and comp[v] == comp[w]:
-                return False
-    return True
+# parity: exact SPE existence
 
 
 def iterate_to_fixed_point_parity(game, cap=None):

@@ -150,9 +150,10 @@ def best_extreme_response(game, partition, profile, player):
         if o == TERMINAL:
             pay[s] = game.payoff.terminal_payoffs[s[0]][player]
     edges = [(s, t) for s, moves in product.items() for t, _ in moves]
+    start = (arena.init, profile.initial)
     return zs.extreme_threshold_sweep(
         product, edges, owner, pay, partition.is_pessimist(player), player,
-        (arena.init, profile.initial))
+        [start])[start]
 
 
 def verify_xrse(game, partition, profile):
@@ -284,11 +285,17 @@ def xrse_exists(game, partition):
 
 
 def _adversarial_values(game, partition):
+    """Each controlled vertex's extreme adversarial value, one threshold
+    sweep per player deciding all of that player's vertices."""
+    arena = game.arena
     out = {}
-    for v in game.arena.vertices:
-        if game.arena.is_chance(v) or game.arena.is_terminal(v):
-            continue
-        out[v] = zs.extreme_adversarial_value(game, partition.as_pair(), v)
+    for p in game.players:
+        mine = [v for v in arena.vertices if arena.owner[v] == p]
+        pay = {t: game.payoff.terminal_payoffs[t][p]
+               for t in game.terminals()}
+        out.update(zs.extreme_threshold_sweep(
+            arena.vertices, arena.edges, arena.owner, pay,
+            partition.is_pessimist(p), p, mine))
     return out
 
 

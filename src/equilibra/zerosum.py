@@ -111,52 +111,60 @@ def extreme_adversarial_value(game, partition, v):
     pay = {t: game.payoff.terminal_payoffs[t][player]
            for t in game.terminals()}
     return extreme_threshold_sweep(arena.vertices, arena.edges, arena.owner,
-                                   pay, player in pess, player, v)
+                                   pay, player in pess, player, [v])[v]
 
 
-def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player, v):
-    """The best extreme risk `player` can secure from `v` (any vertex,
-    chance included) against hostile others: the least payoff in the
-    support of the outcome when `is_pess`, else the greatest.
+def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
+                            starts):
+    """The best extreme risk `player` can secure from each vertex in
+    `starts` (any vertices, chance included) against hostile others: the
+    least payoff in the support of the outcome when `is_pess`, else the
+    greatest.  Returns start -> value.
 
     The graph is `vertices` and `edges`; `owner` maps each vertex to a
     player, CHANCE or TERMINAL, and every player but `player` is hostile.
     `pay` maps each terminal to the player's payoff; the terminals must
     have no moves.  Extreme measures depend on supports only, so no
     probabilities are read.  Decided by a threshold sweep over {0} +
-    terminal payoffs on one indexed graph; each threshold is an
-    almost-sure or positive-probability reachability game.
+    terminal payoffs on one indexed graph, from the highest threshold
+    down; each threshold is an almost-sure or positive-probability
+    reachability game, and a start's value is the first threshold whose
+    winning region holds it.
     """
     g = K.IndexedGraph(vertices, edges)
     others = set(owner.values()) - {player, CHANCE}
     vals = [pay.get(u) for u in g.vertices]
-    iv = g.index[v]
 
     def attracted(coalition, target):
         coal = [1 if owner[u] in coalition else 0 for u in g.vertices]
         return K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, target,
-                           [1] * g.n)[iv]
+                           [1] * g.n)
 
     candidates = sorted({Fraction(0)} | set(pay.values()), reverse=True)
+    out = {}
     for x in candidates:
         good = [1 if y is not None and y >= x else 0 for y in vals]
         bad = [1 if y is not None and y < x else 0 for y in vals]
         if is_pess:
             if x > 0:
-                ok = _value_one(g, owner, {player}, others, good)[iv]
+                wins = _value_one(g, owner, {player}, others, good)
             else:
                 # P(bad) = 0: surely avoid bad, chance universal
-                ok = not attracted(others | {CHANCE}, bad)
+                wins = [not b for b in attracted(others | {CHANCE}, bad)]
         else:
             if x > 0:
-                ok = attracted({player, CHANCE}, good)
+                wins = attracted({player, CHANCE}, good)
             else:
                 # some outcome >= x possible: adversaries would need to
                 # force almost-sure absorption in bad terminals
-                ok = not _value_one(g, owner, others, {player}, bad)[iv]
-        if ok:
-            return x
-    return candidates[-1]
+                wins = [not b for b in _value_one(g, owner, others, {player},
+                                                  bad)]
+        for v in starts:
+            if v not in out and wins[g.index[v]]:
+                out[v] = x
+        if len(out) == len(starts):
+            break
+    return {v: out.get(v, candidates[-1]) for v in starts}
 
 
 # ---------------------------------------------------------------------------

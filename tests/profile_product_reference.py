@@ -2,7 +2,8 @@
 them, as they were before `games.profile_product` became the one walker:
 `stochastic._profile_mdp` built a validated terminal-mode `Game` per free
 player, `nash._product_states` walked the product a second time, and
-`nash._policy_value` walked it again per policy.  Kept as the reference
+`nash._policy_value` walked it again per policy, and `games.induced_chain`
+and `nash.profile_outcome` had walks of their own.  Kept as the reference
 the differential tests in `tests/test_profile_product.py` compare the
 walker's readers against, and as the MDP builder of the brute-force XRSE
 oracle in `tests/test_stochastic.py`.  Only the imports are adapted."""
@@ -11,14 +12,103 @@ import itertools
 from fractions import Fraction
 
 from equilibra.games import (GameError, Arena, PayoffSpec, Game, Chain,
-                             eval_lasso, induced_chain,
-                             chain_hit_probabilities)
-from equilibra.nash import profile_outcome
+                             Lasso, eval_lasso, chain_hit_probabilities)
 from equilibra.zerosum import attractor
 from equilibra._kernels import reach, scc_of
 from equilibra import zerosum as zs
 
 from xrse_support_reference import almost_sure_reach_game, extreme_measure
+
+
+def induced_chain(game, profile):
+    """Markov chain of a profile covering every controlled vertex.
+
+    Requires deterministic reads at non-owned (chance) vertices; weights on
+    co-enabled owned transitions, uniform by default.
+    """
+    arena = game.arena
+    if game.mode != "terminal":
+        raise GameError("induced_chain needs terminal mode")
+    profile.validate(arena)
+    controlled = [v for v in arena.vertices
+                  if not arena.is_chance(v) and not arena.is_terminal(v)]
+    uncovered = [v for v in controlled if arena.owner[v] not in profile.owners]
+    if uncovered:
+        raise GameError(f"uncovered controlled vertex {uncovered[0]}")
+    start = (arena.init, profile.initial)
+    states = [start]
+    index = {start: 0}
+    trans = []
+    terminal_of = {}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        i = index[node]
+        while len(trans) <= i:
+            trans.append([])
+        v, q = node
+        if arena.is_terminal(v):
+            terminal_of[i] = v
+            continue
+        moves = []
+        if arena.is_chance(v):
+            reads = profile.enabled(q, v)
+            if len(reads) != 1:
+                raise GameError(f"nondeterministic read at ({q},{v})")
+            q2 = reads[0][2]
+            for w in arena.succ(v):
+                moves.append(((w, q2), arena.chance_prob[(v, w)]))
+        else:
+            group = profile.enabled(q, v)
+            if len({t[2] for t in group}) != 1:
+                raise GameError(f"memory update at ({q},{v}) must not "
+                                "depend on the private roll")
+            for t in group:
+                if len(t) != 4:
+                    raise GameError(f"missing output at ({q},{v})")
+                moves.append(((t[3], t[2]), profile.weight(t)))
+        total = sum(p for _, p in moves)
+        if total != 1:
+            raise GameError(f"outgoing weights at {node} sum to {total}")
+        for nxt, p in moves:
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                todo.append(nxt)
+            trans[i].append((index[nxt], p))
+    while len(trans) < len(states):
+        trans.append([])
+    merged = []
+    for row in trans:
+        acc = {}
+        for j, p in row:
+            acc[j] = acc.get(j, Fraction(0)) + p
+        merged.append(sorted(acc.items()))
+    return Chain(states, merged, 0, terminal_of)
+
+
+def profile_outcome(game, profile):
+    """Outcome lasso of a deterministic full profile (no chance)."""
+    arena = game.arena
+    if not profile.is_deterministic():
+        raise GameError("profile must be deterministic")
+    node = (arena.init, profile.initial)
+    seen = {node: 0}
+    seq = [node]
+    while True:
+        v, q = node
+        ts = profile.enabled(q, v)
+        t = ts[0]
+        if len(t) != 4:
+            raise GameError(f"no output for controlled vertex {v}")
+        node = (t[3], t[2])
+        if node in seen:
+            k = seen[node]
+            prefix = [x[0] for x in seq[:k]]
+            cycle = [x[0] for x in seq[k:]]
+            return Lasso(prefix, cycle)
+        seen[node] = len(seq)
+        seq.append(node)
 
 
 def extreme_threshold_sweep(game, partition, player, v):

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import equilibra
-from equilibra import cli
+from equilibra import cli, corpus
 from equilibra.cli import run
 
 # a stationary profile of `lottery`: circle plays b -> c
@@ -260,6 +260,13 @@ def test_parser_built_once_per_process(capsys):
      "memory bound 0 is not at least 1"),
     (["xrse-search", "lottery", "--memory-bound=-1"],
      "memory bound -1 is not at least 1"),
+    (["validate", "{bad_prob}"],
+     "malformed game: ValueError: invalid literal for int()"),
+    (["xrse-verify", "{fork}", "--profile", "{bad_weight}"],
+     "malformed memory structure: ValueError: rational '1/0'"),
+    (["product", "fig_first_example", "--machine", "{repeated}",
+      "--leader", "square"], "transition ('q0', 'b', 'q0', 'b') is listed "
+     "twice"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",
@@ -273,7 +280,10 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
              "no_owner": tmp_path / "no_owner.json",
              "empty": tmp_path / "empty.json",
              "no_reads": tmp_path / "no_reads.json",
-             "list": tmp_path / "list.json"}
+             "list": tmp_path / "list.json",
+             "bad_prob": tmp_path / "bad_prob.json",
+             "bad_weight": tmp_path / "bad_weight.json",
+             "repeated": tmp_path / "repeated.json"}
     files["latin1"].write_bytes(b"\xff{}")
     files["fork"].write_text(json.dumps(FORK))
     files["zero_weight"].write_text(json.dumps(fork_profile("1", "0")))
@@ -285,6 +295,12 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     del no_reads["transitions"][1]["reads"]
     files["no_reads"].write_text(json.dumps(no_reads))
     files["list"].write_text("[]")
+    files["bad_prob"].write_text(json.dumps(
+        dict(FORK, edges=[{"from": "a", "to": "tA", "prob": "abc"}])))
+    files["bad_weight"].write_text(json.dumps(fork_profile("1/0", "1")))
+    repeated = json.loads(corpus.read_text("machine_1player"))
+    repeated["transitions"].append(repeated["transitions"][2])
+    files["repeated"].write_text(json.dumps(repeated))
     files["truncated"].write_text('{"a": "1", "b"')
     files["no_alpha"].write_text(json.dumps(
         {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))

@@ -14,11 +14,12 @@ from equilibra.corpus import load_game
 from equilibra.games import GameError, Lasso, Arena, PayoffSpec, Game
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
                                    nego_iterate, is_eps_fixed_point,
-                                   is_lambda_consistent, build_concrete_nego,
+                                   is_lambda_consistent,
                                    parity_feasible_region, _feasible_round)
 from equilibra.nash import Query, search_consistent_parity, val_requirement
 from equilibra.rationals import PINF, NINF
 from conftest import PLAYERS, random_parity_game
+from concrete_nego import build_concrete_nego
 
 
 def test_vacuous():

@@ -1,5 +1,6 @@
-"""`games.profile_product` and the best responses read from it, against
-the product walks it replaced (`tests/profile_product_reference.py`)."""
+"""`games.profile_product` and what is read from it (best responses,
+induced chains, outcomes), against the product walks it replaced
+(`tests/profile_product_reference.py`)."""
 
 import math
 import random
@@ -8,15 +9,18 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from equilibra.corpus import load_game
-from equilibra.games import Game, PayoffSpec, MemoryProfile
+from equilibra.games import (Game, GameError, PayoffSpec, MemoryProfile,
+                             induced_chain, chain_hit_probabilities,
+                             profile_product)
 from equilibra.nash import verify_ne_generic, verify_ne_energy, \
-    _best_expectation
+    _best_expectation, profile_outcome
 from equilibra.stochastic import (RiskPartition, verify_xrse,
                                   best_extreme_response, uniform_profile)
 
 import profile_product_reference as ref
 from conftest import (random_terminal_game, random_parity_game,
-                      random_mp_game, random_energy_game)
+                      random_mp_game, random_energy_game,
+                      positional_profiles, profile_of_choices)
 
 TERMINAL_CORPUS = ["lottery", "ex_extreme1", "ex_extreme2", "ex_extreme3"]
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -60,6 +64,43 @@ def draw_profile(draw, game, deterministic):
     return MemoryProfile(states, "q0", game.players, transitions, weights)
 
 
+def draw_malformed(draw, profile):
+    """The profile, or a variant that may be malformed: a player dropped
+    from the owners, a second next state added at one (state, vertex), or
+    one transition removed."""
+    owners = list(profile.owners)
+    transitions = list(profile.transitions)
+    kind = draw(st.sampled_from(["kept", "owner", "update", "removed"]))
+    if kind == "owner":
+        owners.remove(draw(st.sampled_from(owners)))
+    elif kind == "update" and len(profile.states) > 1:
+        t = draw(st.sampled_from(transitions))
+        q2 = draw(st.sampled_from([q for q in profile.states if q != t[2]]))
+        transitions.append(t[:2] + (q2,) + t[3:])
+    elif kind == "removed":
+        transitions.remove(draw(st.sampled_from(transitions)))
+    weights = {t: w for t, w in profile.weights.items() if t in transitions}
+    return MemoryProfile(profile.states, profile.initial, owners,
+                         transitions, weights)
+
+
+def result(f, *args):
+    """f(*args), or GameError when it raises one."""
+    try:
+        return f(*args)
+    except GameError:
+        return GameError
+
+
+def chain_map(chain):
+    """A chain as maps on its states, whatever their numbering."""
+    name = chain.states
+    return ({name[i]: {name[j]: p for j, p in row}
+             for i, row in enumerate(chain.trans)},
+            {name[i]: v for i, v in chain.terminal_of.items()},
+            name[chain.init])
+
+
 def policy_count(game, profile, i):
     nodes, succ = ref._product_states(game, profile, i)
     return math.prod(len(succ[s]) for s in nodes
@@ -97,6 +138,52 @@ def test_infinite_play_best_responses_match_reference(game, data):
     if game.mode == "energy":
         assert verify_ne_energy(game, profile) == ref.verify_ne_energy(
             game, profile)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMINAL_GAMES, st.data())
+def test_induced_chain_matches_reference(game, data):
+    profile = draw_profile(data.draw, game, data.draw(st.booleans()))
+    profile = draw_malformed(data.draw, profile)
+    new = result(induced_chain, game, profile)
+    old = result(ref.induced_chain, game, profile)
+    if GameError in (new, old):
+        assert new is old
+        return
+    assert chain_map(new) == chain_map(old)
+    assert chain_hit_probabilities(new) == chain_hit_probabilities(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INFINITE_GAMES, st.data())
+def test_profile_outcome_matches_reference(game, data):
+    profile = draw_profile(data.draw, game, deterministic=True)
+    assert result(profile_outcome, game, profile) == \
+        result(ref.profile_outcome, game, profile)
+
+
+def test_each_product_is_walked_once(monkeypatch):
+    walks = []
+
+    def counted(game, profile, free):
+        walks.append(free)
+        return profile_product(game, profile, free)
+
+    monkeypatch.setattr("equilibra.games.profile_product", counted)
+    monkeypatch.setattr("equilibra.nash.profile_product", counted)
+    lot = load_game("lottery")
+    profile = uniform_profile(lot, lot.arena.edges)
+    induced_chain(lot, profile)
+    assert walks == [None]
+    for i in lot.players:
+        walks.clear()
+        _best_expectation(lot, profile, i)
+        assert walks == [i]
+    fig = load_game("fig_ne_spe")
+    walks.clear()
+    profile_outcome(fig, profile_of_choices(fig, next(positional_profiles(
+        fig))))
+    assert walks == [None]
 
 
 def test_verify_xrse_builds_no_game(monkeypatch):

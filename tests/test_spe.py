@@ -9,12 +9,12 @@ from equilibra.games import GameError, Lasso, eval_lasso
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
                                    is_lambda_consistent, _MpContext)
 from equilibra.nash import Query, search_consistent_parity
-from equilibra.spe import (check_reduced_prover_parity, spe_exists_parity,
-                           spe_exists_mp, check_mp_witness,
+from equilibra.spe import (spe_exists_parity, spe_exists_mp, check_mp_witness,
                            mp_deviation_graph_value, epsilon_min_search,
                            simplest_rational, iterate_to_fixed_point_parity)
 from equilibra.rationals import PINF, NINF
 from conftest import random_parity_game
+from concrete_nego import check_reduced_prover_parity
 
 
 def test_check_reduced_prover_fig():

@@ -170,3 +170,22 @@ def test_best_extreme_response_builds_no_arena(monkeypatch):
             for i in game.players:
                 best_extreme_response(game, RiskPartition(game, pess),
                                       profile, i)
+
+
+def test_adversarial_values_sweep_once_per_player(monkeypatch):
+    sweeps = []
+    sweep = zs.extreme_threshold_sweep
+
+    def counted(*args):
+        sweeps.append(args[5])
+        return sweep(*args)
+
+    monkeypatch.setattr(zs, "extreme_threshold_sweep", counted)
+    for seed in range(20):
+        game = random_terminal_game(random.Random(seed), n=5)
+        for pess in ([], game.players):
+            part = RiskPartition(game, pess)
+            sweeps.clear()
+            val = stochastic._adversarial_values(game, part)
+            assert sweeps == list(game.players)
+            assert val == ref._adversarial_values(game, part)

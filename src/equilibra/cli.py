@@ -18,7 +18,7 @@ from .games import (GameError, Lasso, parse_game, serialize_game,
                     serialize_memory, parse_memory, eval_lasso,
                     payoff_vector, product_game, vacuous_memory,
                     MemoryProfile)
-from .negotiation import (Family, vacuous_requirement, nego, nego_iterate,
+from .negotiation import (vacuous_requirement, nego, nego_iterate,
                           is_eps_fixed_point, requirement_to_json,
                           requirement_from_json)
 from .nash import Query, ne_outcome_check, ne_constrained_exists, \
@@ -85,9 +85,6 @@ def _jsonable(x):
         return str(x)
     if isinstance(x, MpWitness):
         return x.to_json()
-    if isinstance(x, Family):
-        return {"h": list(x.h), "c": list(x.c), "W": sorted(x.W),
-                "x": {p: _jsonable(v) for p, v in sorted(x.xbar.items())}}
     if isinstance(x, MemoryProfile):
         return json.loads(serialize_memory(x))
     if isinstance(x, dict):

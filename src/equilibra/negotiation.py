@@ -198,173 +198,111 @@ def _constr_players(game, lam, v):
     return frozenset()
 
 
-def _build_game1_arena(game, lam, i, S):
-    """Pi-compressed concrete negotiation arena restricted to the feasible
-    region, with deviation marker states.
+def _solve_game1(game, lam, i, S):
+    """Challenger-winning Prover roots of the Pi-compressed concrete
+    negotiation game restricted to the feasible region S (threshold 1).
 
-    States: ('P', v, M) Prover proposes; ('C', v, x, M) Challenger reacts
-    to the proposed edge v->x; ('D', w) marks a deviation to w.
-    """
+    Challenger wins iff player i wins the projection, or deviations stop
+    and some activated requirement is violated in the limit: a Rabin
+    objective, reduced to parity by index appearance records and solved
+    by Zielonka.  One walk builds the concrete game, whose states are
+    ('P', v, M) Prover proposes, ('C', v, x, M) Challenger reacts to the
+    proposed edge v->x and ('D', w) marks a deviation to w; a second walk
+    builds the record product over int ids 0..N-1."""
+    if not S:
+        return set()
     arena = game.arena
-    states = {}
-    edges = []
-    todo = []
+    color = game.payoff.color
+    constr = {v: _constr_players(game, lam, v) for v in arena.vertices}
+    index, states, succ = {}, [], []
 
-    def pstate(v):
-        return ("P", v, _constr_players(game, lam, v))
+    def state(s):
+        if s not in index:
+            index[s] = len(states)
+            states.append(s)
+        return index[s]
 
-    def add(s):
-        if s not in states:
-            states[s] = len(states)
-            todo.append(s)
-
-    roots = {}
-    for v in sorted(S):
-        s = pstate(v)
-        roots[v] = s
-        add(s)
-    while todo:
-        s = todo.pop()
-        kind = s[0]
-        if kind == "P":
+    roots = {v: state(("P", v, constr[v])) for v in sorted(S)}
+    for s in states:  # grows as the walk goes
+        if s[0] == "P":
             _, v, M = s
             outs = [x for x in sorted(arena.succ(v)) if x in S]
             # feasible-region fixpoint: witnesses stay inside S, and the
             # constrained player's vertices keep all successors inside
             assert outs, f"feasible region starves {v}"
             if arena.owner[v] == i:
-                assert len(outs) == len(arena.succ(v)),                     f"deviation target of {v} escapes the feasible region"
-            for x in outs:
-                t = ("C", v, x, M)
-                add(t)
-                edges.append((s, t))
-        elif kind == "C":
+                assert len(outs) == len(arena.succ(v)), \
+                    f"deviation target of {v} escapes the feasible region"
+            succ.append([state(("C", v, x, M)) for x in outs])
+        elif s[0] == "C":
             _, v, x, M = s
-            t = ("P", x, M | _constr_players(game, lam, x))
-            add(t)
-            edges.append((s, t))
+            nxt = [state(("P", x, M | constr[x]))]
             if arena.owner[v] == i:
-                for w in sorted(arena.succ(v)):
-                    if w == x:
-                        continue
-                    d = ("D", w)
-                    add(d)
-                    edges.append((s, d))
+                nxt += [state(("D", w)) for w in sorted(arena.succ(v))
+                        if w != x]
+            succ.append(nxt)
         else:
-            _, w = s
-            t = ("P", w, _constr_players(game, lam, w))
-            add(t)
-            edges.append((s, t))
-    return states, edges, roots
+            succ.append([state(("P", s[1], constr[s[1]]))])
 
+    # Rabin pairs (player, colour, is-requirement) over the reached
+    # proposals: player i sees even colour e infinitely often with nothing
+    # smaller, or an activated player j's limit colour is odd o while no
+    # deviation recurs
+    provers = [s for s in states if s[0] == "P"]
+    colours = {p: sorted({color(p, s[1]) for s in provers})
+               for p in game.players}
+    pairs = [(i, e, False) for e in colours[i] if e % 2 == 0]
+    pairs += [(j, o, True) for j in game.players for o in colours[j]
+              if o % 2 == 1 and any(j in s[2] and color(j, s[1]) == o
+                                    for s in provers)]
 
-def _rabin_pairs_game1(game, lam, i, states):
-    """Challenger's objective as Rabin pairs over the concrete states:
-    either player i wins the projection, or deviations stop and some
-    activated requirement is violated in the limit."""
-    arena = game.arena
-    players = game.players
-    colors_of = {}
-    for s in states:
-        if s[0] == "P":
-            v = s[1]
-            colors_of[s] = {p: game.payoff.color(p, v) for p in players}
-    all_colors = {p: sorted({cm[p] for cm in colors_of.values()})
-                  for p in players}
-    pairs = []
-    for e in all_colors.get(i, []):
-        if e % 2 != 0:
-            continue
-        E = {s for s, cm in colors_of.items() if cm[i] < e}
-        F = {s for s, cm in colors_of.items() if cm[i] == e}
-        if F:
-            pairs.append((E, F))
-    for j in players:
-        for o in all_colors.get(j, []):
-            if o % 2 != 1:
-                continue
-            E = set()
-            F = set()
-            for s in states:
-                if s[0] == "D":
-                    E.add(s)
-                elif s[0] == "P":
-                    if j not in s[2]:
-                        E.add(s)
-                    elif colors_of[s][j] < o:
-                        E.add(s)
-                    elif colors_of[s][j] == o:
-                        F.add(s)
-                else:
-                    if j not in s[3]:
-                        E.add(s)
-            if F:
-                pairs.append((E, F))
-    return pairs
+    def hits(s):
+        E, F = set(), set()
+        for q, (j, c, req) in enumerate(pairs):
+            if req and (s[0] == "D" or j not in s[-1]):
+                E.add(q)  # a deviation, or j not activated
+            elif s[0] == "P":
+                cj = color(j, s[1])
+                if cj < c:
+                    E.add(q)
+                elif cj == c:
+                    F.add(q)
+        return E, F
 
+    hit = [hits(s) for s in states]
+    top = 2 * len(pairs) + 2
+    ids, nodes, moves, challenger, priority = {}, [], [], [], []
 
-def _solve_game1(game, lam, i, S):
-    """Challenger-winning Prover roots of the concrete game (threshold 1),
-    via index-appearance-record reduction to parity + Zielonka."""
-    if not S:
-        return set()
-    states, edges, roots = _build_game1_arena(game, lam, i, S)
-    pairs = _rabin_pairs_game1(game, lam, i, states)
-    k = len(pairs)
-    succ = {}
-    for a, b in edges:
-        succ.setdefault(a, []).append(b)
-    hitsE = {s: tuple(j for j, (E, F) in enumerate(pairs) if s in E)
-             for s in states}
-    hitsF = {s: tuple(j for j, (E, F) in enumerate(pairs) if s in F)
-             for s in states}
-    init_rec = tuple(range(k))
+    def node(s, rec):
+        key = (s, rec)
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(key)
+            # max-parity priority from 1-based positions in the record
+            # before the update, flipped to min-parity
+            E, F = hit[s]
+            maxE = maxF = 0
+            for q, j in enumerate(rec, 1):
+                if j in E:
+                    maxE = q
+                elif j in F:
+                    maxF = q
+            priority.append(top - (2 * maxE + 1 if maxE >= maxF
+                                   else 2 * maxF))
+            challenger.append(states[s][0] != "P")
+        return ids[key]
 
-    def update(rec, s):
-        hits = set(hitsE[s])
-        front = [j for j in rec if j in hits]
-        back = [j for j in rec if j not in hits]
-        return tuple(front + back)
-
-    def priority(rec, s):
-        # 1-based positions in the record before the update; max-parity
-        # convention, flipped to min-parity at the end
-        pos = {j: q + 1 for q, j in enumerate(rec)}
-        maxE = max((pos[j] for j in hitsE[s]), default=0)
-        maxF = max((pos[j] for j in hitsF[s]), default=0)
-        raw = 2 * maxE + 1 if maxE >= maxF else 2 * maxF
-        return (2 * k + 2) - raw
-
-    prod_succ = {}
-    seeds = [(roots[v], init_rec) for v in sorted(roots)]
-    work = list(seeds)
-    seen = set(seeds)
-    while work:
-        node = work.pop()
-        s, rec = node
-        rec2 = update(rec, s)
-        outs = []
-        for t in succ.get(s, []):
-            nxt = (t, rec2)
-            outs.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-        prod_succ[node] = outs
-
-    def is_challenger(node):
-        return node[0][0] != "P"
-
-    def color(node):
-        return priority(node[1], node[0])
-
-    w0, w1, _, _ = zs.solve_parity(list(seen), prod_succ, is_challenger,
-                                   color)
-    winners = set()
-    for v, root in roots.items():
-        if (root, init_rec) in w0:
-            winners.add(v)
-    return winners
+    init = tuple(range(len(pairs)))
+    seeds = {v: node(r, init) for v, r in roots.items()}
+    for s, rec in nodes:  # grows as the walk goes
+        E = hit[s][0]
+        rec = tuple([j for j in rec if j in E]
+                    + [j for j in rec if j not in E])
+        moves.append([node(t, rec) for t in succ[s]])
+    w0, _, _, _ = zs.solve_parity(range(len(nodes)), moves,
+                                  lambda n: challenger[n],
+                                  lambda n: priority[n])
+    return {v for v, n in seeds.items() if n in w0}
 
 
 def nego_parity(game, lam):
@@ -375,7 +313,9 @@ def nego_parity(game, lam):
     by the colour-tuple SCC search: polynomial in the graph, exponential
     only in the number of players), then a Rabin solve (projection parity
     for the constrained player, or a violated limit requirement after
-    deviations stop) deciding 0 versus 1.
+    deviations stop) deciding 0 versus 1.  `_solve_game1` builds that game
+    in one walk and its index-appearance-record product in a second, over
+    int ids, and hands the product to Zielonka.
     """
     if game.mode != "parity":
         raise GameError("nego_parity needs parity mode")

@@ -218,6 +218,17 @@ def check_mp_witness(game, eps, witness, query):
     lam = witness.lam
     W = set(witness.W)
     Wp = set(witness.Wp)
+    vertices = set(arena.vertices)
+    if not vertices <= set(lam):
+        raise GameError(f"lambda misses vertex {min(vertices - set(lam))}")
+    named = {"W": W, "W'": Wp, "prover root": set(witness.prover)}
+    for what, vs in named.items():
+        if vs - vertices:
+            raise GameError(f"unknown {what} vertex {min(vs - vertices)}")
+    for tmap in witness.prover.values():
+        for v, fam in tmap.items():
+            if not fam.h:
+                raise GameError(f"empty family history at {v}")
     if not W or not (W <= Wp):
         raise GameError("need nonempty W included in W'")
     inner = {u: [w for w in arena.succ(u) if w in W] for u in W}

@@ -32,9 +32,6 @@ class RiskPartition:
     def is_pessimist(self, player):
         return player in self.pessimists
 
-    def as_pair(self):
-        return (set(self.pessimists), set(self.optimists))
-
 
 class EntropicParams:
     """Base beta > 1 (exact rational or Euler's number) and per-player risk
@@ -201,8 +198,8 @@ def _support_measures(game, edges, mode):
     """Support of the uniform profile over an edge set, from init:
     reachable terminal payoffs plus 0 when non-termination has positive
     probability.  mode picks the non-termination criterion: "chain" for
-    fully randomizing profiles, "positional" for first-visit commitment,
-    "averse" for per-visit re-randomization (same as chain)."""
+    fully randomizing profiles and per-visit re-randomization,
+    "positional" for first-visit commitment."""
     arena = game.arena
     succ = {v: [] for v in arena.vertices}
     for u, w in edges:
@@ -322,7 +319,7 @@ def xrse_constrained_optimists(game, query, partition=None):
                        for p in game.players)}
 
     def measures(es):
-        mode = "positional" if not averse else "averse"
+        mode = "positional" if not averse else "chain"
         return _extremes(game, partition, *_support_measures(game, es, mode))
 
     def frown_step(es):

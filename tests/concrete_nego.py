@@ -1,7 +1,8 @@
 """Two explicit constructions kept for inspection and tests, not used by
 any command: the reachable fragment of the concrete negotiation game
-(the solver works on `negotiation._build_game1_arena`'s compressed arena)
-and the reduced-Prover checker for parity proposals."""
+(the solver, `negotiation._solve_game1`, walks the compressed arena
+restricted to the feasible region) and the reduced-Prover checker for
+parity proposals."""
 
 from equilibra.games import GameError, eval_lasso
 from equilibra.negotiation import _constr_players, is_lambda_consistent

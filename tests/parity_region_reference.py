@@ -5,7 +5,11 @@
 # - the feasible-region fixpoint that tried every vertex subset of every
 #   SCC, for every vertex of S, in every round (exponential in the graph);
 # - the consistent-play search of equilibra.nash with its per-colour-tuple
-#   witness search, which must return the same lasso.
+#   witness search, which must return the same lasso;
+# - the three passes that built and solved the concrete parity negotiation
+#   game (`_build_game1_arena`, `_rabin_pairs_game1`, `_solve_game1` over
+#   tuple states and tuple product nodes), which the one walk of
+#   `negotiation._solve_game1` over int ids must agree with exactly.
 
 import itertools
 from fractions import Fraction
@@ -13,7 +17,8 @@ from fractions import Fraction
 from equilibra.games import Lasso
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
-from equilibra.negotiation import _parity_constraint, _strongly_connected
+from equilibra.negotiation import (_parity_constraint, _strongly_connected,
+                                   _constr_players)
 from equilibra.nash import _cycle_through
 
 
@@ -193,3 +198,174 @@ def _bfs_path_graph(succ, src, dst):
                     return list(reversed(path))
                 queue.append(w)
     return None
+
+
+# the concrete negotiation game, its Rabin pairs and their index-appearance-
+# record product, each built in its own pass
+def _build_game1_arena(game, lam, i, S):
+    """Pi-compressed concrete negotiation arena restricted to the feasible
+    region, with deviation marker states.
+
+    States: ('P', v, M) Prover proposes; ('C', v, x, M) Challenger reacts
+    to the proposed edge v->x; ('D', w) marks a deviation to w.
+    """
+    arena = game.arena
+    states = {}
+    edges = []
+    todo = []
+
+    def pstate(v):
+        return ("P", v, _constr_players(game, lam, v))
+
+    def add(s):
+        if s not in states:
+            states[s] = len(states)
+            todo.append(s)
+
+    roots = {}
+    for v in sorted(S):
+        s = pstate(v)
+        roots[v] = s
+        add(s)
+    while todo:
+        s = todo.pop()
+        kind = s[0]
+        if kind == "P":
+            _, v, M = s
+            outs = [x for x in sorted(arena.succ(v)) if x in S]
+            # feasible-region fixpoint: witnesses stay inside S, and the
+            # constrained player's vertices keep all successors inside
+            assert outs, f"feasible region starves {v}"
+            if arena.owner[v] == i:
+                assert len(outs) == len(arena.succ(v)),                     f"deviation target of {v} escapes the feasible region"
+            for x in outs:
+                t = ("C", v, x, M)
+                add(t)
+                edges.append((s, t))
+        elif kind == "C":
+            _, v, x, M = s
+            t = ("P", x, M | _constr_players(game, lam, x))
+            add(t)
+            edges.append((s, t))
+            if arena.owner[v] == i:
+                for w in sorted(arena.succ(v)):
+                    if w == x:
+                        continue
+                    d = ("D", w)
+                    add(d)
+                    edges.append((s, d))
+        else:
+            _, w = s
+            t = ("P", w, _constr_players(game, lam, w))
+            add(t)
+            edges.append((s, t))
+    return states, edges, roots
+
+
+def _rabin_pairs_game1(game, lam, i, states):
+    """Challenger's objective as Rabin pairs over the concrete states:
+    either player i wins the projection, or deviations stop and some
+    activated requirement is violated in the limit."""
+    arena = game.arena
+    players = game.players
+    colors_of = {}
+    for s in states:
+        if s[0] == "P":
+            v = s[1]
+            colors_of[s] = {p: game.payoff.color(p, v) for p in players}
+    all_colors = {p: sorted({cm[p] for cm in colors_of.values()})
+                  for p in players}
+    pairs = []
+    for e in all_colors.get(i, []):
+        if e % 2 != 0:
+            continue
+        E = {s for s, cm in colors_of.items() if cm[i] < e}
+        F = {s for s, cm in colors_of.items() if cm[i] == e}
+        if F:
+            pairs.append((E, F))
+    for j in players:
+        for o in all_colors.get(j, []):
+            if o % 2 != 1:
+                continue
+            E = set()
+            F = set()
+            for s in states:
+                if s[0] == "D":
+                    E.add(s)
+                elif s[0] == "P":
+                    if j not in s[2]:
+                        E.add(s)
+                    elif colors_of[s][j] < o:
+                        E.add(s)
+                    elif colors_of[s][j] == o:
+                        F.add(s)
+                else:
+                    if j not in s[3]:
+                        E.add(s)
+            if F:
+                pairs.append((E, F))
+    return pairs
+
+
+def _solve_game1(game, lam, i, S):
+    """Challenger-winning Prover roots of the concrete game (threshold 1),
+    via index-appearance-record reduction to parity + Zielonka."""
+    if not S:
+        return set()
+    states, edges, roots = _build_game1_arena(game, lam, i, S)
+    pairs = _rabin_pairs_game1(game, lam, i, states)
+    k = len(pairs)
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    hitsE = {s: tuple(j for j, (E, F) in enumerate(pairs) if s in E)
+             for s in states}
+    hitsF = {s: tuple(j for j, (E, F) in enumerate(pairs) if s in F)
+             for s in states}
+    init_rec = tuple(range(k))
+
+    def update(rec, s):
+        hits = set(hitsE[s])
+        front = [j for j in rec if j in hits]
+        back = [j for j in rec if j not in hits]
+        return tuple(front + back)
+
+    def priority(rec, s):
+        # 1-based positions in the record before the update; max-parity
+        # convention, flipped to min-parity at the end
+        pos = {j: q + 1 for q, j in enumerate(rec)}
+        maxE = max((pos[j] for j in hitsE[s]), default=0)
+        maxF = max((pos[j] for j in hitsF[s]), default=0)
+        raw = 2 * maxE + 1 if maxE >= maxF else 2 * maxF
+        return (2 * k + 2) - raw
+
+    prod_succ = {}
+    seeds = [(roots[v], init_rec) for v in sorted(roots)]
+    work = list(seeds)
+    seen = set(seeds)
+    while work:
+        node = work.pop()
+        s, rec = node
+        rec2 = update(rec, s)
+        outs = []
+        for t in succ.get(s, []):
+            nxt = (t, rec2)
+            outs.append(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+        prod_succ[node] = outs
+
+    def is_challenger(node):
+        return node[0][0] != "P"
+
+    def color(node):
+        return priority(node[1], node[0])
+
+    w0, w1, _, _ = zs.solve_parity(list(seen), prod_succ, is_challenger,
+                                   color)
+    winners = set()
+    for v, root in roots.items():
+        if (root, init_rec) in w0:
+            winners.add(v)
+    return winners

@@ -6,7 +6,9 @@ player, `nash._product_states` walked the product a second time, and
 and `nash.profile_outcome` had walks of their own.  Kept as the reference
 the differential tests in `tests/test_profile_product.py` compare the
 walker's readers against, and as the MDP builder of the brute-force XRSE
-oracle in `tests/test_stochastic.py`.  Only the imports are adapted."""
+oracle in `tests/test_stochastic.py`.  Only the imports are adapted, and
+`RiskPartition.as_pair()`, since deleted, is spelt out inline as the
+(pessimists, optimists) pair of sets it returned."""
 
 import itertools
 from fractions import Fraction
@@ -222,7 +224,7 @@ def best_extreme_response(game, partition, profile, player):
     """Best extreme risk the player can get against the rest of the
     profile (threshold sweep on the induced MDP)."""
     mdp = _profile_mdp(game, profile, player)
-    pair = partition.as_pair()
+    pair = (set(partition.pessimists), set(partition.optimists))
     return extreme_threshold_sweep(mdp, pair, player, mdp.arena.init)
 
 

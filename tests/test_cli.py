@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -213,6 +214,24 @@ def test_parser_built_once_per_process(capsys):
     assert cli.build_parser().parse_args(["ne-exists", "x"]).lower is None
 
 
+@functools.cache
+def sans_witness():
+    """The witness `spe-exists sans_spe --eps=1` prints, as JSON text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(["spe-exists", "sans_spe", "--eps=1"])
+    return json.dumps(json.loads(out.getvalue())["payload"]["witness"])
+
+
+# that witness made malformed
+WITNESS_EDITS = {
+    "no_lambda": lambda doc: doc["lambda"].pop("d"),
+    "empty_history": lambda doc: doc["prover"]["a"]["a"].update(h=[]),
+    "unknown_root": lambda doc: doc["prover"].update(z=doc["prover"]["a"]),
+    "unknown_w": lambda doc: (doc["W"].append("z"), doc["Wp"].append("z")),
+}
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["nego", "sans_spe", "--requirement", "{missing}"], "--requirement"),
     (["fixed-point", "fig_ne_spe", "--requirement", "{truncated}"],
@@ -267,6 +286,14 @@ def test_parser_built_once_per_process(capsys):
     (["product", "fig_first_example", "--machine", "{repeated}",
       "--leader", "square"], "transition ('q0', 'b', 'q0', 'b') is listed "
      "twice"),
+    (["spe-check-witness", "sans_spe", "--eps=1", "--witness", "{no_lambda}"],
+     "lambda misses vertex d"),
+    (["spe-check-witness", "sans_spe", "--eps=1", "--witness",
+      "{empty_history}"], "empty family history at a"),
+    (["spe-check-witness", "sans_spe", "--eps=1", "--witness",
+      "{unknown_root}"], "unknown prover root vertex z"),
+    (["spe-check-witness", "sans_spe", "--eps=1", "--witness",
+      "{unknown_w}"], "unknown W vertex z"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",
@@ -301,6 +328,11 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     repeated = json.loads(corpus.read_text("machine_1player"))
     repeated["transitions"].append(repeated["transitions"][2])
     files["repeated"].write_text(json.dumps(repeated))
+    for name, edit in WITNESS_EDITS.items():
+        doc = json.loads(sans_witness())
+        edit(doc)
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
     files["truncated"].write_text('{"a": "1", "b"')
     files["no_alpha"].write_text(json.dumps(
         {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))

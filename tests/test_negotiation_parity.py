@@ -15,7 +15,9 @@ from equilibra.games import GameError, Lasso, Arena, PayoffSpec, Game
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
                                    nego_iterate, is_eps_fixed_point,
                                    is_lambda_consistent,
-                                   parity_feasible_region, _feasible_round)
+                                   parity_feasible_region, _feasible_round,
+                                   _solve_game1)
+from equilibra import negotiation
 from equilibra.nash import Query, search_consistent_parity, val_requirement
 from equilibra.rationals import PINF, NINF
 from conftest import PLAYERS, random_parity_game
@@ -138,12 +140,10 @@ def test_concrete_arena_fig():
 
 def oracle_nego_value(game, lam, i, v0):
     """Stationary-Challenger brute force on the compressed concrete arena."""
-    from equilibra.negotiation import _build_game1_arena, \
-        parity_feasible_region, _constr_players
     S = parity_feasible_region(game, lam, i)
     if v0 not in S:
         return PINF
-    states, edges, roots = _build_game1_arena(game, lam, i, S)
+    states, edges, roots = ref._build_game1_arena(game, lam, i, S)
     succ = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)
@@ -378,11 +378,72 @@ def test_nego_parity_matches_reference_zielonka(case, data):
     solve = zs.solve_parity
 
     def reference(*args):
-        # product nodes are only partially ordered, so sorting them need
-        # not give the least successor: compare regions only
         want = zielonka_reference.solve_parity(*args)
-        assert solve(*args)[:2] == want[:2]
+        assert solve(*args) == want
         return want
 
     with mock.patch.object(zs, "solve_parity", reference):
         assert nego_parity(game, lam) == got
+
+
+# ---------------------------------------------------------------------------
+# the one walk of `_solve_game1` over int ids against the three passes over
+# tuple states it replaced (tests/parity_region_reference.py)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parity_cases(), st.data())
+def test_solve_game1_matches_reference(case, data):
+    game = case[0]
+    lam = {v: data.draw(st.sampled_from(BOOLEAN_REQUIREMENTS))
+           for v in game.arena.vertices}
+    for i in game.players:
+        S = parity_feasible_region(game, lam, i)
+        assert _solve_game1(game, lam, i, S) == \
+            ref._solve_game1(game, lam, i, S)
+    got = nego_parity(game, lam)
+    with mock.patch.object(negotiation, "_solve_game1", ref._solve_game1):
+        assert nego_parity(game, lam) == got
+
+
+def guard_games():
+    rng = random.Random(41)
+    games = [load_game("fig_ne_spe"), deviation_robust_game()[0]]
+    games += [random_parity_game(rng, n=5, players=2, max_color=3)
+              for _ in range(6)]
+    for game in games:
+        for k in range(3):
+            lam = {v: rng.choice([NINF, Fraction(0), Fraction(1)])
+                   for v in game.arena.vertices}
+            for i in game.players:
+                yield game, lam, i, parity_feasible_region(game, lam, i)
+
+
+def test_parity_constraint_read_once_per_vertex():
+    calls = mock.Mock(wraps=negotiation._parity_constraint)
+    most = 0
+    with mock.patch.object(negotiation, "_parity_constraint", calls):
+        for game, lam, i, S in guard_games():
+            calls.reset_mock()
+            _solve_game1(game, lam, i, S)
+            assert calls.call_count <= len(game.arena.vertices)
+            most = max(most, calls.call_count)
+    assert most > 0
+
+
+def test_solve_parity_gets_int_ids():
+    solve = zs.solve_parity
+    sizes = []
+
+    def spy(vertices, succ_map, is_protag, color):
+        n = len(vertices)
+        assert list(vertices) == list(range(n))
+        assert all(type(w) is int and 0 <= w < n
+                   for u in vertices for w in succ_map[u])
+        sizes.append(n)
+        return solve(vertices, succ_map, is_protag, color)
+
+    with mock.patch.object(zs, "solve_parity", spy):
+        for game, lam, i, S in guard_games():
+            _solve_game1(game, lam, i, S)
+    assert sizes and max(sizes) > 1

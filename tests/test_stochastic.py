@@ -199,7 +199,7 @@ def oracle_optimist_constrained(game, query, averse):
                for v in arena.vertices
                if not arena.is_terminal(v) and not arena.is_chance(v)):
             continue
-        mode = "averse" if averse else "positional"
+        mode = "chain" if averse else "positional"
         terms, nonterm = _support_measures(game, sorted(F), mode)
         meas = {}
         for p in game.players:
@@ -328,7 +328,7 @@ def oracle_averse_constrained(game, query):
         if any(not [w for (u, w) in F_ if u == v] for v in arena.vertices
                if not arena.is_terminal(v) and not arena.is_chance(v)):
             continue
-        tset, nonterm = _support_measures(game, sorted(F_), "averse")
+        tset, nonterm = _support_measures(game, sorted(F_), "chain")
         meas = {}
         for p in game.players:
             vals = {game.payoff.terminal_payoffs[t][p] for t in tset}

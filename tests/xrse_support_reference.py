@@ -7,8 +7,10 @@ candidate through `verify_xrse` and `induced_chain`; `_almost_sure`
 rebuilt its graph on every round.  Kept as the reference the differential
 tests in `tests/test_xrse_support.py` compare against, and as the
 almost-sure step of `tests/profile_product_reference.py`.  The function
-bodies are verbatim; only the imports are adapted, and `zs` names the old
-zerosum functions next to the unchanged ones."""
+bodies are verbatim; only the imports are adapted, `zs` names the old
+zerosum functions next to the unchanged ones, and `RiskPartition.as_pair()`,
+since deleted, is spelt out inline as the (pessimists, optimists) pair of
+sets it returned."""
 
 import itertools
 import types
@@ -301,7 +303,8 @@ def _adversarial_values(game, partition):
     for v in game.arena.vertices:
         if game.arena.is_chance(v) or game.arena.is_terminal(v):
             continue
-        out[v] = zs.extreme_adversarial_value(game, partition.as_pair(), v)
+        out[v] = zs.extreme_adversarial_value(
+            game, (set(partition.pessimists), set(partition.optimists)), v)
     return out
 
 

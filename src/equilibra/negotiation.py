@@ -9,13 +9,14 @@ points characterize (eps-)SPE outcomes.
 
 import functools
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
 from .rationals import PINF, NINF, format_ext, parse_ext
 from .games import GameError, Lasso, eval_lasso, canonical_cycle
 from . import zerosum as zs
-from ._kernels import reach, scc_of
+from ._kernels import csr, reach, scc, scc_of
 from .simplex import lex_min_vertex, OPTIMAL
 
 
@@ -399,16 +400,23 @@ def _simple_paths_from(arena, u, cap):
 
 
 def _sc_subsets(arena):
-    """Nonempty vertex sets strongly connected with at least one edge."""
-    subs = []
+    """Nonempty vertex sets strongly connected with at least one edge,
+    by size, then by sorted tuple.  Each lies inside one SCC of the arena,
+    so only subsets of an SCC are tested."""
     verts = sorted(arena.vertices)
     succ = {u: arena.succ(u) for u in verts}
-    for size in range(1, len(verts) + 1):
-        for C in itertools.combinations(verts, size):
-            Cset = set(C)
-            if _strongly_connected(Cset, succ):
-                subs.append(frozenset(Cset))
-    return subs
+    comp, _ = scc_of(verts, [(u, w) for u in verts for w in succ[u]])
+    members = {}
+    for u in verts:
+        members.setdefault(comp[u], []).append(u)
+    subs = []
+    for group in members.values():
+        for size in range(1, len(group) + 1):
+            for C in itertools.combinations(group, size):
+                if _strongly_connected(set(C), succ):
+                    subs.append(C)
+    subs.sort(key=lambda C: (len(C), C))
+    return [frozenset(C) for C in subs]
 
 
 def _connectors(arena, entries, W0, cap):
@@ -452,8 +460,9 @@ class _MpStructure:
     across requirements: simple cycles and their rotations, strongly
     connected cores with their inner cycles, connectors, the family shapes
     proposable at each vertex, cycle means, and per player the LP-vertex
-    payoffs, adversarial values and deviation arcs; plus the memo of
-    `nego_mp` on the requirement.
+    payoffs, adversarial values and deviation arcs (numbered in one
+    `_ArcTable` per player); plus the memo of `nego_mp` on the
+    requirement.
 
     It holds only a weak reference to its game, so the weak key in
     `_STRUCTURES` can die.  The entries stay valid for the game's lifetime
@@ -469,8 +478,11 @@ class _MpStructure:
         self.arena = game.arena
         self.payoff = game.payoff
         self.n = len(game.arena.vertices)
+        self.bit = {v: 1 << k for k, v in enumerate(game.arena.vertices)}
         self.nego_memo = {}
         self._shapes = {}
+        self._groups = {}
+        self._tables = {}
         self._connectors = {}
         self._means = {}
         self._lp_cache = {}
@@ -502,23 +514,56 @@ class _MpStructure:
 
     def shapes(self, u):
         """Every family shape proposable at u, whatever the requirement:
-        (h, c, W0, W, V) for a simple history h from u, a cycle rotation c
-        entered from h's last vertex, a core W0 and a connector q into it
-        from c, with W = W0 | q and V the vertices of h, c and W."""
+        (h, c, W0, W, vmask) for a simple history h from u, a cycle
+        rotation c entered from h's last vertex, a core W0 and a connector
+        q into it from c, with W = W0 | q and vmask the mask (over `bit`)
+        of V, the vertices of h, c and W.  Sorted by (h, c, sorted W),
+        stably, so that a stable sort on one player's payoff gives the
+        pool order."""
         out = self._shapes.get(u)
         if out is None:
             arena = self.arena
-            out = []
+            tails = {}
+            keyed = []
             for h in _simple_paths_from(arena, u, self.n):
                 entries = arena.succ(h[-1])
+                hmask = self.mask(h)
                 for c in self.cycles:
                     if c[0] not in entries:
                         continue
+                    hcmask = hmask | self.mask(c)
                     for W0 in self.sc_subsets:
                         for q in self.connectors(c[-1], W0):
-                            W = W0.union(q)
-                            out.append((h, c, W0, W, W.union(h, c)))
-            self._shapes[u] = out
+                            tail = tails.get((W0, q))
+                            if tail is None:
+                                W = W0.union(q)
+                                tail = tails[W0, q] = (
+                                    W, tuple(sorted(W)), self.mask(W))
+                            W, Wsorted, Wmask = tail
+                            keyed.append(((h, c, Wsorted),
+                                          (h, c, W0, W, hcmask | Wmask)))
+            keyed.sort(key=lambda k: k[0])
+            out = self._shapes[u] = [shape for _, shape in keyed]
+        return out
+
+    def mask(self, vertices):
+        """The mask of a vertex set over `bit`."""
+        m = 0
+        for x in vertices:
+            m |= self.bit[x]
+        return m
+
+    def owner_groups(self, vmask):
+        """The vertices of vmask grouped by owner, owners sorted: (owner,
+        vertices) pairs."""
+        out = self._groups.get(vmask)
+        if out is None:
+            groups = {}
+            for v in self.arena.vertices:
+                if vmask & self.bit[v]:
+                    groups.setdefault(self.arena.owner[v], []).append(v)
+            out = self._groups[vmask] = tuple(
+                (j, tuple(vs)) for j, vs in sorted(groups.items()))
         return out
 
     def connectors(self, last, W0):
@@ -535,8 +580,10 @@ class _MpStructure:
         key = (cyc, player)
         m = self._means.get(key)
         if m is None:
-            m = self._means[key] = zs.cycle_mean(
-                cyc, lambda u, v: self.payoff.reward(player, u, v))
+            table = self.table(player)
+            total = sum(table.reward[u, v]
+                        for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            m = self._means[key] = Fraction(total, len(cyc) * table.scale)
         return m
 
     def lp(self, i, W0, floors):
@@ -579,40 +626,94 @@ class _MpStructure:
             vals = self._vals[i] = zs.mp_values(self._game(), i)
         return vals
 
+    def table(self, i):
+        """Player i's `_ArcTable`."""
+        out = self._tables.get(i)
+        if out is None:
+            out = self._tables[i] = _ArcTable(self.arena, self.payoff, i)
+        return out
+
     def pre_arcs(self, i, h, c):
         """Deviation options of i before the punishing cycle: (target,
-        weight of the projected segment for i, segment edge count), as the
-        frozenset the dominance prune compares."""
+        int weight of the projected segment for i, segment edge count), as
+        a mask over i's arc table."""
         key = (i, h, c)
         out = self._pre.get(key)
         if out is not None:
             return out
         arena = self.arena
-        r = self.payoff.reward
-        arcs = set()
+        table = self.table(i)
+        r = table.reward
+        arcs = []
         walk = h + c
-        wsum = Fraction(0)
+        wsum = 0
         for k, z in enumerate(walk):
             if k > 0:
-                wsum += r(i, walk[k - 1], z)
-            if arena.owner[z] != i:
-                continue
-            for w in arena.succ(z):
-                arcs.add((w, wsum + r(i, z, w), k + 1))
-        out = self._pre[key] = frozenset(arcs)
+                wsum += r[walk[k - 1], z]
+            if arena.owner[z] == i:
+                arcs.extend((w, wsum + r[z, w], k + 1)
+                            for w in arena.succ(z))
+        out = self._pre[key] = table.mask(arcs)
         return out
 
     def post_arcs(self, i, c, W):
         """Deviation options of i after the punishing cycle: (target, mean
-        of the pumped cycle for i), as a frozenset like `pre_arcs`."""
+        of the pumped cycle for i), as a mask like `pre_arcs`."""
         key = (i, c, W)
         out = self._post.get(key)
         if out is not None:
             return out
         arena = self.arena
         m = self.mp_of(c, i)
-        out = self._post[key] = frozenset(
-            (w, m) for z in W if arena.owner[z] == i for w in arena.succ(z))
+        out = self._post[key] = self.table(i).mask(
+            [(w, m) for z in W if arena.owner[z] == i
+             for w in arena.succ(z)])
+        return out
+
+
+class _ArcTable:
+    """Player i's deviation arcs, each numbered once: a pre-cycle arc as
+    (target, weight, length), with i's rewards scaled to ints by `scale`,
+    the lcm of their denominators, and a post-cycle arc as (target, mean).
+    A set of arcs is an int mask over that numbering, so one family's
+    arcs are a subset of another's exactly when `a & ~b == 0`."""
+
+    def __init__(self, arena, payoff, i):
+        rewards = {e: payoff.reward(i, *e) for e in arena.edges}
+        self.scale = math.lcm(*(r.denominator for r in rewards.values()))
+        self.reward = {e: r.numerator * (self.scale // r.denominator)
+                       for e, r in rewards.items()}
+        self.arcs = []
+        self._ids = {}
+        self._decoded = {}
+
+    def mask(self, arcs):
+        """The mask of `arcs`, numbering each arc not seen before."""
+        out = 0
+        for a in arcs:
+            k = self._ids.get(a)
+            if k is None:
+                # numbered only once appended, so an interrupted call
+                # leaves at most an arc no mask names
+                self.arcs.append(a)
+                k = self._ids[a] = len(self.arcs) - 1
+            out |= 1 << k
+        return out
+
+    def decode(self, mask):
+        """The arcs of `mask` read back: (pre-cycle arcs, post-cycle arcs,
+        their targets)."""
+        out = self._decoded.get(mask)
+        if out is None:
+            pre, post = [], []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                a = self.arcs[low.bit_length() - 1]
+                (pre if len(a) == 3 else post).append(a)
+                rest ^= low
+            out = self._decoded[mask] = (
+                tuple(pre), tuple(post), frozenset(a[0] for a in pre + post))
         return out
 
 
@@ -632,8 +733,10 @@ class _MpContext:
         self.i = i
         self.arena = game.arena
         self.shared = _mp_structure(game)
+        self.table = self.shared.table(i)
         self._pools = {}
         self._min_accept = {}
+        self._deviations = {}
 
     def pool(self, u):
         """Candidate families proposable at u, sorted by (acceptance for
@@ -642,30 +745,41 @@ class _MpContext:
         payoff."""
         if u in self._pools:
             return self._pools[u]
-        arena = self.arena
+        shared = self.shared
+        i = self.i
         lam = self.lam
-        blocked = {x for x in arena.vertices if lam[x] == PINF}
+        blocked = shared.mask(x for x in self.arena.vertices
+                              if lam[x] == PINF)
+        floors_of = {}
         cands = []
-        for h, c, W0, W, V in self.shared.shapes(u):
-            if not blocked.isdisjoint(V):
+        for h, c, W0, W, vmask in shared.shapes(u):
+            if vmask & blocked:
                 continue
             # the LP floors take the max of lambda per owner over h, c and
             # W, which is exactly family consistency
-            floors = {}
-            for x in V:
-                if lam[x] == NINF:
-                    continue
-                j = arena.owner[x]
-                f = floors.get(j)
-                if f is None or lam[x] > f:
-                    floors[j] = lam[x]
-            res = self.shared.lp(self.i, W0, tuple(sorted(floors.items())))
+            floors = floors_of.get(vmask)
+            if floors is None:
+                floors = floors_of[vmask] = _floors(
+                    lam, shared.owner_groups(vmask))
+            res = shared.lp(i, W0, floors)
             if res is not None:
-                cands.append(Family(h, c, W, W0, *res))
-        cands.sort(key=lambda f: (f.xbar[self.i], f.h, f.c,
-                                  tuple(sorted(f.W))))
-        pool = self._prune_dominated(cands)
-        self._min_accept[u] = (pool[0].xbar[self.i] if pool else PINF)
+                cands.append((_order_key(res[0][i]), res, h, c, W0, W))
+        # the shapes come sorted by (h, c, sorted W)
+        cands.sort(key=lambda cand: cand[0])
+        # an earlier family dominates a later one as soon as its deviation
+        # arcs are a subset of the later one's (equal arcs included)
+        pool = []
+        kept = []
+        for _, res, h, c, W0, W in cands:
+            arcs = shared.pre_arcs(i, h, c) | shared.post_arcs(i, c, W)
+            outside = ~arcs
+            for other in kept:
+                if not other & outside:
+                    break
+            else:
+                kept.append(arcs)
+                pool.append(Family(h, c, W, W0, *res))
+        self._min_accept[u] = (pool[0].xbar[i] if pool else PINF)
         self._pools[u] = pool
         return pool
 
@@ -679,102 +793,165 @@ class _MpContext:
         for every requirement (monotonicity from the vacuous one)."""
         return self.shared.values(self.i)[u]
 
+    def deviations(self, fam):
+        """fam's deviation arcs for i, read back through i's arc table:
+        (pre-cycle arcs (target, int weight, length), post-cycle arcs
+        (target, mean), targets)."""
+        out = self._deviations.get(fam)
+        if out is None:
+            shared = self.shared
+            out = self._deviations[fam] = self.table.decode(
+                shared.pre_arcs(self.i, fam.h, fam.c)
+                | shared.post_arcs(self.i, fam.c, fam.W))
+        return out
+
     def targets(self, fam):
-        t = {w for (w, _, _) in self.pre_arcs(fam)}
-        t |= {w for (w, _) in self.post_arcs(fam)}
-        return t
-
-    def _prune_dominated(self, pool):
-        """The families no earlier kept one dominates.  The pool comes
-        sorted by xbar[i], so an earlier family dominates as soon as its
-        deviation arcs are subsets of the later one's (equal arcs
-        included)."""
-        kept = []
-        sigs = []
-        for fam in pool:
-            pre, post = self.pre_arcs(fam), self.post_arcs(fam)
-            if not any(pre2 <= pre and post2 <= post for pre2, post2 in sigs):
-                kept.append(fam)
-                sigs.append((pre, post))
-        return kept
-
-    def pre_arcs(self, fam):
-        return self.shared.pre_arcs(self.i, fam.h, fam.c)
-
-    def post_arcs(self, fam):
-        return self.shared.post_arcs(self.i, fam.c, fam.W)
+        return self.deviations(fam)[2]
 
 
-def _assignment_value(ctx, root, assignment, cheap=False):
-    """Challenger's exact best value against a (possibly partial) Prover
-    map: best reachable acceptance, best deviation cycle without
-    post-cycle deviations (exact mean), best min-pumped cycle.  Unassigned
-    reachable vertices contribute their pool's least acceptance, which
-    lower-bounds every completion.  cheap=True skips the cycle analysis
-    (still a lower bound)."""
-    reach = {root}
+def _order_key(x):
+    """A sort key that orders Fractions as they are: floor(x * 2**32),
+    compared as an int, decides all but near-equal pairs without a
+    Fraction comparison."""
+    return (x.numerator << 32) // x.denominator, x
+
+
+def _floors(lam, groups):
+    """Sorted (player, floor) pairs: the max finite requirement of each
+    player's vertices among `groups`."""
+    out = []
+    for j, vs in groups:
+        levels = [lam[x] for x in vs if lam[x] != NINF]
+        if levels:
+            out.append((j, max(levels)))
+    return tuple(out)
+
+
+def _challenger_reach(ctx, root, assignment):
+    """The best acceptance the Challenger is offered and the vertices
+    reached from root along the deviation arcs of the assigned families.
+    An unassigned vertex offers its pool's least acceptance, which
+    lower-bounds every completion, and is not left."""
+    reached = {root}
     stack = [root]
-    arcs = []
-    accepts = []
+    best = None
     while stack:
         u = stack.pop()
         fam = assignment.get(u)
         if fam is None:
-            accepts.append(ctx.min_accept(u))
-            continue
-        accepts.append(fam.xbar[ctx.i])
-        for (w, wt, ln) in ctx.pre_arcs(fam):
-            arcs.append(("pre", u, w, wt, ln))
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-        for (w, m) in ctx.post_arcs(fam):
-            arcs.append(("post", u, w, m))
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if not accepts:
-        return NINF, frozenset(reach)
-    best = max(accepts)
-    if cheap:
-        return best, frozenset(reach)
-    # (b): cycles using only pre-deviation arcs; expand to unit edges
-    nodes = {u: k for k, u in enumerate(sorted(reach))}
+            x = ctx.min_accept(u)
+        else:
+            x = fam.xbar[ctx.i]
+            for w in ctx.targets(fam):
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if best is None or x > best:
+            best = x
+    return best, reached
+
+
+def _leaf_graph(ctx, assignment, reached):
+    """The deviation arcs of a complete assignment on int nodes, one per
+    reached vertex: (pre-cycle arcs (u, w, int weight, length),
+    post-cycle arcs (u, w, mean))."""
+    node = {u: k for k, u in enumerate(reached)}
+    pre, post = [], []
+    for u in reached:
+        k = node[u]
+        fam_pre, fam_post, _ = ctx.deviations(assignment[u])
+        pre += [(k, node[w], wt, ln) for w, wt, ln in fam_pre]
+        post += [(k, node[w], m) for w, m in fam_post]
+    return pre, post
+
+
+def _assignment_value(ctx, root, assignment):
+    """Challenger's exact best value against a complete Prover map: the
+    best reached acceptance, the best mean of a cycle of pre-cycle
+    deviations (Karp, each arc of length ln cut into ln unit edges), and
+    the best min-pumped mean of a cycle through post-cycle deviations."""
+    best, reached = _challenger_reach(ctx, root, assignment)
+    pre, post = _leaf_graph(ctx, assignment, reached)
     unit = []
-    extra = len(nodes)
-    for a in arcs:
-        if a[0] != "pre":
-            continue
-        _, u, w, wt, ln = a
-        prev = nodes[u]
-        for step in range(ln - 1):
+    extra = len(reached)
+    for u, w, wt, ln in pre:
+        prev = u
+        for _ in range(ln - 1):
             unit.append((prev, extra, 0))
             prev = extra
             extra += 1
-        unit.append((prev, nodes[w], wt))
+        unit.append((prev, w, wt))
     val = zs.karp_max_mean(extra, unit)
-    if val is not None and val > best:
-        best = val
-    # (c): cycles through post arcs, value = min pumped mean on the cycle
-    post_means = sorted({a[3] for a in arcs if a[0] == "post"}, reverse=True)
-    for m in post_means:
+    if val is not None:
+        val /= ctx.table.scale
+        if val > best:
+            best = val
+    # the best post mean m on a cycle of pre arcs and post arcs of mean >= m
+    for m in sorted({m for _, _, m in post}, reverse=True):
         if m <= best:
             break
-        edges = set()
-        posts = []
-        for a in arcs:
-            if a[0] == "pre":
-                edges.add((nodes[a[1]], nodes[a[2]]))
-            elif a[3] >= m:
-                edges.add((nodes[a[1]], nodes[a[2]]))
-                posts.append((nodes[a[1]], nodes[a[2]]))
-        comp, _ = scc_of(range(len(nodes)), sorted(edges))
-        for (pu, pw) in posts:
-            if comp[pu] == comp[pw]:
-                if m > best:
-                    best = m
-                break
-    return best, frozenset(reach)
+        if _on_cycle(len(reached), pre, post, lambda x: x >= m):
+            best = m
+            break
+    return best
+
+
+def _on_cycle(n, pre, post, hot):
+    """Whether a post-cycle arc whose mean passes `hot` lies on a cycle of
+    pre-cycle arcs and such post-cycle arcs."""
+    posts = [(u, w) for u, w, m in post if hot(m)]
+    if not posts:
+        return False
+    comp, _ = scc(n, *csr(n, [(u, w) for u, w, _, _ in pre] + posts))
+    return any(comp[u] == comp[w] for u, w in posts)
+
+
+def _leaf_reaches(ctx, assignment, reached, accept, t, strict):
+    """Whether the Challenger's value against a complete assignment is at
+    least t (above t when `strict`), without computing it: some reached
+    acceptance `accept` passes t, some cycle of pre-cycle arcs has a mean
+    that does (`_ratio_cycle_reaches`), or some post-cycle arc of a mean
+    that does lies on a cycle of pre-cycle arcs and such post-cycle arcs
+    (`_on_cycle`).  The value is finite at a leaf."""
+    if t == PINF or t == NINF:
+        return t == NINF
+    passes = (lambda x: x > t) if strict else (lambda x: x >= t)
+    if passes(accept):
+        return True
+    pre, post = _leaf_graph(ctx, assignment, reached)
+    n = len(reached)
+    return (_on_cycle(n, pre, post, passes)
+            or _ratio_cycle_reaches(n, pre, ctx.table.scale, t, strict))
+
+
+def _ratio_cycle_reaches(n, arcs, scale, t, strict):
+    """Whether some cycle of (u, w, weight, length) arcs on nodes 0..n-1
+    has sum(weight) / (scale * sum(length)) at least t (above t when
+    `strict`).  With t = p/q that is a cycle of positive gain (of gain at
+    least 0) for the int gains q*weight - p*scale*length, found by
+    Bellman-Ford from every node at once (Lawler's parametric test)."""
+    p, q = t.numerator, t.denominator
+    ps = p * scale
+    if strict:
+        gains = [(u, w, q * wt - ps * ln) for u, w, wt, ln in arcs]
+    else:
+        # a simple cycle has at most n arcs, so (n+1)g + 1 sums to a
+        # positive total around it exactly when g sums to at least 0
+        gains = [(u, w, (n + 1) * (q * wt - ps * ln) + 1)
+                 for u, w, wt, ln in arcs]
+    if all(g <= 0 for _, _, g in gains):
+        return False
+    dist = [0] * n
+    for _ in range(n):
+        changed = False
+        for u, w, g in gains:
+            d = dist[u] + g
+            if d > dist[w]:
+                dist[w] = d
+                changed = True
+        if not changed:
+            return False
+    return True
 
 
 def _greedy_assignment(ctx, root):
@@ -782,8 +959,8 @@ def _greedy_assignment(ctx, root):
     family; gives an achievable initial bound (or None on an empty pool)."""
     assignment = {}
     while True:
-        _, reach = _assignment_value(ctx, root, assignment, cheap=True)
-        pending = [u for u in sorted(reach) if u not in assignment]
+        _, reached = _challenger_reach(ctx, root, assignment)
+        pending = [u for u in sorted(reached) if u not in assignment]
         if not pending:
             return assignment
         for u in pending:
@@ -799,68 +976,79 @@ def _mp_value_at(ctx, root, stop_at=None):
     over per-vertex proposal pools.  With `stop_at` the search
     short-circuits on the first strategy at or below that bound and
     returns it (witness extraction)."""
-    best_holder = [PINF]
-    best_assign = [None]
     lb = ctx.min_accept(root)
     vlb = ctx.val_lb(root)
     if vlb > lb:
         lb = vlb
-
+    search = _Search(ctx, root, stop_at, lb)
     greedy = _greedy_assignment(ctx, root)
     if greedy is not None:
-        val, _ = _assignment_value(ctx, root, greedy)
-        best_holder[0] = val
-        best_assign[0] = dict(greedy)
+        val = _assignment_value(ctx, root, greedy)
         if stop_at is not None and val <= stop_at:
             return val, greedy
+        search.best, search.best_assign = val, dict(greedy)
+    if search.best > lb:
+        search.rec({}, {root})
+    return search.best, search.best_assign
 
-    def bound():
-        if stop_at is None:
-            return best_holder[0]
-        return min(best_holder[0], stop_at + 1)
 
-    def rec(assignment, needed):
-        # cheap bound (accepts + length-2 deviation cycles) prunes most
-        # branches; the exact cycle analysis runs at leaves only
-        cheap_val, reach = _assignment_value(ctx, root, assignment,
-                                             cheap=True)
+class _Search:
+    """The branch and bound of `_mp_value_at` and its incumbent.  It is an
+    object rather than a closure that calls itself: such a closure is a
+    reference cycle, which keeps the view, its game and the game's
+    structure alive until the cyclic collector runs."""
+
+    def __init__(self, ctx, root, stop_at, lb):
+        self.ctx = ctx
+        self.root = root
+        self.stop_at = stop_at
+        self.lb = lb
+        self.best = PINF
+        self.best_assign = None
+
+    def bound(self):
+        if self.stop_at is None:
+            return self.best
+        return min(self.best, self.stop_at + 1)
+
+    def rec(self, assignment, needed):
+        ctx, stop_at = self.ctx, self.stop_at
+        # the best acceptance bounds every completion and prunes most
+        # branches; the cycles count at leaves only
+        accept, reached = _challenger_reach(ctx, self.root, assignment)
         if stop_at is None:
-            if cheap_val >= best_holder[0]:
+            if accept >= self.best:
                 return False
-        elif cheap_val > stop_at:
+        elif accept > stop_at:
             return False
-        pending = sorted((u for u in (needed & reach)
+        pending = sorted((u for u in (needed & reached)
                           if u not in assignment),
                          key=lambda u: (len(ctx.pool(u)), u))
         if not pending:
             # every leaf is a distinct assignment: the branching vertex is
-            # a function of the assignment and siblings differ there
-            val, _ = _assignment_value(ctx, root, assignment)
-            if stop_at is None and val >= best_holder[0]:
+            # a function of the assignment and siblings differ there.  The
+            # exact value is needed only at a leaf that beats the
+            # incumbent, or that is at or below stop_at
+            if stop_at is None:
+                if _leaf_reaches(ctx, assignment, reached, accept,
+                                 self.best, strict=False):
+                    return False
+            elif _leaf_reaches(ctx, assignment, reached, accept, stop_at,
+                               strict=True):
                 return False
-            if stop_at is not None and val > stop_at:
-                return False
-            if val < best_holder[0]:
-                best_holder[0] = val
-                best_assign[0] = dict(assignment)
-            return (stop_at is not None and val <= stop_at) \
-                or best_holder[0] <= lb
+            self.best = _assignment_value(ctx, self.root, assignment)
+            self.best_assign = dict(assignment)
+            return stop_at is not None or self.best <= self.lb
         u = pending[0]
         for fam in ctx.pool(u):
-            if fam.xbar[ctx.i] >= bound():
+            if fam.xbar[ctx.i] >= self.bound():
                 break
             assignment[u] = fam
-            if rec(assignment, needed | ctx.targets(fam)):
+            if self.rec(assignment, needed | ctx.targets(fam)):
                 del assignment[u]
                 return True
             del assignment[u]
         return False
-
-    if stop_at is not None and best_holder[0] <= stop_at:
-        return best_holder[0], best_assign[0]
-    if best_holder[0] > lb:
-        rec({}, {root})
-    return best_holder[0], best_assign[0]
 
 
 def nego_mp(game, lam):

@@ -227,6 +227,8 @@ def check_mp_witness(game, eps, witness, query):
             raise GameError(f"unknown {what} vertex {min(vs - vertices)}")
     for tmap in witness.prover.values():
         for v, fam in tmap.items():
+            if v not in vertices:
+                raise GameError(f"unknown prover map vertex {v}")
             if not fam.h:
                 raise GameError(f"empty family history at {v}")
     if not W or not (W <= Wp):

@@ -5,22 +5,39 @@
 # values and assignments (tests/test_negotiation_mp.py).  Around the loop,
 # the structure it read is kept too: simple histories per call, cycle
 # rotations and core cycles from their own `simple_cycles` runs, deviation
-# arcs as sorted lists, the `Family.key` dedupe and the search's leaf memo.
-# Cores, connectors, LPs and the leaf evaluation are the package's.
+# arcs as sorted lists of Fraction-weighted tuples, the `Family.key` dedupe
+# and the search's leaf memo; cores from the test of every vertex subset;
+# cycle means summed in Fractions; and the leaf evaluation, an exact Karp on
+# the dummy-node expansion at every leaf, with the greedy assignment that
+# reads it.  Connectors and LPs are the package's.
 
 import functools
+import itertools
 from fractions import Fraction
 
 from equilibra import zerosum as zs
+from equilibra._kernels import scc_of
 from equilibra.negotiation import (Family, _MpContext, _MpStructure,
-                                   _assignment_value, _greedy_assignment,
-                                   _simple_paths_from)
+                                   _simple_paths_from, _strongly_connected)
 from equilibra.rationals import NINF, PINF
 
 
 def family_key(fam):
     return (fam.h, fam.c, tuple(sorted(fam.W)),
             tuple(sorted(fam.xbar.items())))
+
+
+def _sc_subsets(arena):
+    """Nonempty vertex sets strongly connected with at least one edge."""
+    subs = []
+    verts = sorted(arena.vertices)
+    succ = {u: arena.succ(u) for u in verts}
+    for size in range(1, len(verts) + 1):
+        for C in itertools.combinations(verts, size):
+            Cset = set(C)
+            if _strongly_connected(Cset, succ):
+                subs.append(frozenset(Cset))
+    return subs
 
 
 def _all_cycle_seqs(arena):
@@ -41,6 +58,18 @@ class ReferenceStructure(_MpStructure):
     @functools.cached_property
     def cycles(self):
         return _all_cycle_seqs(self.arena)
+
+    @functools.cached_property
+    def sc_subsets(self):
+        return _sc_subsets(self.arena)
+
+    def mp_of(self, cyc, player):
+        key = (cyc, player)
+        m = self._means.get(key)
+        if m is None:
+            m = self._means[key] = zs.cycle_mean(
+                cyc, lambda u, v: self.payoff.reward(player, u, v))
+        return m
 
     @functools.cached_property
     def scyc(self):
@@ -157,6 +186,17 @@ class ReferenceContext(_MpContext):
         self._pools[u] = pool
         return pool
 
+    def targets(self, fam):
+        t = {w for (w, _, _) in self.pre_arcs(fam)}
+        t |= {w for (w, _) in self.post_arcs(fam)}
+        return t
+
+    def pre_arcs(self, fam):
+        return self.shared.pre_arcs(self.i, fam.h, fam.c)
+
+    def post_arcs(self, fam):
+        return self.shared.post_arcs(self.i, fam.c, fam.W)
+
     def _prune_dominated(self, pool):
         kept = []
         sigs = []
@@ -178,6 +218,94 @@ class ReferenceContext(_MpContext):
                 sigs.append(key)
                 seen_sigs.add(key)
         return kept
+
+
+def _assignment_value(ctx, root, assignment, cheap=False):
+    """Challenger's exact best value against a (possibly partial) Prover
+    map: best reachable acceptance, best deviation cycle without
+    post-cycle deviations (exact mean), best min-pumped cycle.  Unassigned
+    reachable vertices contribute their pool's least acceptance, which
+    lower-bounds every completion.  cheap=True skips the cycle analysis
+    (still a lower bound)."""
+    reach = {root}
+    stack = [root]
+    arcs = []
+    accepts = []
+    while stack:
+        u = stack.pop()
+        fam = assignment.get(u)
+        if fam is None:
+            accepts.append(ctx.min_accept(u))
+            continue
+        accepts.append(fam.xbar[ctx.i])
+        for (w, wt, ln) in ctx.pre_arcs(fam):
+            arcs.append(("pre", u, w, wt, ln))
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+        for (w, m) in ctx.post_arcs(fam):
+            arcs.append(("post", u, w, m))
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if not accepts:
+        return NINF, frozenset(reach)
+    best = max(accepts)
+    if cheap:
+        return best, frozenset(reach)
+    # (b): cycles using only pre-deviation arcs; expand to unit edges
+    nodes = {u: k for k, u in enumerate(sorted(reach))}
+    unit = []
+    extra = len(nodes)
+    for a in arcs:
+        if a[0] != "pre":
+            continue
+        _, u, w, wt, ln = a
+        prev = nodes[u]
+        for step in range(ln - 1):
+            unit.append((prev, extra, 0))
+            prev = extra
+            extra += 1
+        unit.append((prev, nodes[w], wt))
+    val = zs.karp_max_mean(extra, unit)
+    if val is not None and val > best:
+        best = val
+    # (c): cycles through post arcs, value = min pumped mean on the cycle
+    post_means = sorted({a[3] for a in arcs if a[0] == "post"}, reverse=True)
+    for m in post_means:
+        if m <= best:
+            break
+        edges = set()
+        posts = []
+        for a in arcs:
+            if a[0] == "pre":
+                edges.add((nodes[a[1]], nodes[a[2]]))
+            elif a[3] >= m:
+                edges.add((nodes[a[1]], nodes[a[2]]))
+                posts.append((nodes[a[1]], nodes[a[2]]))
+        comp, _ = scc_of(range(len(nodes)), sorted(edges))
+        for (pu, pw) in posts:
+            if comp[pu] == comp[pw]:
+                if m > best:
+                    best = m
+                break
+    return best, frozenset(reach)
+
+
+def _greedy_assignment(ctx, root):
+    """Close the deviation reachability with each vertex's least-acceptance
+    family; gives an achievable initial bound (or None on an empty pool)."""
+    assignment = {}
+    while True:
+        _, reach = _assignment_value(ctx, root, assignment, cheap=True)
+        pending = [u for u in sorted(reach) if u not in assignment]
+        if not pending:
+            return assignment
+        for u in pending:
+            pool = ctx.pool(u)
+            if not pool:
+                return None
+            assignment[u] = pool[0]
 
 
 def mp_value_at(ctx, root, stop_at=None):

@@ -229,6 +229,8 @@ WITNESS_EDITS = {
     "empty_history": lambda doc: doc["prover"]["a"]["a"].update(h=[]),
     "unknown_root": lambda doc: doc["prover"].update(z=doc["prover"]["a"]),
     "unknown_w": lambda doc: (doc["W"].append("z"), doc["Wp"].append("z")),
+    "unknown_key": lambda doc: doc["prover"]["a"].update(
+        z=dict(doc["prover"]["a"]["a"], h=["z"])),
 }
 
 
@@ -294,6 +296,8 @@ WITNESS_EDITS = {
       "{unknown_root}"], "unknown prover root vertex z"),
     (["spe-check-witness", "sans_spe", "--eps=1", "--witness",
       "{unknown_w}"], "unknown W vertex z"),
+    (["spe-check-witness", "sans_spe", "--eps=1", "--witness",
+      "{unknown_key}"], "unknown prover map vertex z"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import mp_pool_reference as ref
 
 from equilibra import negotiation
+from equilibra import zerosum as zs
 from equilibra.corpus import load_game
 from equilibra.games import (Arena, Game, GameError, PayoffSpec, parse_game,
                              serialize_game)
@@ -105,8 +107,8 @@ def cold_copy(game):
 
 # (n, seeds), three games per size, about two seconds in all.  Among the
 # first seeds, n=4 seed 2 and n=5 seeds 1 and 6 cost 2-10 s each in the
-# tests below, and n=5 seed 0 more than 15 s: nine-edge games whose
-# branch-and-bound leaves are the cost ROADMAP item 4 is about
+# tests below, and n=5 seed 0 more than 15 s, when every branch-and-bound
+# leaf ran Karp; n=5 seed 0 still runs 70k leaf threshold tests
 SMALL_MP_SEEDS = {3: (0, 1, 2), 4: (0, 1, 3), 5: (2, 3, 4)}
 
 
@@ -318,3 +320,128 @@ def test_pools_and_search_match_reference(game, data):
                     assert sorted(got) == sorted(want)
                     assert described(got[u] for u in sorted(got)) == \
                         described(want[u] for u in sorted(want))
+
+
+@st.composite
+def arenas(draw):
+    """An arena of 1-6 vertices: a tree of edges from the first vertex, a
+    successor for each vertex without one, and up to eight more edges, so
+    that it often falls into several SCCs."""
+    n = draw(st.integers(1, 6))
+    vertices = [f"v{k}" for k in range(n)]
+    edges = {(draw(st.sampled_from(vertices[:k])), vertices[k])
+             for k in range(1, n)}
+    edges |= {(v, draw(st.sampled_from(vertices))) for v in vertices
+              if all(u != v for u, _ in edges)}
+    edges |= set(draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                         st.sampled_from(vertices)),
+                               max_size=8)))
+    owner = {v: "circle" for v in vertices}
+    return Arena(["circle"], vertices, owner, sorted(edges),
+                 init=vertices[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(arenas())
+def test_sc_subsets_match_every_subset_enumeration(arena):
+    assert negotiation._sc_subsets(arena) == ref._sc_subsets(arena)
+
+
+@st.composite
+def ratio_graphs(draw):
+    """A multigraph on 1-5 nodes whose arcs carry a Fraction weight (mixed
+    denominators) and a length of 1-3.  Nodes fall into blocks and arcs
+    never go back to an earlier block, so there are often several SCCs;
+    some graphs keep only forward arcs and are acyclic."""
+    n = draw(st.integers(1, 5))
+    block = sorted(draw(st.lists(st.integers(0, 2), min_size=n,
+                                 max_size=n)))
+    acyclic = draw(st.booleans())
+    node = st.integers(0, n - 1)
+    weight = st.builds(Fraction, st.integers(-6, 6),
+                       st.sampled_from([1, 2, 3, 4, 6]))
+    arcs = draw(st.lists(st.tuples(node, node, weight, st.integers(1, 3)),
+                         max_size=10))
+    return n, [(u, w, wt, ln) for u, w, wt, ln in arcs
+               if (u < w if acyclic else block[u] <= block[w])]
+
+
+def expanded_max_mean(n, arcs):
+    """Karp's maximum cycle mean, each arc of length ln cut into ln unit
+    edges through ln - 1 dummy nodes; None when acyclic."""
+    unit = []
+    extra = n
+    for u, w, wt, ln in arcs:
+        prev = u
+        for _ in range(ln - 1):
+            unit.append((prev, extra, Fraction(0)))
+            prev = extra
+            extra += 1
+        unit.append((prev, w, wt))
+    return zs.karp_max_mean(extra, unit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio_graphs(), st.data())
+def test_ratio_cycle_test_matches_karp(graph, data):
+    n, arcs = graph
+    best = expanded_max_mean(n, arcs)
+    # thresholds at the graph's own cycle means (the best mean of every
+    # prefix of the arcs is one), so that ties at exactly t come up
+    means = {expanded_max_mean(n, arcs[:k]) for k in range(len(arcs) + 1)}
+    means.discard(None)
+    t = data.draw(st.sampled_from(sorted(means)) if means and
+                  data.draw(st.booleans())
+                  else st.builds(Fraction, st.integers(-8, 8),
+                                 st.integers(1, 5)))
+    scale = math.lcm(*(wt.denominator for _, _, wt, _ in arcs))
+    scaled = [(u, w, int(wt * scale), ln) for u, w, wt, ln in arcs]
+    assert negotiation._ratio_cycle_reaches(n, scaled, scale, t, False) \
+        == (best is not None and best >= t)
+    assert negotiation._ratio_cycle_reaches(n, scaled, scale, t, True) \
+        == (best is not None and best > t)
+
+
+def test_exact_leaf_values_only_where_the_search_moves(monkeypatch):
+    # the exact value is computed for the greedy assignment, for a leaf
+    # that beats the incumbent, and for the leaf a witness search accepts;
+    # every other leaf is decided by the threshold test alone
+    values = []
+    tests = []
+    exact, reaches = negotiation._assignment_value, negotiation._leaf_reaches
+
+    def counting_exact(ctx, root, assignment):
+        values.append(exact(ctx, root, assignment))
+        return values[-1]
+
+    def counting_test(*args, **kwargs):
+        tests.append(1)
+        return reaches(*args, **kwargs)
+
+    monkeypatch.setattr(negotiation, "_assignment_value", counting_exact)
+    monkeypatch.setattr(negotiation, "_leaf_reaches", counting_test)
+    # the two random games reach hundreds of leaves between them
+    games = [load_game(name) for name in MP_CORPUS] + [
+        random_mp_game(random.Random(402), n=4),
+        random_mp_game(random.Random(501), n=5)]
+    calls = 0
+    for game in games:
+        seq, _ = nego_iterate(game, max_iters=4)
+        for lam in seq:
+            for i in game.players:
+                ctx = _MpContext(game, lam, i)
+                for v in game.arena.vertices:
+                    if game.arena.owner[v] != i:
+                        continue
+                    values.clear()
+                    val, _ = _mp_value_at(ctx, v)
+                    calls += len(values)
+                    assert all(b < a for a, b in zip(values, values[1:]))
+                    assert values[-1:] in ([], [val])
+                    for stop in STOPS:
+                        values.clear()
+                        _mp_value_at(ctx, v, stop_at=stop)
+                        calls += len(values)
+                        assert len(values) <= 2
+                        assert all(x > stop for x in values[:-1])
+    assert len(tests) > 2 * calls

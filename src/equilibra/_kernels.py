@@ -1,8 +1,10 @@
-"""Graph kernels: reachability, attractors and strongly connected components.
+"""Graph kernels: reachability, attractors, strongly connected components
+and simple paths.
 
 `reachable`, `attractor` and `scc` work on CSR arrays over int vertex ids
 (`csr` builds them); `IndexedGraph` maps named vertices onto those arrays.
-`scc_of` and `reach` take named (any hashable) vertices directly.
+`scc_of`, `reach` and `simple_paths` take named (any hashable) vertices
+directly.
 
 `attractor`, the package's only attractor, works inside a 0/1 sub-game mask
 and ranks the vertices in the order they join, which gives the coalition's
@@ -150,6 +152,29 @@ def reach(succ, sources, within=None):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def simple_paths(succ, start, stop=()):
+    """Every simple path from `start` along `succ` (a function from a
+    vertex to its successors), as a tuple, in depth-first preorder with
+    successors in sorted order.  A path that reaches a vertex of `stop` is
+    yielded but not extended."""
+    path = (start,)
+    yield path
+    if start in stop:
+        return
+    stack = [(path, iter(sorted(succ(start))))]
+    while stack:
+        path, ahead = stack[-1]
+        for w in ahead:
+            if w not in path:
+                longer = path + (w,)
+                yield longer
+                if w not in stop:
+                    stack.append((longer, iter(sorted(succ(w)))))
+                    break
+        else:
+            stack.pop()
 
 
 class IndexedGraph:

@@ -13,7 +13,7 @@ from .games import (GameError, Lasso, eval_lasso, payoff_vector, cycle_id,
                     CHANCE, TERMINAL, profile_product, product_chain,
                     induced_chain, chain_hit_probabilities)
 from . import zerosum as zs
-from ._kernels import scc_of
+from ._kernels import scc_of, simple_paths
 from .negotiation import (is_lambda_consistent, parity_components,
                           _mp_structure)
 from .simplex import lp_feasible
@@ -153,7 +153,10 @@ def search_consistent_combo(game, lam, query):
         if any(lam[u] == PINF for u in W0):
             continue
         cycles = shared.scyc[W0]
-        for path in _paths_into(arena, v0, W0):
+        # simple paths from v0 whose last vertex is the first inside W0
+        for path in simple_paths(arena.succ, v0, W0):
+            if path[-1] not in W0:
+                continue
             Wp = W0 | set(path)
             if any(lam[u] == PINF for u in Wp):
                 continue
@@ -181,27 +184,6 @@ def search_consistent_combo(game, lam, query):
             return {"W": sorted(W0), "Wp": sorted(Wp), "alpha": combos,
                     "payoffs": payoffs, "lasso": lasso}
     return None
-
-
-def _paths_into(arena, v0, W0):
-    """Simple paths from v0 whose last vertex is the first inside W0."""
-    if v0 in W0:
-        yield (v0,)
-        return
-    out = []
-
-    def dfs(path):
-        for w in sorted(arena.succ(path[-1])):
-            if w in W0:
-                out.append(tuple(path) + (w,))
-            elif w not in path and w not in W0 and len(path) < len(
-                    arena.vertices):
-                path.append(w)
-                dfs(path)
-                path.pop()
-
-    dfs([v0])
-    yield from out
 
 
 def _combo_feasible(game, cycles, lo, hi):
@@ -373,9 +355,8 @@ def _energy_feasible(game, player, product, start):
                 seen.add(state)
                 stack.append(state)
     # cycle detection over the saturated state graph
-    graph = {}
+    edges = []
     for (node, e) in seen:
-        outs = []
         for nxt, _ in product[node]:
             e2 = e + rewards[(node, nxt)]
             if e2 < 0:
@@ -383,18 +364,9 @@ def _energy_feasible(game, player, product, start):
             if e2 > bound:
                 e2 = bound
             if (nxt, e2) in seen:
-                outs.append((nxt, e2))
-        graph[(node, e)] = outs
-    order = sorted(graph, key=str)
-    comp, _ = scc_of(order, [(s, t) for s in order for t in graph[s]])
-    sizes = {}
-    for s in order:
-        sizes[comp[s]] = sizes.get(comp[s], 0) + 1
-    for s in order:
-        c = comp[s]
-        if sizes[c] > 1 or s in graph[s]:
-            return True
-    return False
+                edges.append(((node, e), (nxt, e2)))
+    comp, _ = scc_of(seen, edges)
+    return any(comp[s] == comp[t] for s, t in edges)
 
 
 def verify_ne_energy(game, profile):
@@ -445,17 +417,12 @@ def _best_parity(game, i, product):
     for e in (c for c in colors if c % 2 == 0):
         keep = [s for s in order if game.payoff.color(i, s[0]) >= e]
         kset = set(keep)
-        inner = {s: [t for t, _ in product[s] if t in kset] for s in keep}
-        comp, _ = scc_of(keep, [(s, t) for s in keep for t in inner[s]])
-        sizes = {}
-        for s in keep:
-            sizes[comp[s]] = sizes.get(comp[s], 0) + 1
-        for s in keep:
-            if game.payoff.color(i, s[0]) != e:
-                continue
-            c = comp[s]
-            if sizes[c] > 1 or s in inner[s]:
-                return Fraction(1)
+        edges = [(s, t) for s in keep for t, _ in product[s] if t in kset]
+        comp, _ = scc_of(keep, edges)
+        # an e-colored vertex on a cycle: an out-edge inside its component
+        if any(comp[s] == comp[t] and game.payoff.color(i, s[0]) == e
+               for s, t in edges):
+            return Fraction(1)
     return Fraction(0)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_ext, parse_ext
 from .games import GameError, Lasso, eval_lasso, canonical_cycle
 from . import zerosum as zs
-from ._kernels import csr, reach, scc, scc_of
+from ._kernels import csr, reach, scc, scc_of, simple_paths
 from .simplex import lex_min_vertex, OPTIMAL
 
 
@@ -382,23 +382,6 @@ def family_consistent(game, lam, fam):
     return True
 
 
-def _simple_paths_from(arena, u, cap):
-    out = []
-
-    def dfs(path):
-        out.append(tuple(path))
-        if len(path) >= cap:
-            return
-        for w in sorted(arena.succ(path[-1])):
-            if w not in path:
-                path.append(w)
-                dfs(path)
-                path.pop()
-
-    dfs([u])
-    return out
-
-
 def _sc_subsets(arena):
     """Nonempty vertex sets strongly connected with at least one edge,
     by size, then by sorted tuple.  Each lies inside one SCC of the arena,
@@ -417,30 +400,6 @@ def _sc_subsets(arena):
                     subs.append(C)
     subs.sort(key=lambda C: (len(C), C))
     return [frozenset(C) for C in subs]
-
-
-def _connectors(arena, entries, W0, cap):
-    """Simple paths from an entry vertex into W0, interior outside W0;
-    the empty connector stands for an entry already inside W0."""
-    outs = set()
-    if any(s in W0 for s in entries):
-        outs.add(())
-    for s in sorted(entries):
-        if s in W0:
-            continue
-
-        def dfs(path):
-            last = path[-1]
-            for w in sorted(arena.succ(last)):
-                if w in W0:
-                    outs.add(tuple(path))
-                elif w not in path and len(path) < cap:
-                    path.append(w)
-                    dfs(path)
-                    path.pop()
-
-        dfs([s])
-    return sorted(outs)
 
 
 _STRUCTURES = weakref.WeakKeyDictionary()
@@ -477,7 +436,6 @@ class _MpStructure:
         self._game = weakref.ref(game)
         self.arena = game.arena
         self.payoff = game.payoff
-        self.n = len(game.arena.vertices)
         self.bit = {v: 1 << k for k, v in enumerate(game.arena.vertices)}
         self.nego_memo = {}
         self._shapes = {}
@@ -525,7 +483,7 @@ class _MpStructure:
             arena = self.arena
             tails = {}
             keyed = []
-            for h in _simple_paths_from(arena, u, self.n):
+            for h in simple_paths(arena.succ, u):
                 entries = arena.succ(h[-1])
                 hmask = self.mask(h)
                 for c in self.cycles:
@@ -568,12 +526,16 @@ class _MpStructure:
 
     def connectors(self, last, W0):
         """Connectors into W0 from the successors of a cycle's last
-        vertex."""
+        vertex: simple paths from one of them with no vertex in W0 that
+        step into W0 next; the empty connector stands for a successor
+        already inside W0."""
         key = (last, W0)
         out = self._connectors.get(key)
         if out is None:
-            out = self._connectors[key] = _connectors(
-                self.arena, set(self.arena.succ(last)), W0, self.n)
+            succ = self.arena.succ
+            out = self._connectors[key] = sorted(
+                {p[:-1] for s in succ(last) for p in simple_paths(succ, s, W0)
+                 if p[-1] in W0})
         return out
 
     def mp_of(self, cyc, player):

@@ -421,26 +421,27 @@ def simplest_rational(lo, hi, lo_open=True, hi_open=False):
         raise ValueError("empty interval")
     if lo == hi:
         return lo
+    return _simplest_in(Fraction(lo), Fraction(hi), lo_open, hi_open)
 
-    def rec(a, b, a_open, b_open):
-        n = a.numerator // a.denominator
-        if a > n or (a == n and a_open):
-            n += 1
-        if n < b or (n == b and not b_open):
-            return Fraction(n)
-        fa = n - 1
-        a2, b2 = a - fa, b - fa
-        if a2 == 0:
-            # x - fa in (0, b2]: invert to y >= 1/b2
-            inv = 1 / b2
-            m = -((-inv.numerator) // inv.denominator)
-            if Fraction(m) < inv or (Fraction(m) == inv and b_open):
-                m += 1
-            return fa + Fraction(1, m)
-        y = rec(1 / b2, 1 / a2, b_open, a_open)
-        return fa + 1 / y
 
-    return rec(Fraction(lo), Fraction(hi), lo_open, hi_open)
+def _simplest_in(a, b, a_open, b_open):
+    """`simplest_rational` on a nonempty interval with a < b."""
+    n = a.numerator // a.denominator
+    if a > n or (a == n and a_open):
+        n += 1
+    if n < b or (n == b and not b_open):
+        return Fraction(n)
+    fa = n - 1
+    a2, b2 = a - fa, b - fa
+    if a2 == 0:
+        # x - fa in (0, b2]: invert to y >= 1/b2
+        inv = 1 / b2
+        m = -((-inv.numerator) // inv.denominator)
+        if Fraction(m) < inv or (Fraction(m) == inv and b_open):
+            m += 1
+        return fa + Fraction(1, m)
+    y = _simplest_in(1 / b2, 1 / a2, b_open, a_open)
+    return fa + 1 / y
 
 
 def epsilon_min_search(game, precision_bits=24, max_iters=24):

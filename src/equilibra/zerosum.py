@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from . import _kernels as K
-from .games import GameError, CHANCE, canonical_cycle
+from .games import GameError, CHANCE
 
 
 def arena_graph(arena, edge_subset=None):
@@ -172,24 +172,16 @@ def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
 
 
 def simple_cycles(vertices, succ):
-    """All simple cycles as canonical tuples (lex-least rotation)."""
+    """All simple cycles as canonical tuples (lex-least rotation), sorted;
+    `succ(u)` lists u's successors among `vertices`.  A cycle is found
+    once, from its least vertex s: a simple path from s through vertices
+    above s whose last vertex steps back to s."""
     vs = sorted(vertices)
+    adj = {u: succ(u) for u in vs}
     found = set()
-
-    def dfs(start, path, onpath):
-        u = path[-1]
-        for w in sorted(succ(u)):
-            if w == start:
-                found.add(canonical_cycle(path))
-            elif w not in onpath and w > start:
-                onpath.add(w)
-                path.append(w)
-                dfs(start, path, onpath)
-                path.pop()
-                onpath.remove(w)
-
     for s in vs:
-        dfs(s, [s], {s})
+        found.update(p for p in K.simple_paths(
+            lambda u: [w for w in adj[u] if w > s], s) if s in adj[p[-1]])
     return sorted(found)
 
 
@@ -305,54 +297,52 @@ def solve_parity(vertices, succ_map, is_protag, color):
     protag = [1 if is_protag(v) else 0 for v in names]
     side = [protag, [1 - x for x in protag]]
     edges = [(index[u], index[w]) for u in vertices for w in succ_map[u]]
-    off, dst = K.csr(n, edges)
-    poff, psrc = K.csr(n, [(w, u) for u, w in edges])
+    graph = (n, *K.csr(n, edges), *K.csr(n, [(w, u) for u, w in edges]),
+             col, side)
     strat = {}
-
-    def minus(sub, ranks):
-        return [0 if r else s for s, r in zip(sub, ranks)]
-
-    def moves(ranks, coal, live):
-        # a coalition vertex that joined an attractor moves to its least-id
-        # successor of lower rank (one in the set when it joined)
-        for v in live:
-            if ranks[v] > 1 and coal[v]:
-                strat[v] = min(x for x in dst[off[v]:off[v + 1]]
-                               if 0 < ranks[x] < ranks[v])
-
-    def rec(sub):
-        # the winning masks [w0, w1] of the sub-game on `sub`; each winner's
-        # vertices have their witness move in `strat` (moves left there for
-        # vertices their owner loses are filtered out at the end)
-        live = [v for v in range(n) if sub[v]]
-        if not live:
-            return [sub, sub]
-        m = min(col[v] for v in live)
-        sigma = 0 if m % 2 == 0 else 1
-        target = [1 if sub[v] and col[v] == m else 0 for v in range(n)]
-        a = K.attractor(n, off, dst, poff, psrc, side[sigma], target, sub)
-        wins = rec(minus(sub, a))
-        if not any(wins[1 - sigma]):
-            moves(a, side[sigma], live)
-            for v in live:
-                if target[v] and side[sigma][v]:
-                    strat[v] = min(x for x in dst[off[v]:off[v + 1]]
-                                   if sub[x])
-            return [sub, [0] * n] if sigma == 0 else [[0] * n, sub]
-        # the opponent keeps its region and attracts B into it
-        b = K.attractor(n, off, dst, poff, psrc, side[1 - sigma],
-                        wins[1 - sigma], sub)
-        moves(b, side[1 - sigma], live)
-        wins = rec(minus(sub, b))
-        wins[1 - sigma] = [1 if x or r else 0
-                           for x, r in zip(wins[1 - sigma], b)]
-        return wins
-
-    wins = rec([1] * n)
+    wins = _zielonka([1] * n, graph, strat)
     regions = [{names[v] for v in range(n) if w[v]} for w in wins]
     strats = [{names[v]: names[x] for v, x in strat.items()
                if wins[i][v] and side[i][v]} for i in (0, 1)]
     return regions[0], regions[1], strats[0], strats[1]
+
+
+def _zielonka(sub, graph, strat):
+    """The winning masks [w0, w1] of the sub-game on the 0/1 mask `sub`
+    of `graph` = (n, off, dst, poff, psrc, col, side).  Each winner's
+    vertices have their witness move in `strat` (moves left there for
+    vertices their owner loses are filtered out by `solve_parity`)."""
+    n, off, dst, poff, psrc, col, side = graph
+    live = [v for v in range(n) if sub[v]]
+    if not live:
+        return [sub, sub]
+    m = min(col[v] for v in live)
+    sigma = 0 if m % 2 == 0 else 1
+    target = [1 if sub[v] and col[v] == m else 0 for v in range(n)]
+    a = K.attractor(n, off, dst, poff, psrc, side[sigma], target, sub)
+    wins = _zielonka([0 if r else s for s, r in zip(sub, a)], graph, strat)
+    if not any(wins[1 - sigma]):
+        _attractor_moves(a, side[sigma], live, off, dst, strat)
+        for v in live:
+            if target[v] and side[sigma][v]:
+                strat[v] = min(x for x in dst[off[v]:off[v + 1]] if sub[x])
+        return [sub, [0] * n] if sigma == 0 else [[0] * n, sub]
+    # the opponent keeps its region and attracts B into it
+    b = K.attractor(n, off, dst, poff, psrc, side[1 - sigma],
+                    wins[1 - sigma], sub)
+    _attractor_moves(b, side[1 - sigma], live, off, dst, strat)
+    wins = _zielonka([0 if r else s for s, r in zip(sub, b)], graph, strat)
+    wins[1 - sigma] = [1 if x or r else 0 for x, r in zip(wins[1 - sigma], b)]
+    return wins
+
+
+def _attractor_moves(ranks, coal, live, off, dst, strat):
+    """A coalition vertex that joined an attractor moves to its least-id
+    successor of lower rank (one in the set when it joined)."""
+    for v in live:
+        if ranks[v] > 1 and coal[v]:
+            strat[v] = min(x for x in dst[off[v]:off[v + 1]]
+                           if 0 < ranks[x] < ranks[v])
 
 
 def parity_region(arena, colors, coalition):

@@ -9,7 +9,9 @@
 # and the search's leaf memo; cores from the test of every vertex subset;
 # cycle means summed in Fractions; and the leaf evaluation, an exact Karp on
 # the dummy-node expansion at every leaf, with the greedy assignment that
-# reads it.  Connectors and LPs are the package's.
+# reads it.  Connectors and LPs are the package's.  The simple histories
+# come from `_simple_paths_from` in tests/path_walk_reference.py, the
+# recursive enumerator the package's `_kernels.simple_paths` replaced.
 
 import functools
 import itertools
@@ -18,8 +20,9 @@ from fractions import Fraction
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
 from equilibra.negotiation import (Family, _MpContext, _MpStructure,
-                                   _simple_paths_from, _strongly_connected)
+                                   _strongly_connected)
 from equilibra.rationals import NINF, PINF
+from path_walk_reference import _simple_paths_from
 
 
 def family_key(fam):
@@ -82,7 +85,8 @@ class ReferenceStructure(_MpStructure):
     def paths_from(self, u):
         out = self._paths.get(u)
         if out is None:
-            out = self._paths[u] = _simple_paths_from(self.arena, u, self.n)
+            out = self._paths[u] = _simple_paths_from(
+                self.arena, u, len(self.arena.vertices))
         return out
 
     def pre_arcs(self, i, h, c):

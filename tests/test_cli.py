@@ -1,10 +1,12 @@
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from unittest import mock
 
 import pytest
@@ -212,6 +214,31 @@ def test_parser_built_once_per_process(capsys):
     assert (info.misses, info.hits) == (1, 1)
     # a repeatable option starts empty on every use of the shared parser
     assert cli.build_parser().parse_args(["ne-exists", "x"]).lower is None
+
+
+def test_queries_leave_no_function_in_a_reference_cycle(capsys):
+    # a self-recursive closure is a reference cycle: it and what it captures
+    # (arenas, games) wait for the cyclic collector instead of dying with
+    # the call, and a collection can start anywhere
+    gc.collect()
+    flags = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in (["nego-iterate", "sans_spe"], ["ne-exists", "chaos"],
+                     ["spe-exists", "inf_spe", "--eps=1"],
+                     ["eps-min", "sans_spe"],
+                     ["nego-iterate", "fig_first_example"]):
+            assert run(argv) == 0, argv
+        gc.collect()
+        cyclic = sorted({f"{x.__module__}.{x.__qualname__}"
+                         for x in gc.garbage
+                         if isinstance(x, types.FunctionType)
+                         and (x.__module__ or "").startswith("equilibra")})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 @functools.cache

@@ -1,10 +1,16 @@
-"""Graph kernels against naive definitions written out here."""
+"""Graph kernels against naive definitions written out here, and the
+simple-path walker against the recursive enumerators it replaced."""
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
+import path_walk_reference as ref
+from conftest import random_mp_game, random_parity_game
+from equilibra import zerosum as zs
 from equilibra._kernels import (attractor, csr, reach, reachable, scc,
-                                scc_of)
-from equilibra.negotiation import _strongly_connected
+                                scc_of, simple_paths)
+from equilibra.negotiation import _MpStructure, _strongly_connected
 
 
 graphs = st.integers(1, 9).flatmap(
@@ -138,3 +144,40 @@ def test_scc_basic():
     assert ncomp == 3
     assert comp[0] == comp[1] and comp[2] == comp[3]
     assert len({comp[0], comp[2], comp[4]}) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32).map(random.Random), st.integers(2, 6),
+       st.integers(1, 3), st.booleans())
+def test_path_walks_match_recursive_reference(rng, n, max_deg, parity):
+    game = (random_parity_game(rng, n=n, max_deg=max_deg) if parity
+            else random_mp_game(rng, n=n, max_deg=max_deg))
+    arena = game.arena
+    nv = len(arena.vertices)
+    for u in arena.vertices:
+        assert list(simple_paths(arena.succ, u)) == ref._simple_paths_from(
+            arena, u, nv)
+    assert zs.simple_cycles(arena.vertices, arena.succ) == ref.simple_cycles(
+        arena.vertices, arena.succ)
+    structure = _MpStructure(game)
+    exits = {c[-1] for c in structure.cycles}
+    for W0 in structure.sc_subsets:
+        def inner(u):
+            return [w for w in arena.succ(u) if w in W0]
+        assert zs.simple_cycles(W0, inner) == ref.simple_cycles(W0, inner)
+        # the paths `nash.search_consistent_combo` reads
+        assert [p for p in simple_paths(arena.succ, arena.init, W0)
+                if p[-1] in W0] == list(ref._paths_into(arena, arena.init, W0))
+        for last in exits:
+            assert structure.connectors(last, W0) == ref._connectors(
+                arena, set(arena.succ(last)), W0, nv)
+
+
+def test_simple_paths_stop_and_order():
+    succ = {"a": ["c", "b"], "b": ["a", "c"], "c": ["b", "a"]}.__getitem__
+    assert list(simple_paths(succ, "a")) == [
+        ("a",), ("a", "b"), ("a", "b", "c"), ("a", "c"), ("a", "c", "b")]
+    # a stop vertex ends its path, the start one included
+    assert list(simple_paths(succ, "a", {"b"})) == [
+        ("a",), ("a", "b"), ("a", "c"), ("a", "c", "b")]
+    assert list(simple_paths(succ, "a", {"a"})) == [("a",)]

@@ -214,13 +214,13 @@ class Interrupt(BaseException):
 
 
 def test_interrupted_nego_leaves_no_half_filled_entry(monkeypatch):
-    # its multi-cycle cores keep the LP busy; `_connectors` runs while the
-    # family shapes are built
+    # its multi-cycle cores keep the LP busy; `simple_paths` walks the
+    # histories and connectors while the family shapes are built
     game = load_game("not_stationary")
     seq, _ = nego_iterate(game, max_iters=2)
     lam = seq[2]
     want = nego_mp(cold_copy(game), lam)
-    for stopped in ("lex_min_vertex", "_connectors"):
+    for stopped in ("lex_min_vertex", "simple_paths"):
         interrupt_each_stage(monkeypatch, game, lam, want, stopped)
 
 

@@ -188,10 +188,21 @@ def search_consistent_combo(game, lam, query):
 
 def _combo_feasible(game, cycles, lo, hi):
     """Feasibility of lo <= (min_j sum alpha_jc mp_i(c))_i <= hi over the
-    cycle set; tries a shared combination first, then the general min-form
-    with an argmin assignment per bounded dimension."""
+    cycle set: (combinations, payoffs), or None.  Tries a shared
+    combination first, then the general min-form with an argmin assignment
+    per bounded dimension.
+
+    Every distribution's payoff lies between the least and the largest
+    cycle mean, player by player, so a bound beyond those (a lower bound
+    above every mean, an upper bound below every mean) rules out the shared
+    LP and every min-form LP; no simplex runs then."""
     players = list(game.players)
     mp = _mp_structure(game).mp_of
+    rows = {p: [mp(c, p) for c in cycles] for p in players}
+    for p, row in rows.items():
+        if (lo[p] != NINF and lo[p] > max(row)) or \
+                (hi[p] != PINF and hi[p] < min(row)):
+            return None
     n = len(cycles)
     a_eq = [[Fraction(1)] * n]
     b_eq = [Fraction(1)]
@@ -199,59 +210,50 @@ def _combo_feasible(game, cycles, lo, hi):
     b_ge = []
     for p in players:
         if lo[p] != NINF:
-            a_ge.append([mp(c, p) for c in cycles])
+            a_ge.append(rows[p])
             b_ge.append(lo[p])
         if hi[p] != PINF:
-            a_ge.append([-mp(c, p) for c in cycles])
+            a_ge.append([-m for m in rows[p]])
             b_ge.append(-hi[p])
     feas, alpha = lp_feasible(a_eq, b_eq, a_ge, b_ge, nvar=n)
     if feas:
         combos = {p: {i: a for i, a in enumerate(alpha) if a != 0}
                   for p in players}
-        pay = {p: sum(a * mp(cycles[i], p) for i, a in combos[p].items())
+        pay = {p: sum(a * rows[p][i] for i, a in combos[p].items())
                for p in players}
         return _combo_out(cycles, combos), pay
-    # general min-form: one distribution per player
-    bounded = [p for p in players if hi[p] != PINF]
-    for assign in itertools.product(range(len(players)), repeat=len(bounded)):
-        nv = n * len(players)
-        a_eq2 = []
-        b_eq2 = []
-        for k in range(len(players)):
-            row = [Fraction(0)] * nv
-            for i in range(n):
-                row[k * n + i] = Fraction(1)
-            a_eq2.append(row)
-            b_eq2.append(Fraction(1))
-        a_ge2 = []
-        b_ge2 = []
-        for p in players:
-            if lo[p] == NINF:
-                continue
+    # general min-form: one distribution per player, row k * n + i being
+    # player k's weight on cycle i; only the upper-bound rows depend on
+    # the argmin assignment
+    nv = n * len(players)
+
+    def block(k, values):
+        row = [Fraction(0)] * nv
+        row[k * n:(k + 1) * n] = values
+        return row
+
+    a_eq2 = [block(k, [Fraction(1)] * n) for k in range(len(players))]
+    b_eq2 = [Fraction(1)] * len(players)
+    lo_rows = []
+    lo_rhs = []
+    for p in players:
+        if lo[p] != NINF:
             for k in range(len(players)):
-                row = [Fraction(0)] * nv
-                for i in range(n):
-                    row[k * n + i] = mp(cycles[i], p)
-                a_ge2.append(row)
-                b_ge2.append(lo[p])
-        for bi, p in enumerate(bounded):
-            k = assign[bi]
-            row = [Fraction(0)] * nv
-            for i in range(n):
-                row[k * n + i] = -mp(cycles[i], p)
-            a_ge2.append(row)
-            b_ge2.append(-hi[p])
+                lo_rows.append(block(k, rows[p]))
+                lo_rhs.append(lo[p])
+    bounded = [p for p in players if hi[p] != PINF]
+    neg = {p: [-m for m in rows[p]] for p in bounded}
+    for assign in itertools.product(range(len(players)), repeat=len(bounded)):
+        a_ge2 = lo_rows + [block(k, neg[p]) for k, p in zip(assign, bounded)]
+        b_ge2 = lo_rhs + [-hi[p] for p in bounded]
         feas, sol = lp_feasible(a_eq2, b_eq2, a_ge2, b_ge2, nvar=nv)
         if feas:
-            combos = {}
-            for k, p in enumerate(players):
-                combos[p] = {i: sol[k * n + i] for i in range(n)
-                             if sol[k * n + i] != 0}
-            pay = {}
-            for p in players:
-                pay[p] = min(sum(a * mp(cycles[i], p)
-                                 for i, a in combos[j].items())
-                             for j in players)
+            combos = {p: {i: sol[k * n + i] for i in range(n)
+                          if sol[k * n + i] != 0}
+                      for k, p in enumerate(players)}
+            pay = {p: min(sum(a * rows[p][i] for i, a in combos[j].items())
+                          for j in players)
+                   for p in players}
             return _combo_out(cycles, combos), pay
     return None
 

@@ -14,7 +14,7 @@ import weakref
 from fractions import Fraction
 
 from .rationals import PINF, NINF, format_ext, parse_ext
-from .games import GameError, Lasso, eval_lasso, canonical_cycle
+from .games import GameError, Lasso, eval_lasso
 from . import zerosum as zs
 from ._kernels import csr, reach, scc, scc_of, simple_paths
 from .simplex import lex_min_vertex, OPTIMAL
@@ -348,19 +348,18 @@ class Family:
     """Punishment family h . c^infty . (tail over W with payoff xbar).
 
     h is a simple history, c a simple punishing cycle; the tail is any play
-    with occurrence set W and payoff xbar, certified by a cycle combination
-    over the strongly connected core W0.
+    with occurrence set W and payoff xbar, a point of the convex hull of the
+    cycle means of the strongly connected core W0.
     """
 
-    __slots__ = ("h", "c", "W", "W0", "xbar", "combo")
+    __slots__ = ("h", "c", "W", "W0", "xbar")
 
-    def __init__(self, h, c, W, W0, xbar, combo):
+    def __init__(self, h, c, W, W0, xbar):
         self.h = tuple(h)
         self.c = tuple(c)
         self.W = frozenset(W)
         self.W0 = frozenset(W0)
         self.xbar = dict(xbar)
-        self.combo = dict(combo)
 
     def __repr__(self):
         return (f"[{','.join(self.h)}|({','.join(self.c)})^inf|"
@@ -549,35 +548,44 @@ class _MpStructure:
         return m
 
     def lp(self, i, W0, floors):
-        """Lex-least LP vertex over W0's cycle combinations meeting the
-        per-player `floors` (sorted (player, floor) pairs), i's payoff
-        first: (xbar, combo), or None when infeasible."""
+        """Payoff xbar of the lex-least point of conv{cycle means of W0}
+        meeting the per-player `floors` (sorted (player, floor) pairs), i's
+        payoff first and then the other players in order, or None when no
+        point meets them.
+
+        The point is unique, so it is read in closed form where it can be:
+        a lex-min over a polytope is attained at a vertex, and every vertex
+        of a convex hull is one of its generators, so without floors it is
+        the lex-least cycle-mean vector.  If that vector meets the floors it
+        is the answer; if it misses one and the core has one cycle, nothing
+        meets them.  Only a floor that cuts a multi-cycle core reaches the
+        simplex."""
         key = (i, W0, floors)
         if key in self._lp_cache:
             return self._lp_cache[key]
         cycles = self.scyc[W0]
         players = self.arena.players
-        a_eq = [[Fraction(1)] * len(cycles)]
-        b_eq = [Fraction(1)]
-        a_ge = []
-        b_ge = []
-        for j, f in floors:
-            a_ge.append([self.mp_of(c, j) for c in cycles])
-            b_ge.append(f)
-        objectives = [[self.mp_of(c, i) for c in cycles]]
-        for j in players:
-            if j != i:
-                objectives.append([self.mp_of(c, j) for c in cycles])
-        status, alpha = lex_min_vertex(objectives, a_eq, b_eq, a_ge, b_ge)
-        if status != OPTIMAL:
+        order = [i] + [j for j in players if j != i]
+        means = [[self.mp_of(c, j) for c in cycles] for j in order]
+        best = min(range(len(cycles)),
+                   key=lambda k: [row[k] for row in means])
+        xbar = {j: self.mp_of(cycles[best], j) for j in players}
+        if all(xbar[j] >= f for j, f in floors):
+            res = xbar
+        elif len(cycles) == 1:
             res = None
         else:
-            xbar = {j: sum(a * self.mp_of(c, j)
-                           for a, c in zip(alpha, cycles))
-                    for j in players}
-            combo = {"|".join(canonical_cycle(c)): a
-                     for c, a in zip(cycles, alpha) if a != 0}
-            res = (xbar, combo)
+            a_eq = [[Fraction(1)] * len(cycles)]
+            b_eq = [Fraction(1)]
+            a_ge = [[self.mp_of(c, j) for c in cycles] for j, _ in floors]
+            b_ge = [f for _, f in floors]
+            status, alpha = lex_min_vertex(means, a_eq, b_eq, a_ge, b_ge)
+            if status != OPTIMAL:
+                res = None
+            else:
+                res = {j: sum(a * self.mp_of(c, j)
+                              for a, c in zip(alpha, cycles))
+                       for j in players}
         self._lp_cache[key] = res
         return res
 
@@ -723,16 +731,16 @@ class _MpContext:
             if floors is None:
                 floors = floors_of[vmask] = _floors(
                     lam, shared.owner_groups(vmask))
-            res = shared.lp(i, W0, floors)
-            if res is not None:
-                cands.append((_order_key(res[0][i]), res, h, c, W0, W))
+            xbar = shared.lp(i, W0, floors)
+            if xbar is not None:
+                cands.append((_order_key(xbar[i]), xbar, h, c, W0, W))
         # the shapes come sorted by (h, c, sorted W)
         cands.sort(key=lambda cand: cand[0])
         # an earlier family dominates a later one as soon as its deviation
         # arcs are a subset of the later one's (equal arcs included)
         pool = []
         kept = []
-        for _, res, h, c, W0, W in cands:
+        for _, xbar, h, c, W0, W in cands:
             arcs = shared.pre_arcs(i, h, c) | shared.post_arcs(i, c, W)
             outside = ~arcs
             for other in kept:
@@ -740,7 +748,7 @@ class _MpContext:
                     break
             else:
                 kept.append(arcs)
-                pool.append(Family(h, c, W, W0, *res))
+                pool.append(Family(h, c, W, W0, xbar))
         self._min_accept[u] = (pool[0].xbar[i] if pool else PINF)
         self._pools[u] = pool
         return pool

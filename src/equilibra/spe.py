@@ -96,8 +96,7 @@ class MpWitness:
         """The witness `to_json` wrote."""
         def family(fd):
             return Family(fd["h"], fd["c"], fd["W"], fd["W"],
-                          {p: parse_rational(x) for p, x in fd["x"].items()},
-                          {})
+                          {p: parse_rational(x) for p, x in fd["x"].items()})
 
         alpha = {p: {cid: parse_rational(a) for cid, a in cmb.items()}
                  for p, cmb in doc["alpha"].items()}

@@ -52,6 +52,20 @@ def random_mp_game(rng, n=4, players=2, rewards=(-1, 0, 1, 2), max_deg=2):
                 PayoffSpec("mean-payoff", rewards=rew))
 
 
+def flower_mp_game(players, means):
+    """A mean-payoff game whose simple cycles are (o, p<k>) for k < len(means),
+    with player j's mean on cycle k equal to means[k][j]: the whole arena is
+    one core with exactly those cycles."""
+    petals = [f"p{k}" for k in range(len(means))]
+    owner = {v: players[0] for v in ["o"] + petals}
+    rewards = {}
+    for p, mean in zip(petals, means):
+        rewards["o", p] = {j: 2 * Fraction(m) for j, m in zip(players, mean)}
+        rewards[p, "o"] = {j: Fraction(0) for j in players}
+    arena = Arena(players, ["o"] + petals, owner, sorted(rewards), init="o")
+    return Game(arena, PayoffSpec("mean-payoff", rewards=rewards))
+
+
 def random_energy_game(rng, n=4, players=2):
     return_game = random_mp_game(rng, n=n, players=players,
                                  rewards=(-1, 0, 1))

@@ -1,17 +1,19 @@
 # The per-requirement proposal pool that equilibra.negotiation._MpContext.pool
 # replaced, kept verbatim as the reference its filter over the per-game shape
 # table must agree with exactly: same families in the same order, with the
-# same cores, payoffs and cycle combinations, and the same branch-and-bound
-# values and assignments (tests/test_negotiation_mp.py).  Around the loop,
-# the structure it read is kept too: simple histories per call, cycle
-# rotations and core cycles from their own `simple_cycles` runs, deviation
-# arcs as sorted lists of Fraction-weighted tuples, the `Family.key` dedupe
-# and the search's leaf memo; cores from the test of every vertex subset;
-# cycle means summed in Fractions; and the leaf evaluation, an exact Karp on
-# the dummy-node expansion at every leaf, with the greedy assignment that
-# reads it.  Connectors and LPs are the package's.  The simple histories
-# come from `_simple_paths_from` in tests/path_walk_reference.py, the
-# recursive enumerator the package's `_kernels.simple_paths` replaced.
+# same cores and payoffs, and the same branch-and-bound values and
+# assignments (tests/test_negotiation_mp.py).  Around the loop, the
+# structure it read is kept too: simple histories per call, cycle rotations
+# and core cycles from their own `simple_cycles` runs, deviation arcs as
+# sorted lists of Fraction-weighted tuples, the `Family.key` dedupe and the
+# search's leaf memo; cores from the test of every vertex subset; cycle
+# means summed in Fractions; the leaf evaluation, an exact Karp on the
+# dummy-node expansion at every leaf, with the greedy assignment that reads
+# it; and the LP, `lex_min_vertex` on every core and floors, which the
+# closed form of `_MpStructure.lp` replaced.  Connectors are the package's.
+# The simple histories come from `_simple_paths_from` in
+# tests/path_walk_reference.py, the recursive enumerator the package's
+# `_kernels.simple_paths` replaced.
 
 import functools
 import itertools
@@ -22,6 +24,7 @@ from equilibra._kernels import scc_of
 from equilibra.negotiation import (Family, _MpContext, _MpStructure,
                                    _strongly_connected)
 from equilibra.rationals import NINF, PINF
+from equilibra.simplex import OPTIMAL, lex_min_vertex
 from path_walk_reference import _simple_paths_from
 
 
@@ -81,6 +84,36 @@ class ReferenceStructure(_MpStructure):
         return {W0: zs.simple_cycles(
                     W0, lambda u: [w for w in arena.succ(u) if w in W0])
                 for W0 in self.sc_subsets}
+
+    def lp(self, i, W0, floors):
+        """Lex-least LP vertex over W0's cycle combinations meeting the
+        per-player `floors` (sorted (player, floor) pairs), i's payoff
+        first: xbar, or None when infeasible."""
+        key = (i, W0, floors)
+        if key in self._lp_cache:
+            return self._lp_cache[key]
+        cycles = self.scyc[W0]
+        players = self.arena.players
+        a_eq = [[Fraction(1)] * len(cycles)]
+        b_eq = [Fraction(1)]
+        a_ge = []
+        b_ge = []
+        for j, f in floors:
+            a_ge.append([self.mp_of(c, j) for c in cycles])
+            b_ge.append(f)
+        objectives = [[self.mp_of(c, i) for c in cycles]]
+        for j in players:
+            if j != i:
+                objectives.append([self.mp_of(c, j) for c in cycles])
+        status, alpha = lex_min_vertex(objectives, a_eq, b_eq, a_ge, b_ge)
+        if status != OPTIMAL:
+            res = None
+        else:
+            res = {j: sum(a * self.mp_of(c, j)
+                          for a, c in zip(alpha, cycles))
+                   for j in players}
+        self._lp_cache[key] = res
+        return res
 
     def paths_from(self, u):
         out = self._paths.get(u)
@@ -175,8 +208,7 @@ class ReferenceContext(_MpContext):
                                         tuple(sorted(floors.items())))
                         if res is None:
                             continue
-                        xbar, combo = res
-                        fam = Family(h, c, W, W0, xbar, combo)
+                        fam = Family(h, c, W, W0, res)
                         # the LP floors used max over h,c,W per owner, which
                         # is exactly family consistency
                         key = family_key(fam)

@@ -3,17 +3,23 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+import combo_feasible_reference as ref
 
 from equilibra.corpus import load_game
 from equilibra.games import (GameError, Lasso, MemoryProfile, Arena,
                              PayoffSpec, Game, eval_lasso)
 from equilibra.nash import (Query, ne_outcome_check, ne_constrained_exists,
                             verify_ne_energy, verify_ne_generic,
-                            val_requirement, profile_outcome)
-from equilibra.negotiation import is_lambda_consistent
-from conftest import (random_parity_game, random_energy_game,
-                      positional_profiles, profile_of_choices,
-                      outcome_of_choices, oracle_parity_val)
+                            val_requirement, profile_outcome,
+                            _combo_feasible)
+from equilibra.negotiation import is_lambda_consistent, _mp_structure
+from equilibra.rationals import NINF, PINF
+from conftest import (PLAYERS, flower_mp_game, random_parity_game,
+                      random_energy_game, positional_profiles,
+                      profile_of_choices, outcome_of_choices,
+                      oracle_parity_val)
 
 
 def test_ne_check_fig():
@@ -80,6 +86,56 @@ def test_ne_exists_simple_lassos_exact():
         if ne_outcome_check(fig, lasso):
             accepted.append(lasso)
     assert accepted == [Lasso([], ["a"]), Lasso(["a", "b"], ["c"])]
+
+
+MEANS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+BOUNDS = MEANS + [Fraction(-2), Fraction(1, 4), Fraction(3, 2), Fraction(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_box_screen_rejects_only_infeasible_combos(data):
+    # the box screen in front of the LPs returns None only where the
+    # unscreened search does, and changes no combination or payoff
+    players = PLAYERS[:data.draw(st.integers(1, 3))]
+    vector = st.tuples(*[st.sampled_from(MEANS) for _ in players])
+    means = data.draw(st.lists(vector, min_size=1, max_size=5))
+    game = flower_mp_game(players, means)
+    cores = _mp_structure(game).scyc[frozenset(game.arena.vertices)]
+    cycles = data.draw(st.lists(st.sampled_from(cores), min_size=1,
+                                max_size=len(cores), unique=True))
+    # an upper bound at one of the player's own means often leaves the
+    # shared combination infeasible and the min-form feasible
+    lo = {p: data.draw(st.just(NINF) | st.sampled_from(BOUNDS))
+          for p in players}
+    hi = {p: data.draw(st.just(PINF) | st.sampled_from(BOUNDS)
+                       | st.sampled_from([m[k] for m in means]))
+          for k, p in enumerate(players)}
+    got = _combo_feasible(game, cycles, lo, hi)
+    want = ref._combo_feasible(game, cycles, lo, hi)
+    mean = _mp_structure(game).mp_of
+    if any(lo[p] > max(mean(c, p) for c in cycles)
+           or hi[p] < min(mean(c, p) for c in cycles) for p in players):
+        assert want is None
+    assert got == want
+
+
+@pytest.mark.parametrize("means, hi", [
+    ([(0, 2), (2, 0)], (0, 0)),
+    ([(0, 2, 1), (2, 0, 1), (1, 1, 0)], (0, 0, 0)),
+    ([(0, 2, 1), (2, 0, 1), (1, 1, 0), (1, 1, 1)], (1, 0, PINF))])
+def test_min_form_combo_matches_reference(means, hi):
+    # no shared combination meets the upper bounds, several argmin
+    # assignments do, and the first one in the reference's order is kept
+    players = PLAYERS[:len(hi)]
+    game = flower_mp_game(players, means)
+    cycles = _mp_structure(game).scyc[frozenset(game.arena.vertices)]
+    lo = dict.fromkeys(players, NINF)
+    hi = dict(zip(players, hi))
+    got = _combo_feasible(game, cycles, lo, hi)
+    combos, _ = got
+    assert len({tuple(sorted(cmb.items())) for cmb in combos.values()}) > 1
+    assert got == ref._combo_feasible(game, cycles, lo, hi)
 
 
 def test_energy_verify_examples():

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import math
 import random
 import weakref
@@ -11,6 +13,7 @@ import mp_pool_reference as ref
 
 from equilibra import negotiation
 from equilibra import zerosum as zs
+from equilibra.cli import run
 from equilibra.corpus import load_game
 from equilibra.games import (Arena, Game, GameError, PayoffSpec, parse_game,
                              serialize_game)
@@ -20,7 +23,8 @@ from equilibra.negotiation import (vacuous_requirement, nego_mp,
 from equilibra.nash import Query, val_requirement
 from equilibra.spe import spe_exists_mp, epsilon_min_search
 from equilibra.rationals import PINF, NINF
-from conftest import PLAYERS, random_mp_game
+from equilibra.simplex import OPTIMAL, lex_min_vertex
+from conftest import PLAYERS, flower_mp_game, random_mp_game
 
 
 def test_sans_spe_iterates():
@@ -126,7 +130,7 @@ def plain(res):
 
 
 def described(families):
-    return [(f.h, f.c, f.W0, f.W, f.xbar, f.combo) for f in families]
+    return [(f.h, f.c, f.W0, f.W, f.xbar) for f in families]
 
 
 def pools(game, lam, i, v):
@@ -156,9 +160,9 @@ def test_warm_nego_matches_cold_copy():
         for lam in lams:
             assert nego_mp(g, lam) == nego_mp(cold_copy(g), lam), \
                 (serialize_game(g), lam)
-        # the pools show every family's LP payoff and combination, not only
-        # the ones that end up setting a value; each player's are built on
-        # a copy that no other player has touched
+        # the pools show every family's LP payoff, not only the ones that
+        # end up setting a value; each player's are built on a copy that no
+        # other player has touched
         for i in g.players:
             cold = cold_copy(g)
             mine = [v for v in g.arena.vertices if g.arena.owner[v] == i]
@@ -320,6 +324,85 @@ def test_pools_and_search_match_reference(game, data):
                     assert sorted(got) == sorted(want)
                     assert described(got[u] for u in sorted(got)) == \
                         described(want[u] for u in sorted(want))
+
+
+# ---------------------------------------------------------------------------
+# the closed form of `_MpStructure.lp` against the simplex it replaced
+
+MEANS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+FLOORS = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 4),
+          Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+          Fraction(3)]
+
+
+@st.composite
+def cores(draw):
+    """(players, means): 2-4 players in shuffled order and 1-5 cycle-mean
+    vectors over a few values, often repeating a whole earlier vector."""
+    players = draw(st.permutations(PLAYERS + ["triangle"]))
+    players = players[:draw(st.integers(2, 4))]
+    vector = st.tuples(*[st.sampled_from(MEANS) for _ in players])
+    means = []
+    for _ in range(draw(st.integers(1, 5))):
+        if means and draw(st.integers(0, 3)) == 0:
+            means.append(draw(st.sampled_from(means)))
+        else:
+            means.append(draw(vector))
+    return players, means
+
+
+@settings(max_examples=400, deadline=None)
+@given(cores(), st.data())
+def test_closed_form_lp_matches_lex_min_vertex(core, data):
+    players, means = core
+    game = flower_mp_game(players, means)
+    W0 = frozenset(game.arena.vertices)
+    i = data.draw(st.sampled_from(players))
+    # a floor is a fixed value or the midpoint of two cycles' means, which
+    # often only a mix of cycles meets
+    floors = []
+    for k, j in enumerate(players):
+        if data.draw(st.booleans()):
+            a, b = (data.draw(st.sampled_from(means))[k] for _ in range(2))
+            floors.append((j, data.draw(st.sampled_from(
+                FLOORS + [(a + b) / 2]))))
+    floors = tuple(sorted(floors))
+    got = negotiation._mp_structure(game).lp(i, W0, floors)
+    order = [i] + [j for j in players if j != i]
+    column = {j: k for k, j in enumerate(players)}
+    status, alpha = lex_min_vertex(
+        [[m[column[j]] for m in means] for j in order],
+        [[Fraction(1)] * len(means)], [Fraction(1)],
+        [[m[column[j]] for m in means] for j, _ in floors],
+        [f for _, f in floors])
+    if status != OPTIMAL:
+        assert got is None
+    else:
+        assert got == {j: sum(a * m[column[j]] for a, m in zip(alpha, means))
+                       for j in players}
+
+
+def test_simplex_runs_only_where_a_floor_cuts_a_multi_cycle_core(
+        monkeypatch):
+    # not_stationary's multi-cycle cores do need the simplex; sans_spe's
+    # and chaos' negotiation LPs are all answered in closed form
+    seen = []
+    real = negotiation.lex_min_vertex
+
+    def guarded(objectives, a_eq, b_eq, a_ge=(), b_ge=()):
+        n = len(objectives[0])
+        least = min(range(n), key=lambda k: [row[k] for row in objectives])
+        seen.append((n, any(row[least] < f for row, f in zip(a_ge, b_ge))))
+        return real(objectives, a_eq, b_eq, a_ge, b_ge)
+
+    monkeypatch.setattr(negotiation, "lex_min_vertex", guarded)
+    for argv in (["nego-iterate", "not_stationary", "--max=3"],
+                 ["nego-iterate", "sans_spe"],
+                 ["spe-exists", "chaos", "--lower=circle=1"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0, argv
+    assert seen
+    assert all(n >= 2 and misses for n, misses in seen), seen
 
 
 @st.composite

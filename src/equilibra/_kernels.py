@@ -8,7 +8,7 @@ directly.
 
 `attractor`, the package's only attractor, works inside a 0/1 sub-game mask
 and ranks the vertices in the order they join, which gives the coalition's
-positional strategy.
+positional strategy.  `scc` takes an optional mask of the same kind.
 """
 
 
@@ -78,10 +78,15 @@ def attractor(n, off, dst, poff, psrc, coalition, target, sub):
     return rank
 
 
-def scc(n, off, dst):
+def scc(n, off, dst, sub=None):
     """Tarjan SCC, iterative.  Returns (component id per vertex, count);
-    ids are assigned in reverse topological order of discovery."""
-    index = [-1] * n
+    ids are assigned in reverse topological order of discovery.  With a
+    0/1 mask `sub`, the SCCs of the subgraph it induces: roots and edges
+    are still visited in id and CSR order, so the ids equal those of the
+    induced subgraph renumbered in id order, and vertices outside `sub`
+    get -1."""
+    # an index of -2 is never a root, a new vertex or on the stack
+    index = [-1] * n if sub is None else [-1 if s else -2 for s in sub]
     low = [0] * n
     on_stack = [0] * n
     comp = [-1] * n

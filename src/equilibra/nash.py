@@ -68,16 +68,21 @@ def search_consistent_parity(game, lam, query):
     and per-player minimal infinite colors, first component reachable from
     the initial vertex.  Returns a Lasso or None."""
     arena = game.arena
+    names = arena.vertices
     v0 = arena.init
-    succ = {u: arena.succ(u) for u in arena.vertices}
-    for bvec, forbidden, comps in parity_components(game, lam, succ):
-        if not query.admits(bvec) or v0 in forbidden:
+    succ = {u: arena.succ(u) for u in names}
+    for bits, forbidden, comps in parity_components(game, lam):
+        bvec = {p: Fraction(b) for p, b in zip(game.players, bits)}
+        if not query.admits(bvec) or forbidden[arena.index[v0]]:
             continue
-        tree = _bfs_tree(succ, v0, forbidden)
+        tree = _bfs_tree(succ, v0, {v for v, f in zip(names, forbidden)
+                                    if f})
         for K, witnesses in comps:
             # K is strongly connected outside `forbidden`: wholly in the tree
+            K = [names[u] for u in K]
             if K[0] not in tree:
                 continue
+            witnesses = [names[u] for u in witnesses]
             kset = set(K)
             inner = {u: [w for w in succ[u] if w in kset] for u in K}
             cycle = _cycle_through(K, inner, witnesses)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_ext, parse_ext
 from .games import GameError, Lasso, eval_lasso
 from . import zerosum as zs
-from ._kernels import csr, reach, scc, scc_of, simple_paths
+from ._kernels import csr, scc, scc_of, simple_paths
 from .simplex import lex_min_vertex, OPTIMAL
 
 
@@ -87,62 +87,152 @@ def _parity_constraint(lam, v):
     return 1
 
 
-def parity_components(game, lam, succ):
-    """The colour-tuple SCC search for lambda-consistent parity plays, along
-    the successor map `succ` (defined on every arena vertex).
+_STRUCTURES = weakref.WeakKeyDictionary()
+
+
+def _shared(game, kind):
+    """The requirement-independent structure `kind(game)`, built on first
+    use and kept for as long as the game object lives."""
+    shared = _STRUCTURES.get(game)
+    if not isinstance(shared, kind):
+        shared = _STRUCTURES[game] = kind(game)
+    return shared
+
+
+class _ParityStructure:
+    """What parity negotiation on one game shares across requirements:
+    the vertices numbered 0..n-1 in `arena.vertices` order (`names`), each
+    player's colours as one int list (`col`, players in `game.players`
+    order) with, per colour z, the vertices of colour >= z and == z as int
+    bitmasks, owner ids, each vertex's rank in sorted name order, and the
+    successor and predecessor CSR (successors in `arena.succ` order).  It
+    reads every colour once and holds no reference to its game."""
+
+    def __init__(self, game):
+        arena = game.arena
+        self.names = arena.vertices
+        self.index = arena.index
+        n = self.n = len(self.names)
+        self.players = list(game.players)
+        pid = {p: k for k, p in enumerate(self.players)}
+        if any(arena.owner[v] not in pid for v in self.names):
+            raise GameError("parity negotiation needs a chance-free arena")
+        self.owner = [pid[arena.owner[v]] for v in self.names]
+        self.col = [[game.payoff.color(p, v) for v in self.names]
+                    for p in self.players]
+        self.at_least, self.equal = [], []
+        for col in self.col:
+            bits = {}
+            for v, z in enumerate(col):
+                bits[z] = bits.get(z, 0) | 1 << v
+            self.equal.append(bits)
+            above, acc = {}, 0
+            for z in sorted(bits, reverse=True):
+                acc |= bits[z]
+                above[z] = acc
+            self.at_least.append(above)
+        order = sorted(range(n), key=self.names.__getitem__)
+        self.rank = [0] * n
+        for r, v in enumerate(order):
+            self.rank[v] = r
+        edges = [(u, self.index[w]) for u, v in enumerate(self.names)
+                 for w in arena.succ(v)]
+        self.off, self.dst = csr(n, edges)
+        self.poff, self.psrc = csr(n, [(w, u) for u, w in edges])
+
+    def constraints(self, lam):
+        """`_parity_constraint` of every vertex, by id."""
+        return [_parity_constraint(lam, v) for v in self.names]
+
+    def mask(self, vertices):
+        m = [0] * self.n
+        for v in vertices:
+            m[self.index[v]] = 1
+        return m
+
+    def allowed(self, i, inS):
+        """(off, dst, poff, psrc) of the edges whose deviation options for
+        player id i stay in the 0/1 mask `inS`: i's vertex u keeps u->x
+        iff every other successor of u is in `inS`."""
+        off, dst, owner = self.off, self.dst, self.owner
+        if all(inS[x] for u in range(self.n) if owner[u] == i
+               for x in dst[off[u]:off[u + 1]]):
+            return off, dst, self.poff, self.psrc
+        edges = []
+        for u in range(self.n):
+            outs = dst[off[u]:off[u + 1]]
+            if owner[u] == i:
+                outs = [x for x in outs
+                        if all(inS[w] for w in outs if w != x)]
+            edges += [(u, x) for x in outs]
+        return (*csr(self.n, edges), *csr(self.n, [(x, u) for u, x in edges]))
+
+    def components(self, off, dst, bits, free):
+        """The components of `parity_components` for one bit vector, kept
+        inside the vertex bitmask `free`."""
+        n = self.n
+        zchoices = [[z for z in sorted(eq) if z % 2 != b]
+                    for eq, b in zip(self.equal, bits)]
+        for zbar in itertools.product(*zchoices):
+            keep = free
+            for above, z in zip(self.at_least, zbar):
+                keep &= above[z]
+            # no component can hold a witness colour that no kept vertex has
+            if not all(keep & eq[z] for eq, z in zip(self.equal, zbar)):
+                continue
+            sub = [keep >> v & 1 for v in range(n)]
+            comp, ncomp = scc(n, off, dst, sub)
+            members = [[] for _ in range(ncomp)]
+            for v in range(n):
+                if sub[v]:
+                    members[comp[v]].append(v)
+            for K in members:
+                if len(K) == 1 and K[0] not in dst[off[K[0]]:off[K[0] + 1]]:
+                    continue
+                witnesses = []
+                for col, z in zip(self.col, zbar):
+                    cands = [u for u in K if col[u] == z]
+                    if not cands:
+                        break
+                    witnesses.append(min(cands, key=self.rank.__getitem__))
+                else:
+                    yield K, witnesses
+
+
+def _parity_structure(game):
+    return _shared(game, _ParityStructure)
+
+
+def parity_components(game, lam, edges=None):
+    """The colour-tuple SCC search for lambda-consistent parity plays, over
+    the vertex ids of `_parity_structure(game)` (`arena.vertices` order)
+    and along the successor CSR `edges` = (off, dst), the arena's edges by
+    default.
 
     For each payoff bit vector (players in order, 1 before 0) yields
-    (bvec, forbidden, comps): `forbidden` holds the vertices whose
-    requirement their owner's bit misses, and the lazy `comps` yields, for
-    each tuple z of minimal colours of matching parity, every non-trivial
-    SCC K of `succ` restricted to the non-forbidden vertices with colours
-    >= z that holds a colour-z_p vertex for every player p, as
-    (K, witnesses), witnesses[k] being the least such vertex of player k.
-    A play that reaches K avoiding `forbidden` and then cycles through all
-    of K is lambda-consistent with payoff bvec, and every such play ends
-    in one of these components.  Polynomial in the graph, exponential only
-    in the number of players.
+    (bits, forbidden, comps): `forbidden` is the 0/1 mask of the vertices
+    whose requirement their owner's bit misses, and the lazy `comps`
+    yields, for each tuple z of minimal colours of matching parity, every
+    non-trivial SCC K of `edges` restricted to the non-forbidden vertices
+    with colours >= z that holds a colour-z_p vertex for every player p,
+    as (K, witnesses): K lists its ids in increasing order and witnesses[k]
+    is player k's least such vertex by name.  The colour filters are int
+    bitmasks, a tuple whose kept vertices miss some z_p is skipped, and
+    the SCCs come from `_kernels.scc` on the kept mask, so component ids
+    and the order of K are those of the SCCs of the kept subgraph.  A play
+    that reaches K avoiding `forbidden` and then cycles through all of K
+    is lambda-consistent with payoff `bits`, and every such play ends in
+    one of these components.  Polynomial in the graph, exponential only in
+    the number of players.
     """
-    arena = game.arena
-    players = list(game.players)
-    colors = {p: sorted({game.payoff.color(p, v) for v in arena.vertices})
-              for p in players}
-    for bits in itertools.product((Fraction(1), Fraction(0)),
-                                  repeat=len(players)):
-        bvec = dict(zip(players, bits))
-        forbidden = {v for v in arena.vertices
-                     if bvec[arena.owner[v]] < lam[v]}
-        zchoices = [[z for z in colors[p] if (z % 2 == 0) == (bvec[p] == 1)]
-                    for p in players]
-        yield bvec, forbidden, _tuple_components(game, succ, forbidden,
-                                                 players, zchoices)
-
-
-def _tuple_components(game, succ, forbidden, players, zchoices):
-    arena = game.arena
-    color = game.payoff.color
-    for zbar in itertools.product(*zchoices):
-        ztup = list(zip(players, zbar))
-        keep = [v for v in arena.vertices if v not in forbidden
-                and all(color(p, v) >= z for p, z in ztup)]
-        keepset = set(keep)
-        comp, _ = scc_of(keep, [(u, w) for u in keep for w in succ[u]
-                                if w in keepset])
-        members = {}
-        for u in keep:
-            members.setdefault(comp[u], []).append(u)
-        for c in sorted(members):
-            K = members[c]
-            if len(K) == 1 and K[0] not in succ[K[0]]:
-                continue
-            witnesses = []
-            for p, z in ztup:
-                cands = [u for u in K if color(p, u) == z]
-                if not cands:
-                    break
-                witnesses.append(min(cands))
-            else:
-                yield K, witnesses
+    ps = _parity_structure(game)
+    off, dst = edges or (ps.off, ps.dst)
+    con = ps.constraints(lam)
+    for bits in itertools.product((1, 0), repeat=len(ps.players)):
+        forbidden = [1 if c < 0 or (c > 0 and not bits[o]) else 0
+                     for c, o in zip(con, ps.owner)]
+        free = sum(1 << v for v, f in enumerate(forbidden) if not f)
+        yield bits, forbidden, ps.components(off, dst, bits, free)
 
 
 def parity_feasible_region(game, lam, i):
@@ -165,23 +255,35 @@ def _feasible_round(game, lam, i, S):
     """The vertices of S with a lambda-consistent play along the edges
     whose deviation options for player i stay in S (other players' edges
     may leave S): backward reachability, avoiding the forbidden vertices,
-    from the components `parity_components` yields."""
-    arena = game.arena
-    allowed = {}
-    for u in arena.vertices:
-        outs = arena.succ(u)
-        if arena.owner[u] == i:
-            outs = [x for x in outs if all(w in S for w in outs if w != x)]
-        allowed[u] = outs
-    pred = {u: [] for u in arena.vertices}
-    for u in arena.vertices:
-        for x in allowed[u]:
-            pred[x].append(u)
-    live = set()
-    for _, forbidden, comps in parity_components(game, lam, allowed):
-        targets = [u for K, _ in comps for u in K]
-        live |= reach(pred, targets, within=set(arena.vertices) - forbidden)
-    return S & live
+    from the components `parity_components` yields.  Live vertices only
+    accumulate, so the search stops once every vertex of S is live."""
+    ps = _parity_structure(game)
+    inS = ps.mask(S)
+    need = sum(inS)
+    off, dst, poff, psrc = ps.allowed(ps.players.index(i), inS)
+    live = [0] * ps.n
+    for _, forbidden, comps in parity_components(game, lam, (off, dst)):
+        if not need:
+            break
+        seen = list(forbidden)
+        for K, _ in comps:
+            stack = [u for u in K if not seen[u]]
+            for u in stack:
+                seen[u] = 1
+            while stack:
+                u = stack.pop()
+                if not live[u]:
+                    live[u] = 1
+                    need -= inS[u]
+                for k in range(poff[u], poff[u + 1]):
+                    w = psrc[k]
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
+            if not need:
+                break
+    names = ps.names
+    return {names[v] for v in range(ps.n) if inS[v] and live[v]}
 
 
 def _strongly_connected(Cset, allowed):
@@ -192,11 +294,58 @@ def _strongly_connected(Cset, allowed):
     return ncomp == 1 and bool(inner)
 
 
-def _constr_players(game, lam, v):
-    """Players whose requirement a visit to v activates (parity)."""
-    if _parity_constraint(lam, v) == 1:
-        return frozenset([game.arena.owner[v]])
-    return frozenset()
+def _concrete_game1(game, lam, i, S):
+    """The Pi-compressed concrete negotiation game restricted to the
+    feasible region S (non-empty), over the vertex and player ids of
+    `_parity_structure(game)`: (states, succ, roots), succ[k] listing the
+    successors of states[k] and roots mapping each vertex of S to the id
+    of its root state.
+
+    States are ('P', v, M) Prover proposes (M: the bitmask of activated
+    players), ('C', v, x, M) Challenger reacts to the proposed edge v->x
+    of one of i's vertices, and ('D', w) marks a deviation to w.  A
+    proposal at another player's vertex has nothing to contest and moves
+    straight to ('P', x, M'): the C state it skips would have one
+    successor and no colour, and the Rabin hits it would have, the P
+    state before it has too."""
+    ps = _parity_structure(game)
+    off, dst = ps.off, ps.dst
+    me = ps.players.index(i)
+    inS = ps.mask(S)
+    constr = [1 << o if c == 1 else 0
+              for c, o in zip(ps.constraints(lam), ps.owner)]
+    index, states, succ = {}, [], []
+
+    def state(s):
+        if s not in index:
+            index[s] = len(states)
+            states.append(s)
+        return index[s]
+
+    roots = {v: state(("P", ps.index[v], constr[ps.index[v]]))
+             for v in sorted(S)}
+    for s in states:  # grows as the walk goes
+        if s[0] == "P":
+            _, v, M = s
+            outs = [x for x in dst[off[v]:off[v + 1]] if inS[x]]
+            # feasible-region fixpoint: witnesses stay inside S, and the
+            # constrained player's vertices keep all successors inside
+            assert outs, f"feasible region starves {ps.names[v]}"
+            if ps.owner[v] == me:
+                assert len(outs) == off[v + 1] - off[v], \
+                    f"deviation target of {ps.names[v]} escapes the " \
+                    f"feasible region"
+                succ.append([state(("C", v, x, M)) for x in outs])
+            else:
+                succ.append([state(("P", x, M | constr[x])) for x in outs])
+        elif s[0] == "C":
+            _, v, x, M = s
+            succ.append([state(("P", x, M | constr[x]))]
+                        + [state(("D", w)) for w in dst[off[v]:off[v + 1]]
+                           if w != x])
+        else:
+            succ.append([state(("P", s[1], constr[s[1]]))])
+    return states, succ, roots
 
 
 def _solve_game1(game, lam, i, S):
@@ -206,64 +355,34 @@ def _solve_game1(game, lam, i, S):
     Challenger wins iff player i wins the projection, or deviations stop
     and some activated requirement is violated in the limit: a Rabin
     objective, reduced to parity by index appearance records and solved
-    by Zielonka.  One walk builds the concrete game, whose states are
-    ('P', v, M) Prover proposes, ('C', v, x, M) Challenger reacts to the
-    proposed edge v->x and ('D', w) marks a deviation to w; a second walk
-    builds the record product over int ids 0..N-1."""
+    by Zielonka.  One walk builds the concrete game (`_concrete_game1`),
+    a second its record product over int ids 0..N-1; colours come from
+    `_parity_structure(game)`."""
     if not S:
         return set()
-    arena = game.arena
-    color = game.payoff.color
-    constr = {v: _constr_players(game, lam, v) for v in arena.vertices}
-    index, states, succ = {}, [], []
-
-    def state(s):
-        if s not in index:
-            index[s] = len(states)
-            states.append(s)
-        return index[s]
-
-    roots = {v: state(("P", v, constr[v])) for v in sorted(S)}
-    for s in states:  # grows as the walk goes
-        if s[0] == "P":
-            _, v, M = s
-            outs = [x for x in sorted(arena.succ(v)) if x in S]
-            # feasible-region fixpoint: witnesses stay inside S, and the
-            # constrained player's vertices keep all successors inside
-            assert outs, f"feasible region starves {v}"
-            if arena.owner[v] == i:
-                assert len(outs) == len(arena.succ(v)), \
-                    f"deviation target of {v} escapes the feasible region"
-            succ.append([state(("C", v, x, M)) for x in outs])
-        elif s[0] == "C":
-            _, v, x, M = s
-            nxt = [state(("P", x, M | constr[x]))]
-            if arena.owner[v] == i:
-                nxt += [state(("D", w)) for w in sorted(arena.succ(v))
-                        if w != x]
-            succ.append(nxt)
-        else:
-            succ.append([state(("P", s[1], constr[s[1]]))])
+    states, succ, roots = _concrete_game1(game, lam, i, S)
+    ps = _parity_structure(game)
+    col = ps.col
+    me = ps.players.index(i)
 
     # Rabin pairs (player, colour, is-requirement) over the reached
     # proposals: player i sees even colour e infinitely often with nothing
     # smaller, or an activated player j's limit colour is odd o while no
     # deviation recurs
     provers = [s for s in states if s[0] == "P"]
-    colours = {p: sorted({color(p, s[1]) for s in provers})
-               for p in game.players}
-    pairs = [(i, e, False) for e in colours[i] if e % 2 == 0]
-    pairs += [(j, o, True) for j in game.players for o in colours[j]
-              if o % 2 == 1 and any(j in s[2] and color(j, s[1]) == o
+    colours = [sorted({c[s[1]] for s in provers}) for c in col]
+    pairs = [(me, e, False) for e in colours[me] if e % 2 == 0]
+    pairs += [(j, o, True) for j, c in enumerate(col) for o in colours[j]
+              if o % 2 == 1 and any(s[2] >> j & 1 and c[s[1]] == o
                                     for s in provers)]
 
     def hits(s):
         E, F = set(), set()
         for q, (j, c, req) in enumerate(pairs):
-            if req and (s[0] == "D" or j not in s[-1]):
+            if req and (s[0] == "D" or not s[-1] >> j & 1):
                 E.add(q)  # a deviation, or j not activated
             elif s[0] == "P":
-                cj = color(j, s[1])
+                cj = col[j][s[1]]
                 if cj < c:
                     E.add(q)
                 elif cj == c:
@@ -309,24 +428,38 @@ def _solve_game1(game, lam, i, S):
 def nego_parity(game, lam):
     """One application of the negotiation function on a parity game.
 
-    Computed as the value of the Pi-compressed concrete negotiation game:
-    +inf outside the feasibility region (`parity_feasible_region`, found
-    by the colour-tuple SCC search: polynomial in the graph, exponential
-    only in the number of players), then a Rabin solve (projection parity
-    for the constrained player, or a violated limit requirement after
-    deviations stop) deciding 0 versus 1.  `_solve_game1` builds that game
-    in one walk and its index-appearance-record product in a second, over
-    int ids, and hands the product to Zielonka.
+    A requirement that demands nothing (no value above 0) is met by every
+    play, so the feasible region is every vertex and no requirement is
+    ever activated: each owned vertex gets its owner's adversarial value
+    (`zs.parity_value`), the negotiation function's first iterate, with
+    no region, concrete game or record product built.
+
+    Otherwise it is the value of the Pi-compressed concrete negotiation
+    game: +inf outside the feasibility region (`parity_feasible_region`,
+    found by the colour-tuple SCC search on int bitmasks: polynomial in
+    the graph, exponential only in the number of players), then a Rabin
+    solve (projection parity for the constrained player, or a violated
+    limit requirement after deviations stop) deciding 0 versus 1.
+    `_solve_game1` builds that game, with Challenger states only at the
+    constrained player's own proposals, in one walk and its
+    index-appearance-record product in a second, over int ids, and hands
+    the product to Zielonka.
     """
     if game.mode != "parity":
         raise GameError("nego_parity needs parity mode")
     if not is_boolean_requirement(game, lam):
         raise GameError("non-Boolean requirement values in parity mode")
     arena = game.arena
+    vacuous = not any(lam[v] > 0 for v in arena.vertices)
     out = {}
     for i in game.players:
         mine = [v for v in arena.vertices if arena.owner[v] == i]
         if not mine:
+            continue
+        if vacuous:
+            val = zs.parity_value(game, i)
+            for v in mine:
+                out[v] = val[v]
             continue
         S = parity_feasible_region(game, lam, i)
         winners = _solve_game1(game, lam, i, S)
@@ -401,16 +534,8 @@ def _sc_subsets(arena):
     return [frozenset(C) for C in subs]
 
 
-_STRUCTURES = weakref.WeakKeyDictionary()
-
-
 def _mp_structure(game):
-    """The requirement-independent `_MpStructure` of `game`, built on first
-    use and kept for as long as the game object lives."""
-    shared = _STRUCTURES.get(game)
-    if shared is None:
-        shared = _STRUCTURES[game] = _MpStructure(game)
-    return shared
+    return _shared(game, _MpStructure)
 
 
 class _MpStructure:

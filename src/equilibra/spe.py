@@ -14,7 +14,7 @@ from .rationals import PINF, NINF, format_rational, parse_rational
 from .games import GameError, payoff_vector, cycle_id
 from . import zerosum as zs
 from ._kernels import reach, scc_of
-from .negotiation import (vacuous_requirement, nego_parity, nego_mp,
+from .negotiation import (vacuous_requirement, nego_iterate, nego_mp,
                           family_consistent,
                           _MpContext, _mp_value_at, _strongly_connected,
                           _eps_fixed, requirement_to_json,
@@ -27,18 +27,12 @@ from .nash import Query, search_consistent_parity, search_consistent_combo
 
 
 def iterate_to_fixed_point_parity(game, cap=None):
-    arena = game.arena
     if cap is None:
-        cap = 2 * len(arena.vertices) + 2
-    lam = vacuous_requirement(game)
-    seq = [lam]
-    for _ in range(cap):
-        nxt = nego_parity(game, lam)
-        seq.append(nxt)
-        if nxt == lam:
-            return seq
-        lam = nxt
-    raise GameError("parity negotiation failed to converge (internal)")
+        cap = 2 * len(game.arena.vertices) + 2
+    seq, converged = nego_iterate(game, cap)
+    if not converged:
+        raise GameError("parity negotiation failed to converge (internal)")
+    return seq
 
 
 def spe_exists_parity(game, query):

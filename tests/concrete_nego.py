@@ -5,9 +5,10 @@ restricted to the feasible region) and the reduced-Prover checker for
 parity proposals."""
 
 from equilibra.games import GameError, eval_lasso
-from equilibra.negotiation import _constr_players, is_lambda_consistent
+from equilibra.negotiation import is_lambda_consistent
 from equilibra.rationals import PINF
 from equilibra._kernels import scc_of
+from parity_region_reference import _constr_players
 
 
 def build_concrete_nego(game, lam, i, v0, memory=None):

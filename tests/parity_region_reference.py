@@ -9,7 +9,9 @@
 # - the three passes that built and solved the concrete parity negotiation
 #   game (`_build_game1_arena`, `_rabin_pairs_game1`, `_solve_game1` over
 #   tuple states and tuple product nodes), which the one walk of
-#   `negotiation._solve_game1` over int ids must agree with exactly.
+#   `negotiation._solve_game1` over int ids must agree with exactly, with
+#   `_constr_players`, the players a visit activates, that their tuple
+#   states carry (`negotiation._concrete_game1` keeps it as a bitmask).
 
 import itertools
 from fractions import Fraction
@@ -17,9 +19,15 @@ from fractions import Fraction
 from equilibra.games import Lasso
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
-from equilibra.negotiation import (_parity_constraint, _strongly_connected,
-                                   _constr_players)
+from equilibra.negotiation import _parity_constraint, _strongly_connected
 from equilibra.nash import _cycle_through
+
+
+def _constr_players(game, lam, v):
+    """Players whose requirement a visit to v activates (parity)."""
+    if _parity_constraint(lam, v) == 1:
+        return frozenset([game.arena.owner[v]])
+    return frozenset()
 
 
 def parity_feasible_region(game, lam, i):

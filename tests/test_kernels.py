@@ -124,6 +124,18 @@ def test_kernels_match_naive_definitions(data):
         assert _strongly_connected(within, allowed) == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs)
+def test_masked_scc_is_scc_of_induced_subgraph(data):
+    n, edges, _, _, sub, _ = data
+    keep = [v for v in range(n) if sub[v]]
+    inner = [(u, v) for u, v in edges if sub[u] and sub[v]]
+    comp, ncomp = scc(n, *csr(n, edges), [1 if s else 0 for s in sub])
+    want, nwant = scc_of(keep, inner)
+    assert ncomp == nwant
+    assert comp == [want[v] if sub[v] else -1 for v in range(n)]
+
+
 def test_attractor_semantics():
     # a -> b -> c, target {c}; coalition owns a only
     n, edges = 3, [(0, 1), (1, 2), (1, 0), (2, 2)]

@@ -447,3 +447,129 @@ def test_solve_parity_gets_int_ids():
         for game, lam, i, S in guard_games():
             _solve_game1(game, lam, i, S)
     assert sizes and max(sizes) > 1
+
+
+# ---------------------------------------------------------------------------
+# a requirement that demands nothing: adversarial values, no region, no
+# concrete game, against the full path of the reference
+
+
+def full_nego_parity(game, lam):
+    """nego_parity through the reference feasible region and concrete game
+    solve, with no shortcut."""
+    out = {}
+    for i in game.players:
+        S = ref.parity_feasible_region(game, lam, i)
+        winners = ref._solve_game1(game, lam, i, S)
+        for v in game.arena.vertices:
+            if game.arena.owner[v] == i:
+                out[v] = (PINF if v not in S
+                          else Fraction(1) if v in winners else Fraction(0))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(parity_cases(), st.data())
+def test_nothing_demanded_matches_full_path(case, data):
+    game = case[0]
+    lam = {v: data.draw(st.sampled_from([NINF, Fraction(0)]))
+           for v in game.arena.vertices}
+    assert nego_parity(game, lam) == full_nego_parity(game, lam)
+
+
+def test_nothing_demanded_matches_full_path_three_players():
+    rng = random.Random(43)
+    for _ in range(8):
+        g = random_parity_game(rng, n=5, players=3, max_color=3)
+        lam = {v: rng.choice([NINF, Fraction(0)]) for v in g.arena.vertices}
+        assert nego_parity(g, lam) == full_nego_parity(g, lam)
+
+
+def test_nothing_demanded_builds_no_region_or_game():
+    fig = load_game("fig_ne_spe")
+    game = deviation_robust_game()[0]
+    nothing = [(fig, vacuous_requirement(fig)),
+               (fig, {"a": Fraction(0), "b": NINF, "c": Fraction(0)}),
+               (game, {"v": Fraction(0), "w": Fraction(0)})]
+    one = [(fig, {"a": Fraction(0), "b": NINF, "c": Fraction(1)}),
+           (game, {"v": NINF, "w": Fraction(1)})]
+    region = mock.Mock(wraps=negotiation._feasible_round)
+    solve = mock.Mock(wraps=negotiation._solve_game1)
+    with mock.patch.object(negotiation, "_feasible_round", region), \
+            mock.patch.object(negotiation, "_solve_game1", solve):
+        for g, lam in nothing:
+            nego_parity(g, lam)
+            assert not region.called and not solve.called, lam
+        for g, lam in one:
+            region.reset_mock()
+            solve.reset_mock()
+            nego_parity(g, lam)
+            assert region.called and solve.called, lam
+
+
+# ---------------------------------------------------------------------------
+# Challenger states only where the Challenger has a choice
+
+
+def test_concrete_game_contests_only_own_proposals():
+    own = 0
+    for game, lam, i, S in guard_games():
+        if not S:
+            continue
+        owner = negotiation._parity_structure(game).owner
+        me = list(game.players).index(i)
+        states, succ, _ = negotiation._concrete_game1(game, lam, i, S)
+        for s, outs in zip(states, succ):
+            if s[0] == "C":
+                assert owner[s[1]] == me, s
+            elif s[0] == "P":
+                # i's proposals go to the Challenger, the others' straight on
+                kind = "C" if owner[s[1]] == me else "P"
+                assert all(states[t][0] == kind for t in outs), s
+                own += owner[s[1]] == me
+    assert own > 0
+
+
+# ---------------------------------------------------------------------------
+# colours come from one per-game structure
+
+
+def test_colour_read_once_per_vertex_and_player():
+    rng = random.Random(44)
+    bases = [load_game("fig_ne_spe"), deviation_robust_game()[0]]
+    bases += [random_parity_game(rng, n=5, players=3, max_color=3)
+              for _ in range(4)]
+    reads = 0
+    for base in bases:
+        for k in range(3):
+            # a fresh game object, so its structure is built in the call
+            game = Game(base.arena, base.payoff)
+            lam = {v: rng.choice([NINF, Fraction(0), Fraction(1)])
+                   for v in game.arena.vertices}
+            if k == 0:
+                lam = vacuous_requirement(game)
+            color = mock.Mock(wraps=game.payoff.color)
+            with mock.patch.object(game.payoff, "color", color):
+                nego_parity(game, lam)
+            counts = {}
+            for args, _ in color.call_args_list:
+                counts[args] = counts.get(args, 0) + 1
+            assert max(counts.values(), default=0) <= 1, (lam, counts)
+            reads += len(counts)
+    assert reads > 0
+
+
+def test_chance_vertex_is_an_error_not_a_key_error():
+    arena = Arena(["circle", "square"], ["u", "c", "w"],
+                  {"u": "circle", "c": "chance", "w": "square"},
+                  [("u", "c"), ("c", "u"), ("c", "w"), ("w", "u")],
+                  chance_prob={("c", "u"): Fraction(1, 2),
+                               ("c", "w"): Fraction(1, 2)}, init="u")
+    game = Game(arena, PayoffSpec("parity", colors={
+        v: {"circle": k, "square": k + 1} for k, v in enumerate("ucw")}))
+    for lam in (vacuous_requirement(game),
+                {"u": NINF, "c": Fraction(1), "w": Fraction(0)}):
+        with pytest.raises(GameError, match="chance-free"):
+            nego_parity(game, lam)
+    with pytest.raises(GameError, match="chance-free"):
+        search_consistent_parity(game, vacuous_requirement(game), Query())

@@ -7,6 +7,7 @@ from fractions import Fraction
 from equilibra.corpus import load_game
 from equilibra.games import GameError, Lasso, eval_lasso
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
+                                   nego_iterate,
                                    is_lambda_consistent, _MpContext)
 from equilibra.nash import Query, search_consistent_parity
 from equilibra.spe import (spe_exists_parity, spe_exists_mp, check_mp_witness,
@@ -182,6 +183,15 @@ def test_parity_iteration_converges_quickly():
         g = random_parity_game(rng, n=4, players=2)
         seq = iterate_to_fixed_point_parity(g)
         assert len(seq) <= 2 * len(g.arena.vertices) + 2
+        assert seq == nego_iterate(g)[0]
+
+
+def test_parity_iteration_cap_raises():
+    # fig_ne_spe converges at its third iterate
+    fig = load_game("fig_ne_spe")
+    assert len(iterate_to_fixed_point_parity(fig, cap=3)) == 4
+    with pytest.raises(GameError, match="failed to converge"):
+        iterate_to_fixed_point_parity(fig, cap=2)
 
 
 def test_adjusted_iteration_decides_eps_cases():

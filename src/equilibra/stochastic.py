@@ -137,6 +137,12 @@ def best_extreme_response(game, partition, profile, player):
     profile: a threshold sweep on the support of the MDP the profile
     induces, in which the player's product nodes choose and every other
     non-terminal node moves at random."""
+    return _response_sweep(game, partition, profile, player, None)
+
+
+def _response_sweep(game, partition, profile, player, above):
+    """`best_extreme_response`, swept only above `above` when it is given
+    (see `zs.extreme_threshold_sweep`)."""
     arena = game.arena
     product = profile_product(game, profile, player)
     owner = {}
@@ -150,23 +156,43 @@ def best_extreme_response(game, partition, profile, player):
     start = (arena.init, profile.initial)
     return zs.extreme_threshold_sweep(
         product, edges, owner, pay, partition.is_pessimist(player), player,
-        [start])[start]
+        [start], above=above)[start]
 
 
 def verify_xrse(game, partition, profile):
     """XRSE check: no player can beat their extreme measure in the MDP
-    induced by the others' part of the profile."""
+    induced by the others' part of the profile.  Each player's best
+    response is swept in full; this is the independent check of what
+    `xrse_search_bounded` returns."""
     if game.mode != "terminal":
         raise GameError("verify_xrse needs terminal mode")
-    return _unbeaten(game, partition, profile,
-                     extreme_measure(game, partition, profile))
-
-
-def _unbeaten(game, partition, profile, measures):
-    """No player's best extreme response beats their entry of `measures`,
-    the profile's extreme measures."""
+    measures = extreme_measure(game, partition, profile)
     return all(best_extreme_response(game, partition, profile, i)
                <= measures[i] for i in game.players)
+
+
+def _top_thresholds(game):
+    """Each player's greatest sweep threshold, 0 or their greatest payoff:
+    no response of theirs beats a value at or above it."""
+    pay = game.payoff.terminal_payoffs
+    return {p: max([Fraction(0)] + [pay[t][p] for t in game.terminals()])
+            for p in game.players}
+
+
+def _beats(game, partition, profile, player, m, top):
+    """Whether the player's best extreme response beats m, asked as one
+    question: only the thresholds above m are swept, and when `top`, the
+    player's greatest threshold, is not above m, no product is built."""
+    return top > m and _response_sweep(game, partition, profile, player,
+                                       m) > m
+
+
+def _unbeaten(game, partition, profile, measures, tops):
+    """No player's best extreme response beats their entry of `measures`,
+    the profile's extreme measures (`tops` from `_top_thresholds`); the
+    search's check of a full profile."""
+    return not any(_beats(game, partition, profile, i, measures[i], tops[i])
+                   for i in game.players)
 
 
 def uniform_profile(game, edge_set, name="uniform"):
@@ -457,28 +483,93 @@ def xrse_search_bounded(game, partition, query, memory_bound):
     return {"answer": "none-at-cap", "memory_bound": memory_bound}
 
 
-def _search_slots(game, partition, query, states, slots):
-    """Core-first enumeration: assign the slots the on-profile dynamics
-    actually reaches, prune whole subtrees on measure mismatch, then fill
-    the remaining (deviation-only) slots with verification memoized on the
-    deviation-reachable signature.  Filling never changes the on-profile
-    closure, so every full profile is checked against the measures of its
-    closure, and the signature contains that closure."""
-    arena = game.arena
-    slot_of = {(q, v): k for k, (q, v, _) in enumerate(slots)}
-    init = (arena.init, "q0")
+def _measure_caps(game, partition, query):
+    """For each player, a value their extreme measure exceeds on no
+    support that the query admits.
 
-    def moves(q, v, choice):
-        if arena.is_chance(v):
+    An outcome is a terminal or non-termination (0 for everyone).  Every
+    outcome of an admitted support meets each pessimist's lower bound and
+    each optimist's upper bound (`every` lists the outcomes that meet all
+    of them), and some outcome of it meets each other bound (`some[j]`
+    lists the outcomes in `every` that meet player j's).  So a measure is
+    at most the player's greatest payoff over `every`, and a pessimist's,
+    the least payoff in the support, is also at most their greatest
+    payoff over each `some[j]`.  A player is left out when one of those
+    lists is empty, since no support is admitted then."""
+    pay = game.payoff.terminal_payoffs
+    outcomes = [pay[t] for t in game.terminals()]
+    outcomes.append({p: Fraction(0) for p in game.players})
+    pess = partition.is_pessimist
+    every = [o for o in outcomes
+             if all(query.lo(j) <= o[j] if pess(j) else o[j] <= query.hi(j)
+                    for j in game.players)]
+    some = [[o for o in every
+             if (o[j] <= query.hi(j) if pess(j) else query.lo(j) <= o[j])]
+            for j in game.players]
+    caps = {}
+    for i in game.players:
+        fits = [every] + (some if pess(i) else [])
+        if all(fits):
+            caps[i] = min(max(o[i] for o in f) for f in fits)
+    return caps
+
+
+def _search_slots(game, partition, query, states, slots):
+    """The first profile over `slots` ((state, vertex, options) triples)
+    whose closure's measures the query admits and that no player beats,
+    or None.
+
+    Core-first enumeration: assign the slots the on-profile dynamics
+    actually reaches, prune whole subtrees on measure mismatch, then fill
+    the remaining (deviation-only) slots.  Filling never changes the
+    on-profile closure, so every full profile is checked against the
+    measures of its closure.  A subtree is skipped when some player beats
+    a cap even if every unassigned slot is hostile
+    (`_SlotSearch.hostile_beaten`): before each filling step the cap is
+    their measure, and before each branching of the closure it bounds
+    every measure a support admitted by the query gives them
+    (`_measure_caps`).  A full profile is checked with one threshold
+    question per player (`_unbeaten`), memoized on the
+    deviation-reachable signature, which contains the closure."""
+    return _SlotSearch(game, partition, query, states, slots).rec({})
+
+
+# owner of the hostile completion's choosing nodes: no player, CHANCE or
+# TERMINAL, so every threshold sweep counts it among the hostile others
+_HOSTILE = object()
+
+
+class _SlotSearch:
+    """The enumeration of `_search_slots` and its verification memo.  It
+    is an object rather than closures that call themselves: such a
+    closure is a reference cycle, which keeps the game alive until the
+    cyclic collector runs."""
+
+    def __init__(self, game, partition, query, states, slots):
+        self.game = game
+        self.arena = game.arena
+        self.partition = partition
+        self.query = query
+        self.states = states
+        self.slots = slots
+        self.slot_of = {(q, v): k for k, (q, v, _) in enumerate(slots)}
+        self.init = (game.arena.init, "q0")
+        self.tops = _top_thresholds(game)
+        self.caps = _measure_caps(game, partition, query)
+        self.verify_memo = {}
+
+    def moves(self, q, v, choice):
+        if self.arena.is_chance(v):
             q2 = choice[0][0]
-            return [(w, q2) for w in arena.succ(v)]
+            return [(w, q2) for w in self.arena.succ(v)]
         return [(w, q2) for (q2, w) in choice]
 
-    def core_frontier(assign):
+    def core_frontier(self, assign):
         """(the closure's successor map, None), or (None, the first
         unassigned slot it needs)."""
-        seen = {init}
-        stack = [init]
+        arena = self.arena
+        seen = {self.init}
+        stack = [self.init]
         succ = {}
         while stack:
             s = stack.pop()
@@ -486,87 +577,163 @@ def _search_slots(game, partition, query, states, slots):
             succ[s] = []
             if arena.is_terminal(v):
                 continue
-            k = slot_of[(q, v)]
+            k = self.slot_of[(q, v)]
             if k not in assign:
                 return None, k
-            succ[s] = moves(q, v, assign[k])
+            succ[s] = self.moves(q, v, assign[k])
             for nxt in succ[s]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
         return succ, None
 
-    def build(assign):
+    def build(self, assign):
         transitions = []
         for k, choice in assign.items():
-            q, v, _ = slots[k]
-            if arena.is_chance(v):
+            q, v, _ = self.slots[k]
+            if self.arena.is_chance(v):
                 transitions.append((q, v, choice[0][0]))
             else:
                 for (q2, w) in choice:
                     transitions.append((q, v, q2, w))
-        return MemoryProfile(states, "q0", list(game.players), transitions,
-                             name="search")
+        return MemoryProfile(self.states, "q0", list(self.game.players),
+                             transitions, name="search")
 
-    def dev_signature(assign):
+    def dev_signature(self, assign):
         """Transitions restricted to (state, vertex) pairs reachable when
         players may deviate anywhere; unreachable slots cannot matter."""
-        seen = {init}
-        stack = [init]
+        arena = self.arena
+        seen = {self.init}
+        stack = [self.init]
         while stack:
             v, q = stack.pop()
             if arena.is_terminal(v):
                 continue
-            for q2 in {c[0] for c in assign[slot_of[(q, v)]]}:
+            for q2 in {c[0] for c in assign[self.slot_of[(q, v)]]}:
                 for w in arena.succ(v):
                     nxt = (w, q2)
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-        return frozenset((q, v, assign[slot_of[(q, v)]]) for (v, q) in seen
-                         if not arena.is_terminal(v))
+        return frozenset((q, v, assign[self.slot_of[(q, v)]])
+                         for (v, q) in seen if not arena.is_terminal(v))
 
-    verify_memo = {}
+    def full_check(self, assign, measures):
+        sig = self.dev_signature(assign)
+        if sig not in self.verify_memo:
+            self.verify_memo[sig] = _unbeaten(
+                self.game, self.partition, self.build(assign), measures,
+                self.tops)
+        return self.verify_memo[sig]
 
-    def full_check(assign, measures):
-        sig = dev_signature(assign)
-        if sig not in verify_memo:
-            verify_memo[sig] = _unbeaten(game, partition, build(assign),
-                                         measures)
-        return verify_memo[sig]
+    def hostile_beaten(self, assign, caps):
+        """Whether some player i beats `caps[i]` in every completion of
+        `assign`: their best extreme response beats it in the game where
+        a hostile player picks every unassigned slot.  A hostile node is
+        never better for the deviator than one that moves at random over
+        any support, and it may loop forever where a random one would
+        leave, so that response bounds the player's best response in
+        every completion from below (the punishment argument behind the
+        adversarial values of NE outcomes).  No completion is then an
+        XRSE whose measure for i is at most `caps[i]`."""
+        return any(self.tops[i] > m and self.hostile_response(assign, i, m) > m
+                   for i, m in caps.items())
 
-    def rec(assign):
-        succ, need = core_frontier(assign)
+    def hostile_response(self, assign, player, above):
+        """The player's best extreme response, swept above `above`, in the
+        product walked from the start: an assigned slot moves as in
+        `best_extreme_response` (the player's vertices free over every
+        edge into the slot's memory update, the others' at random over
+        their support, chance at random).  An unassigned slot is hostile:
+        with one memory state another player's vertex is a hostile node
+        over every edge, the player's own is free and chance stays chance;
+        with more, a hostile node first picks the memory update, then the
+        vertex moves so."""
+        arena = self.arena
+        terminal_payoffs = self.game.payoff.terminal_payoffs
+        # a node's owner is None from when it is queued until it is walked
+        owner = {self.init: None}
+        pay = {}
+        edges = []
+        stack = [self.init]
+
+        def link(s, t):
+            edges.append((s, t))
+            if t not in owner:
+                owner[t] = None
+                stack.append(t)
+
+        while stack:
+            s = stack.pop()
+            v, q = s
+            o = arena.owner[v]
+            if o == TERMINAL:
+                owner[s] = TERMINAL
+                pay[s] = terminal_payoffs[v][player]
+                continue
+            choice = assign.get(self.slot_of[(q, v)])
+            if choice is not None:
+                if o == player:
+                    nexts = [(w, choice[0][0]) for w in arena.succ(v)]
+                else:
+                    o, nexts = CHANCE, self.moves(q, v, choice)
+            else:
+                if o not in (player, CHANCE):
+                    o = _HOSTILE
+                if len(self.states) > 1:
+                    owner[s] = _HOSTILE
+                    for q2 in self.states:
+                        pick = (v, q, q2)
+                        owner[pick] = o
+                        edges.append((s, pick))
+                        for w in arena.succ(v):
+                            link(pick, (w, q2))
+                    continue
+                nexts = [(w, q) for w in arena.succ(v)]
+            owner[s] = o
+            for t in nexts:
+                link(s, t)
+        return zs.extreme_threshold_sweep(
+            list(owner), edges, owner, pay,
+            self.partition.is_pessimist(player), player, [self.init],
+            above=above)[self.init]
+
+    def rec(self, assign):
+        succ, need = self.core_frontier(assign)
         if need is not None:
-            for choice in slots[need][2]:
+            if self.hostile_beaten(assign, self.caps):
+                return None
+            for choice in self.slots[need][2]:
                 assign[need] = choice
-                res = rec(assign)
+                res = self.rec(assign)
                 if res is not None:
                     return res
                 del assign[need]
             return None
-        measures = _extremes(game, partition, *_support(
-            succ, init, {s: s[0] for s in succ if arena.is_terminal(s[0])}))
-        if not query.admits(measures):
+        arena = self.arena
+        measures = _extremes(self.game, self.partition, *_support(
+            succ, self.init,
+            {s: s[0] for s in succ if arena.is_terminal(s[0])}))
+        if not self.query.admits(measures):
             return None
-        rest = [k for k in range(len(slots)) if k not in assign]
-        return fill(assign, rest, 0, measures)
+        rest = [k for k in range(len(self.slots)) if k not in assign]
+        return self.fill(assign, rest, 0, measures)
 
-    def fill(assign, rest, pos, measures):
+    def fill(self, assign, rest, pos, measures):
         if pos == len(rest):
-            if full_check(assign, measures):
-                return build(assign)
+            if self.full_check(assign, measures):
+                return self.build(assign)
+            return None
+        if self.hostile_beaten(assign, measures):
             return None
         k = rest[pos]
-        for choice in slots[k][2]:
+        for choice in self.slots[k][2]:
             assign[k] = choice
-            res = fill(assign, rest, pos + 1, measures)
+            res = self.fill(assign, rest, pos + 1, measures)
             if res is not None:
                 return res
             del assign[k]
         return None
-
-    return rec({})
 
 
 # ---------------------------------------------------------------------------

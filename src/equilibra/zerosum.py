@@ -115,22 +115,35 @@ def extreme_adversarial_value(game, partition, v):
 
 
 def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
-                            starts):
+                            starts, above=None):
     """The best extreme risk `player` can secure from each vertex in
     `starts` (any vertices, chance included) against hostile others: the
     least payoff in the support of the outcome when `is_pess`, else the
     greatest.  Returns start -> value.
 
     The graph is `vertices` and `edges`; `owner` maps each vertex to a
-    player, CHANCE or TERMINAL, and every player but `player` is hostile.
-    `pay` maps each terminal to the player's payoff; the terminals must
-    have no moves.  Extreme measures depend on supports only, so no
-    probabilities are read.  Decided by a threshold sweep over {0} +
-    terminal payoffs on one indexed graph, from the highest threshold
-    down; each threshold is an almost-sure or positive-probability
-    reachability game, and a start's value is the first threshold whose
-    winning region holds it.
+    player, CHANCE or TERMINAL, and every other owner (a player, or any
+    other label) is hostile.  `pay` maps each terminal to the player's
+    payoff; the terminals must have no moves.  Extreme measures depend on
+    supports only, so no probabilities are read.  Decided by a threshold
+    sweep over {0} + terminal payoffs on one indexed graph, from the
+    highest threshold down; each threshold is an almost-sure or
+    positive-probability reachability game, and a start's value is the
+    first threshold whose winning region holds it.
+
+    With `above`, only the thresholds above it are swept and a start that
+    wins none of them maps to `above`: each start gets max(value, above),
+    which tells whether the value exceeds `above` without deciding the
+    thresholds at or below it.  The least threshold is won everywhere, so
+    the value is above `above` exactly when some swept threshold is won.
     """
+    candidates = sorted({Fraction(0)} | set(pay.values()), reverse=True)
+    floor = candidates[-1]
+    if above is not None:
+        candidates = [x for x in candidates if x > above]
+        floor = above
+        if not candidates:
+            return {v: floor for v in starts}
     g = K.IndexedGraph(vertices, edges)
     others = set(owner.values()) - {player, CHANCE}
     vals = [pay.get(u) for u in g.vertices]
@@ -140,7 +153,6 @@ def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
         return K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, target,
                            [1] * g.n)
 
-    candidates = sorted({Fraction(0)} | set(pay.values()), reverse=True)
     out = {}
     for x in candidates:
         good = [1 if y is not None and y >= x else 0 for y in vals]
@@ -164,7 +176,7 @@ def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
                 out[v] = x
         if len(out) == len(starts):
             break
-    return {v: out.get(v, candidates[-1]) for v in starts}
+    return {v: out.get(v, floor) for v in starts}
 
 
 # ---------------------------------------------------------------------------

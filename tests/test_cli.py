@@ -228,7 +228,9 @@ def test_queries_leave_no_function_in_a_reference_cycle(capsys):
         for argv in (["nego-iterate", "sans_spe"], ["ne-exists", "chaos"],
                      ["spe-exists", "inf_spe", "--eps=1"],
                      ["eps-min", "sans_spe"],
-                     ["nego-iterate", "fig_first_example"]):
+                     ["nego-iterate", "fig_first_example"],
+                     ["xrse-search", "ex_extreme2", "--pessimists", "all",
+                      "--memory-bound", "2"]):
             assert run(argv) == 0, argv
         gc.collect()
         cyclic = sorted({f"{x.__module__}.{x.__qualname__}"

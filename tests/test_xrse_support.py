@@ -1,9 +1,15 @@
 """The XRSE support walk (`stochastic._support`), measure fold
 (`stochastic._extremes`) and almost-sure loop (`zerosum._value_one`)
-against the code they replaced (`tests/xrse_support_reference.py`)."""
+against the code they replaced (`tests/xrse_support_reference.py`), and
+the bounded search's cuts and one-threshold checks against brute force and
+the full best-response sweep."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilibra.corpus import load_game
@@ -13,7 +19,8 @@ from equilibra.rationals import parse_rational
 from equilibra import stochastic
 from equilibra.stochastic import (RiskPartition, extreme_measure,
                                   best_extreme_response, uniform_profile,
-                                  xrse_exists, xrse_constrained_optimists,
+                                  verify_xrse, xrse_exists,
+                                  xrse_constrained_optimists,
                                   xrse_search_bounded, _support_measures)
 from equilibra import zerosum as zs
 
@@ -24,7 +31,8 @@ from test_profile_product import draw_profile
 
 TERMINAL_CORPUS = ["lottery", "ex_extreme1", "ex_extreme2", "ex_extreme3"]
 SEEDS = st.integers(0, 2 ** 32 - 1)
-PAYOFFS = st.sampled_from([(0, 1, 2, 3), (-1, 0, 1, 2)])
+PAYOFF_SETS = [(0, 1, 2, 3), (-1, 0, 1, 2)]
+PAYOFFS = st.sampled_from(PAYOFF_SETS)
 TERMINAL_GAMES = (
     st.builds(lambda s, pay: random_terminal_game(random.Random(s), n=4,
                                                   payoffs=pay), SEEDS, PAYOFFS)
@@ -192,3 +200,137 @@ def test_adversarial_values_sweep_once_per_player(monkeypatch):
             val = stochastic._adversarial_values(game, part)
             assert sweeps == list(game.players)
             assert val == ref._adversarial_values(game, part)
+
+
+class _NodesSpent(Exception):
+    """A checked search used up its node allowance."""
+
+
+class _CheckedCuts(stochastic._SlotSearch):
+    """The bounded search, checking by brute force each subtree that the
+    hostile-completion bound cuts: in every completion, the player the
+    bound names beats their cap, so no completion has admitted measures
+    and passes `verify_xrse`.  A cut with more than CUT_LIMIT completions
+    is left unchecked, and a search stops after NODE_LIMIT `rec` and
+    `fill` nodes, which keeps each search to a fraction of a second."""
+
+    CUT_LIMIT = 40
+    NODE_LIMIT = 200
+    checked = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.nodes = 0
+
+    def spend(self):
+        self.nodes += 1
+        if self.nodes > self.NODE_LIMIT:
+            raise _NodesSpent
+
+    def rec(self, *args):
+        self.spend()
+        return super().rec(*args)
+
+    def fill(self, *args):
+        self.spend()
+        return super().fill(*args)
+
+    def hostile_beaten(self, assign, caps):
+        cut = super().hostile_beaten(assign, caps)
+        rest = [k for k in range(len(self.slots)) if k not in assign]
+        options = [self.slots[k][2] for k in rest]
+        if not cut or math.prod(map(len, options)) > self.CUT_LIMIT:
+            return cut
+        game, part = self.game, self.partition
+        for combo in itertools.product(*options):
+            profile = self.build({**assign, **dict(zip(rest, combo))})
+            assert any(best_extreme_response(game, part, profile, i) > m
+                       for i, m in caps.items())
+            assert not (self.query.admits(extreme_measure(game, part,
+                                                          profile))
+                        and verify_xrse(game, part, profile))
+        _CheckedCuts.checked += 1
+        return cut
+
+
+def test_hostile_bound_cuts_no_xrse():
+    # tiny games, every pessimist set, seeded thresholds; a search at
+    # bound 2 runs the bound-1 search first
+    games = [load_game("lottery"), load_game("ex_extreme1")]
+    games += [random_terminal_game(random.Random(seed), n=3,
+                                   payoffs=PAYOFF_SETS[seed % 2])
+              for seed in range(160)]
+    rng = random.Random(5)
+    values = [Fraction(x) for x in (-1, 0, 1, 2, 3)]
+    _CheckedCuts.checked = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochastic, "_SlotSearch", _CheckedCuts)
+        for game in games:
+            for k in range(len(game.players) + 1):
+                for pess in itertools.combinations(game.players, k):
+                    query = Query(*[{p: rng.choice(values)
+                                     for p in game.players
+                                     if rng.random() < 0.5}
+                                    for _ in range(2)])
+                    try:
+                        xrse_search_bounded(game, RiskPartition(game, pess),
+                                            query, 2)
+                    except _NodesSpent:
+                        pass
+    assert _CheckedCuts.checked >= 250
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERMINAL_GAMES, st.data())
+def test_measure_caps_bound_every_admitted_support(game, data):
+    # a support is a set of terminals, with or without non-termination
+    draw = data.draw
+    part = draw_partition(draw, game)
+    query = draw_query(draw, game)
+    caps = stochastic._measure_caps(game, part, query)
+    terms = game.terminals()
+    for k in range(len(terms) + 1):
+        for support in itertools.combinations(terms, k):
+            for nonterm in (False, True):
+                if not (support or nonterm):
+                    continue
+                measures = stochastic._extremes(game, part, support, nonterm)
+                if query.admits(measures):
+                    assert all(measures[i] <= c for i, c in caps.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMINAL_GAMES, st.data())
+def test_one_threshold_question_matches_best_response(game, data):
+    draw = data.draw
+    profile = draw_profile(draw, game, deterministic=draw(st.booleans()))
+    pay = game.payoff.terminal_payoffs
+    tops = stochastic._top_thresholds(game)
+    for k in range(len(game.players) + 1):
+        for pess in itertools.combinations(game.players, k):
+            part = RiskPartition(game, pess)
+            for i in game.players:
+                best = best_extreme_response(game, part, profile, i)
+                ms = {Fraction(-1), Fraction(0), Fraction(40)}
+                ms |= {pay[t][i] for t in game.terminals()}
+                for m in ms:
+                    assert stochastic._beats(game, part, profile, i, m,
+                                             tops[i]) == (best > m)
+
+
+def test_deviator_at_their_greatest_candidate_builds_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(stochastic, "profile_product", refuse)
+    for name in TERMINAL_CORPUS:
+        game = load_game(name)
+        pay = game.payoff.terminal_payoffs
+        tops = stochastic._top_thresholds(game)
+        assert all(tops[i] == max([Fraction(0)] + [pay[t][i]
+                                                   for t in game.terminals()])
+                   for i in game.players)
+        profile = uniform_profile(game, game.arena.edges)
+        for pess in ([], game.players):
+            assert stochastic._unbeaten(game, RiskPartition(game, pess),
+                                        profile, tops, tops)

@@ -28,7 +28,7 @@ from .spe import (spe_exists_parity, spe_exists_mp, epsilon_min_search,
 from .stochastic import (RiskPartition, EntropicParams, extreme_measure,
                          entropic_measure, verify_xrse, xrse_exists,
                          xrse_constrained_optimists, xrse_search_bounded,
-                         uniform_profile, verify_erse_stationary)
+                         verify_erse_stationary)
 from .verification import rational_verify, achaotic_rational_verify_mp
 from . import corpus
 
@@ -110,6 +110,12 @@ def _assignments(option, items, parse=parse_rational, players=None):
     return out
 
 
+def _player(args, game):
+    if args.player not in game.players:
+        raise GameError(f"unknown player {args.player!r} in --player")
+    return args.player
+
+
 def _thresholds(args, game):
     return Query(_assignments("--lower", args.lower, parse_ext, game.players),
                  _assignments("--upper", args.upper, parse_ext, game.players))
@@ -124,8 +130,8 @@ def _partition(args, game):
     return RiskPartition(game, [s for s in spec.split(",") if s])
 
 
-def _rho(args):
-    rho = _assignments("--rho", args.rho)
+def _rho(args, game):
+    rho = _assignments("--rho", args.rho, players=game.players)
     base = "e" if args.base == "e" else _rational("--base", args.base)
     return EntropicParams(base, rho, precision=args.precision)
 
@@ -171,7 +177,7 @@ def _validate(args, game):
 
 def _eval(args, game):
     lasso = Lasso.parse(args.lasso)
-    val = eval_lasso(game, lasso, args.player)
+    val = eval_lasso(game, lasso, _player(args, game))
     return "yes", {"value": _jsonable(val),
                    "all": _jsonable(payoff_vector(game, lasso))}
 
@@ -257,8 +263,7 @@ def _achaotic_verify(args, game):
 
 def _xrse_exists(args, game):
     partition = _partition(args, game)
-    edges, trace = xrse_exists(game, partition)
-    measures = extreme_measure(game, partition, uniform_profile(game, edges))
+    edges, measures, trace = xrse_exists(game, partition)
     return "yes", {"edges": _edges(edges), "measures": _jsonable(measures),
                    "trace": _trace_json(trace)}
 
@@ -296,8 +301,8 @@ def _xrse_verify(args, game):
 
 def _er_eval(args, game):
     profile = _load_memory_arg(args.profile, game.arena)
-    params = _rho(args)
-    val = entropic_measure(game, params, profile, args.player)
+    params = _rho(args, game)
+    val = entropic_measure(game, params, profile, _player(args, game))
     return "yes", {"value": _jsonable(val),
                    "tolerance": "exact" if isinstance(val, Fraction)
                    else f"float({params.precision} bits)"}
@@ -305,7 +310,7 @@ def _er_eval(args, game):
 
 def _erse_verify(args, game):
     profile = _load_memory_arg(args.profile, game.arena)
-    ok = verify_erse_stationary(game, _rho(args), profile)
+    ok = verify_erse_stationary(game, _rho(args, game), profile)
     return _yes_no(ok), {"tolerance": "1e-9"}
 
 

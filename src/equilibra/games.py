@@ -742,15 +742,20 @@ def induced_chain(game, profile):
     """Markov chain of a profile covering every controlled vertex: the
     chain of `profile_product` with no free player.  Weights on co-enabled
     owned transitions, uniform by default."""
-    arena = game.arena
     if game.mode != "terminal":
         raise GameError("induced_chain needs terminal mode")
+    return product_chain(game, covered_product(game, profile))
+
+
+def covered_product(game, profile):
+    """`profile_product` with no free player of a valid, covering profile."""
+    arena = game.arena
     profile.validate(arena)
     uncovered = [v for v in arena.vertices if arena.owner[v] not in
                  profile.owners + (CHANCE, TERMINAL)]
     if uncovered:
         raise GameError(f"uncovered controlled vertex {uncovered[0]}")
-    return product_chain(game, profile_product(game, profile, None))
+    return profile_product(game, profile, None)
 
 
 def product_chain(game, product, fixed=None):

@@ -349,29 +349,21 @@ def _energy_feasible(game, player, product, start):
     bound = cap * (len(product) + 1) + 1
     seen = {(start, Fraction(0))}
     stack = [(start, Fraction(0))]
-    while stack:
-        node, e = stack.pop()
-        for nxt, _ in product[node]:
-            e2 = e + rewards[(node, nxt)]
-            if e2 < 0:
-                continue
-            if e2 > bound:
-                e2 = bound
-            state = (nxt, e2)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    # cycle detection over the saturated state graph
     edges = []
-    for (node, e) in seen:
+    while stack:
+        node, e = state = stack.pop()
         for nxt, _ in product[node]:
             e2 = e + rewards[(node, nxt)]
             if e2 < 0:
                 continue
             if e2 > bound:
                 e2 = bound
-            if (nxt, e2) in seen:
-                edges.append(((node, e), (nxt, e2)))
+            after = (nxt, e2)
+            edges.append((state, after))
+            if after not in seen:
+                seen.add(after)
+                stack.append(after)
+    # cycle detection over the saturated state graph
     comp, _ = scc_of(seen, edges)
     return any(comp[s] == comp[t] for s, t in edges)
 

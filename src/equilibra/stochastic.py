@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .rationals import PINF
 from .games import (GameError, MemoryProfile, CHANCE, TERMINAL,
-                    induced_chain, chain_hit_probabilities, profile_product)
+                    induced_chain, chain_hit_probabilities, profile_product,
+                    covered_product)
 from . import zerosum as zs
 from ._kernels import reach
 from .nash import _verify_ne_expectation
@@ -40,6 +41,8 @@ class EntropicParams:
     def __init__(self, base, rho, precision=113):
         if base != "e" and not (isinstance(base, Fraction) and base > 1):
             raise GameError("base must be a rational > 1 or 'e'")
+        if precision < 1:
+            raise GameError(f"precision {precision} is not at least 1")
         self.base = base
         self.rho = dict(rho)
         self.precision = precision
@@ -89,10 +92,11 @@ def extreme_measure(game, partition, profile):
     of each player's payoff under the profile."""
     if game.mode != "terminal":
         raise GameError("extreme measures need terminal mode")
-    chain = induced_chain(game, profile)
-    succ = [[j for j, _ in out] for out in chain.trans]
-    return _extremes(game, partition,
-                     *_support(succ, chain.init, chain.terminal_of))
+    product = covered_product(game, profile)
+    succ = {s: [t for t, _ in moves] for s, moves in product.items()}
+    terminal_of = {s: s[0] for s in product if game.arena.is_terminal(s[0])}
+    return _extremes(game, partition, *_support(
+        succ, (game.arena.init, profile.initial), terminal_of))
 
 
 def entropic_measure(game, params, profile, player):
@@ -270,7 +274,8 @@ def _pessimist_safe_region(game, edges, player, z):
 def xrse_exists(game, partition):
     """Algorithm: iteratively remove the edges that let provably deviating
     pessimists reach their almost-sure-improvement region; the surviving
-    uniform support profile is a stationary XRSE. Nonnegative payoffs."""
+    uniform support profile is a stationary XRSE. Nonnegative payoffs.
+    Returns the edges, that profile's extreme measures and the trace."""
     if game.mode != "terminal":
         raise GameError("terminal mode required")
     for t in game.terminals():
@@ -296,7 +301,7 @@ def xrse_exists(game, partition):
         deviator = next((i for i in pessimists if arena.init not in Ws[i]),
                         None)
         if deviator is None:
-            return edges, trace
+            return edges, z, trace
         Wi = Ws[deviator]
         edges = [(u, v) for (u, v) in edges
                  if not (u in acc and u not in Wi and v in Wi)]

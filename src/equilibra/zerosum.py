@@ -230,56 +230,66 @@ def karp_min_mean(n, edges):
     (u, v, weight) triples; returns None if acyclic.  Value only.
     Weights (ints or Fractions) are scaled to integers once, the DP and
     the comparisons run on ints."""
-    if not edges:
-        return None
+    denom, iedges = _scaled(edges)
+    scale = math.lcm(*range(1, n + 1))
+    comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in iedges]))
+    best = min((x for x in _scc_min_means(comp, ncomp, iedges, scale)
+                if x is not None), default=None)
+    return None if best is None else Fraction(best, scale * denom)
+
+
+def _scaled(edges):
+    """(D, the edges with each weight times D), D the lcm of denominators."""
     denom = math.lcm(*[w.denominator for _, _, w in edges])
-    iedges = [(u, v, w.numerator * (denom // w.denominator))
-              for u, v, w in edges]
-    comp, ncomp = K.scc_of(range(n), [(u, v) for u, v, _ in iedges])
-    members = [[] for _ in range(ncomp)]
-    for v in range(n):
-        members[comp[v]].append(v)
-    inner = [[] for _ in range(ncomp)]
-    for u, v, w in iedges:
+    return denom, [(u, v, w.numerator * (denom // w.denominator))
+                   for u, v, w in edges]
+
+
+def _scc_min_means(comp, ncomp, edges, scale):
+    """Karp's DP on each SCC: at index c, the least mean of a cycle inside
+    SCC c times `scale` (an int, as every SCC size divides `scale`), or
+    None.  `comp` gives each vertex's SCC id and `edges` are (u, v, int
+    weight) triples.  d[k][v] is the least weight of a k-edge walk from
+    the SCC's first vertex to v; the least mean is min over v of max over
+    k < m of (d[m][v] - d[k][v]) / (m - k) on an m-vertex SCC."""
+    local, size = [], [0] * ncomp
+    for c in comp:
+        local.append(size[c])
+        size[c] += 1
+    adj = [[[] for _ in range(m)] for m in size]
+    for u, v, w in edges:
         if comp[u] == comp[v]:
-            inner[comp[u]].append((u, v, w))
-    best = None
-    for nodes, sub in zip(members, inner):
-        if not sub:
+            adj[comp[u]][local[u]].append((local[v], w))
+    out = []
+    for sub in adj:
+        if not any(sub):
+            out.append(None)
             continue
-        ren = {v: i for i, v in enumerate(nodes)}
-        m = len(nodes)
+        m = len(sub)
         d = [[None] * m for _ in range(m + 1)]
         d[0][0] = 0
-        adj = [[] for _ in range(m)]
-        for u, v, w in sub:
-            adj[ren[u]].append((ren[v], w))
         for k in range(1, m + 1):
             row, prev = d[k], d[k - 1]
             for u in range(m):
                 du = prev[u]
                 if du is None:
                     continue
-                for v, w in adj[u]:
+                for v, w in sub[u]:
                     cand = du + w
                     if row[v] is None or cand < row[v]:
                         row[v] = cand
+        best = None
         for v in range(m):
             dm = d[m][v]
             if dm is None:
                 continue
-            worst = None  # max over k of (d_m - d_k)/(m - k), as a pair
-            for k in range(m):
-                dk = d[k][v]
-                if dk is None:
-                    continue
-                num, den = dm - dk, m - k
-                if worst is None or num * worst[1] > worst[0] * den:
-                    worst = (num, den)
-            if worst is not None and (
-                    best is None or worst[0] * best[1] < best[0] * worst[1]):
+            # every v is reached by some walk of fewer than m edges
+            worst = max((dm - d[k][v]) * (scale // (m - k))
+                        for k in range(m) if d[k][v] is not None)
+            if best is None or worst < best:
                 best = worst
-    return None if best is None else Fraction(best[0], best[1] * denom)
+        out.append(best)
+    return out
 
 
 def karp_max_mean(n, edges):
@@ -388,51 +398,33 @@ def mp_values(game, player):
 
     Positional determinacy on both sides: maximize over the player's
     positional strategies; the hostile rest then drives the play to the
-    reachable cycle with least mean.
+    reachable cycle with least mean.  Per strategy, one Tarjan pass numbers
+    each SCC after those it reaches, so one sweep in increasing SCC id
+    gives each SCC the least of its Karp mean and its successors' values,
+    never None as the arena has no dead end.
     """
     arena = game.arena
-    mine = [v for v in arena.vertices if arena.owner[v] == player]
-    choice_lists = [sorted(arena.succ(v)) for v in mine]
-
-    def weight(u, v):
-        return game.payoff.reward(player, u, v)
-
-    best = {v: None for v in arena.vertices}
-    for combo in itertools.product(*choice_lists):
-        fixed = dict(zip(mine, combo))
-        edges = [(u, v) for (u, v) in arena.edges
-                 if u not in fixed or fixed[u] == v]
-        vals = _min_reachable_cycle_means(arena.vertices, edges, weight)
-        for v in arena.vertices:
-            if best[v] is None or vals[v] > best[v]:
-                best[v] = vals[v]
-    return best
-
-
-def _min_reachable_cycle_means(vertices, edges, weight):
-    """For each vertex: min mean over cycles reachable from it (graph has a
-    cycle from everywhere by the no-deadend invariant)."""
-    comp, ncomp = K.scc_of(vertices, edges)
-    local = {}
-    size = [0] * ncomp
-    for v in vertices:
-        local[v] = size[comp[v]]
-        size[comp[v]] += 1
-    inner = [[] for _ in range(ncomp)]
-    for (u, v) in edges:
-        if comp[u] == comp[v]:
-            inner[comp[u]].append((local[u], local[v], weight(u, v)))
-    best = [karp_min_mean(size[c], sub) if sub else None
-            for c, sub in enumerate(inner)]
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in edges:
-            cu, cv = comp[u], comp[v]
-            if cu == cv:
-                continue
-            if best[cv] is not None and (best[cu] is None
-                                         or best[cv] < best[cu]):
-                best[cu] = best[cv]
-                changed = True
-    return {v: best[comp[v]] for v in vertices}
+    n = len(arena.vertices)
+    index = arena.index
+    denom, iedges = _scaled([(index[u], index[v],
+                              game.payoff.reward(player, u, v))
+                             for u, v in arena.edges])
+    scale = math.lcm(*range(1, n + 1))
+    # a strategy picks one successor at each of the player's vertices
+    # and leaves every other vertex's moves (-1) to the hostile rest
+    choices = [[index[w] for w in arena.succ(v)]
+               if arena.owner[v] == player else [-1] for v in arena.vertices]
+    best = [None] * n
+    for fixed in itertools.product(*choices):
+        edges = [e for e in iedges if fixed[e[0]] < 0 or fixed[e[0]] == e[1]]
+        comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in edges]))
+        val = _scc_min_means(comp, ncomp, edges, scale)
+        for cu, cv in sorted({(comp[u], comp[v]) for u, v, _ in edges}):
+            if cu != cv and (val[cu] is None or val[cv] < val[cu]):
+                val[cu] = val[cv]
+        for v in range(n):
+            x = val[comp[v]]
+            if best[v] is None or x > best[v]:
+                best[v] = x
+    return {v: Fraction(best[k], scale * denom)
+            for k, v in enumerate(arena.vertices)}

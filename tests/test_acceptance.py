@@ -178,7 +178,7 @@ def test_criterion_08_xrse_trio():
 def test_criterion_09_algorithm1():
     ex1 = load_game("ex_extreme1")
     part = RiskPartition(ex1, ["circle", "square"])
-    edges, trace = xrse_exists(ex1, part)
+    edges, _, _ = xrse_exists(ex1, part)
     removed = set(ex1.arena.edges) - set(edges)
     assert removed in ({("a", "t1")}, {("b", "t2")})
     prof = uniform_profile(ex1, edges)

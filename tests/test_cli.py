@@ -327,6 +327,17 @@ WITNESS_EDITS = {
       "{unknown_w}"], "unknown W vertex z"),
     (["spe-check-witness", "sans_spe", "--eps=1", "--witness",
       "{unknown_key}"], "unknown prover map vertex z"),
+    (["eval", "fig_ne_spe", "--lasso", "a;b", "--player", "zz"],
+     "unknown player 'zz' in --player"),
+    (["eval", "sans_spe", "--lasso", ";d", "--player", "zz"],
+     "unknown player 'zz' in --player"),
+    (["er-eval", "lottery", "--profile", "{blue}", "--player", "zz"],
+     "unknown player 'zz' in --player"),
+    (["er-eval", "lottery", "--profile", "{blue}", "--player", "circle",
+      "--rho", "zz=1"], "unknown player 'zz' in --rho"),
+    (["er-eval", "lottery", "--profile", "{blue}", "--player", "circle",
+      "--rho", "circle=1", "--precision", "0"],
+     "precision 0 is not at least 1"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",

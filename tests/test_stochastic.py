@@ -4,6 +4,7 @@ import random
 import pytest
 import mpmath
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from equilibra.corpus import load_game
 from equilibra.games import (GameError, MemoryProfile, Arena, PayoffSpec,
@@ -88,7 +89,7 @@ def test_verify_xrse_examples():
     ex1 = load_game("ex_extreme1")
     both = RiskPartition(ex1, ["circle", "square"])
     assert not verify_xrse(ex1, both, uniform_profile(ex1, ex1.arena.edges))
-    edges, trace = xrse_exists(ex1, both)
+    edges, _, _ = xrse_exists(ex1, both)
     assert verify_xrse(ex1, both, uniform_profile(ex1, edges))
     lot = load_game("lottery")
     blue, red = blue_red(lot)
@@ -100,11 +101,10 @@ def test_verify_xrse_examples():
 def test_algorithm1_ex1():
     ex1 = load_game("ex_extreme1")
     both = RiskPartition(ex1, ["circle", "square"])
-    edges, trace = xrse_exists(ex1, both)
+    edges, meas, trace = xrse_exists(ex1, both)
     removed = set(ex1.arena.edges) - set(edges)
     assert removed in ({("a", "t1")}, {("b", "t2")})
-    prof = uniform_profile(ex1, edges)
-    meas = extreme_measure(ex1, both, prof)
+    assert meas == extreme_measure(ex1, both, uniform_profile(ex1, edges))
     assert sorted(meas.values()) == [1, 2]
     # pessimist z-values never decrease along the trace
     for i in ("circle", "square"):
@@ -118,9 +118,20 @@ def test_algorithm1_ex1():
 def test_algorithm1_no_pessimists():
     ex1 = load_game("ex_extreme1")
     none = RiskPartition(ex1, [])
-    edges, trace = xrse_exists(ex1, none)
+    edges, _, trace = xrse_exists(ex1, none)
     assert set(edges) == set(ex1.arena.edges)
     assert len(trace) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32).map(random.Random), st.booleans())
+def test_algorithm1_measures_are_those_of_its_uniform_profile(rng, pess):
+    """The measures `xrse_exists` returns are the extreme measures of the
+    uniform profile over the edges it returns."""
+    g = random_terminal_game(rng)
+    part = RiskPartition(g, g.players if pess else [])
+    edges, meas, _ = xrse_exists(g, part)
+    assert meas == extreme_measure(g, part, uniform_profile(g, edges))
 
 
 def test_algorithm1_negative_payoff_rejected():

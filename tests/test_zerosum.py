@@ -1,15 +1,19 @@
 import itertools
+import math
 import random
+import types
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
+import mp_values_reference as mp_ref
 import zielonka_reference as ref
 
 from equilibra.corpus import load_game
-from equilibra.games import GameError, Lasso, eval_lasso
-from equilibra import zerosum as zs
+from equilibra.games import Arena, GameError, Lasso, PayoffSpec, eval_lasso
+from equilibra import _kernels as K, zerosum as zs
 from conftest import (PLAYERS, random_parity_game, random_terminal_game,
                       oracle_parity_val, oracle_extreme_value,
                       positional_profiles, outcome_of_choices)
@@ -255,3 +259,57 @@ def test_mp_values_inf_spe():
     sans = load_game("sans_spe")
     assert zs.mp_values(sans, "circle") == {"a": 1, "b": 1, "c": 1, "d": 2}
     assert zs.mp_values(sans, "square") == {"a": 1, "b": 2, "c": 1, "d": 2}
+
+
+@st.composite
+def mp_games(draw):
+    """A mean-payoff game on 2-7 vertices with out-degree 1-3 (self-loops
+    allowed) and 2-3 players; its rewards are all ints or a mix of
+    denominators.  `mp_values` reads only the arena and the rewards, so
+    vertices with no ingoing edge are kept: the game is not validated."""
+    vertices = [f"v{k}" for k in range(draw(st.integers(2, 7)))]
+    names = PLAYERS[:draw(st.integers(2, 3))]
+    owner = {v: draw(st.sampled_from(names)) for v in vertices}
+    edges = [(v, w) for v in vertices for w in draw(st.lists(
+        st.sampled_from(vertices), min_size=1, max_size=3, unique=True))]
+    if draw(st.booleans()):
+        weight = st.integers(-2, 2)
+    else:
+        weight = st.builds(Fraction, st.integers(-6, 6),
+                           st.sampled_from([1, 2, 3, 4, 5]))
+    rewards = {e: {p: draw(weight) for p in names} for e in edges}
+    arena = Arena(names, vertices, owner, edges, init=vertices[0])
+    return types.SimpleNamespace(
+        arena=arena, payoff=PayoffSpec("mean-payoff", rewards=rewards))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mp_games())
+def test_mp_values_and_karp_match_reference(game):
+    arena = game.arena
+    for p in arena.players:
+        assert zs.mp_values(game, p) == mp_ref.mp_values(game, p)
+        edges = [(arena.index[u], arena.index[v],
+                  game.payoff.reward(p, u, v)) for u, v in arena.edges]
+        n = len(arena.vertices)
+        assert zs.karp_min_mean(n, edges) == mp_ref.karp_min_mean(n, edges)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mp_games())
+def test_mp_values_runs_one_scc_pass_per_strategy(game):
+    arena = game.arena
+    real = K.scc
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(K, "scc", counted):
+        for p in arena.players:
+            calls.clear()
+            zs.mp_values(game, p)
+            assert len(calls) == math.prod(
+                len(arena.succ(v)) for v in arena.vertices
+                if arena.owner[v] == p)

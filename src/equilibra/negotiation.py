@@ -543,9 +543,11 @@ class _MpStructure:
     across requirements: simple cycles and their rotations, strongly
     connected cores with their inner cycles, connectors, the family shapes
     proposable at each vertex, cycle means, and per player the LP-vertex
-    payoffs, adversarial values and deviation arcs (numbered in one
-    `_ArcTable` per player); plus the memo of `nego_mp` on the
-    requirement.
+    payoffs, adversarial values, deviation arcs (numbered in one
+    `_ArcTable` per player) and the pool skeleton of each vertex; plus the
+    memo of `nego_mp` on the requirement, and the `_MpRequirement` whose
+    pools were built last (`_requirement`), which witness extraction
+    reads back.
 
     It holds only a weak reference to its game, so the weak key in
     `_STRUCTURES` can die.  The entries stay valid for the game's lifetime
@@ -562,7 +564,9 @@ class _MpStructure:
         self.payoff = game.payoff
         self.bit = {v: 1 << k for k, v in enumerate(game.arena.vertices)}
         self.nego_memo = {}
+        self.last_requirement = None
         self._shapes = {}
+        self._skeletons = {}
         self._groups = {}
         self._tables = {}
         self._connectors = {}
@@ -626,6 +630,38 @@ class _MpStructure:
                                           (h, c, W0, W, hcmask | Wmask)))
             keyed.sort(key=lambda k: k[0])
             out = self._shapes[u] = [shape for _, shape in keyed]
+        return out
+
+    def skeleton(self, i, u):
+        """The shapes at u as player i's pools read them, whatever the
+        requirement: one (W0, vmask, members) per (core, vertex mask),
+        groups in the order of their first shape, members (k, arcs, h, c,
+        W) with k the shape's index in `shapes(u)` and arcs i's deviation
+        arc mask.  The shapes of a group pass the +inf test together and
+        share their floors, so their LP payoff: in the pool's stable sort
+        an earlier member comes first, and a member whose arcs contain an
+        earlier member's is left out, as the pool's dominance pass would
+        drop it whatever the requirement."""
+        key = (i, u)
+        out = self._skeletons.get(key)
+        if out is None:
+            groups = {}
+            for k, (h, c, W0, W, vmask) in enumerate(self.shapes(u)):
+                arcs = self.pre_arcs(i, h, c) | self.post_arcs(i, c, W)
+                group = groups.get((W0, vmask))
+                if group is None:
+                    group = groups[W0, vmask] = ([], [])
+                kept, members = group
+                outside = ~arcs
+                for other in kept:
+                    if not other & outside:
+                        break
+                else:
+                    kept.append(arcs)
+                    members.append((k, arcs, h, c, W))
+            out = self._skeletons[key] = [
+                (W0, vmask, members)
+                for (W0, vmask), (_, members) in groups.items()]
         return out
 
     def mask(self, vertices):
@@ -812,61 +848,102 @@ class _ArcTable:
         return out
 
 
+class _MpRequirement:
+    """What every player's view of one requirement shares: the
+    requirement (`lam`, and `key`, its values in `arena.vertices` order),
+    the mask of its +inf vertices, the LP floors of each vertex mask, and
+    per player the proposal pools and least acceptances built so far.  It
+    holds no reference to a structure or a game, so a structure can keep
+    the last one without keeping its game alive."""
+
+    def __init__(self, shared, lam):
+        vertices = shared.arena.vertices
+        self.lam = dict(lam)
+        self.key = tuple(lam[v] for v in vertices)
+        self.blocked = shared.mask(x for x in vertices if lam[x] == PINF)
+        self.pools = {}
+        self.min_accept = {}
+        self._floors = {}
+
+    def floors(self, shared, vmask):
+        """The LP floors of the shapes visiting vmask, as sorted (player,
+        floor) pairs: the max finite requirement of each player's vertices
+        among them, which is exactly family consistency."""
+        out = self._floors.get(vmask)
+        if out is None:
+            lam = self.lam
+            out = []
+            for j, vs in shared.owner_groups(vmask):
+                levels = [lam[x] for x in vs if lam[x] != NINF]
+                if levels:
+                    out.append((j, max(levels)))
+            out = self._floors[vmask] = tuple(out)
+        return out
+
+
+def _requirement(game, lam):
+    """The `_MpRequirement` of lam on game that `nego_mp` and witness
+    extraction build their pools in.  The game's structure keeps the last
+    one asked for: it is returned again while lam asks for the same
+    values, else a new one replaces it.  Each pool in it is stored only
+    once complete, so an interrupted search leaves nothing half built."""
+    shared = _mp_structure(game)
+    last = shared.last_requirement
+    if last is None or last.key != tuple(lam[v] for v in game.arena.vertices):
+        last = shared.last_requirement = _MpRequirement(shared, lam)
+    return last
+
+
 class _MpContext:
     """Per-(game, lambda, player) view of the reduced negotiation game.
 
     Only the proposal pools and their least acceptances depend on the
-    requirement; they live here and die with the view.  Everything else
-    (cycles, cores, LP-vertex payoffs, adversarial values, deviation arcs)
-    is read from the game's `_MpStructure`, shared by every view on the
-    same game object.
+    requirement; they live in the view's `_MpRequirement` (a new one
+    unless `req` is given), shared by every player's view of the same
+    requirement.  Everything else (cycles, cores, pool skeletons, LP-vertex
+    payoffs, adversarial values, deviation arcs) is read from the game's
+    `_MpStructure`, shared by every view on the same game object.
     """
 
-    def __init__(self, game, lam, i):
-        self.game = game
+    def __init__(self, game, lam, i, req=None):
         self.lam = lam
         self.i = i
         self.arena = game.arena
         self.shared = _mp_structure(game)
         self.table = self.shared.table(i)
-        self._pools = {}
-        self._min_accept = {}
+        self.req = req or _MpRequirement(self.shared, lam)
+        self._pools = self.req.pools.setdefault(i, {})
+        self._min_accept = self.req.min_accept.setdefault(i, {})
         self._deviations = {}
 
     def pool(self, u):
         """Candidate families proposable at u, sorted by (acceptance for
         i, h, c, W) and dominance-pruned: the shapes at u that visit no
         vertex of requirement +inf, each with its core's LP-vertex
-        payoff."""
+        payoff.  One +inf test, floors lookup and LP payoff per group of
+        i's skeleton at u."""
         if u in self._pools:
             return self._pools[u]
         shared = self.shared
         i = self.i
-        lam = self.lam
-        blocked = shared.mask(x for x in self.arena.vertices
-                              if lam[x] == PINF)
-        floors_of = {}
+        req = self.req
         cands = []
-        for h, c, W0, W, vmask in shared.shapes(u):
-            if vmask & blocked:
+        for W0, vmask, members in shared.skeleton(i, u):
+            if vmask & req.blocked:
                 continue
-            # the LP floors take the max of lambda per owner over h, c and
-            # W, which is exactly family consistency
-            floors = floors_of.get(vmask)
-            if floors is None:
-                floors = floors_of[vmask] = _floors(
-                    lam, shared.owner_groups(vmask))
-            xbar = shared.lp(i, W0, floors)
+            xbar = shared.lp(i, W0, req.floors(shared, vmask))
             if xbar is not None:
-                cands.append((_order_key(xbar[i]), xbar, h, c, W0, W))
-        # the shapes come sorted by (h, c, sorted W)
-        cands.sort(key=lambda cand: cand[0])
+                key = _order_key(xbar[i])
+                cands += [(key, k, arcs, xbar, h, c, W0, W)
+                          for k, arcs, h, c, W in members]
+        # the shape index k breaks ties as the order of `shapes(u)` does;
+        # it is unique, so the sort compares nothing after it
+        cands.sort()
         # an earlier family dominates a later one as soon as its deviation
         # arcs are a subset of the later one's (equal arcs included)
         pool = []
         kept = []
-        for _, xbar, h, c, W0, W in cands:
-            arcs = shared.pre_arcs(i, h, c) | shared.post_arcs(i, c, W)
+        for _, _, arcs, xbar, h, c, W0, W in cands:
             outside = ~arcs
             for other in kept:
                 if not other & outside:
@@ -909,17 +986,6 @@ def _order_key(x):
     compared as an int, decides all but near-equal pairs without a
     Fraction comparison."""
     return (x.numerator << 32) // x.denominator, x
-
-
-def _floors(lam, groups):
-    """Sorted (player, floor) pairs: the max finite requirement of each
-    player's vertices among `groups`."""
-    out = []
-    for j, vs in groups:
-        levels = [lam[x] for x in vs if lam[x] != NINF]
-        if levels:
-            out.append((j, max(levels)))
-    return tuple(out)
 
 
 def _challenger_reach(ctx, root, assignment):
@@ -1150,23 +1216,26 @@ def nego_mp(game, lam):
     """One application of the negotiation function on a mean-payoff game,
     via stationary Prover strategies in the reduced negotiation game with
     LP-vertex punishment payoffs.  Memoized per game object on the
-    requirement; every call returns a fresh dict."""
+    requirement; every call returns a fresh dict.  The pools it builds
+    stay with the game's structure until another requirement's are built
+    (`_requirement`), so witness extraction right after reads them back."""
     if game.mode != "mean-payoff":
         raise GameError("nego_mp needs mean-payoff mode")
     arena = game.arena
-    memo = _mp_structure(game).nego_memo
+    shared = _mp_structure(game)
     key = tuple(lam[v] for v in arena.vertices)
-    out = memo.get(key)
+    out = shared.nego_memo.get(key)
     if out is None:
+        req = _requirement(game, lam)
         out = {}
         for i in game.players:
             mine = [v for v in arena.vertices if arena.owner[v] == i]
             if not mine:
                 continue
-            ctx = _MpContext(game, lam, i)
+            ctx = _MpContext(game, lam, i, req)
             for v in mine:
                 out[v], _ = _mp_value_at(ctx, v)
-        memo[key] = out
+        shared.nego_memo[key] = out
     return dict(out)
 
 

@@ -1,6 +1,6 @@
 # The per-requirement proposal pool that equilibra.negotiation._MpContext.pool
-# replaced, kept verbatim as the reference its filter over the per-game shape
-# table must agree with exactly: same families in the same order, with the
+# replaced, kept verbatim as the reference its filter over the per-game pool
+# skeletons must agree with exactly: same families in the same order, with the
 # same cores and payoffs, and the same branch-and-bound values and
 # assignments (tests/test_negotiation_mp.py).  Around the loop, the
 # structure it read is kept too: simple histories per call, cycle rotations

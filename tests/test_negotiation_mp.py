@@ -213,32 +213,35 @@ def test_structure_dies_with_the_game():
 
 
 class Interrupt(BaseException):
-    """Stands for a budget alarm landing inside the LP or while the family
-    shapes are built."""
+    """Stands for a budget alarm landing inside the LP, while the family
+    shapes are built, or while a pool skeleton numbers deviation arcs."""
 
 
 def test_interrupted_nego_leaves_no_half_filled_entry(monkeypatch):
     # its multi-cycle cores keep the LP busy; `simple_paths` walks the
-    # histories and connectors while the family shapes are built
+    # histories and connectors while the family shapes are built, and
+    # `_ArcTable.mask` numbers deviation arcs while a skeleton is built
     game = load_game("not_stationary")
     seq, _ = nego_iterate(game, max_iters=2)
     lam = seq[2]
     want = nego_mp(cold_copy(game), lam)
-    for stopped in ("lex_min_vertex", "simple_paths"):
-        interrupt_each_stage(monkeypatch, game, lam, want, stopped)
+    for where, stopped in ((negotiation, "lex_min_vertex"),
+                           (negotiation, "simple_paths"),
+                           (negotiation._ArcTable, "mask")):
+        interrupt_each_stage(monkeypatch, game, lam, want, where, stopped)
 
 
-def interrupt_each_stage(monkeypatch, game, lam, want, stopped):
-    real = getattr(negotiation, stopped)
+def interrupt_each_stage(monkeypatch, game, lam, want, where, stopped):
+    real = getattr(where, stopped)
     calls = []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(negotiation, stopped, counting)
+    monkeypatch.setattr(where, stopped, counting)
     nego_mp(cold_copy(game), lam)
-    monkeypatch.setattr(negotiation, stopped, real)
+    monkeypatch.setattr(where, stopped, real)
     total = len(calls)
     assert total > 2
     for stop in sorted({1, 2, total // 2, total}):
@@ -251,16 +254,72 @@ def interrupt_each_stage(monkeypatch, game, lam, want, stopped):
                 raise Interrupt()
             return real(*args)
 
-        monkeypatch.setattr(negotiation, stopped, failing)
+        monkeypatch.setattr(where, stopped, failing)
         with pytest.raises(Interrupt):
             nego_mp(g, lam)
-        monkeypatch.setattr(negotiation, stopped, real)
+        monkeypatch.setattr(where, stopped, real)
+        # the rerun goes on filling the requirement the interrupted one
+        # left behind, and witness extraction reads its pools back
         assert nego_mp(g, lam) == want, (stopped, stop)
         cold = cold_copy(game)
+        kept = negotiation._requirement(g, lam)
         for v in game.arena.vertices:
             i = game.arena.owner[v]
-            assert pools(g, lam, i, v) == pools(cold, lam, i, v), \
-                (stopped, stop)
+            want_pool = pools(cold, lam, i, v)
+            assert pools(g, lam, i, v) == want_pool, (stopped, stop)
+            assert described(_MpContext(g, lam, i, kept).pool(v)) == \
+                want_pool, (stopped, stop)
+
+
+def test_nego_iterate_builds_each_skeleton_once(monkeypatch):
+    skeletons, pool_builds = [], []
+    skeleton = negotiation._MpStructure.skeleton
+    pool = _MpContext.pool
+
+    def counting_skeleton(self, i, u):
+        if (i, u) not in self._skeletons:
+            skeletons.append((i, u))
+        return skeleton(self, i, u)
+
+    def counting_pool(self, u):
+        if u not in self._pools:
+            pool_builds.append((self.i, u))
+        return pool(self, u)
+
+    monkeypatch.setattr(negotiation._MpStructure, "skeleton",
+                        counting_skeleton)
+    monkeypatch.setattr(_MpContext, "pool", counting_pool)
+    sans = load_game("sans_spe")
+    seq, converged = nego_iterate(sans)
+    assert converged and len(seq) > 4
+    assert len(skeletons) == len(set(skeletons))
+    # every requirement builds its own pools from the same skeletons
+    assert set(pool_builds) == set(skeletons)
+    assert len(pool_builds) > 2 * len(skeletons)
+
+
+def test_spe_yes_builds_no_pool_twice(monkeypatch):
+    built = []
+    pool = _MpContext.pool
+
+    def counting(self, u):
+        if u not in self._pools:
+            built.append((tuple(self.lam[v] for v in self.arena.vertices),
+                          self.i, u))
+        return pool(self, u)
+
+    monkeypatch.setattr(_MpContext, "pool", counting)
+    games = [load_game(name) for name in MP_CORPUS] + list(small_mp_games())
+    yes = 0
+    for g in games:
+        for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            built.clear()
+            res = spe_exists_mp(cold_copy(g), eps, Query(), max_iters=8)
+            if res["answer"] == "yes":
+                yes += 1
+                assert len(built) == len(set(built)), \
+                    (serialize_game(g), eps)
+    assert yes > 5
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +383,40 @@ def test_pools_and_search_match_reference(game, data):
                     assert sorted(got) == sorted(want)
                     assert described(got[u] for u in sorted(got)) == \
                         described(want[u] for u in sorted(want))
+
+
+REACHABLE = [NINF, Fraction(0), Fraction(1, 2), Fraction(1)]
+TOO_HIGH = [Fraction(2), Fraction(3), PINF]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_mp_games() | st.sampled_from(MP_CORPUS).map(load_game),
+       st.data())
+def test_pools_from_one_skeleton_match_reference_across_requirements(
+        game, data):
+    # one game object, so the skeletons built for the first requirement
+    # serve every later one; the random requirements put +inf on some
+    # vertices and floors above most or all cycle means on others, which
+    # blocks or empties whole groups
+    arena = game.arena
+    seq, _ = nego_iterate(game, max_iters=4)
+    lams = list(seq)
+    for _ in range(3):
+        lams.append({v: data.draw(st.sampled_from(
+            TOO_HIGH if data.draw(st.integers(0, 3)) == 0 else REACHABLE))
+            for v in arena.vertices})
+    reference = ref.ReferenceStructure(game)
+    for lam in lams:
+        cold = cold_copy(game)
+        for i in game.players:
+            ctx = _MpContext(game, lam, i)
+            rctx = ref.ReferenceContext(game, lam, i)
+            rctx.shared = reference
+            cold_ctx = _MpContext(cold, lam, i)
+            for v in arena.vertices:
+                got = described(ctx.pool(v))
+                assert got == described(rctx.pool(v)), (lam, i, v)
+                assert got == described(cold_ctx.pool(v)), (lam, i, v)
 
 
 # ---------------------------------------------------------------------------

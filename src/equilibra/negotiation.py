@@ -648,20 +648,10 @@ class _MpStructure:
             groups = {}
             for k, (h, c, W0, W, vmask) in enumerate(self.shapes(u)):
                 arcs = self.pre_arcs(i, h, c) | self.post_arcs(i, c, W)
-                group = groups.get((W0, vmask))
-                if group is None:
-                    group = groups[W0, vmask] = ([], [])
-                kept, members = group
-                outside = ~arcs
-                for other in kept:
-                    if not other & outside:
-                        break
-                else:
-                    kept.append(arcs)
-                    members.append((k, arcs, h, c, W))
+                groups.setdefault((W0, vmask), []).append((k, arcs, h, c, W))
             out = self._skeletons[key] = [
-                (W0, vmask, members)
-                for (W0, vmask), (_, members) in groups.items()]
+                (W0, vmask, _undominated(members, 1))
+                for (W0, vmask), members in groups.items()]
         return out
 
     def mask(self, vertices):
@@ -898,20 +888,19 @@ class _MpContext:
     """Per-(game, lambda, player) view of the reduced negotiation game.
 
     Only the proposal pools and their least acceptances depend on the
-    requirement; they live in the view's `_MpRequirement` (a new one
-    unless `req` is given), shared by every player's view of the same
-    requirement.  Everything else (cycles, cores, pool skeletons, LP-vertex
-    payoffs, adversarial values, deviation arcs) is read from the game's
-    `_MpStructure`, shared by every view on the same game object.
+    requirement; they live in the `_MpRequirement` that `_requirement`
+    gives for lam, shared by every player's view of the same requirement
+    while it is the game's last one.  Everything else (cycles, cores, pool
+    skeletons, LP-vertex payoffs, adversarial values, deviation arcs) is
+    read from the game's `_MpStructure`, shared by every view on the same
+    game object.
     """
 
-    def __init__(self, game, lam, i, req=None):
-        self.lam = lam
+    def __init__(self, game, lam, i):
         self.i = i
-        self.arena = game.arena
         self.shared = _mp_structure(game)
         self.table = self.shared.table(i)
-        self.req = req or _MpRequirement(self.shared, lam)
+        self.req = _requirement(game, lam)
         self._pools = self.req.pools.setdefault(i, {})
         self._min_accept = self.req.min_accept.setdefault(i, {})
         self._deviations = {}
@@ -939,18 +928,8 @@ class _MpContext:
         # the shape index k breaks ties as the order of `shapes(u)` does;
         # it is unique, so the sort compares nothing after it
         cands.sort()
-        # an earlier family dominates a later one as soon as its deviation
-        # arcs are a subset of the later one's (equal arcs included)
-        pool = []
-        kept = []
-        for _, _, arcs, xbar, h, c, W0, W in cands:
-            outside = ~arcs
-            for other in kept:
-                if not other & outside:
-                    break
-            else:
-                kept.append(arcs)
-                pool.append(Family(h, c, W, W0, xbar))
+        pool = [Family(h, c, W, W0, xbar)
+                for _, _, _, xbar, h, c, W0, W in _undominated(cands, 2)]
         self._min_accept[u] = (pool[0].xbar[i] if pool else PINF)
         self._pools[u] = pool
         return pool
@@ -979,6 +958,25 @@ class _MpContext:
 
     def targets(self, fam):
         return self.deviations(fam)[2]
+
+
+def _undominated(items, at):
+    """The items whose deviation arc mask, item[at], contains the mask of
+    no earlier item, in order: an earlier family dominates a later one as
+    soon as its deviation arcs are a subset of the later one's (equal arcs
+    included).  Testing only the kept items suffices, since a dropped item
+    contains a kept one's arcs."""
+    kept = []
+    out = []
+    for item in items:
+        outside = ~item[at]
+        for other in kept:
+            if not other & outside:
+                break
+        else:
+            kept.append(item[at])
+            out.append(item)
+    return out
 
 
 def _order_key(x):
@@ -1226,13 +1224,12 @@ def nego_mp(game, lam):
     key = tuple(lam[v] for v in arena.vertices)
     out = shared.nego_memo.get(key)
     if out is None:
-        req = _requirement(game, lam)
         out = {}
         for i in game.players:
             mine = [v for v in arena.vertices if arena.owner[v] == i]
             if not mine:
                 continue
-            ctx = _MpContext(game, lam, i, req)
+            ctx = _MpContext(game, lam, i)
             for v in mine:
                 out[v], _ = _mp_value_at(ctx, v)
         shared.nego_memo[key] = out

@@ -16,8 +16,7 @@ from . import zerosum as zs
 from ._kernels import reach, scc_of
 from .negotiation import (vacuous_requirement, nego_iterate, nego_mp,
                           family_consistent,
-                          _MpContext, _mp_value_at, _requirement,
-                          _strongly_connected,
+                          _MpContext, _mp_value_at, _strongly_connected,
                           _eps_fixed, requirement_to_json,
                           requirement_from_json, Family)
 from .nash import Query, search_consistent_parity, search_consistent_combo
@@ -296,10 +295,9 @@ def _prover_maps(game, lam, eps, roots_by_player):
     """Global proposal maps holding every root of player i to
     lam(root)+eps, one per player, extracted from the negotiation search."""
     prover = {}
-    # the pools last built on this game, read back when they are lam's
-    req = _requirement(game, lam)
     for i, roots in roots_by_player.items():
-        ctx = _MpContext(game, lam, i, req)
+        # reads back the pools `nego_mp` last built on this game for lam
+        ctx = _MpContext(game, lam, i)
         for root in roots:
             if lam[root] == PINF:
                 continue

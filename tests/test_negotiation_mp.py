@@ -259,16 +259,21 @@ def interrupt_each_stage(monkeypatch, game, lam, want, where, stopped):
             nego_mp(g, lam)
         monkeypatch.setattr(where, stopped, real)
         # the rerun goes on filling the requirement the interrupted one
-        # left behind, and witness extraction reads its pools back
+        # left behind, and witness extraction reads its pools back; pools
+        # of a new requirement are built afresh from the same skeletons
         assert nego_mp(g, lam) == want, (stopped, stop)
         cold = cold_copy(game)
-        kept = negotiation._requirement(g, lam)
+        kept = negotiation._mp_structure(g).last_requirement
         for v in game.arena.vertices:
             i = game.arena.owner[v]
-            want_pool = pools(cold, lam, i, v)
-            assert pools(g, lam, i, v) == want_pool, (stopped, stop)
-            assert described(_MpContext(g, lam, i, kept).pool(v)) == \
-                want_pool, (stopped, stop)
+            assert pools(g, lam, i, v) == pools(cold, lam, i, v), \
+                (stopped, stop)
+        assert negotiation._mp_structure(g).last_requirement is kept
+        negotiation._mp_structure(g).last_requirement = None
+        for v in game.arena.vertices:
+            i = game.arena.owner[v]
+            assert pools(g, lam, i, v) == pools(cold, lam, i, v), \
+                (stopped, stop)
 
 
 def test_nego_iterate_builds_each_skeleton_once(monkeypatch):
@@ -304,8 +309,7 @@ def test_spe_yes_builds_no_pool_twice(monkeypatch):
 
     def counting(self, u):
         if u not in self._pools:
-            built.append((tuple(self.lam[v] for v in self.arena.vertices),
-                          self.i, u))
+            built.append((self.req.key, self.i, u))
         return pool(self, u)
 
     monkeypatch.setattr(_MpContext, "pool", counting)

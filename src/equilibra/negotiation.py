@@ -1147,7 +1147,7 @@ def _mp_value_at(ctx, root, stop_at=None):
             return val, greedy
         search.best, search.best_assign = val, dict(greedy)
     if search.best > lb:
-        search.rec({}, {root})
+        search.rec({})
     return search.best, search.best_assign
 
 
@@ -1165,45 +1165,44 @@ class _Search:
         self.best = PINF
         self.best_assign = None
 
-    def bound(self):
+    def limit(self):
+        """(t, strict): a branch is cut once the Challenger's value reaches
+        t, or passes it when `strict`.  A value search cuts at the
+        incumbent; a witness search at `stop_at`, which a witness may
+        meet."""
         if self.stop_at is None:
-            return self.best
-        return min(self.best, self.stop_at + 1)
+            return self.best, False
+        return self.stop_at, True
 
-    def rec(self, assignment, needed):
-        ctx, stop_at = self.ctx, self.stop_at
+    def beaten(self, x):
+        """Whether a Challenger value of at least x cuts the branch."""
+        t, strict = self.limit()
+        return x > t if strict else x >= t
+
+    def rec(self, assignment):
+        ctx = self.ctx
         # the best acceptance bounds every completion and prunes most
         # branches; the cycles count at leaves only
         accept, reached = _challenger_reach(ctx, self.root, assignment)
-        if stop_at is None:
-            if accept >= self.best:
-                return False
-        elif accept > stop_at:
+        if self.beaten(accept):
             return False
-        pending = sorted((u for u in (needed & reached)
-                          if u not in assignment),
+        pending = sorted((u for u in reached if u not in assignment),
                          key=lambda u: (len(ctx.pool(u)), u))
         if not pending:
             # every leaf is a distinct assignment: the branching vertex is
             # a function of the assignment and siblings differ there.  The
-            # exact value is needed only at a leaf that beats the
-            # incumbent, or that is at or below stop_at
-            if stop_at is None:
-                if _leaf_reaches(ctx, assignment, reached, accept,
-                                 self.best, strict=False):
-                    return False
-            elif _leaf_reaches(ctx, assignment, reached, accept, stop_at,
-                               strict=True):
+            # exact value is needed only at a leaf that is not cut
+            if _leaf_reaches(ctx, assignment, reached, accept, *self.limit()):
                 return False
             self.best = _assignment_value(ctx, self.root, assignment)
             self.best_assign = dict(assignment)
-            return stop_at is not None or self.best <= self.lb
+            return self.stop_at is not None or self.best <= self.lb
         u = pending[0]
         for fam in ctx.pool(u):
-            if fam.xbar[ctx.i] >= self.bound():
+            if self.beaten(fam.xbar[ctx.i]):
                 break
             assignment[u] = fam
-            if self.rec(assignment, needed | ctx.targets(fam)):
+            if self.rec(assignment):
                 del assignment[u]
                 return True
             del assignment[u]

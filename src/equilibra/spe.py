@@ -327,13 +327,35 @@ def spe_exists_mp(game, eps, query, max_iters=64):
     lower-bounds every eps-fixed point: reaching +inf at the start is a
     provable no, and stabilizing at a finite kappa identifies the least
     eps-fixed point, making the search there definitive both ways.
-    Unknown only at the iteration cap.
+    Unknown only at the iteration cap.  The witness of a yes is built
+    once, after `_decide_mp` has answered.
     """
     if game.mode != "mean-payoff":
         raise GameError("mean-payoff mode required")
     eps = Fraction(eps)
     if eps < 0:
         raise GameError("eps must be nonnegative")
+    res = _decide_mp(game, eps, query, max_iters)
+    if res["answer"] != "yes":
+        return res
+    lam = res["lam"]
+    return {"answer": "yes", "lam": lam,
+            "witness": _build_witness(game, lam, eps, res["found"]),
+            "iterates": res["iterates"]}
+
+
+def _decide_mp(game, eps, query, max_iters):
+    """`spe_exists_mp`'s answer without the witness; a yes carries instead
+    the consistent play `search_consistent_combo` found (`found`) at the
+    deciding requirement `lam`.
+
+    A yes comes only at a lam whose negotiation value stays within
+    lam + eps wherever lam is finite: on the plain chain lam is
+    eps-fixed, and on the adjusted chain a fixed `_adjust` means
+    nego(lam) - eps <= lam.  The negotiation value is the least over
+    Prover's stationary assignments, so every root has one within
+    lam + eps for `_build_witness` to find, in the pools `nego_mp` built
+    last, for lam."""
     arena = game.arena
     v0 = arena.init
     verts = arena.vertices
@@ -350,10 +372,8 @@ def spe_exists_mp(game, eps, query, max_iters=64):
                     plain[v] != NINF for v in verts):
                 found = search_consistent_combo(game, plain, query)
                 if found is not None:
-                    witness = _build_witness(game, plain, eps, found)
-                    if witness is not None:
-                        return {"answer": "yes", "lam": dict(plain),
-                                "witness": witness, "iterates": k}
+                    return {"answer": "yes", "lam": dict(plain),
+                            "iterates": k, "found": found}
                 if eps == 0:
                     return {"answer": "no", "lam": dict(plain),
                             "iterates": k,
@@ -380,10 +400,8 @@ def spe_exists_mp(game, eps, query, max_iters=64):
             # one; its consistent plays are exactly the eps-SPE outcomes
             found = search_consistent_combo(game, adjusted, query)
             if found is not None:
-                witness = _build_witness(game, adjusted, eps, found)
-                if witness is not None:
-                    return {"answer": "yes", "lam": dict(adjusted),
-                            "witness": witness, "iterates": k}
+                return {"answer": "yes", "lam": dict(adjusted),
+                        "iterates": k, "found": found}
             return {"answer": "no", "lam": dict(adjusted), "iterates": k,
                     "reason": "least eps-fixed point admits no such play"}
         adjusted = new_adjusted
@@ -399,7 +417,8 @@ def _build_witness(game, lam, eps, found):
         roots_by_player.setdefault(i, []).append(v)
     prover = _prover_maps(game, lam, eps, roots_by_player)
     if prover is None:
-        return None
+        raise RuntimeError("no Prover assignment within lam + eps at a "
+                           "decided requirement")
     return MpWitness(found["W"], found["Wp"], found["alpha"], lam, prover,
                      payoffs=found["payoffs"])
 
@@ -440,14 +459,15 @@ def _simplest_in(a, b, a_open, b_open):
 
 def epsilon_min_search(game, precision_bits=24, max_iters=24):
     """Dichotomous search for the least eps admitting an eps-SPE, refined
-    to the simplest rational in the final bracket; unknown propagates."""
+    to the simplest rational in the final bracket; unknown propagates.
+    Each step only decides (`_decide_mp`) and builds no witness."""
     if game.mode != "mean-payoff":
         raise GameError("mean-payoff mode required")
     if precision_bits < 0:
         raise GameError(f"precision {precision_bits} is negative")
 
     def pred(e):
-        return spe_exists_mp(game, e, Query(), max_iters=max_iters)["answer"]
+        return _decide_mp(game, e, Query(), max_iters)["answer"]
 
     first = pred(Fraction(0))
     if first == "yes":

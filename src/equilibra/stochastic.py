@@ -141,12 +141,6 @@ def best_extreme_response(game, partition, profile, player):
     profile: a threshold sweep on the support of the MDP the profile
     induces, in which the player's product nodes choose and every other
     non-terminal node moves at random."""
-    return _response_sweep(game, partition, profile, player, None)
-
-
-def _response_sweep(game, partition, profile, player, above):
-    """`best_extreme_response`, swept only above `above` when it is given
-    (see `zs.extreme_threshold_sweep`)."""
     arena = game.arena
     product = profile_product(game, profile, player)
     owner = {}
@@ -160,7 +154,7 @@ def _response_sweep(game, partition, profile, player, above):
     start = (arena.init, profile.initial)
     return zs.extreme_threshold_sweep(
         product, edges, owner, pay, partition.is_pessimist(player), player,
-        [start], above=above)[start]
+        [start])[start]
 
 
 def verify_xrse(game, partition, profile):
@@ -181,22 +175,6 @@ def _top_thresholds(game):
     pay = game.payoff.terminal_payoffs
     return {p: max([Fraction(0)] + [pay[t][p] for t in game.terminals()])
             for p in game.players}
-
-
-def _beats(game, partition, profile, player, m, top):
-    """Whether the player's best extreme response beats m, asked as one
-    question: only the thresholds above m are swept, and when `top`, the
-    player's greatest threshold, is not above m, no product is built."""
-    return top > m and _response_sweep(game, partition, profile, player,
-                                       m) > m
-
-
-def _unbeaten(game, partition, profile, measures, tops):
-    """No player's best extreme response beats their entry of `measures`,
-    the profile's extreme measures (`tops` from `_top_thresholds`); the
-    search's check of a full profile."""
-    return not any(_beats(game, partition, profile, i, measures[i], tops[i])
-                   for i in game.players)
 
 
 def uniform_profile(game, edge_set, name="uniform"):
@@ -460,25 +438,9 @@ def xrse_search_bounded(game, partition, query, memory_bound):
         raise GameError("terminal mode required")
     if memory_bound < 1:
         raise GameError(f"memory bound {memory_bound} is not at least 1")
-    arena = game.arena
-    controlled = [v for v in arena.vertices
-                  if not arena.is_chance(v) and not arena.is_terminal(v)]
-    chance = [v for v in arena.vertices if arena.is_chance(v)]
     for nstates in range(1, memory_bound + 1):
         states = [f"q{k}" for k in range(nstates)]
-        slots = []
-        for q in states:
-            for v in controlled:
-                opts = []
-                outs = sorted(arena.succ(v))
-                for q2 in states:
-                    for size in range(1, len(outs) + 1):
-                        for sup in itertools.combinations(outs, size):
-                            opts.append(tuple((q2, w) for w in sup))
-                opts.sort(key=lambda c: (len(c), c))
-                slots.append((q, v, opts))
-            for v in chance:
-                slots.append((q, v, [((q2,),) for q2 in states]))
+        slots = _memory_slots(game.arena, states)
         found = _search_slots(game, partition, query, states, slots)
         if found is not None:
             if not verify_xrse(game, partition, found):
@@ -486,6 +448,28 @@ def xrse_search_bounded(game, partition, query, memory_bound):
             return {"answer": "yes", "profile": found,
                     "states": nstates}
     return {"answer": "none-at-cap", "memory_bound": memory_bound}
+
+
+def _memory_slots(arena, states):
+    """The search's (state, vertex, options) triples: per state, each
+    controlled vertex's (next state, support) choices, then chance's."""
+    controlled = [v for v in arena.vertices
+                  if not arena.is_chance(v) and not arena.is_terminal(v)]
+    chance = [v for v in arena.vertices if arena.is_chance(v)]
+    slots = []
+    for q in states:
+        for v in controlled:
+            opts = []
+            outs = sorted(arena.succ(v))
+            for q2 in states:
+                for size in range(1, len(outs) + 1):
+                    for sup in itertools.combinations(outs, size):
+                        opts.append(tuple((q2, w) for w in sup))
+            opts.sort(key=lambda c: (len(c), c))
+            slots.append((q, v, opts))
+        for v in chance:
+            slots.append((q, v, [((q2,),) for q2 in states]))
+    return slots
 
 
 def _measure_caps(game, partition, query):
@@ -530,12 +514,12 @@ def _search_slots(game, partition, query, states, slots):
     on-profile closure, so every full profile is checked against the
     measures of its closure.  A subtree is skipped when some player beats
     a cap even if every unassigned slot is hostile
-    (`_SlotSearch.hostile_beaten`): before each filling step the cap is
+    (`_SlotSearch.hostile_beaten`): at each filling step the cap is
     their measure, and before each branching of the closure it bounds
     every measure a support admitted by the query gives them
-    (`_measure_caps`).  A full profile is checked with one threshold
-    question per player (`_unbeaten`), memoized on the
-    deviation-reachable signature, which contains the closure."""
+    (`_measure_caps`).  The same check decides a full profile: with no
+    slot left open, the hostile game is the MDP the profile induces, so
+    a full profile that no player beats there is an XRSE."""
     return _SlotSearch(game, partition, query, states, slots).rec({})
 
 
@@ -545,10 +529,9 @@ _HOSTILE = object()
 
 
 class _SlotSearch:
-    """The enumeration of `_search_slots` and its verification memo.  It
-    is an object rather than closures that call themselves: such a
-    closure is a reference cycle, which keeps the game alive until the
-    cyclic collector runs."""
+    """The enumeration of `_search_slots`.  It is an object rather than
+    closures that call themselves: such a closure is a reference cycle,
+    which keeps the game alive until the cyclic collector runs."""
 
     def __init__(self, game, partition, query, states, slots):
         self.game = game
@@ -561,7 +544,6 @@ class _SlotSearch:
         self.init = (game.arena.init, "q0")
         self.tops = _top_thresholds(game)
         self.caps = _measure_caps(game, partition, query)
-        self.verify_memo = {}
 
     def moves(self, q, v, choice):
         if self.arena.is_chance(v):
@@ -603,33 +585,6 @@ class _SlotSearch:
                     transitions.append((q, v, q2, w))
         return MemoryProfile(self.states, "q0", list(self.game.players),
                              transitions, name="search")
-
-    def dev_signature(self, assign):
-        """Transitions restricted to (state, vertex) pairs reachable when
-        players may deviate anywhere; unreachable slots cannot matter."""
-        arena = self.arena
-        seen = {self.init}
-        stack = [self.init]
-        while stack:
-            v, q = stack.pop()
-            if arena.is_terminal(v):
-                continue
-            for q2 in {c[0] for c in assign[self.slot_of[(q, v)]]}:
-                for w in arena.succ(v):
-                    nxt = (w, q2)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return frozenset((q, v, assign[self.slot_of[(q, v)]])
-                         for (v, q) in seen if not arena.is_terminal(v))
-
-    def full_check(self, assign, measures):
-        sig = self.dev_signature(assign)
-        if sig not in self.verify_memo:
-            self.verify_memo[sig] = _unbeaten(
-                self.game, self.partition, self.build(assign), measures,
-                self.tops)
-        return self.verify_memo[sig]
 
     def hostile_beaten(self, assign, caps):
         """Whether some player i beats `caps[i]` in every completion of
@@ -725,12 +680,10 @@ class _SlotSearch:
         return self.fill(assign, rest, 0, measures)
 
     def fill(self, assign, rest, pos, measures):
-        if pos == len(rest):
-            if self.full_check(assign, measures):
-                return self.build(assign)
-            return None
         if self.hostile_beaten(assign, measures):
             return None
+        if pos == len(rest):
+            return self.build(assign)
         k = rest[pos]
         for choice in self.slots[k][2]:
             assign[k] = choice

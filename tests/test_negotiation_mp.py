@@ -21,7 +21,8 @@ from equilibra.negotiation import (vacuous_requirement, nego_mp,
                                    nego_iterate, is_eps_fixed_point,
                                    _MpContext, _mp_value_at)
 from equilibra.nash import Query, val_requirement
-from equilibra.spe import spe_exists_mp, epsilon_min_search
+from equilibra.spe import (spe_exists_mp, epsilon_min_search,
+                           check_mp_witness)
 from equilibra.rationals import PINF, NINF
 from equilibra.simplex import OPTIMAL, lex_min_vertex
 from conftest import PLAYERS, flower_mp_game, random_mp_game
@@ -430,6 +431,28 @@ MEANS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
 FLOORS = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 4),
           Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
           Fraction(3)]
+
+
+# thresholds, mostly absent so that some queries answer yes
+THRESHOLD_VALUES = [None, None, None, Fraction(-1), Fraction(0),
+                    Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_mp_games() | st.sampled_from(MP_CORPUS).map(load_game),
+       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+       st.data())
+def test_every_spe_yes_carries_a_witness_that_checks(game, eps, data):
+    bounds = [{}, {}]
+    for p in game.players:
+        for side in bounds:
+            x = data.draw(st.sampled_from(THRESHOLD_VALUES))
+            if x is not None:
+                side[p] = x
+    query = Query(*bounds)
+    res = spe_exists_mp(game, eps, query, max_iters=8)
+    if res["answer"] == "yes":
+        assert check_mp_witness(game, eps, res["witness"], query)
 
 
 @st.composite

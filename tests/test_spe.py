@@ -4,6 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from equilibra import spe
 from equilibra.corpus import load_game
 from equilibra.games import GameError, Lasso, eval_lasso
 from equilibra.negotiation import (vacuous_requirement, nego_parity,
@@ -210,6 +211,31 @@ def test_adjusted_iteration_decides_eps_cases():
     assert check_mp_witness(ns, Fraction(1, 4), r["witness"], Query())
     r = spe_exists_mp(ns, 0, Query(), max_iters=16)
     assert r["answer"] == "unknown"
+
+
+def test_failed_witness_search_raises(monkeypatch):
+    # a yes is answered only where every root has an assignment within
+    # lam + eps, so a witness search that finds none is a bug, on the
+    # plain chain (eps = 0) and on the adjusted one (sans_spe at eps = 1)
+    monkeypatch.setattr(spe, "_assignment_within", lambda *args: None)
+    cases = [("inf_spe", 0, Query(lower={"circle": 1})),
+             ("sans_spe", 1, Query(upper={"circle": Fraction(0)}))]
+    for name, eps, query in cases:
+        with pytest.raises(RuntimeError, match="no Prover assignment"):
+            spe_exists_mp(load_game(name), eps, query)
+
+
+def test_eps_min_builds_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eps-min built a witness")
+
+    monkeypatch.setattr(spe, "_build_witness", refuse)
+    assert epsilon_min_search(load_game("sans_spe"), precision_bits=12) == \
+        {"answer": "yes", "eps_min": Fraction(1)}
+    assert epsilon_min_search(load_game("inf_spe"), precision_bits=12) == \
+        {"answer": "yes", "eps_min": Fraction(0)}
+    assert epsilon_min_search(load_game("chaos"),
+                              precision_bits=6)["answer"] == "yes"
 
 
 def test_chaos_least_eps_fixed_point():

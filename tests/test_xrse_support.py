@@ -308,30 +308,38 @@ def test_measure_caps_bound_every_admitted_support(game, data):
                     assert all(measures[i] <= c for i, c in caps.items())
 
 
+def draw_search(draw, game, part):
+    """A `_SlotSearch` over the slots `xrse_search_bounded` builds with 1
+    or 2 memory states, and a complete assignment of them."""
+    states = [f"q{k}" for k in range(draw(st.integers(1, 2)))]
+    slots = stochastic._memory_slots(game.arena, states)
+    search = stochastic._SlotSearch(game, part, Query(), states, slots)
+    assign = {k: draw(st.sampled_from(opts))
+              for k, (_, _, opts) in enumerate(slots)}
+    return search, assign
+
+
 @settings(max_examples=150, deadline=None)
 @given(TERMINAL_GAMES, st.data())
 def test_one_threshold_question_matches_best_response(game, data):
+    # with no slot left open, the hostile game is the profile's MDP
     draw = data.draw
-    profile = draw_profile(draw, game, deterministic=draw(st.booleans()))
     pay = game.payoff.terminal_payoffs
-    tops = stochastic._top_thresholds(game)
-    for k in range(len(game.players) + 1):
-        for pess in itertools.combinations(game.players, k):
-            part = RiskPartition(game, pess)
-            for i in game.players:
-                best = best_extreme_response(game, part, profile, i)
-                ms = {Fraction(-1), Fraction(0), Fraction(40)}
-                ms |= {pay[t][i] for t in game.terminals()}
-                for m in ms:
-                    assert stochastic._beats(game, part, profile, i, m,
-                                             tops[i]) == (best > m)
+    search, assign = draw_search(draw, game, draw_partition(draw, game))
+    profile = search.build(assign)
+    for i in game.players:
+        best = best_extreme_response(game, search.partition, profile, i)
+        ms = {Fraction(-1), Fraction(0), Fraction(40)}
+        ms |= {pay[t][i] for t in game.terminals()}
+        for m in ms:
+            assert search.hostile_response(assign, i, m) == max(best, m)
 
 
 def test_deviator_at_their_greatest_candidate_builds_no_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product was built")
 
-    monkeypatch.setattr(stochastic, "profile_product", refuse)
+    monkeypatch.setattr(stochastic._SlotSearch, "hostile_response", refuse)
     for name in TERMINAL_CORPUS:
         game = load_game(name)
         pay = game.payoff.terminal_payoffs
@@ -339,7 +347,11 @@ def test_deviator_at_their_greatest_candidate_builds_no_product(monkeypatch):
         assert all(tops[i] == max([Fraction(0)] + [pay[t][i]
                                                    for t in game.terminals()])
                    for i in game.players)
-        profile = uniform_profile(game, game.arena.edges)
         for pess in ([], game.players):
-            assert stochastic._unbeaten(game, RiskPartition(game, pess),
-                                        profile, tops, tops)
+            for nstates in (1, 2):
+                states = [f"q{k}" for k in range(nstates)]
+                slots = stochastic._memory_slots(game.arena, states)
+                search = stochastic._SlotSearch(
+                    game, RiskPartition(game, pess), Query(), states, slots)
+                assign = {k: opts[-1] for k, (_, _, opts) in enumerate(slots)}
+                assert not search.hostile_beaten(assign, tops)

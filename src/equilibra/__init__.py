@@ -5,7 +5,7 @@ Core surface:
 - games: arenas, payoff specs, lassos, memory structures, product games,
   induced Markov chains, the JSON file formats.
 - zerosum: attractors, parity solving, minimum mean cycles, qualitative
-  stochastic reachability, extreme adversarial values.
+  stochastic reachability, the extreme-value threshold sweep.
 - negotiation: requirements, lambda-consistency, the negotiation function
   for parity and mean-payoff games, its iteration and (eps-)fixed points.
 - nash: NE outcome checking, constrained existence, finite-memory NE

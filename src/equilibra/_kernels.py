@@ -6,9 +6,10 @@ and simple paths.
 `scc_of`, `reach` and `simple_paths` take named (any hashable) vertices
 directly.
 
-`attractor`, the package's only attractor, works inside a 0/1 sub-game mask
-and ranks the vertices in the order they join, which gives the coalition's
-positional strategy.  `scc` takes an optional mask of the same kind.
+Vertex sets are int bitmasks over the ids (bit v set for vertex v).
+`attractor`, the package's only attractor, works inside a sub-game mask
+and can record the coalition's positional strategy as its vertices join.
+`scc` takes an optional sub-graph mask of the same kind.
 """
 
 
@@ -28,65 +29,86 @@ def csr(n, edges):
     return off, dst
 
 
-def reachable(n, off, dst, sources):
-    """Forward reachability; `sources` is a 0/1 list, returns a 0/1 list."""
-    seen = list(sources)
-    stack = [v for v in range(n) if sources[v]]
+def ids(mask):
+    """The vertex ids in the bitmask `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reachable(off, dst, sources):
+    """Forward reachability from the bitmask `sources`, as a bitmask."""
+    seen = sources
+    stack = ids(sources)
     while stack:
         u = stack.pop()
         for k in range(off[u], off[u + 1]):
             w = dst[k]
-            if not seen[w]:
-                seen[w] = 1
+            if not seen >> w & 1:
+                seen |= 1 << w
                 stack.append(w)
     return seen
 
 
-def attractor(n, off, dst, poff, psrc, coalition, target, sub):
-    """Attractor inside the sub-game on the 0/1 mask `sub`.
+def attractor(n, off, dst, poff, psrc, coalition, target, sub, moves=None):
+    """Attractor inside the sub-game on the bitmask `sub`, as a bitmask.
 
     Least set A of `sub` vertices containing the targets in `sub`, closed
     under: coalition vertex with an edge into A; non-coalition vertex with
-    an edge inside `sub`, all of them into A.  Deadend non-targets are
-    never absorbed.  Returns A as join ranks: 0 outside A, 1 for the
-    targets, then 2, 3, ... in the order the other vertices joined
-    (targets pop from a stack filled in id order, predecessors come in
-    `psrc` order).  A coalition vertex of rank r has a successor of rank
-    in 1..r-1, one already in A when it joined: that move is its
-    positional attractor strategy.
+    an edge inside `sub`, all of them into A (a repeated successor counts
+    once per repeat).  Deadend non-targets are never absorbed.  The
+    targets pop from a stack filled in id order, predecessors come in
+    `psrc` order.  With a dict `moves`, each coalition vertex that joins
+    gets there its positional attractor strategy: its least-id successor
+    already in A when it joined.
     """
-    rank = [t if s else 0 for t, s in zip(target, sub)]
-    joined = 1
-    count = [-1] * n
-    stack = [v for v in range(n) if rank[v]]
+    attracted = target & sub
+    rest = sub & ~attracted  # sub-game vertices not attracted yet
+    count = {}
+    stack = ids(attracted)
     while stack:
         w = stack.pop()
-        for k in range(poff[w], poff[w + 1]):
-            u = psrc[k]
-            if rank[u] or not sub[u]:
+        for u in psrc[poff[w]:poff[w + 1]]:
+            if not rest >> u & 1:
                 continue
-            if not coalition[u]:
-                if count[u] < 0:
+            if not coalition >> u & 1:
+                left = count.get(u)
+                if left is None:
                     # successors inside the sub-game, counted on first visit
-                    count[u] = sum(1 for x in dst[off[u]:off[u + 1]] if sub[x])
-                count[u] -= 1
-                if count[u]:
+                    left = 0
+                    for x in dst[off[u]:off[u + 1]]:
+                        if sub >> x & 1:
+                            left += 1
+                left -= 1
+                if left:
+                    count[u] = left
                     continue
-            joined += 1
-            rank[u] = joined
+            elif moves is not None:
+                best = n
+                for x in dst[off[u]:off[u + 1]]:
+                    if x < best and attracted >> x & 1:
+                        best = x
+                moves[u] = best
+            bit = 1 << u
+            attracted |= bit
+            rest ^= bit
             stack.append(u)
-    return rank
+    return attracted
 
 
 def scc(n, off, dst, sub=None):
     """Tarjan SCC, iterative.  Returns (component id per vertex, count);
     ids are assigned in reverse topological order of discovery.  With a
-    0/1 mask `sub`, the SCCs of the subgraph it induces: roots and edges
+    bitmask `sub`, the SCCs of the subgraph it induces: roots and edges
     are still visited in id and CSR order, so the ids equal those of the
     induced subgraph renumbered in id order, and vertices outside `sub`
     get -1."""
     # an index of -2 is never a root, a new vertex or on the stack
-    index = [-1] * n if sub is None else [-1 if s else -2 for s in sub]
+    index = [-1] * n if sub is None else [-1 if sub >> v & 1 else -2
+                                          for v in range(n)]
     low = [0] * n
     on_stack = [0] * n
     comp = [-1] * n
@@ -184,7 +206,7 @@ def simple_paths(succ, start, stop=()):
 
 class IndexedGraph:
     """Int-indexed digraph with the CSR forms `reachable` and `attractor`
-    take."""
+    take; `mask` and `unmask` convert vertex sets to and from bitmasks."""
 
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
@@ -195,10 +217,10 @@ class IndexedGraph:
         self.poff, self.psrc = csr(self.n, [(v, u) for u, v in iedges])
 
     def mask(self, vs):
-        m = [0] * self.n
+        m = 0
         for v in vs:
-            m[self.index[v]] = 1
+            m |= 1 << self.index[v]
         return m
 
     def unmask(self, m):
-        return {self.vertices[i] for i in range(self.n) if m[i]}
+        return {self.vertices[i] for i in ids(m)}

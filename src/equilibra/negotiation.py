@@ -65,7 +65,7 @@ def is_lambda_consistent(game, lam, lasso):
 def is_boolean_requirement(game, lam):
     for v in game.arena.vertices:
         x = lam[v]
-        if x in (NINF, PINF):
+        if x is NINF or x is PINF:
             continue
         if x == 0 or x == 1:
             continue
@@ -80,9 +80,9 @@ def is_boolean_requirement(game, lam):
 def _parity_constraint(lam, v):
     """-1: never satisfiable, 1: controller must win, 0: free."""
     x = lam[v]
-    if x == PINF or (x != NINF and x > 1):
+    if x is PINF or (x is not NINF and x > 1):
         return -1
-    if x == NINF or x <= 0:
+    if x is NINF or x <= 0:
         return 0
     return 1
 
@@ -180,11 +180,10 @@ class _ParityStructure:
             # no component can hold a witness colour that no kept vertex has
             if not all(keep & eq[z] for eq, z in zip(self.equal, zbar)):
                 continue
-            sub = [keep >> v & 1 for v in range(n)]
-            comp, ncomp = scc(n, off, dst, sub)
+            comp, ncomp = scc(n, off, dst, keep)
             members = [[] for _ in range(ncomp)]
             for v in range(n):
-                if sub[v]:
+                if comp[v] >= 0:
                     members[comp[v]].append(v)
             for K in members:
                 if len(K) == 1 and K[0] not in dst[off[K[0]]:off[K[0] + 1]]:
@@ -225,9 +224,14 @@ def parity_components(game, lam, edges=None):
     one of these components.  Polynomial in the graph, exponential only in
     the number of players.
     """
+    return _components(game, _parity_structure(game).constraints(lam), edges)
+
+
+def _components(game, con, edges):
+    """`parity_components` for the requirement whose
+    `_ParityStructure.constraints` are `con`."""
     ps = _parity_structure(game)
     off, dst = edges or (ps.off, ps.dst)
-    con = ps.constraints(lam)
     for bits in itertools.product((1, 0), repeat=len(ps.players)):
         forbidden = [1 if c < 0 or (c > 0 and not bits[o]) else 0
                      for c, o in zip(con, ps.owner)]
@@ -243,26 +247,34 @@ def parity_feasible_region(game, lam, i):
     Computed by the colour-tuple SCC search (`parity_components`), one
     search per round of the fixpoint: polynomial in the graph, exponential
     only in the number of players."""
+    return _feasible_region(game, _parity_structure(game).constraints(lam),
+                            i)
+
+
+def _feasible_region(game, con, i):
+    """`parity_feasible_region` for the requirement whose
+    `_ParityStructure.constraints` are `con`."""
     S = set(game.arena.vertices)
     while True:
-        newS = _feasible_round(game, lam, i, S)
+        newS = _feasible_round(game, con, i, S)
         if newS == S:
             return S
         S = newS
 
 
-def _feasible_round(game, lam, i, S):
+def _feasible_round(game, con, i, S):
     """The vertices of S with a lambda-consistent play along the edges
     whose deviation options for player i stay in S (other players' edges
-    may leave S): backward reachability, avoiding the forbidden vertices,
-    from the components `parity_components` yields.  Live vertices only
+    may leave S), `con` the requirement's `_ParityStructure.constraints`:
+    backward reachability, avoiding the forbidden vertices, from the
+    components `parity_components` yields.  Live vertices only
     accumulate, so the search stops once every vertex of S is live."""
     ps = _parity_structure(game)
     inS = ps.mask(S)
     need = sum(inS)
     off, dst, poff, psrc = ps.allowed(ps.players.index(i), inS)
     live = [0] * ps.n
-    for _, forbidden, comps in parity_components(game, lam, (off, dst)):
+    for _, forbidden, comps in _components(game, con, (off, dst)):
         if not need:
             break
         seen = list(forbidden)
@@ -294,12 +306,15 @@ def _strongly_connected(Cset, allowed):
     return ncomp == 1 and bool(inner)
 
 
-def _concrete_game1(game, lam, i, S):
+def _concrete_game1(game, con, i, S):
     """The Pi-compressed concrete negotiation game restricted to the
-    feasible region S (non-empty), over the vertex and player ids of
-    `_parity_structure(game)`: (states, succ, roots), succ[k] listing the
-    successors of states[k] and roots mapping each vertex of S to the id
-    of its root state.
+    feasible region S, for the requirement whose
+    `_ParityStructure.constraints` are `con`, over the vertex and player
+    ids of `_parity_structure(game)`: (states, succ, roots), succ[k]
+    listing the successors of states[k] and roots mapping each of player
+    i's vertices in S to the id of its root state.  Only what those roots
+    reach is built: the other vertices' values are never read, and a
+    winning region does not depend on what its states cannot reach.
 
     States are ('P', v, M) Prover proposes (M: the bitmask of activated
     players), ('C', v, x, M) Challenger reacts to the proposed edge v->x
@@ -312,8 +327,7 @@ def _concrete_game1(game, lam, i, S):
     off, dst = ps.off, ps.dst
     me = ps.players.index(i)
     inS = ps.mask(S)
-    constr = [1 << o if c == 1 else 0
-              for c, o in zip(ps.constraints(lam), ps.owner)]
+    constr = [1 << o if c == 1 else 0 for c, o in zip(con, ps.owner)]
     index, states, succ = {}, [], []
 
     def state(s):
@@ -323,7 +337,7 @@ def _concrete_game1(game, lam, i, S):
         return index[s]
 
     roots = {v: state(("P", ps.index[v], constr[ps.index[v]]))
-             for v in sorted(S)}
+             for v in sorted(S) if ps.owner[ps.index[v]] == me}
     for s in states:  # grows as the walk goes
         if s[0] == "P":
             _, v, M = s
@@ -348,19 +362,21 @@ def _concrete_game1(game, lam, i, S):
     return states, succ, roots
 
 
-def _solve_game1(game, lam, i, S):
-    """Challenger-winning Prover roots of the Pi-compressed concrete
-    negotiation game restricted to the feasible region S (threshold 1).
+def _solve_game1(game, con, i, S):
+    """Player i's vertices in the feasible region S whose Prover roots the
+    Challenger wins in the Pi-compressed concrete negotiation game
+    restricted to S (threshold 1), for the requirement whose
+    `_ParityStructure.constraints` are `con`.
 
     Challenger wins iff player i wins the projection, or deviations stop
     and some activated requirement is violated in the limit: a Rabin
     objective, reduced to parity by index appearance records and solved
     by Zielonka.  One walk builds the concrete game (`_concrete_game1`),
     a second its record product over int ids 0..N-1; colours come from
-    `_parity_structure(game)`."""
-    if not S:
+    `_parity_structure(game)`.  Without such a vertex nothing is built."""
+    states, succ, roots = _concrete_game1(game, con, i, S)
+    if not roots:
         return set()
-    states, succ, roots = _concrete_game1(game, lam, i, S)
     ps = _parity_structure(game)
     col = ps.col
     me = ps.players.index(i)
@@ -442,8 +458,11 @@ def nego_parity(game, lam):
     limit requirement after deviations stop) deciding 0 versus 1.
     `_solve_game1` builds that game, with Challenger states only at the
     constrained player's own proposals, in one walk and its
-    index-appearance-record product in a second, over int ids, and hands
-    the product to Zielonka.
+    index-appearance-record product in a second, over int ids, both
+    seeded only from that player's vertices in the region, and hands the
+    product to Zielonka.  The requirement is read once per call, into
+    `_ParityStructure.constraints`, which every region round and concrete
+    game reads.
     """
     if game.mode != "parity":
         raise GameError("nego_parity needs parity mode")
@@ -451,6 +470,7 @@ def nego_parity(game, lam):
         raise GameError("non-Boolean requirement values in parity mode")
     arena = game.arena
     vacuous = not any(lam[v] > 0 for v in arena.vertices)
+    con = None if vacuous else _parity_structure(game).constraints(lam)
     out = {}
     for i in game.players:
         mine = [v for v in arena.vertices if arena.owner[v] == i]
@@ -461,8 +481,8 @@ def nego_parity(game, lam):
             for v in mine:
                 out[v] = val[v]
             continue
-        S = parity_feasible_region(game, lam, i)
-        winners = _solve_game1(game, lam, i, S)
+        S = _feasible_region(game, con, i)
+        winners = _solve_game1(game, con, i, S)
         for v in mine:
             if v not in S:
                 out[v] = PINF

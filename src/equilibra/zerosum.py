@@ -24,16 +24,14 @@ def attractor(arena, coalition, target, edge_subset=None):
     be included to give chance vertices the existential role."""
     g = arena_graph(arena, edge_subset)
     coal = g.mask([v for v in arena.vertices if arena.owner[v] in coalition])
-    tgt = g.mask(target)
-    res = K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, tgt,
-                      [1] * g.n)
+    res = K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal,
+                      g.mask(target), (1 << g.n) - 1)
     return g.unmask(res)
 
 
 def reachable_from(arena, sources, edge_subset=None):
     g = arena_graph(arena, edge_subset)
-    res = K.reachable(g.n, g.off, g.dst, g.mask(sources))
-    return g.unmask(res)
+    return g.unmask(K.reachable(g.off, g.dst, g.mask(sources)))
 
 
 def positive_prob_attractor(game, target, edge_subset=None):
@@ -72,7 +70,7 @@ def almost_sure_reach_game(arena, protagonists, adversaries, target,
 
 
 def _value_one(g, owner, protags, adversaries, target):
-    """Value-1 region, as a 0/1 mask, of reaching the 0/1 mask `target` on
+    """Value-1 region, as a bitmask, of reaching the bitmask `target` on
     the `IndexedGraph` g; `owner` maps g's vertices to owner names.  The
     targets must have no moves in g.
 
@@ -82,36 +80,19 @@ def _value_one(g, owner, protags, adversaries, target):
     their contamination attractor (the roles flipped) until none is
     left."""
     n, off, dst, poff, psrc = g.n, g.off, g.dst, g.poff, g.psrc
-    reach_coal = [0 if owner[v] in adversaries else 1 for v in g.vertices]
-    spoil_coal = [0 if owner[v] in protags else 1 for v in g.vertices]
-    sub = [1] * n
+    reach_coal = g.mask(v for v in g.vertices if owner[v] not in adversaries)
+    spoil_coal = g.mask(v for v in g.vertices if owner[v] not in protags)
+    sub = (1 << n) - 1
     while True:
         pos = K.attractor(n, off, dst, poff, psrc, reach_coal, target, sub)
-        zero = [1 if s and not p else 0 for s, p in zip(sub, pos)]
-        if not any(zero):
+        zero = sub & ~pos
+        if not zero:
             return sub
-        bad = K.attractor(n, off, dst, poff, psrc, spoil_coal, zero, sub)
-        sub = [0 if b else s for s, b in zip(sub, bad)]
+        sub &= ~K.attractor(n, off, dst, poff, psrc, spoil_coal, zero, sub)
 
 
 # ---------------------------------------------------------------------------
 # extreme adversarial values (simple stochastic games)
-
-
-def extreme_adversarial_value(game, partition, v):
-    """inf over hostile profiles of sup over i's strategies of the extreme
-    risk measure of i's payoff, where i controls v."""
-    arena = game.arena
-    if game.mode != "terminal":
-        raise GameError("extreme values need terminal mode")
-    if arena.is_chance(v) or arena.is_terminal(v):
-        raise GameError(f"{v} is chance or terminal")
-    player = arena.owner[v]
-    pess, _ = partition
-    pay = {t: game.payoff.terminal_payoffs[t][player]
-           for t in game.terminals()}
-    return extreme_threshold_sweep(arena.vertices, arena.edges, arena.owner,
-                                   pay, player in pess, player, [v])[v]
 
 
 def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
@@ -145,34 +126,33 @@ def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
         if not candidates:
             return {v: floor for v in starts}
     g = K.IndexedGraph(vertices, edges)
+    full = (1 << g.n) - 1
     others = set(owner.values()) - {player, CHANCE}
-    vals = [pay.get(u) for u in g.vertices]
 
     def attracted(coalition, target):
-        coal = [1 if owner[u] in coalition else 0 for u in g.vertices]
+        coal = g.mask(u for u in g.vertices if owner[u] in coalition)
         return K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, target,
-                           [1] * g.n)
+                           full)
 
     out = {}
     for x in candidates:
-        good = [1 if y is not None and y >= x else 0 for y in vals]
-        bad = [1 if y is not None and y < x else 0 for y in vals]
+        good = g.mask(t for t, y in pay.items() if y >= x)
+        bad = g.mask(t for t, y in pay.items() if y < x)
         if is_pess:
             if x > 0:
                 wins = _value_one(g, owner, {player}, others, good)
             else:
                 # P(bad) = 0: surely avoid bad, chance universal
-                wins = [not b for b in attracted(others | {CHANCE}, bad)]
+                wins = full & ~attracted(others | {CHANCE}, bad)
         else:
             if x > 0:
                 wins = attracted({player, CHANCE}, good)
             else:
                 # some outcome >= x possible: adversaries would need to
                 # force almost-sure absorption in bad terminals
-                wins = [not b for b in _value_one(g, owner, others, {player},
-                                                  bad)]
+                wins = full & ~_value_one(g, owner, others, {player}, bad)
         for v in starts:
-            if v not in out and wins[g.index[v]]:
+            if v not in out and wins >> g.index[v] & 1:
                 out[v] = x
         if len(out) == len(starts):
             break
@@ -309,62 +289,63 @@ def solve_parity(vertices, succ_map, is_protag, color):
     `is_protag` and `color` are read once per vertex.  Vertices are
     numbered in sorted(vertices) order, and a strategy picks the first
     successor in that order (the least successor when vertices are
-    totally ordered).  Zielonka's recursion runs on 0/1 sub-game
-    masks over that numbering, with `_kernels.attractor` for both of its
-    attractors; attractor strategies are read from its join ranks."""
+    totally ordered).  Zielonka's recursion runs on int bitmasks over
+    that numbering, with `_kernels.attractor` for both of its attractors,
+    which records the attractor strategies as vertices join."""
     names = sorted(vertices)
     n = len(names)
     index = {v: k for k, v in enumerate(names)}
-    col = [color(v) for v in names]
-    protag = [1 if is_protag(v) else 0 for v in names]
-    side = [protag, [1 - x for x in protag]]
-    edges = [(index[u], index[w]) for u in vertices for w in succ_map[u]]
-    graph = (n, *K.csr(n, edges), *K.csr(n, [(w, u) for u, w in edges]),
-             col, side)
+    protag, by_colour = 0, {}
+    for k, v in enumerate(names):
+        if is_protag(v):
+            protag |= 1 << k
+        z = color(v)
+        by_colour[z] = by_colour.get(z, 0) | 1 << k
+    full = (1 << n) - 1
+    side = (protag, full & ~protag)
+    off = [0, *itertools.accumulate(len(succ_map[v]) for v in names)]
+    dst = [index[w] for v in names for w in succ_map[v]]
+    # predecessors in `vertices` order, then `succ_map` order
+    pred = K.csr(n, [(index[w], index[u]) for u in vertices
+                     for w in succ_map[u]])
+    graph = (n, off, dst, *pred, sorted(by_colour.items()), side)
     strat = {}
-    wins = _zielonka([1] * n, graph, strat)
-    regions = [{names[v] for v in range(n) if w[v]} for w in wins]
+    wins = _zielonka(full, graph, strat)
+    regions = [{names[v] for v in K.ids(w)} for w in wins]
     strats = [{names[v]: names[x] for v, x in strat.items()
-               if wins[i][v] and side[i][v]} for i in (0, 1)]
+               if (w & own) >> v & 1} for w, own in zip(wins, side)]
     return regions[0], regions[1], strats[0], strats[1]
 
 
 def _zielonka(sub, graph, strat):
-    """The winning masks [w0, w1] of the sub-game on the 0/1 mask `sub`
-    of `graph` = (n, off, dst, poff, psrc, col, side).  Each winner's
-    vertices have their witness move in `strat` (moves left there for
-    vertices their owner loses are filtered out by `solve_parity`)."""
-    n, off, dst, poff, psrc, col, side = graph
-    live = [v for v in range(n) if sub[v]]
-    if not live:
-        return [sub, sub]
-    m = min(col[v] for v in live)
-    sigma = 0 if m % 2 == 0 else 1
-    target = [1 if sub[v] and col[v] == m else 0 for v in range(n)]
-    a = K.attractor(n, off, dst, poff, psrc, side[sigma], target, sub)
-    wins = _zielonka([0 if r else s for s, r in zip(sub, a)], graph, strat)
-    if not any(wins[1 - sigma]):
-        _attractor_moves(a, side[sigma], live, off, dst, strat)
-        for v in live:
-            if target[v] and side[sigma][v]:
-                strat[v] = min(x for x in dst[off[v]:off[v + 1]] if sub[x])
-        return [sub, [0] * n] if sigma == 0 else [[0] * n, sub]
+    """The winning bitmasks [w0, w1] of the sub-game on the bitmask `sub`
+    of `graph` = (n, off, dst, poff, psrc, colours, side), `colours` the
+    (colour, bitmask) pairs in increasing colour order and `side` the two
+    players' bitmasks.  Each winner's vertices have their witness move in
+    `strat` (moves left there for vertices their owner loses are filtered
+    out by `solve_parity`)."""
+    if not sub:
+        return [0, 0]
+    n, off, dst, poff, psrc, colours, side = graph
+    for m, at_m in colours:
+        target = sub & at_m
+        if target:
+            break
+    sigma = m % 2
+    moves = {}
+    a = K.attractor(n, off, dst, poff, psrc, side[sigma], target, sub, moves)
+    wins = _zielonka(sub & ~a, graph, strat)
+    if not wins[1 - sigma]:
+        strat.update(moves)
+        for v in K.ids(target & side[sigma]):
+            strat[v] = min(x for x in dst[off[v]:off[v + 1]] if sub >> x & 1)
+        return [sub, 0] if sigma == 0 else [0, sub]
     # the opponent keeps its region and attracts B into it
     b = K.attractor(n, off, dst, poff, psrc, side[1 - sigma],
-                    wins[1 - sigma], sub)
-    _attractor_moves(b, side[1 - sigma], live, off, dst, strat)
-    wins = _zielonka([0 if r else s for s, r in zip(sub, b)], graph, strat)
-    wins[1 - sigma] = [1 if x or r else 0 for x, r in zip(wins[1 - sigma], b)]
+                    wins[1 - sigma], sub, strat)
+    wins = _zielonka(sub & ~b, graph, strat)
+    wins[1 - sigma] |= b
     return wins
-
-
-def _attractor_moves(ranks, coal, live, off, dst, strat):
-    """A coalition vertex that joined an attractor moves to its least-id
-    successor of lower rank (one in the set when it joined)."""
-    for v in live:
-        if ranks[v] > 1 and coal[v]:
-            strat[v] = min(x for x in dst[off[v]:off[v + 1]]
-                           if 0 < ranks[x] < ranks[v])
 
 
 def parity_region(arena, colors, coalition):

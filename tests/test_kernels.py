@@ -34,16 +34,24 @@ def closure(edges, sources, inside):
         seen |= more
 
 
+def bits(vs):
+    """The int bitmask of a set of vertex ids."""
+    return sum(1 << v for v in vs)
+
+
 def least_attractor(n, edges, coalition, target):
-    """Least fixed point of the one-step attractor operator."""
-    attr = set(target)
+    """Least fixed point of the one-step attractor operator, on the
+    bitmasks `coalition` and `target`."""
+    attr = target
     while True:
-        more = set()
-        for u in set(range(n)) - attr:
+        more = 0
+        for u in range(n):
+            if attr >> u & 1:
+                continue
             outs = [v for w, v in edges if w == u]
-            if (any(v in attr for v in outs) if u in coalition
-                    else outs and all(v in attr for v in outs)):
-                more.add(u)
+            if (any(attr >> v & 1 for v in outs) if coalition >> u & 1
+                    else outs and all(attr >> v & 1 for v in outs)):
+                more |= 1 << u
         if not more:
             return attr
         attr |= more
@@ -59,37 +67,15 @@ def test_kernels_match_naive_definitions(data):
     off, dst = csr(n, edges)
     poff, psrc = csr(n, [(v, u) for u, v in edges])
 
-    def mask(vs):
-        return [1 if v in vs else 0 for v in range(n)]
-
-    assert reachable(n, off, dst, mask(target)) == mask(
+    assert reachable(off, dst, bits(target)) == bits(
         closure(edges, target, everything))
     within = {v for v in range(n) if sub[v]}
     inner = [(u, v) for u, v in edges if u in within and v in within]
     for inside, arcs in ((everything, edges), (within, inner)):
-        rank = attractor(n, off, dst, poff, psrc, mask(coalition),
-                         mask(target), mask(inside))
-        attracted = least_attractor(n, arcs, coalition, target & inside)
-        assert [1 if r else 0 for r in rank] == mask(attracted)
-        # targets rank 1, the others join one at a time
-        assert [rank[v] == 1 for v in range(n)] == [
-            v in target & inside for v in range(n)]
-        assert sorted(rank[v] for v in attracted - target) == list(
-            range(2, len(attracted - target) + 2))
-        # each coalition vertex that joined has an edge to a vertex that
-        # joined earlier...
-        strategy = {u: min(x for u2, x in arcs
-                           if u2 == u and 0 < rank[x] < rank[u])
-                    for u in (attracted - target) & coalition}
-        assert all(x in attracted for x in strategy.values())
-        # ...and held to that edge, no vertex needs a coalition choice to
-        # be attracted
-        held = [(u, v) for u, v in arcs
-                if u not in strategy or v == strategy[u]]
-        assert least_attractor(n, held, set(), target & inside) == attracted
-        # every other vertex joined after all its successors
-        assert all(0 < rank[x] < rank[u] for u, x in arcs
-                   if u in attracted - target - coalition)
+        attracted = attractor(n, off, dst, poff, psrc, bits(coalition),
+                              bits(target), bits(inside))
+        assert attracted == least_attractor(n, arcs, bits(coalition),
+                                            bits(target & inside))
 
     # same component iff mutually reachable; ids in reverse topological
     # order, so no edge runs from a lower id to a higher one
@@ -130,10 +116,36 @@ def test_masked_scc_is_scc_of_induced_subgraph(data):
     n, edges, _, _, sub, _ = data
     keep = [v for v in range(n) if sub[v]]
     inner = [(u, v) for u, v in edges if sub[u] and sub[v]]
-    comp, ncomp = scc(n, *csr(n, edges), [1 if s else 0 for s in sub])
+    comp, ncomp = scc(n, *csr(n, edges), sum(1 << v for v in keep))
     want, nwant = scc_of(keep, inner)
     assert ncomp == nwant
     assert comp == [want[v] if sub[v] else -1 for v in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs)
+def test_attractor_moves_are_a_winning_strategy(data):
+    n, edges, coal, tgt, sub, _ = data
+    coalition = bits(v for v in range(n) if coal[v])
+    target = bits(v for v in range(n) if tgt[v])
+    inside = bits(v for v in range(n) if sub[v])
+    arcs = [(u, v) for u, v in edges if sub[u] and sub[v]]
+    off, dst = csr(n, edges)
+    poff, psrc = csr(n, [(v, u) for u, v in edges])
+    moves = {}
+    attracted = attractor(n, off, dst, poff, psrc, coalition, target,
+                          inside, moves)
+    assert attracted == attractor(n, off, dst, poff, psrc, coalition,
+                                  target, inside)
+    # every coalition vertex that joined, and no other, has a move...
+    assert bits(moves) == attracted & coalition & ~target
+    # ...along an edge of the sub-game into the attractor...
+    assert all((u, x) in arcs and attracted >> x & 1
+               for u, x in moves.items())
+    # ...and held to those moves, no vertex needs a coalition choice to
+    # be attracted
+    held = [(u, v) for u, v in arcs if u not in moves or v == moves[u]]
+    assert least_attractor(n, held, 0, target & inside) == attracted
 
 
 def test_attractor_semantics():
@@ -141,12 +153,18 @@ def test_attractor_semantics():
     n, edges = 3, [(0, 1), (1, 2), (1, 0), (2, 2)]
     off, dst = csr(n, edges)
     poff, psrc = csr(n, [(v, u) for u, v in edges])
-    res = attractor(n, off, dst, poff, psrc, [1, 0, 0], [0, 0, 1], [1, 1, 1])
+    moves = {}
+    res = attractor(n, off, dst, poff, psrc, 0b001, 0b100, 0b111, moves)
     # b is not coalition and has an edge to a (outside), so not attracted;
     # hence a cannot reach the target either
-    assert res == [0, 0, 1]
-    res = attractor(n, off, dst, poff, psrc, [1, 1, 0], [0, 0, 1], [1, 1, 1])
-    assert res == [3, 2, 1]
+    assert res == 0b100 and moves == {}
+    res = attractor(n, off, dst, poff, psrc, 0b011, 0b100, 0b111, moves)
+    # b joins first, by its edge to c; then a, by its edge to b
+    assert res == 0b111 and moves == {1: 2, 0: 1}
+    # outside the sub-game {b, c}, a never joins
+    moves = {}
+    res = attractor(n, off, dst, poff, psrc, 0b011, 0b100, 0b110, moves)
+    assert res == 0b110 and moves == {1: 2}
 
 
 def test_scc_basic():

@@ -455,6 +455,19 @@ def test_every_spe_yes_carries_a_witness_that_checks(game, eps, data):
         assert check_mp_witness(game, eps, res["witness"], query)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_mp_games() | st.sampled_from(MP_CORPUS).map(load_game))
+def test_first_iterate_is_the_adversarial_value(game):
+    # the vacuous requirement's negotiation value is each owner's
+    # adversarial value; `nego_mp` still runs its search for it
+    got = nego_mp(game, vacuous_requirement(game))
+    want = val_requirement(game)
+    arena = game.arena
+    for v in arena.vertices:
+        if arena.owner[v] in game.players:
+            assert got[v] == want[v], v
+
+
 @st.composite
 def cores(draw):
     """(players, means): 2-4 players in shuffled order and 1-5 cycle-mean

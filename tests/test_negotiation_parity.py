@@ -339,6 +339,11 @@ def parity_cases(draw):
 DEVIATION_ROBUST = deviation_robust_game() + ("circle", {"v"}, Query())
 
 
+def constraints(game, lam):
+    """The requirement as the region rounds and concrete game read it."""
+    return negotiation._parity_structure(game).constraints(lam)
+
+
 @settings(max_examples=300, deadline=None)
 @given(parity_cases())
 @example(DEVIATION_ROBUST)
@@ -346,7 +351,7 @@ def test_feasible_region_matches_subset_enumeration(case):
     game, lam, i, S, _ = case
     assert parity_feasible_region(game, lam, i) == \
         ref.parity_feasible_region(game, lam, i)
-    assert _feasible_round(game, lam, i, S) == {
+    assert _feasible_round(game, constraints(game, lam), i, S) == {
         v for v in S if ref._exists_consistent_play(game, lam, i, v, S)}
 
 
@@ -388,7 +393,9 @@ def test_nego_parity_matches_reference_zielonka(case, data):
 
 # ---------------------------------------------------------------------------
 # the one walk of `_solve_game1` over int ids against the three passes over
-# tuple states it replaced (tests/parity_region_reference.py)
+# tuple states it replaced (tests/parity_region_reference.py).  The walk
+# starts only from the constrained player's vertices, the only ones whose
+# winners `nego_parity` reads, so winners are compared there.
 
 
 @settings(max_examples=100, deadline=None)
@@ -397,12 +404,18 @@ def test_solve_game1_matches_reference(case, data):
     game = case[0]
     lam = {v: data.draw(st.sampled_from(BOOLEAN_REQUIREMENTS))
            for v in game.arena.vertices}
+    con = constraints(game, lam)
     for i in game.players:
         S = parity_feasible_region(game, lam, i)
-        assert _solve_game1(game, lam, i, S) == \
-            ref._solve_game1(game, lam, i, S)
+        mine = {v for v in S if game.arena.owner[v] == i}
+        assert _solve_game1(game, con, i, S) == \
+            ref._solve_game1(game, lam, i, S) & mine
     got = nego_parity(game, lam)
-    with mock.patch.object(negotiation, "_solve_game1", ref._solve_game1):
+
+    def reference(game, con, i, S):
+        return ref._solve_game1(game, lam, i, S)
+
+    with mock.patch.object(negotiation, "_solve_game1", reference):
         assert nego_parity(game, lam) == got
 
 
@@ -420,12 +433,14 @@ def guard_games():
 
 
 def test_parity_constraint_read_once_per_vertex():
+    # once per call of `nego_parity`, for every player's region rounds
+    # and concrete game
     calls = mock.Mock(wraps=negotiation._parity_constraint)
     most = 0
     with mock.patch.object(negotiation, "_parity_constraint", calls):
         for game, lam, i, S in guard_games():
             calls.reset_mock()
-            _solve_game1(game, lam, i, S)
+            nego_parity(game, lam)
             assert calls.call_count <= len(game.arena.vertices)
             most = max(most, calls.call_count)
     assert most > 0
@@ -445,7 +460,7 @@ def test_solve_parity_gets_int_ids():
 
     with mock.patch.object(zs, "solve_parity", spy):
         for game, lam, i, S in guard_games():
-            _solve_game1(game, lam, i, S)
+            _solve_game1(game, constraints(game, lam), i, S)
     assert sizes and max(sizes) > 1
 
 
@@ -518,7 +533,8 @@ def test_concrete_game_contests_only_own_proposals():
             continue
         owner = negotiation._parity_structure(game).owner
         me = list(game.players).index(i)
-        states, succ, _ = negotiation._concrete_game1(game, lam, i, S)
+        states, succ, _ = negotiation._concrete_game1(
+            game, constraints(game, lam), i, S)
         for s, outs in zip(states, succ):
             if s[0] == "C":
                 assert owner[s[1]] == me, s

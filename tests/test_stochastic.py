@@ -20,6 +20,7 @@ from equilibra.stochastic import (RiskPartition, EntropicParams,
 from equilibra import zerosum as zs
 from conftest import random_terminal_game, positional_profiles, \
     profile_of_choices
+from extreme_value_reference import extreme_adversarial_value
 from profile_product_reference import _profile_mdp
 
 
@@ -198,7 +199,8 @@ def oracle_optimist_constrained(game, query, averse):
     for v in arena.vertices:
         if arena.is_chance(v) or arena.is_terminal(v):
             continue
-        val[v] = zs.extreme_adversarial_value(game, (set(), set(game.players)), v)
+        val[v] = extreme_adversarial_value(game, (set(), set(game.players)),
+                                           v)
     player_edges = [e for e in arena.edges
                     if not arena.is_chance(e[0]) and
                     not arena.is_terminal(e[0])]
@@ -328,7 +330,7 @@ def oracle_averse_constrained(game, query):
     for v in arena.vertices:
         if arena.is_chance(v) or arena.is_terminal(v):
             continue
-        val[v] = zs.extreme_adversarial_value(
+        val[v] = extreme_adversarial_value(
             game, (set(), set(game.players)), v)
     pe = [e for e in arena.edges
           if not arena.is_chance(e[0]) and not arena.is_terminal(e[0])]

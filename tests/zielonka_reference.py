@@ -1,8 +1,8 @@
 # The dict/set Zielonka solver that equilibra.zerosum.solve_parity replaced,
-# kept verbatim as the reference its int-id rewrite over
+# kept verbatim as the reference its rewrite on int bitmasks over
 # `_kernels.attractor` must agree with exactly: same regions, same
-# strategies (tests/test_zerosum.py), and the same parity negotiation
-# (tests/test_negotiation_parity.py).
+# strategies, repeated successors included (tests/test_zerosum.py), and
+# the same parity negotiation (tests/test_negotiation_parity.py).
 
 
 def solve_parity(vertices, succ_map, is_protag, color):

@@ -15,7 +15,7 @@ from .games import (GameError, Lasso, eval_lasso, payoff_vector, cycle_id,
 from . import zerosum as zs
 from ._kernels import scc_of, simple_paths
 from .negotiation import (is_lambda_consistent, parity_components,
-                          _mp_structure)
+                          _mp_structure, _parity_structure)
 from .simplex import lp_feasible
 
 
@@ -41,8 +41,10 @@ def val_requirement(game):
     """First negotiation iterate: each vertex demands its controller's
     adversarial value."""
     if game.mode == "parity":
-        vals = {p: zs.parity_value(game, p) for p in game.players}
-    elif game.mode == "mean-payoff":
+        ps = _parity_structure(game)
+        return {v: Fraction(ps.won(ps.owner[k]) >> k & 1)
+                for k, v in enumerate(ps.names)}
+    if game.mode == "mean-payoff":
         shared = _mp_structure(game)
         vals = {p: shared.values(p) for p in game.players}
     else:

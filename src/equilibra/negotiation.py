@@ -105,8 +105,9 @@ class _ParityStructure:
     player's colours as one int list (`col`, players in `game.players`
     order) with, per colour z, the vertices of colour >= z and == z as int
     bitmasks, owner ids, each vertex's rank in sorted name order, and the
-    successor and predecessor CSR (successors in `arena.succ` order).  It
-    reads every colour once and holds no reference to its game."""
+    successor and predecessor CSR (successors in `arena.succ` order), and
+    each player's own winning region (`won`) once solved.  It reads every
+    colour once and holds no reference to its game."""
 
     def __init__(self, game):
         arena = game.arena
@@ -139,6 +140,20 @@ class _ParityStructure:
                  for w in arena.succ(v)]
         self.off, self.dst = csr(n, edges)
         self.poff, self.psrc = csr(n, [(w, u) for u, w in edges])
+        self._won = {}
+
+    def won(self, i):
+        """The bitmask of the vertices from which player id i alone wins its
+        parity objective against all the others, whatever the requirement:
+        Zielonka on the successor CSR, solved on first use and kept."""
+        region = self._won.get(i)
+        if region is None:
+            off, dst, owner, col = self.off, self.dst, self.owner, self.col[i]
+            w0, _, _, _ = zs.solve_parity(
+                range(self.n), [dst[off[v]:off[v + 1]] for v in range(self.n)],
+                lambda v: owner[v] == i, lambda v: col[v])
+            region = self._won[i] = sum(1 << v for v in w0)
+        return region
 
     def constraints(self, lam):
         """`_parity_constraint` of every vertex, by id."""
@@ -306,6 +321,11 @@ def _strongly_connected(Cset, allowed):
     return ncomp == 1 and bool(inner)
 
 
+# the one concrete state for every proposal inside the constrained
+# player's own winning region (`_concrete_game1`)
+_SINK = ("W",)
+
+
 def _concrete_game1(game, con, i, S):
     """The Pi-compressed concrete negotiation game restricted to the
     feasible region S, for the requirement whose
@@ -322,10 +342,18 @@ def _concrete_game1(game, con, i, S):
     proposal at another player's vertex has nothing to contest and moves
     straight to ('P', x, M'): the C state it skips would have one
     successor and no colour, and the Rabin hits it would have, the P
-    state before it has too."""
+    state before it has too.
+
+    Every ('P', v, M) with v in i's own winning region
+    (`_ParityStructure.won`) is the one state `_SINK`, whose only
+    successor is itself: Challenger wins there whatever M and the record,
+    by following i's winning strategy (accepting its move or deviating to
+    it), which keeps the play inside the region and wins i's parity
+    objective, a Rabin disjunct that no prefix can spoil."""
     ps = _parity_structure(game)
     off, dst = ps.off, ps.dst
     me = ps.players.index(i)
+    won = ps.won(me)
     inS = ps.mask(S)
     constr = [1 << o if c == 1 else 0 for c, o in zip(con, ps.owner)]
     index, states, succ = {}, [], []
@@ -336,7 +364,10 @@ def _concrete_game1(game, con, i, S):
             states.append(s)
         return index[s]
 
-    roots = {v: state(("P", ps.index[v], constr[ps.index[v]]))
+    def prover(v, M):
+        return state(_SINK if won >> v & 1 else ("P", v, M))
+
+    roots = {v: prover(ps.index[v], constr[ps.index[v]])
              for v in sorted(S) if ps.owner[ps.index[v]] == me}
     for s in states:  # grows as the walk goes
         if s[0] == "P":
@@ -351,14 +382,16 @@ def _concrete_game1(game, con, i, S):
                     f"feasible region"
                 succ.append([state(("C", v, x, M)) for x in outs])
             else:
-                succ.append([state(("P", x, M | constr[x])) for x in outs])
+                succ.append([prover(x, M | constr[x]) for x in outs])
         elif s[0] == "C":
             _, v, x, M = s
-            succ.append([state(("P", x, M | constr[x]))]
+            succ.append([prover(x, M | constr[x])]
                         + [state(("D", w)) for w in dst[off[v]:off[v + 1]]
                            if w != x])
+        elif s[0] == "D":
+            succ.append([prover(s[1], constr[s[1]])])
         else:
-            succ.append([state(("P", s[1], constr[s[1]]))])
+            succ.append([index[s]])
     return states, succ, roots
 
 
@@ -373,10 +406,14 @@ def _solve_game1(game, con, i, S):
     objective, reduced to parity by index appearance records and solved
     by Zielonka.  One walk builds the concrete game (`_concrete_game1`),
     a second its record product over int ids 0..N-1; colours come from
-    `_parity_structure(game)`.  Without such a vertex nothing is built."""
+    `_parity_structure(game)`.  The concrete game's `_SINK`, which stands
+    for every proposal inside i's own winning region, is one product node
+    whatever the record, with no Rabin hits and min-parity priority 0, so
+    Challenger wins there.  Without such a vertex nothing is built."""
     states, succ, roots = _concrete_game1(game, con, i, S)
     if not roots:
         return set()
+    sink = states.index(_SINK) if _SINK in states else -1
     ps = _parity_structure(game)
     col = ps.col
     me = ps.players.index(i)
@@ -405,11 +442,14 @@ def _solve_game1(game, con, i, S):
                     F.add(q)
         return E, F
 
-    hit = [hits(s) for s in states]
+    hit = [(set(), set()) if k == sink else hits(s)
+           for k, s in enumerate(states)]
     top = 2 * len(pairs) + 2
     ids, nodes, moves, challenger, priority = {}, [], [], [], []
 
     def node(s, rec):
+        if s == sink:
+            rec = ()
         key = (s, rec)
         if key not in ids:
             ids[key] = len(nodes)
@@ -423,7 +463,8 @@ def _solve_game1(game, con, i, S):
                     maxE = q
                 elif j in F:
                     maxF = q
-            priority.append(top - (2 * maxE + 1 if maxE >= maxF
+            priority.append(0 if s == sink else
+                            top - (2 * maxE + 1 if maxE >= maxF
                                    else 2 * maxF))
             challenger.append(states[s][0] != "P")
         return ids[key]
@@ -446,9 +487,10 @@ def nego_parity(game, lam):
 
     A requirement that demands nothing (no value above 0) is met by every
     play, so the feasible region is every vertex and no requirement is
-    ever activated: each owned vertex gets its owner's adversarial value
-    (`zs.parity_value`), the negotiation function's first iterate, with
-    no region, concrete game or record product built.
+    ever activated: each owned vertex gets its owner's adversarial value,
+    1 exactly on the owner's own winning region (`_ParityStructure.won`),
+    the negotiation function's first iterate, with no region, concrete
+    game or record product built.
 
     Otherwise it is the value of the Pi-compressed concrete negotiation
     game: +inf outside the feasibility region (`parity_feasible_region`,
@@ -459,8 +501,11 @@ def nego_parity(game, lam):
     `_solve_game1` builds that game, with Challenger states only at the
     constrained player's own proposals, in one walk and its
     index-appearance-record product in a second, over int ids, both
-    seeded only from that player's vertices in the region, and hands the
-    product to Zielonka.  The requirement is read once per call, into
+    seeded only from that player's vertices in the region, with every
+    proposal inside that player's own winning region cut to one sink that
+    Challenger wins, and hands the product to Zielonka.  Each player's
+    winning region is solved once per game object and kept in
+    `_ParityStructure`.  The requirement is read once per call, into
     `_ParityStructure.constraints`, which every region round and concrete
     game reads.
     """
@@ -469,17 +514,18 @@ def nego_parity(game, lam):
     if not is_boolean_requirement(game, lam):
         raise GameError("non-Boolean requirement values in parity mode")
     arena = game.arena
+    ps = _parity_structure(game)
     vacuous = not any(lam[v] > 0 for v in arena.vertices)
-    con = None if vacuous else _parity_structure(game).constraints(lam)
+    con = None if vacuous else ps.constraints(lam)
     out = {}
-    for i in game.players:
+    for me, i in enumerate(ps.players):
         mine = [v for v in arena.vertices if arena.owner[v] == i]
         if not mine:
             continue
         if vacuous:
-            val = zs.parity_value(game, i)
+            won = ps.won(me)
             for v in mine:
-                out[v] = val[v]
+                out[v] = Fraction(won >> ps.index[v] & 1)
             continue
         S = _feasible_region(game, con, i)
         winners = _solve_game1(game, con, i, S)

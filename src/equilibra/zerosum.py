@@ -361,15 +361,6 @@ def parity_region(arena, colors, coalition):
     return w0, s0
 
 
-def parity_value(game, player):
-    """Adversarial value of every vertex for `player` in a parity game:
-    1 on the winning region of {player} versus the rest, else 0."""
-    colors = {v: game.payoff.color(player, v) for v in game.arena.vertices}
-    w0, _ = parity_region(game.arena, colors, {player})
-    return {v: (Fraction(1) if v in w0 else Fraction(0))
-            for v in game.arena.vertices}
-
-
 # ---------------------------------------------------------------------------
 # zero-sum mean-payoff values
 

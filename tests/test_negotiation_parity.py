@@ -1,12 +1,14 @@
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
 from fractions import Fraction
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import parity_region_reference as ref
+import parity_value_reference
 import zielonka_reference
 
 from equilibra import zerosum as zs
@@ -527,23 +529,117 @@ def test_nothing_demanded_builds_no_region_or_game():
 
 
 def test_concrete_game_contests_only_own_proposals():
-    own = 0
+    # and every proposal inside i's own winning region is the one sink
+    own = sunk = 0
     for game, lam, i, S in guard_games():
         if not S:
             continue
-        owner = negotiation._parity_structure(game).owner
+        ps = negotiation._parity_structure(game)
+        owner, off, dst = ps.owner, ps.off, ps.dst
         me = list(game.players).index(i)
-        states, succ, _ = negotiation._concrete_game1(
-            game, constraints(game, lam), i, S)
-        for s, outs in zip(states, succ):
-            if s[0] == "C":
-                assert owner[s[1]] == me, s
-            elif s[0] == "P":
-                # i's proposals go to the Challenger, the others' straight on
-                kind = "C" if owner[s[1]] == me else "P"
-                assert all(states[t][0] == kind for t in outs), s
-                own += owner[s[1]] == me
-    assert own > 0
+        won = ps.won(me)
+        inS = ps.mask(S)
+        con = constraints(game, lam)
+        constr = [1 << o if c == 1 else 0 for c, o in zip(con, owner)]
+        states, succ, roots = negotiation._concrete_game1(game, con, i, S)
+
+        def proposal(x, M):
+            """What a move to x with activation M must reach."""
+            if won >> x & 1:
+                return negotiation._SINK
+            return ("P", x, M)
+
+        for v, r in roots.items():
+            x = ps.index[v]
+            assert states[r] == proposal(x, constr[x]), v
+        for k, (s, outs) in enumerate(zip(states, succ)):
+            got = [states[t] for t in outs]
+            if s == negotiation._SINK:
+                assert outs == [k]
+                sunk += 1
+            elif s[0] == "C":
+                _, v, x, M = s
+                assert owner[v] == me, s
+                assert got[0] == proposal(x, M | constr[x]), s
+                assert all(t[0] == "D" for t in got[1:]), s
+            elif s[0] == "D":
+                assert got == [proposal(s[1], constr[s[1]])], s
+            else:
+                _, v, M = s
+                assert s[0] == "P" and not won >> v & 1, s
+                if owner[v] == me:
+                    # i's proposals go to the Challenger
+                    assert all(t[0] == "C" for t in got), s
+                    own += 1
+                else:
+                    # the others' go straight on, to a P state or the sink
+                    assert got == [proposal(x, M | constr[x])
+                                   for x in dst[off[v]:off[v + 1]]
+                                   if inS[x]], s
+    assert own > 0 and sunk > 0
+
+
+# ---------------------------------------------------------------------------
+# each player's own winning region, solved once per game object
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_cases())
+def test_won_matches_reference_zielonka_and_parity_value(case):
+    game = case[0]
+    assume(len(game.players) >= 2)
+    ps = negotiation._parity_structure(game)
+    arena = game.arena
+    succ = {v: list(arena.succ(v)) for v in arena.vertices}
+    for me, i in enumerate(game.players):
+        got = {ps.names[v] for v in range(ps.n) if ps.won(me) >> v & 1}
+        w0, _, _, _ = zielonka_reference.solve_parity(
+            arena.vertices, succ, lambda v: arena.owner[v] == i,
+            lambda v: game.payoff.color(i, v))
+        assert got == w0
+        values = parity_value_reference.parity_value(game, i)
+        assert got == {v for v, x in values.items() if x == 1}
+    assert val_requirement(game) == {
+        v: parity_value_reference.parity_value(game, arena.owner[v])[v]
+        for v in arena.vertices}
+
+
+def test_won_solved_once_per_player_and_never_proposed_into():
+    solve = zs.solve_parity
+    concrete = negotiation._concrete_game1
+    solved, proposals = [], []
+
+    def spy(*args):
+        if sys._getframe(1).f_code.co_name == "won":
+            solved.append(len(args[0]))
+        return solve(*args)
+
+    def checked(game, con, i, S):
+        states, succ, roots = concrete(game, con, i, S)
+        ps = negotiation._parity_structure(game)
+        won = ps.won(list(game.players).index(i))
+        for s in states:
+            if s[0] == "P":
+                assert not won >> s[1] & 1, s
+                proposals.append(s)
+        return states, succ, roots
+
+    rng = random.Random(46)
+    bases = [load_game("fig_ne_spe"), deviation_robust_game()[0]]
+    bases += [random_parity_game(rng, n=6, players=3, max_color=3)
+              for _ in range(6)]
+    with mock.patch.object(zs, "solve_parity", spy), \
+            mock.patch.object(negotiation, "_concrete_game1", checked):
+        for base in bases:
+            # a fresh game object, so its structure is built in the call
+            game = Game(base.arena, base.payoff)
+            owners = {game.arena.owner[v] for v in game.arena.vertices}
+            del solved[:]
+            nego_iterate(game)
+            nego_iterate(game)
+            # on the whole arena, once per player that owns a vertex
+            assert solved == [len(game.arena.vertices)] * len(owners)
+    assert proposals
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,25 @@ diagnostics on stderr, exit 0 for any computed answer (including "no" and
 "unknown") and 2 for usage or input errors.
 
 Every command is declared once, in `COMMANDS`, and the parser is built from
-that table once per process.  Handlers call the library through this
-module's globals, so a tracer that rebinds those names sees every call."""
+that table once per process.  A well-formed command line (the command, its
+positionals and exact long options) is read straight from the same table
+(`_parse_plain`) into the Namespace argparse would give; every other one,
+`--help`, abbreviations and usage errors included, goes to argparse, the
+only source of help, usage and error text.  Handlers call the library
+through this module's globals, so a tracer that rebinds those names sees
+every call."""
 
 import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from .rationals import parse_rational, parse_ext, format_ext, PINF, NINF
 from .games import (GameError, Lasso, parse_game, serialize_game,
-                    serialize_memory, parse_memory, eval_lasso,
+                    memory_doc, parse_memory, eval_lasso,
                     payoff_vector, product_game, vacuous_memory,
                     MemoryProfile)
 from .negotiation import (vacuous_requirement, nego, nego_iterate,
@@ -44,9 +50,13 @@ def _read_text(what, path):
 
 
 def _input_text(path, names, what):
-    """The UTF-8 file `path`, else the corpus entry in `names` so named."""
-    if os.path.exists(path):
+    """The UTF-8 file `path`; where no such file exists, the corpus entry
+    in `names` so named."""
+    try:
         return _read_text(what, path)
+    except ValueError:  # a GameError, or a NUL in the path
+        if os.path.exists(path):
+            raise
     name = os.path.splitext(os.path.basename(path))[0]
     if name in names:
         return corpus.read_text(name)
@@ -75,7 +85,12 @@ def _rational(option, text, parse=parse_rational):
         raise GameError(f"{option}: bad rational {text!r} ({e})")
 
 
+_PLAIN = (str, int, bool, type(None))
+
+
 def _jsonable(x):
+    if type(x) in _PLAIN:
+        return x
     if isinstance(x, Fraction) or x is PINF or x is NINF:
         return format_ext(x)
     mpmath = sys.modules.get("mpmath")
@@ -86,7 +101,7 @@ def _jsonable(x):
     if isinstance(x, MpWitness):
         return x.to_json()
     if isinstance(x, MemoryProfile):
-        return json.loads(serialize_memory(x))
+        return memory_doc(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (set, frozenset)):
@@ -411,11 +426,88 @@ def build_parser():
     return p
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number (`ArgumentParser._negative_number_matcher`)
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_value(arg):
+    """True iff argparse reads `arg` as a value, not as an option."""
+    return not arg or arg[0] != "-" or _NEGATIVE.match(arg) is not None
+
+
+@functools.cache
+def _command_tables():
+    """name -> (positional dests, {long option: (dest, type, choices,
+    append)}, {dest: default}, required options), read from `COMMANDS`
+    once per process, for `_parse_plain`."""
+    tables = {}
+    for name, (_, arguments, _) in COMMANDS.items():
+        positionals, options, defaults, required = [], {}, {}, []
+        for flag, kw in arguments:
+            if flag.startswith("--"):
+                dest = flag[2:].replace("-", "_")
+                options[flag] = (dest, kw.get("type"), kw.get("choices"),
+                                 kw.get("action") == "append")
+                if kw.get("required"):
+                    required.append(flag)
+            else:
+                dest = flag
+                positionals.append(dest)
+            defaults[dest] = kw.get("default")
+        tables[name] = (positionals, options, defaults, required)
+    return tables
+
+
+def _parse_plain(argv):
+    """The Namespace `build_parser().parse_args(argv)` returns, for an argv
+    that names a command and then uses only its positionals and exact long
+    options, as `--opt value` or `--opt=value`, with values argparse
+    accepts; None for any other argv, which argparse then parses, explains
+    or rejects."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    positionals, options, defaults, required = _command_tables()[argv[0]]
+    values, seen, free = dict(defaults), set(), []
+    k, n = 1, len(argv)
+    while k < n:
+        arg = argv[k]
+        k += 1
+        if _is_value(arg):
+            free.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in options or value == "--":
+            return None  # argparse drops an explicit "--" value
+        if not eq:
+            if k == n or not _is_value(argv[k]):
+                return None
+            value = argv[k]
+            k += 1
+        dest, type_, choices, append = options[flag]
+        if type_ is not None:
+            try:
+                value = type_(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = (values[dest] or []) + [value] if append else value
+        seen.add(flag)
+    if len(free) != len(positionals) or not seen.issuperset(required):
+        return None
+    values.update(zip(positionals, free))
+    return argparse.Namespace(format="json", command=argv[0], **values)
+
+
 def run(argv):
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0,) else 0
+    parser = build_parser()
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0,) else 0
     try:
         game = (parse_game(_input_text(args.game, corpus.GAMES,
                                        "game file or corpus entry"))

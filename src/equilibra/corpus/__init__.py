@@ -1,8 +1,10 @@
 """Bundled corpus: the worked figures used throughout the test suite."""
 
-import importlib.resources as resources
+import os
 
 from ..games import parse_game, parse_memory
+
+_DIR = os.path.dirname(os.path.abspath(__file__))
 
 GAMES = ["chaos", "ex_extreme1", "ex_extreme2", "ex_extreme3",
          "fig_first_example", "fig_ne_spe", "inf_spe", "lottery",
@@ -16,7 +18,8 @@ def corpus_list():
 
 
 def read_text(name):
-    return (resources.files(__package__) / f"{name}.json").read_text()
+    with open(os.path.join(_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_game(name):

@@ -13,6 +13,7 @@ from ._kernels import reach
 MODES = ("parity", "mean-payoff", "energy", "discounted-sum", "terminal")
 CHANCE = "chance"
 TERMINAL = "terminal"
+_ZERO = Fraction(0)  # the reward of an edge without one
 
 
 class GameError(ValueError):
@@ -123,7 +124,7 @@ class PayoffSpec:
         return self.colors[v][player]
 
     def reward(self, player, u, v):
-        return self.rewards.get((u, v), {}).get(player, Fraction(0))
+        return self.rewards.get((u, v), {}).get(player, _ZERO)
 
     def validate(self, arena):
         if self.mode == "parity":
@@ -545,7 +546,9 @@ def _memory_from_json(doc, arena):
     return m
 
 
-def serialize_memory(m):
+def memory_doc(m):
+    """The JSON document of a memory structure, as `parse_memory` reads
+    it."""
     tdocs = []
     for t in m.transitions:
         tdoc = {"from": t[0], "reads": t[1], "to": t[2]}
@@ -554,9 +557,12 @@ def serialize_memory(m):
         if t in m.weights:
             tdoc["weight"] = format_rational(m.weights[t])
         tdocs.append(tdoc)
-    doc = {"states": list(m.states), "initial": m.initial,
-           "owners": list(m.owners), "transitions": tdocs}
-    return json.dumps(doc, indent=2) + "\n"
+    return {"states": list(m.states), "initial": m.initial,
+            "owners": list(m.owners), "transitions": tdocs}
+
+
+def serialize_memory(m):
+    return json.dumps(memory_doc(m), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

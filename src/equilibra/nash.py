@@ -33,8 +33,12 @@ class Query:
         return self.upper.get(player, PINF)
 
     def admits(self, payoffs):
-        return all(self.lo(p) <= x and x <= self.hi(p)
-                   for p, x in payoffs.items())
+        """Every payoff within its player's thresholds; only the thresholds
+        that are set are compared."""
+        return (all(p not in payoffs or b <= payoffs[p]
+                    for p, b in self.lower.items())
+                and all(p not in payoffs or payoffs[p] <= b
+                        for p, b in self.upper.items()))
 
 
 def val_requirement(game):

@@ -409,10 +409,14 @@ def _solve_game1(game, con, i, S):
     `_parity_structure(game)`.  The concrete game's `_SINK`, which stands
     for every proposal inside i's own winning region, is one product node
     whatever the record, with no Rabin hits and min-parity priority 0, so
-    Challenger wins there.  Without such a vertex nothing is built."""
+    Challenger wins there.  Without such a vertex nothing is built, and
+    when the concrete game is that sink alone, every root is won without
+    a product or a solve."""
     states, succ, roots = _concrete_game1(game, con, i, S)
     if not roots:
         return set()
+    if states == [_SINK]:
+        return set(roots)
     sink = states.index(_SINK) if _SINK in states else -1
     ps = _parity_structure(game)
     col = ps.col

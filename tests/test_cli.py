@@ -4,16 +4,23 @@ import gc
 import io
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import types
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import equilibra
 from equilibra import cli, corpus
 from equilibra.cli import run
+from equilibra.games import parse_game, parse_memory, serialize_memory
+from equilibra.nash import Query
+from equilibra.stochastic import RiskPartition, xrse_search_bounded
+from conftest import random_terminal_game
 
 # a stationary profile of `lottery`: circle plays b -> c
 BLUE = {"states": ["q0"], "initial": "q0", "owners": ["circle"],
@@ -146,6 +153,133 @@ def test_byte_stability(capsys):
         code = run(["xrse-exists", "ex_extreme1", "--pessimists", "all"])
         outs.add(capsys.readouterr().out)
     assert len(outs) == 1
+
+
+def test_memory_json_is_the_serialized_document():
+    arena = corpus.load_game("fig_first_example").arena
+    profiles = [corpus.load_memory(name, arena) for name in corpus.MACHINES]
+    profiles.append(parse_memory(json.dumps(fork_profile("1/3", "2/3")),
+                                 parse_game(json.dumps(FORK)).arena))
+    rng = random.Random(7)
+    for _ in range(40):
+        game = random_terminal_game(rng)
+        res = xrse_search_bounded(game, RiskPartition(game, game.players),
+                                  Query(), 2)
+        if res["answer"] == "yes":
+            profiles.append(res["profile"])
+    assert len(profiles) > 10
+    for m in profiles:
+        assert cli._jsonable(m) == json.loads(serialize_memory(m))
+
+
+# -- the table path against argparse ------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
+# values argparse reads as values ("-1", "-.5", ""), as options ("-1/2",
+# "-x", "-h") and as the end of options ("--")
+ODD_VALUES = ["-1/2", "-x", "--", "-h", "ten"]
+ODD_FLAGS = ["--", "-h", "--help", "--format", "--bogus"]
+
+
+def readme_command_lines():
+    """The argv of each command line in README's "Command line" block."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.strip()]
+
+
+def rarely(draw, odds):
+    return draw(st.integers(0, odds - 1)) == 0
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed argv for one command of `cli.COMMANDS`, each part
+    now and then made odd: abbreviated or unknown flags, values argparse
+    reads as options, missing values, options or positionals, an extra
+    positional, a top-level option."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    arguments = cli.COMMANDS[name][1]
+    items = [[draw(st.sampled_from(["sans_spe", "-1", ""]))]
+             for flag, _ in arguments if not flag.startswith("--")]
+    if rarely(draw, 15):
+        items.append(["extra"])
+    if rarely(draw, 15):
+        items = items[1:]
+    for flag, kw in arguments + [(f, {}) for f in ODD_FLAGS
+                                 if rarely(draw, 60)]:
+        if not flag.startswith("-"):
+            continue
+        repeats = 0 if rarely(draw, 10) else 2 if rarely(draw, 4) else 1
+        for _ in range(repeats):
+            if len(flag) > 3 and rarely(draw, 20):
+                flag = flag[:draw(st.integers(3, len(flag) - 1))]
+            good = ([str(c) for c in kw["choices"]] if "choices" in kw
+                    else ["2", "-1", "0"] if kw.get("type") is int
+                    else ["circle=1", "-1", "-.5", "", "all", "x"])
+            value = draw(st.sampled_from(
+                ODD_VALUES if rarely(draw, 20) else good))
+            form = ("bare" if rarely(draw, 30) else
+                    draw(st.sampled_from(["space", "space", "="])))
+            items.append({"space": [flag, value], "=": [f"{flag}={value}"],
+                          "bare": [flag]}[form])
+    argv = [name] + [w for item in draw(st.permutations(items))
+                     for w in item]
+    if rarely(draw, 15):
+        argv = ["--format", "pretty"] + argv
+    return argv
+
+
+def argparse_namespace(argv):
+    """vars() of argparse's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(list(argv)))
+        except SystemExit:
+            return None
+
+
+def check_table_path(argv):
+    """The table path's Namespace equals argparse's wherever it gives one,
+    so it declines wherever argparse exits; True iff it gave one."""
+    got = cli._parse_plain(list(argv))
+    if got is not None:
+        assert vars(got) == argparse_namespace(argv), argv
+    return got is not None
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+def test_table_path_agrees_with_argparse(argv):
+    check_table_path(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["validate", "--help"], ["validate", "sans_spe", "-h"],
+    ["--format", "pretty", "validate", "sans_spe"],
+    ["validate", "--", "sans_spe"], ["validate", "sans_spe", "extra"],
+    ["corpus-list", "extra"], ["eval", "fig_ne_spe", "--lasso", ";a"],
+    ["nego-iterate", "sans_spe", "--ma", "8"],
+    ["nego-iterate", "sans_spe", "--max", "-x"],
+    ["achaotic-verify", "chaos", "--leader", "leader", "--threshold",
+     "-1/2"],
+    ["rational-verify", "fig_first_example", "--leader", "square",
+     "--threshold", "1", "--concept", "both"],
+    ["eps-min", "sans_spe", "--precision", "ten"], []])
+def test_table_path_declines(argv):
+    assert not check_table_path(argv)
+
+
+def test_table_path_reads_readme_command_lines():
+    lines = readme_command_lines()
+    assert len(lines) >= 15
+    for argv in lines:
+        assert check_table_path(argv), argv
 
 
 def child_env():

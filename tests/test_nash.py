@@ -22,6 +22,21 @@ from conftest import (PLAYERS, flower_mp_game, random_parity_game,
                       oracle_parity_val)
 
 
+EXT = st.one_of(st.sampled_from([NINF, PINF]),
+                st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(PLAYERS), EXT),
+       st.dictionaries(st.sampled_from(PLAYERS), EXT),
+       st.dictionaries(st.sampled_from(PLAYERS), EXT))
+def test_admits_matches_every_player_formula(lower, upper, payoffs):
+    # each payoff against its bounds, an unset one read as -inf or +inf
+    query = Query(lower, upper)
+    assert query.admits(payoffs) == all(
+        query.lo(p) <= x and x <= query.hi(p) for p, x in payoffs.items())
+
+
 def test_ne_check_fig():
     fig = load_game("fig_ne_spe")
     assert ne_outcome_check(fig, Lasso([], ["a"]))

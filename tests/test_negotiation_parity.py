@@ -466,6 +466,24 @@ def test_solve_parity_gets_int_ids():
     assert sizes and max(sizes) > 1
 
 
+def test_sink_alone_is_won_without_a_solve():
+    # every root inside the constrained player's own winning region: the
+    # concrete game is the sink alone, and no product is solved
+    sunk = 0
+    for game, lam, i, S in guard_games():
+        ps = negotiation._parity_structure(game)
+        won = ps.won(list(game.players).index(i))  # solved before the spy
+        mine = {v for v in S if game.arena.owner[v] == i}
+        if not mine or any(not won >> ps.index[v] & 1 for v in mine):
+            continue
+        sunk += 1
+        with mock.patch.object(zs, "solve_parity",
+                               side_effect=AssertionError("solved")):
+            got = _solve_game1(game, constraints(game, lam), i, S)
+        assert got == mine == ref._solve_game1(game, lam, i, S) & mine
+    assert sunk > 0
+
+
 # ---------------------------------------------------------------------------
 # a requirement that demands nothing: adversarial values, no region, no
 # concrete game, against the full path of the reference

@@ -423,6 +423,7 @@ def build_parser():
         sp = sub.add_parser(name, help=help_)
         for flag, kw in arguments:
             sp.add_argument(flag, **kw)
+    p.commands = sub.choices  # name -> sub-parser, for its usage errors
     return p
 
 
@@ -500,12 +501,24 @@ def _parse_plain(argv):
     return argparse.Namespace(format="json", command=argv[0], **values)
 
 
+def _reject_stripped_values(parser, args):
+    """argparse drops an explicit "--" value (`--eps=--`) and stores [] in
+    its place; end that as the usage error of a missing value."""
+    options = _command_tables()[args.command][1]
+    for flag, (dest, _, _, append) in options.items():
+        value = getattr(args, dest)
+        if value == [] or append and [] in (value or ()):
+            parser.commands[args.command].error(
+                f"argument {flag}: expected one argument")
+
+
 def run(argv):
     parser = build_parser()
     args = _parse_plain(argv)
     if args is None:
         try:
             args = parser.parse_args(argv)
+            _reject_stripped_values(parser, args)
         except SystemExit as e:
             return 2 if e.code not in (0,) else 0
     try:

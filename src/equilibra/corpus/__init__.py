@@ -2,7 +2,7 @@
 
 import os
 
-from ..games import parse_game, parse_memory
+from ..games import parse_game
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -24,7 +24,3 @@ def read_text(name):
 
 def load_game(name):
     return parse_game(read_text(name))
-
-
-def load_memory(name, arena):
-    return parse_memory(read_text(name), arena)

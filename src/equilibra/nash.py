@@ -1,5 +1,6 @@
 """Nash equilibrium outcomes and constrained existence, plus NE
-verification for finite-memory profiles (energy and generic modes).
+verification for finite-memory profiles (energy mode, and expectations in
+terminal mode).
 
 NE outcomes are exactly the plays consistent with the first negotiation
 iterate, whose value at v is the adversarial value of v's controller.
@@ -12,10 +13,9 @@ from .rationals import PINF, NINF
 from .games import (GameError, Lasso, eval_lasso, payoff_vector, cycle_id,
                     CHANCE, TERMINAL, profile_product, product_chain,
                     induced_chain, chain_hit_probabilities)
-from . import zerosum as zs
 from ._kernels import scc_of, simple_paths
 from .negotiation import (is_lambda_consistent, parity_components,
-                          _mp_structure, _parity_structure)
+                          val_requirement, _mp_structure)
 from .simplex import lp_feasible
 
 
@@ -39,21 +39,6 @@ class Query:
                     for p, b in self.lower.items())
                 and all(p not in payoffs or payoffs[p] <= b
                         for p, b in self.upper.items()))
-
-
-def val_requirement(game):
-    """First negotiation iterate: each vertex demands its controller's
-    adversarial value."""
-    if game.mode == "parity":
-        ps = _parity_structure(game)
-        return {v: Fraction(ps.won(ps.owner[k]) >> k & 1)
-                for k, v in enumerate(ps.names)}
-    if game.mode == "mean-payoff":
-        shared = _mp_structure(game)
-        vals = {p: shared.values(p) for p in game.players}
-    else:
-        raise GameError(f"adversarial values unsupported in {game.mode}")
-    return {v: vals[game.arena.owner[v]][v] for v in game.arena.vertices}
 
 
 def ne_outcome_check(game, lasso):
@@ -389,54 +374,6 @@ def verify_ne_energy(game, profile):
                             start):
             return False
     return True
-
-
-def verify_ne_generic(game, profile):
-    """Uniform best-response check in the product of game and profile
-    memory; expectation semantics in terminal mode."""
-    profile.validate(game.arena)
-    if game.mode == "discounted-sum":
-        raise GameError("best response unsupported in discounted-sum mode")
-    if game.mode == "terminal":
-        return _verify_ne_expectation(game, profile)
-    outcome = profile_outcome(game, profile)
-    start = (game.arena.init, profile.initial)
-    for i in game.players:
-        mine = eval_lasso(game, outcome, i)
-        product = profile_product(game, profile, i)
-        if game.mode == "parity":
-            best = _best_parity(game, i, product)
-        elif game.mode == "mean-payoff":
-            best = _best_mp(game, i, product)
-        else:
-            best = Fraction(1) if _energy_feasible(game, i, product,
-                                                   start) else Fraction(0)
-        if best > mine:
-            return False
-    return True
-
-
-def _best_parity(game, i, product):
-    order = sorted(product, key=str)
-    colors = sorted({game.payoff.color(i, v) for (v, q) in product})
-    for e in (c for c in colors if c % 2 == 0):
-        keep = [s for s in order if game.payoff.color(i, s[0]) >= e]
-        kset = set(keep)
-        edges = [(s, t) for s in keep for t, _ in product[s] if t in kset]
-        comp, _ = scc_of(keep, edges)
-        # an e-colored vertex on a cycle: an out-edge inside its component
-        if any(comp[s] == comp[t] and game.payoff.color(i, s[0]) == e
-               for s, t in edges):
-            return Fraction(1)
-    return Fraction(0)
-
-
-def _best_mp(game, i, product):
-    order = sorted(product, key=str)
-    idx = {s: k for k, s in enumerate(order)}
-    edges = [(idx[s], idx[t], game.payoff.reward(i, s[0], t[0]))
-             for s in order for t, _ in product[s]]
-    return zs.karp_max_mean(len(order), edges)
 
 
 def _verify_ne_expectation(game, profile, transform=None, tol=None):

@@ -487,19 +487,11 @@ def _solve_game1(game, con, i, S):
 
 
 def nego_parity(game, lam):
-    """One application of the negotiation function on a parity game.
-
-    A requirement that demands nothing (no value above 0) is met by every
-    play, so the feasible region is every vertex and no requirement is
-    ever activated: each owned vertex gets its owner's adversarial value,
-    1 exactly on the owner's own winning region (`_ParityStructure.won`),
-    the negotiation function's first iterate, with no region, concrete
-    game or record product built.
-
-    Otherwise it is the value of the Pi-compressed concrete negotiation
-    game: +inf outside the feasibility region (`parity_feasible_region`,
-    found by the colour-tuple SCC search on int bitmasks: polynomial in
-    the graph, exponential only in the number of players), then a Rabin
+    """One application of the negotiation function on a parity game, the
+    value of the Pi-compressed concrete negotiation game: +inf outside the
+    feasibility region (`parity_feasible_region`, found by the
+    colour-tuple SCC search on int bitmasks: polynomial in the graph,
+    exponential only in the number of players), then a Rabin
     solve (projection parity for the constrained player, or a violated
     limit requirement after deviations stop) deciding 0 versus 1.
     `_solve_game1` builds that game, with Challenger states only at the
@@ -519,17 +511,11 @@ def nego_parity(game, lam):
         raise GameError("non-Boolean requirement values in parity mode")
     arena = game.arena
     ps = _parity_structure(game)
-    vacuous = not any(lam[v] > 0 for v in arena.vertices)
-    con = None if vacuous else ps.constraints(lam)
+    con = ps.constraints(lam)
     out = {}
-    for me, i in enumerate(ps.players):
+    for i in ps.players:
         mine = [v for v in arena.vertices if arena.owner[v] == i]
         if not mine:
-            continue
-        if vacuous:
-            won = ps.won(me)
-            for v in mine:
-                out[v] = Fraction(won >> ps.index[v] & 1)
             continue
         S = _feasible_region(game, con, i)
         winners = _solve_game1(game, con, i, S)
@@ -1285,7 +1271,9 @@ def nego_mp(game, lam):
     LP-vertex punishment payoffs.  Memoized per game object on the
     requirement; every call returns a fresh dict.  The pools it builds
     stay with the game's structure until another requirement's are built
-    (`_requirement`), so witness extraction right after reads them back."""
+    (`_requirement`), so witness extraction right after reads them back.
+    It searches the vacuous requirement too, which `nego` answers from the
+    adversarial values; `spe._decide_mp` calls it directly."""
     if game.mode != "mean-payoff":
         raise GameError("nego_mp needs mean-payoff mode")
     arena = game.arena
@@ -1309,12 +1297,40 @@ def nego_mp(game, lam):
 # iteration and fixed points
 
 
-def nego(game, lam):
+def val_requirement(game):
+    """First negotiation iterate: each vertex owned by a player demands its
+    owner's adversarial value (parity: 1 exactly on the owner's own
+    winning region, `_ParityStructure.won`)."""
     if game.mode == "parity":
-        return nego_parity(game, lam)
-    if game.mode == "mean-payoff":
-        return nego_mp(game, lam)
-    raise GameError(f"negotiation undefined in mode {game.mode}")
+        ps = _parity_structure(game)
+        return {v: Fraction(ps.won(ps.owner[k]) >> k & 1)
+                for k, v in enumerate(ps.names)}
+    if game.mode != "mean-payoff":
+        raise GameError(f"adversarial values unsupported in {game.mode}")
+    shared = _mp_structure(game)
+    owner = game.arena.owner
+    return {v: shared.values(owner[v])[v] for v in game.arena.vertices
+            if owner[v] in game.players}
+
+
+def nego(game, lam):
+    """One application of the negotiation function.  A requirement that
+    demands nothing (parity: no value above 0; mean-payoff: every value
+    -inf) is met by every play and activates no one, so each owned vertex
+    gets its owner's adversarial value (`val_requirement`) with no region,
+    concrete game or search built; any other goes to `nego_parity` or
+    `nego_mp`."""
+    vertices = game.arena.vertices
+    if game.mode == "parity":
+        if (any(lam[v] > 0 for v in vertices)
+                or not is_boolean_requirement(game, lam)):
+            return nego_parity(game, lam)
+    elif game.mode == "mean-payoff":
+        if any(lam[v] is not NINF for v in vertices):
+            return nego_mp(game, lam)
+    else:
+        raise GameError(f"negotiation undefined in mode {game.mode}")
+    return val_requirement(game)
 
 
 def nego_iterate(game, max_iters=64):

@@ -177,27 +177,6 @@ def _top_thresholds(game):
             for p in game.players}
 
 
-def uniform_profile(game, edge_set, name="uniform"):
-    """Stationary profile randomizing uniformly over the edge set at every
-    controlled vertex."""
-    arena = game.arena
-    transitions = []
-    fset = set(edge_set)
-    for v in arena.vertices:
-        if arena.is_terminal(v):
-            continue
-        if arena.is_chance(v):
-            transitions.append(("q0", v, "q0"))
-        else:
-            outs = [w for w in sorted(arena.succ(v)) if (v, w) in fset]
-            if not outs:
-                raise GameError(f"edge set starves vertex {v}")
-            for w in outs:
-                transitions.append(("q0", v, "q0", w))
-    return MemoryProfile(["q0"], "q0", list(game.players), transitions,
-                         name=name)
-
-
 # ---------------------------------------------------------------------------
 # Algorithm 1: exhibition of a stationary XRSE (nonnegative payoffs)
 

@@ -182,29 +182,6 @@ def cycle_mean(cycle, weight):
     return Fraction(sum(weight(u, v) for u, v in edges), len(edges))
 
 
-def min_mean_cycle(arena, weight, restrict=None):
-    """Minimum mean over reachable simple cycles, with the lexicographically
-    least canonical witness among minimizers.  Exhaustive at desk scale."""
-    verts = set(restrict) if restrict is not None else set(arena.vertices)
-    if arena.init is not None and restrict is None:
-        reach = reachable_from(arena, [arena.init])
-        verts &= reach
-
-    def succ(u):
-        return [w for w in arena.succ(u) if w in verts]
-
-    cycles = simple_cycles(verts, succ)
-    if not cycles:
-        raise GameError("graph is acyclic")
-    best = None
-    for cyc in cycles:
-        m = cycle_mean(cyc, weight)
-        key = (m, cyc)
-        if best is None or key < best:
-            best = key
-    return best[0], list(best[1])
-
-
 def karp_min_mean(n, edges):
     """Karp's algorithm: exact min cycle mean over a digraph given as
     (u, v, weight) triples; returns None if acyclic.  Value only.

@@ -9,8 +9,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from equilibra.games import (Arena, PayoffSpec, Game, MemoryProfile, Lasso,
-                             eval_lasso)
+from equilibra.corpus import read_text
+from equilibra.games import (Arena, PayoffSpec, Game, GameError,
+                             MemoryProfile, Lasso, eval_lasso, parse_memory)
 from equilibra.games import chain_hit_probabilities
 
 PLAYERS = ["circle", "square", "diamond"]
@@ -136,6 +137,32 @@ def profile_of_choices(game, choices, name="positional"):
             transitions.append(("q0", v, "q0", choices[v]))
     return MemoryProfile(["q0"], "q0", list(game.players), transitions,
                          name=name)
+
+
+def uniform_profile(game, edge_set, name="uniform"):
+    """Stationary profile randomizing uniformly over the edge set at every
+    controlled vertex."""
+    arena = game.arena
+    transitions = []
+    fset = set(edge_set)
+    for v in arena.vertices:
+        if arena.is_terminal(v):
+            continue
+        if arena.is_chance(v):
+            transitions.append(("q0", v, "q0"))
+        else:
+            outs = [w for w in sorted(arena.succ(v)) if (v, w) in fset]
+            if not outs:
+                raise GameError(f"edge set starves vertex {v}")
+            for w in outs:
+                transitions.append(("q0", v, "q0", w))
+    return MemoryProfile(["q0"], "q0", list(game.players), transitions,
+                         name=name)
+
+
+def load_memory(name, arena):
+    """The bundled corpus memory structure `name`, over `arena`."""
+    return parse_memory(read_text(name), arena)
 
 
 def outcome_of_choices(game, choices, start=None):

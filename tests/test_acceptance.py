@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from fractions import Fraction
 
-from equilibra.corpus import load_game, load_memory
+from equilibra.corpus import load_game
 from equilibra.games import (Lasso, MemoryProfile, product_game,
                              vacuous_memory, eval_lasso, payoff_vector,
                              Arena, PayoffSpec, Game)
@@ -26,8 +26,7 @@ from equilibra.stochastic import (RiskPartition, EntropicParams,
                                   extreme_measure, entropic_measure,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
-                                  xrse_search_bounded, uniform_profile,
-                                  _support_measures)
+                                  xrse_search_bounded, _support_measures)
 from equilibra.verification import rational_verify, \
     achaotic_rational_verify_mp
 from equilibra.rationals import PINF, NINF
@@ -36,7 +35,7 @@ from equilibra import zerosum as zs
 from conftest import (random_parity_game, random_energy_game,
                       random_terminal_game, positional_profiles,
                       profile_of_choices, outcome_of_choices,
-                      oracle_parity_val)
+                      oracle_parity_val, uniform_profile, load_memory)
 from test_nash import oracle_energy_ne
 from test_stochastic import oracle_verify_xrse, oracle_optimist_constrained
 

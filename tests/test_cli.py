@@ -20,7 +20,7 @@ from equilibra.cli import run
 from equilibra.games import parse_game, parse_memory, serialize_memory
 from equilibra.nash import Query
 from equilibra.stochastic import RiskPartition, xrse_search_bounded
-from conftest import random_terminal_game
+from conftest import load_memory, random_terminal_game
 
 # a stationary profile of `lottery`: circle plays b -> c
 BLUE = {"states": ["q0"], "initial": "q0", "owners": ["circle"],
@@ -157,7 +157,7 @@ def test_byte_stability(capsys):
 
 def test_memory_json_is_the_serialized_document():
     arena = corpus.load_game("fig_first_example").arena
-    profiles = [corpus.load_memory(name, arena) for name in corpus.MACHINES]
+    profiles = [load_memory(name, arena) for name in corpus.MACHINES]
     profiles.append(parse_memory(json.dumps(fork_profile("1/3", "2/3")),
                                  parse_game(json.dumps(FORK)).arena))
     rng = random.Random(7)
@@ -273,6 +273,20 @@ def test_table_path_agrees_with_argparse(argv):
     ["eps-min", "sans_spe", "--precision", "ten"], []])
 def test_table_path_declines(argv):
     assert not check_table_path(argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spe-exists", "sans_spe", "--eps=--"], "--eps"),
+    (["spe-exists", "sans_spe", "--eps", "--"], "--eps"),
+    (["ne-check", "fig_ne_spe", "--lasso=--"], "--lasso"),
+    (["nego-iterate", "sans_spe", "--max=--"], "--max"),
+    (["spe-exists", "sans_spe", "--lower", "circle=0", "--lower=--"],
+     "--lower")])
+def test_stripped_double_dash_value_is_a_usage_error(argv, flag, capsys):
+    # argparse stores [] for an explicit "--" value
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: expected one argument" in err
 
 
 def test_table_path_reads_readme_command_lines():
@@ -666,6 +680,7 @@ RUNS = [
     ["energy-ne-verify", "fig_ne_spe", "--profile", "machine_1player"],
     ["corpus-list"],
     ["validate", "no-such-game"],
+    ["spe-exists", "sans_spe", "--eps=--"],
 ]
 
 

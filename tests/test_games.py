@@ -5,13 +5,14 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from equilibra.corpus import corpus_list, load_game, load_memory, read_text, \
-    GAMES, MACHINES
+from equilibra.corpus import corpus_list, load_game, read_text, GAMES, \
+    MACHINES
 from equilibra.games import (GameError, Lasso, parse_game, serialize_game,
                              parse_memory, serialize_memory, eval_lasso,
                              payoff_vector, product_game, vacuous_memory,
                              induced_chain, chain_hit_probabilities,
                              MemoryProfile, canonical_cycle)
+from conftest import load_memory, uniform_profile
 
 
 def test_corpus_roundtrip():
@@ -183,7 +184,6 @@ def test_induced_chain_deterministic_is_lasso():
 
 def test_induced_chain_ex2_uniform():
     ex2 = load_game("ex_extreme2")
-    from equilibra.stochastic import uniform_profile
     prof = uniform_profile(ex2, ex2.arena.edges)
     probs, nonterm = chain_hit_probabilities(induced_chain(ex2, prof))
     assert probs["t1"] > 0 and probs["t2"] > 0

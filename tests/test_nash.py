@@ -11,7 +11,7 @@ from equilibra.corpus import load_game
 from equilibra.games import (GameError, Lasso, MemoryProfile, Arena,
                              PayoffSpec, Game, eval_lasso)
 from equilibra.nash import (Query, ne_outcome_check, ne_constrained_exists,
-                            verify_ne_energy, verify_ne_generic,
+                            verify_ne_energy,
                             val_requirement, profile_outcome,
                             _combo_feasible)
 from equilibra.negotiation import is_lambda_consistent, _mp_structure
@@ -19,7 +19,8 @@ from equilibra.rationals import NINF, PINF
 from conftest import (PLAYERS, flower_mp_game, random_parity_game,
                       random_energy_game, positional_profiles,
                       profile_of_choices, outcome_of_choices,
-                      oracle_parity_val)
+                      oracle_parity_val, load_memory)
+from profile_product_reference import verify_ne_generic
 
 
 EXT = st.one_of(st.sampled_from([NINF, PINF]),
@@ -263,7 +264,6 @@ def test_verify_generic_ds_unsupported():
 
 
 def test_verify_generic_multiplayer_machine():
-    from equilibra.corpus import load_memory
     g = load_game("fig_first_example")
     m = load_memory("machine_multiplayer", g.arena)
     # loops at a; punishes a deviation to b by one b-loop then c: outcome

@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import mp_pool_reference as ref
+import mp_values_reference as mp_ref
 
 from equilibra import negotiation
 from equilibra import zerosum as zs
@@ -17,7 +18,7 @@ from equilibra.cli import run
 from equilibra.corpus import load_game
 from equilibra.games import (Arena, Game, GameError, PayoffSpec, parse_game,
                              serialize_game)
-from equilibra.negotiation import (vacuous_requirement, nego_mp,
+from equilibra.negotiation import (vacuous_requirement, nego, nego_mp,
                                    nego_iterate, is_eps_fixed_point,
                                    _MpContext, _mp_value_at)
 from equilibra.nash import Query, val_requirement
@@ -459,13 +460,67 @@ def test_every_spe_yes_carries_a_witness_that_checks(game, eps, data):
 @given(sparse_mp_games() | st.sampled_from(MP_CORPUS).map(load_game))
 def test_first_iterate_is_the_adversarial_value(game):
     # the vacuous requirement's negotiation value is each owner's
-    # adversarial value; `nego_mp` still runs its search for it
-    got = nego_mp(game, vacuous_requirement(game))
-    want = val_requirement(game)
-    arena = game.arena
-    for v in arena.vertices:
-        if arena.owner[v] in game.players:
-            assert got[v] == want[v], v
+    # adversarial value: `nego_mp`'s search against the lookup `nego` uses
+    assert nego_mp(game, vacuous_requirement(game)) == val_requirement(game)
+
+
+# ---------------------------------------------------------------------------
+# a requirement that demands nothing: `nego` answers it from the adversarial
+# values, with no search
+
+
+NOTHING_BUILT = (set(), {}, {}, {}, {}, None)
+
+
+def built_for_negotiation(game):
+    """What `nego_mp`'s search leaves in the game's structure."""
+    shared = negotiation._mp_structure(game)
+    return ({"simple_cycles", "cycles", "sc_subsets", "scyc"}
+            & set(vars(shared)), shared._shapes, shared._skeletons,
+            shared._lp_cache, shared.nego_memo, shared.last_requirement)
+
+
+def test_nothing_demanded_builds_no_skeleton_lp_or_pool():
+    for name in MP_CORPUS:
+        game = load_game(name)
+        lam = vacuous_requirement(game)
+        nego(game, lam)
+        assert built_for_negotiation(game) == NOTHING_BUILT, name
+        # a requirement that demands something goes to the search
+        nego(game, dict(lam, **{game.arena.init: Fraction(0)}))
+        assert built_for_negotiation(game) != NOTHING_BUILT, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_mp_games() | st.sampled_from(MP_CORPUS).map(load_game)
+       | st.builds(lambda seed, players: random_mp_game(
+           random.Random(seed), n=3, players=players),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 3)))
+def test_nothing_demanded_matches_the_search(game):
+    lam = vacuous_requirement(game)
+    assert nego(game, lam) == nego_mp(cold_copy(game), lam)
+
+
+def test_nothing_demanded_answers_a_game_the_search_takes_minutes_on():
+    # the 209th `random_mp_game` of Random(2026) when each game's n,
+    # players and max_deg are drawn from the same Random first, in 3-5,
+    # 1-3 and 1-3: `nego_mp` ran for more than 200 s on the vacuous
+    # requirement
+    owner = {"v0": "diamond", "v1": "square", "v2": "diamond",
+             "v3": "diamond", "v4": "square"}
+    players = ["circle", "square", "diamond"]
+    rewards = {("v0", "v1"): (1, 1, 2), ("v0", "v4"): (1, 2, -1),
+               ("v1", "v2"): (1, 0, 0), ("v1", "v3"): (-1, 2, 1),
+               ("v1", "v4"): (-1, -1, -1), ("v2", "v0"): (-1, 0, 0),
+               ("v3", "v1"): (2, 0, 1), ("v3", "v2"): (0, -1, 2),
+               ("v3", "v3"): (-1, -1, 2), ("v4", "v2"): (-1, 1, 0)}
+    arena = Arena(players, sorted(owner), owner, sorted(rewards), init="v0")
+    game = Game(arena, PayoffSpec("mean-payoff", rewards={
+        e: {p: Fraction(x) for p, x in zip(players, r)}
+        for e, r in rewards.items()}))
+    got = nego(game, vacuous_requirement(game))
+    assert built_for_negotiation(game) == NOTHING_BUILT
+    assert got == {v: mp_ref.mp_values(game, owner[v])[v] for v in owner}
 
 
 @st.composite

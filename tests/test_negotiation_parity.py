@@ -13,8 +13,9 @@ import zielonka_reference
 
 from equilibra import zerosum as zs
 from equilibra.corpus import load_game
-from equilibra.games import GameError, Lasso, Arena, PayoffSpec, Game
-from equilibra.negotiation import (vacuous_requirement, nego_parity,
+from equilibra.games import (GameError, Lasso, Arena, PayoffSpec, Game,
+                             parse_game, serialize_game)
+from equilibra.negotiation import (vacuous_requirement, nego, nego_parity,
                                    nego_iterate, is_eps_fixed_point,
                                    is_lambda_consistent,
                                    parity_feasible_region, _feasible_round,
@@ -485,8 +486,9 @@ def test_sink_alone_is_won_without_a_solve():
 
 
 # ---------------------------------------------------------------------------
-# a requirement that demands nothing: adversarial values, no region, no
-# concrete game, against the full path of the reference
+# a requirement that demands nothing: `nego` answers it from the adversarial
+# values, with no region or concrete game, against `nego_parity`'s general
+# path and the full path of the reference
 
 
 def full_nego_parity(game, lam):
@@ -509,7 +511,9 @@ def test_nothing_demanded_matches_full_path(case, data):
     game = case[0]
     lam = {v: data.draw(st.sampled_from([NINF, Fraction(0)]))
            for v in game.arena.vertices}
-    assert nego_parity(game, lam) == full_nego_parity(game, lam)
+    want = full_nego_parity(game, lam)
+    assert nego(game, lam) == want
+    assert nego_parity(parse_game(serialize_game(game)), lam) == want
 
 
 def test_nothing_demanded_matches_full_path_three_players():
@@ -517,10 +521,21 @@ def test_nothing_demanded_matches_full_path_three_players():
     for _ in range(8):
         g = random_parity_game(rng, n=5, players=3, max_color=3)
         lam = {v: rng.choice([NINF, Fraction(0)]) for v in g.arena.vertices}
-        assert nego_parity(g, lam) == full_nego_parity(g, lam)
+        want = full_nego_parity(g, lam)
+        assert nego(g, lam) == want
+        assert nego_parity(parse_game(serialize_game(g)), lam) == want
+
+
+def test_nothing_demanded_matches_general_path_on_corpus():
+    for name in ("fig_ne_spe", "fig_first_example"):
+        game = load_game(name)
+        lam = vacuous_requirement(game)
+        assert nego(game, lam) == nego_parity(
+            parse_game(serialize_game(game)), lam), name
 
 
 def test_nothing_demanded_builds_no_region_or_game():
+    # the shortcut lives in `nego`; `nego_parity` runs its general path
     fig = load_game("fig_ne_spe")
     game = deviation_robust_game()[0]
     nothing = [(fig, vacuous_requirement(fig)),
@@ -533,13 +548,14 @@ def test_nothing_demanded_builds_no_region_or_game():
     with mock.patch.object(negotiation, "_feasible_round", region), \
             mock.patch.object(negotiation, "_solve_game1", solve):
         for g, lam in nothing:
-            nego_parity(g, lam)
+            nego(g, lam)
             assert not region.called and not solve.called, lam
-        for g, lam in one:
-            region.reset_mock()
-            solve.reset_mock()
-            nego_parity(g, lam)
-            assert region.called and solve.called, lam
+        for apply, cases in ((nego, one), (nego_parity, nothing)):
+            for g, lam in cases:
+                region.reset_mock()
+                solve.reset_mock()
+                apply(g, lam)
+                assert region.called and solve.called, lam
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ from equilibra.corpus import load_game
 from equilibra.games import (Game, GameError, PayoffSpec, MemoryProfile,
                              induced_chain, chain_hit_probabilities,
                              profile_product)
-from equilibra.nash import verify_ne_generic, verify_ne_energy, \
-    _best_expectation, profile_outcome
+from equilibra.nash import verify_ne_energy, _best_expectation, \
+    profile_outcome
 from equilibra.stochastic import (RiskPartition, verify_xrse,
-                                  best_extreme_response, uniform_profile)
+                                  best_extreme_response)
 
 import profile_product_reference as ref
 from conftest import (random_terminal_game, random_parity_game,
                       random_mp_game, random_energy_game,
-                      positional_profiles, profile_of_choices)
+                      positional_profiles, profile_of_choices,
+                      uniform_profile)
 
 TERMINAL_CORPUS = ["lottery", "ex_extreme1", "ex_extreme2", "ex_extreme3"]
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -125,16 +126,13 @@ def test_terminal_best_responses_match_reference(game, data):
         for i in game.players:
             assert _best_expectation(game, profile, i) == \
                 ref._best_expectation(game, profile, i)
-        assert verify_ne_generic(game, profile) == ref.verify_ne_generic(
-            game, profile)
 
 
 @settings(max_examples=150, deadline=None)
 @given(INFINITE_GAMES, st.data())
 def test_infinite_play_best_responses_match_reference(game, data):
+    # `nash` keeps only the energy check; the generic one is the reference's
     profile = draw_profile(data.draw, game, deterministic=True)
-    assert verify_ne_generic(game, profile) == ref.verify_ne_generic(
-        game, profile)
     if game.mode == "energy":
         assert verify_ne_energy(game, profile) == ref.verify_ne_energy(
             game, profile)

@@ -14,12 +14,12 @@ from equilibra.stochastic import (RiskPartition, EntropicParams,
                                   extreme_measure, entropic_measure,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
-                                  xrse_search_bounded, uniform_profile,
+                                  xrse_search_bounded,
                                   verify_erse_stationary, _support_measures,
                                   _sure_avoid_region)
 from equilibra import zerosum as zs
 from conftest import random_terminal_game, positional_profiles, \
-    profile_of_choices
+    profile_of_choices, uniform_profile
 from extreme_value_reference import extreme_adversarial_value
 from profile_product_reference import _profile_mdp
 

@@ -1,11 +1,12 @@
 import pytest
 from fractions import Fraction
 
-from equilibra.corpus import load_game, load_memory
+from equilibra.corpus import load_game
 from equilibra.games import GameError, product_game, vacuous_memory
 from equilibra.verification import (universal_threshold, rational_verify,
                                     achaotic_rational_verify_mp,
                                     achaotic_universal_threshold_mp)
+from conftest import load_memory
 
 
 def test_universal_threshold_fig():

@@ -10,15 +10,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equilibra.corpus import load_game
-from equilibra.games import Arena, serialize_memory
+from equilibra.games import Arena, Game, PayoffSpec, serialize_memory
 from equilibra.nash import Query
 from equilibra.rationals import parse_rational
 from equilibra import stochastic
 from equilibra.stochastic import (RiskPartition, extreme_measure,
-                                  best_extreme_response, uniform_profile,
+                                  best_extreme_response,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
                                   xrse_search_bounded, _support_measures)
@@ -26,7 +26,7 @@ from equilibra import zerosum as zs
 
 import xrse_support_reference as ref
 from conftest import (random_terminal_game, random_parity_game,
-                      random_mp_game)
+                      random_mp_game, uniform_profile)
 from test_profile_product import draw_profile
 
 TERMINAL_CORPUS = ["lottery", "ex_extreme1", "ex_extreme2", "ex_extreme3"]
@@ -115,7 +115,7 @@ def ref_xrse_exists(game, part):
     uniform profile that the CLI derived before `xrse_exists` returned
     its last round's."""
     edges, trace = ref.xrse_exists(game, part)
-    profile = stochastic.uniform_profile(game, edges)
+    profile = uniform_profile(game, edges)
     return edges, ref.extreme_measure(game, part, profile), trace
 
 
@@ -139,14 +139,40 @@ def search_outcome(search, game, part, query, bound):
     return res
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_bounded_search_matches_reference(data):
-    draw = data.draw
+@st.composite
+def bounded_search_cases(draw):
+    """(game, partition, query, memory bound) for the bounded search."""
     bound = draw(st.integers(1, 2))
     game = draw(TERMINAL_GAMES if bound == 1 else SMALL_TERMINAL_GAMES)
-    part = draw_partition(draw, game)
-    query = draw_query(draw, game)
+    return game, draw_partition(draw, game), draw_query(draw, game), bound
+
+
+def slow_bounded_search_case():
+    """The slowest draw of `bounded_search_cases` over hypothesis seeds
+    0-39 (seed 18): both players pessimistic and square asking for at
+    least 3 where no terminal pays it more than 2, so no profile is
+    admitted and both searches try every one with two memory states.
+    About 9 s in `xrse_search_bounded` and 6 s in the reference on a
+    shared 2-core machine, against under 2 s for every other draw."""
+    players = ["circle", "square"]
+    owner = {"v0": "circle", "v1": "square", "v2": "circle",
+             "t0": "terminal", "t1": "terminal"}
+    edges = [("v0", "t0"), ("v0", "v1"), ("v0", "v2"), ("v1", "v0"),
+             ("v1", "v2"), ("v2", "t1"), ("v2", "v0"), ("v2", "v1")]
+    pay = {"t0": {p: Fraction(2) for p in players},
+           "t1": {p: Fraction(1) for p in players}}
+    game = Game(Arena(players, list(owner), owner, edges, init="v0"),
+                PayoffSpec("terminal", terminal_payoffs=pay))
+    query = Query({"circle": Fraction(2), "square": Fraction(3)},
+                  {"circle": Fraction(3), "square": Fraction(3)})
+    return game, RiskPartition(game, players), query, 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_search_cases())
+@example(slow_bounded_search_case())
+def test_bounded_search_matches_reference(case):
+    game, part, query, bound = case
     assert search_outcome(xrse_search_bounded, game, part, query, bound) == \
         search_outcome(ref.xrse_search_bounded, game, part, query, bound)
 

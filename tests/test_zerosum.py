@@ -128,21 +128,47 @@ def test_extreme_value_brute():
     assert checked > 30
 
 
+def min_mean_cycle(arena, weight, restrict=None):
+    """Minimum mean over reachable simple cycles, with the lexicographically
+    least canonical witness among minimizers.  Exhaustive at desk scale."""
+    verts = set(restrict) if restrict is not None else set(arena.vertices)
+    if arena.init is not None and restrict is None:
+        verts &= zs.reachable_from(arena, [arena.init])
+    cycles = zs.simple_cycles(verts, lambda u: [w for w in arena.succ(u)
+                                                 if w in verts])
+    if not cycles:
+        raise GameError("graph is acyclic")
+    return min((zs.cycle_mean(c, weight), list(c)) for c in cycles)
+
+
+def rewards_of(game, player):
+    return lambda u, v: game.payoff.reward(player, u, v)
+
+
+def karp_of(arena, weight, verts):
+    index = {v: k for k, v in enumerate(sorted(verts))}
+    return zs.karp_min_mean(len(index), [
+        (index[u], index[w], weight(u, w)) for u in index
+        for w in arena.succ(u) if w in index])
+
+
 def test_min_mean_cycle_examples():
+    # the exhaustive witness oracle on worked examples, and Karp's value
     sans = load_game("sans_spe")
-    val, cyc = zs.min_mean_cycle(
-        sans.arena, lambda u, v: sans.payoff.reward("circle", u, v),
-        restrict={"a", "b"})
+    circle = rewards_of(sans, "circle")
+    val, cyc = min_mean_cycle(sans.arena, circle, restrict={"a", "b"})
     assert val == 0 and cyc == ["a", "b"]
+    assert karp_of(sans.arena, circle, {"a", "b"}) == val
     inf = load_game("inf_spe")
-    val, cyc = zs.min_mean_cycle(
-        inf.arena, lambda u, v: inf.payoff.reward("circle", u, v))
+    circle = rewards_of(inf, "circle")
+    val, cyc = min_mean_cycle(inf.arena, circle)
     assert val == 0 and cyc == ["a"]
+    assert karp_of(inf.arena, circle, inf.arena.vertices) == val
     # single self-loop
-    from equilibra.games import Arena
     arena = Arena(["circle"], ["a"], {"a": "circle"}, [("a", "a")], init="a")
-    val, cyc = zs.min_mean_cycle(arena, lambda u, v: Fraction(5))
+    val, cyc = min_mean_cycle(arena, lambda u, v: Fraction(5))
     assert val == 5 and cyc == ["a"]
+    assert karp_of(arena, lambda u, v: Fraction(5), {"a"}) == 5
 
 
 def test_karp_vs_enumeration():

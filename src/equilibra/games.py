@@ -136,6 +136,12 @@ class PayoffSpec:
                     if not isinstance(c, int) or c < 0:
                         raise GameError(f"color for {p} must be a natural",
                                         where=f"vertex {v}")
+        if self.mode == "mean-payoff":
+            # requirements and negotiation cover player vertices only
+            for v in arena.vertices:
+                if arena.is_chance(v):
+                    raise GameError("no chance vertex in mean-payoff mode",
+                                    where=f"vertex {v}")
         if self.mode == "discounted-sum":
             if self.discount is None or not (0 < self.discount < 1):
                 raise GameError("discount must lie strictly inside (0,1)")

@@ -146,7 +146,7 @@ def search_consistent_combo(game, lam, query):
     v0 = arena.init
     shared = _mp_structure(game)
     for W0 in shared.sc_subsets:
-        if any(lam[u] == PINF for u in W0):
+        if any(lam[u] is PINF for u in W0):
             continue
         cycles = shared.scyc[W0]
         # simple paths from v0 whose last vertex is the first inside W0
@@ -154,17 +154,18 @@ def search_consistent_combo(game, lam, query):
             if path[-1] not in W0:
                 continue
             Wp = W0 | set(path)
-            if any(lam[u] == PINF for u in Wp):
+            if any(lam[u] is PINF for u in Wp):
                 continue
             lo = {}
             bad = False
             for p in players:
                 floor = query.lo(p)
                 for u in Wp:
-                    if arena.owner[u] == p and lam[u] != NINF:
-                        if lam[u] > floor:
-                            floor = lam[u]
-                if floor == PINF:
+                    x = lam[u]
+                    if arena.owner[u] == p and x is not NINF:
+                        if floor is NINF or x > floor:
+                            floor = x
+                if floor is PINF:
                     bad = True
                     break
                 lo[p] = floor
@@ -196,8 +197,8 @@ def _combo_feasible(game, cycles, lo, hi):
     mp = _mp_structure(game).mp_of
     rows = {p: [mp(c, p) for c in cycles] for p in players}
     for p, row in rows.items():
-        if (lo[p] != NINF and lo[p] > max(row)) or \
-                (hi[p] != PINF and hi[p] < min(row)):
+        if (lo[p] is not NINF and lo[p] > max(row)) or \
+                (hi[p] is not PINF and hi[p] < min(row)):
             return None
     n = len(cycles)
     a_eq = [[Fraction(1)] * n]
@@ -205,10 +206,10 @@ def _combo_feasible(game, cycles, lo, hi):
     a_ge = []
     b_ge = []
     for p in players:
-        if lo[p] != NINF:
+        if lo[p] is not NINF:
             a_ge.append(rows[p])
             b_ge.append(lo[p])
-        if hi[p] != PINF:
+        if hi[p] is not PINF:
             a_ge.append([-m for m in rows[p]])
             b_ge.append(-hi[p])
     feas, alpha = lp_feasible(a_eq, b_eq, a_ge, b_ge, nvar=n)
@@ -233,11 +234,11 @@ def _combo_feasible(game, cycles, lo, hi):
     lo_rows = []
     lo_rhs = []
     for p in players:
-        if lo[p] != NINF:
+        if lo[p] is not NINF:
             for k in range(len(players)):
                 lo_rows.append(block(k, rows[p]))
                 lo_rhs.append(lo[p])
-    bounded = [p for p in players if hi[p] != PINF]
+    bounded = [p for p in players if hi[p] is not PINF]
     neg = {p: [-m for m in rows[p]] for p in bounded}
     for assign in itertools.product(range(len(players)), repeat=len(bounded)):
         a_ge2 = lo_rows + [block(k, neg[p]) for k, p in zip(assign, bounded)]

@@ -560,9 +560,9 @@ def family_consistent(game, lam, fam):
     requirement of every vertex the family visits."""
     for u in set(fam.h) | set(fam.c) | fam.W:
         x = lam[u]
-        if x == PINF:
+        if x is PINF:
             return False
-        if x == NINF:
+        if x is NINF:
             continue
         owner = game.arena.owner[u]
         if fam.xbar[owner] < x:
@@ -598,10 +598,12 @@ class _MpStructure:
     """What the reduced negotiation game of one mean-payoff game shares
     across requirements: simple cycles and their rotations, strongly
     connected cores with their inner cycles, connectors, the family shapes
-    proposable at each vertex, cycle means, and per player the LP-vertex
-    payoffs, adversarial values, deviation arcs (numbered in one
-    `_ArcTable` per player) and the pool skeleton of each vertex; plus the
-    memo of `nego_mp` on the requirement, and the `_MpRequirement` whose
+    proposable at each vertex, cycle means, one order key per value the
+    search compares (`order_key`), and per player the lex-least
+    cycle-mean vector of each core, the simplex's LP-vertex payoffs,
+    adversarial values, deviation arcs (numbered in one `_ArcTable` per
+    player) and the pool skeleton of each vertex; plus the memo of
+    `nego_mp` on the requirement, and the `_MpRequirement` whose
     pools were built last (`_requirement`), which witness extraction
     reads back.
 
@@ -627,6 +629,8 @@ class _MpStructure:
         self._tables = {}
         self._connectors = {}
         self._means = {}
+        self._keys = {}
+        self._least = {}
         self._lp_cache = {}
         self._vals = {}
         self._pre = {}
@@ -754,6 +758,38 @@ class _MpStructure:
             m = self._means[key] = Fraction(total, len(cyc) * table.scale)
         return m
 
+    def order_key(self, x):
+        """The order key of an extended rational x, which carries x:
+        (floor(x * 2**32), x), with a float infinity in place of the floor
+        for +-inf.  Keys compare as their values do.  The int decides all
+        but values less than 2**-32 apart, and x is compared only when the
+        floors tie; the structure hands out one key per value, so equal
+        values hold the same Fraction and comparing their keys compares
+        no Fraction either.  The search compares keys, not Fractions."""
+        if x is PINF:
+            return _PINF_KEY
+        if x is NINF:
+            return _NINF_KEY
+        n, d = x.numerator, x.denominator
+        out = self._keys.get((n, d))
+        if out is None:
+            out = self._keys[n, d] = (n << 32) // d, x
+        return out
+
+    def least(self, i, W0):
+        """The lex-least cycle-mean vector of core W0, i's mean first and
+        then the other players in order, as a {player: mean} dict: one
+        per (player, core), read by every `lp` of them."""
+        key = (i, W0)
+        out = self._least.get(key)
+        if out is None:
+            order = [i] + [j for j in self.arena.players if j != i]
+            best = min(self.scyc[W0],
+                       key=lambda c: [self.mp_of(c, j) for j in order])
+            out = self._least[key] = {j: self.mp_of(best, j)
+                                      for j in self.arena.players}
+        return out
+
     def lp(self, i, W0, floors):
         """Payoff xbar of the lex-least point of conv{cycle means of W0}
         meeting the per-player `floors` (sorted (player, floor) pairs), i's
@@ -763,36 +799,33 @@ class _MpStructure:
         The point is unique, so it is read in closed form where it can be:
         a lex-min over a polytope is attained at a vertex, and every vertex
         of a convex hull is one of its generators, so without floors it is
-        the lex-least cycle-mean vector.  If that vector meets the floors it
-        is the answer; if it misses one and the core has one cycle, nothing
-        meets them.  Only a floor that cuts a multi-cycle core reaches the
-        simplex."""
+        the lex-least cycle-mean vector (`least`).  If that vector meets the
+        floors it is the answer; if it misses one and the core has one
+        cycle, nothing meets them.  Only a floor that cuts a multi-cycle
+        core reaches the simplex; only then is the matrix of cycle means
+        built, and only that answer is memoized, under the floors."""
+        xbar = self.least(i, W0)
+        if all(xbar[j] >= f for j, f in floors):
+            return xbar
+        cycles = self.scyc[W0]
+        if len(cycles) == 1:
+            return None
         key = (i, W0, floors)
         if key in self._lp_cache:
             return self._lp_cache[key]
-        cycles = self.scyc[W0]
         players = self.arena.players
         order = [i] + [j for j in players if j != i]
         means = [[self.mp_of(c, j) for c in cycles] for j in order]
-        best = min(range(len(cycles)),
-                   key=lambda k: [row[k] for row in means])
-        xbar = {j: self.mp_of(cycles[best], j) for j in players}
-        if all(xbar[j] >= f for j, f in floors):
-            res = xbar
-        elif len(cycles) == 1:
+        a_eq = [[Fraction(1)] * len(cycles)]
+        b_eq = [Fraction(1)]
+        a_ge = [[self.mp_of(c, j) for c in cycles] for j, _ in floors]
+        b_ge = [f for _, f in floors]
+        status, alpha = lex_min_vertex(means, a_eq, b_eq, a_ge, b_ge)
+        if status != OPTIMAL:
             res = None
         else:
-            a_eq = [[Fraction(1)] * len(cycles)]
-            b_eq = [Fraction(1)]
-            a_ge = [[self.mp_of(c, j) for c in cycles] for j, _ in floors]
-            b_ge = [f for _, f in floors]
-            status, alpha = lex_min_vertex(means, a_eq, b_eq, a_ge, b_ge)
-            if status != OPTIMAL:
-                res = None
-            else:
-                res = {j: sum(a * self.mp_of(c, j)
-                              for a, c in zip(alpha, cycles))
-                       for j in players}
+            res = {j: sum(a * self.mp_of(c, j) for a, c in zip(alpha, cycles))
+                   for j in players}
         self._lp_cache[key] = res
         return res
 
@@ -835,13 +868,14 @@ class _MpStructure:
 
     def post_arcs(self, i, c, W):
         """Deviation options of i after the punishing cycle: (target, mean
-        of the pumped cycle for i), as a mask like `pre_arcs`."""
+        of the pumped cycle for i as an order key), as a mask like
+        `pre_arcs`."""
         key = (i, c, W)
         out = self._post.get(key)
         if out is not None:
             return out
         arena = self.arena
-        m = self.mp_of(c, i)
+        m = self.order_key(self.mp_of(c, i))
         out = self._post[key] = self.table(i).mask(
             [(w, m) for z in W if arena.owner[z] == i
              for w in arena.succ(z)])
@@ -851,7 +885,8 @@ class _MpStructure:
 class _ArcTable:
     """Player i's deviation arcs, each numbered once: a pre-cycle arc as
     (target, weight, length), with i's rewards scaled to ints by `scale`,
-    the lcm of their denominators, and a post-cycle arc as (target, mean).
+    the lcm of their denominators, and a post-cycle arc as (target, mean's
+    order key).
     A set of arcs is an int mask over that numbering, so one family's
     arcs are a subset of another's exactly when `a & ~b == 0`."""
 
@@ -897,8 +932,10 @@ class _ArcTable:
 class _MpRequirement:
     """What every player's view of one requirement shares: the
     requirement (`lam`, and `key`, its values in `arena.vertices` order),
-    the mask of its +inf vertices, the LP floors of each vertex mask, and
-    per player the proposal pools and least acceptances built so far.  It
+    the mask of its +inf vertices, the LP floors of each vertex mask and
+    the LP payoffs under them, and per player the proposal pools built so
+    far, their families' deviation arcs, and their families' acceptances
+    and least acceptances as order keys (`_MpStructure.order_key`).  It
     holds no reference to a structure or a game, so a structure can keep
     the last one without keeping its game alive."""
 
@@ -906,10 +943,25 @@ class _MpRequirement:
         vertices = shared.arena.vertices
         self.lam = dict(lam)
         self.key = tuple(lam[v] for v in vertices)
-        self.blocked = shared.mask(x for x in vertices if lam[x] == PINF)
+        self.blocked = shared.mask(x for x in vertices if lam[x] is PINF)
         self.pools = {}
+        self.accept = {}
+        self.deviations = {}
         self.min_accept = {}
         self._floors = {}
+        self._payoffs = {}
+
+    def payoff(self, shared, i, W0, vmask):
+        """(order key of i's payoff, payoff xbar) of `shared.lp` for i
+        on core W0 under the floors of vmask, or None when no point meets
+        them.  Kept under (i, W0, vmask), so each is looked up in the
+        structure's memo, which hashes the floors, once per requirement."""
+        key = (i, W0, vmask)
+        if key not in self._payoffs:
+            xbar = shared.lp(i, W0, self.floors(shared, vmask))
+            self._payoffs[key] = (
+                None if xbar is None else (shared.order_key(xbar[i]), xbar))
+        return self._payoffs[key]
 
     def floors(self, shared, vmask):
         """The LP floors of the shapes visiting vmask, as sorted (player,
@@ -920,7 +972,7 @@ class _MpRequirement:
             lam = self.lam
             out = []
             for j, vs in shared.owner_groups(vmask):
-                levels = [lam[x] for x in vs if lam[x] != NINF]
+                levels = [lam[x] for x in vs if lam[x] is not NINF]
                 if levels:
                     out.append((j, max(levels)))
             out = self._floors[vmask] = tuple(out)
@@ -943,13 +995,15 @@ def _requirement(game, lam):
 class _MpContext:
     """Per-(game, lambda, player) view of the reduced negotiation game.
 
-    Only the proposal pools and their least acceptances depend on the
-    requirement; they live in the `_MpRequirement` that `_requirement`
-    gives for lam, shared by every player's view of the same requirement
-    while it is the game's last one.  Everything else (cycles, cores, pool
-    skeletons, LP-vertex payoffs, adversarial values, deviation arcs) is
-    read from the game's `_MpStructure`, shared by every view on the same
-    game object.
+    Only the proposal pools, with their families' acceptances and arcs,
+    their least acceptances and the LP payoffs under the requirement's
+    floors depend on the requirement; they live in the `_MpRequirement`
+    that `_requirement` gives for lam, shared by every player's view of
+    the same requirement while it is the game's last one.  Everything else
+    (cycles, cores, pool skeletons, lex-least cycle-mean vectors, simplex
+    answers, order keys, adversarial values, deviation arcs) is read from
+    the game's `_MpStructure`, shared by every view on the same game
+    object.
     """
 
     def __init__(self, game, lam, i):
@@ -958,15 +1012,18 @@ class _MpContext:
         self.table = self.shared.table(i)
         self.req = _requirement(game, lam)
         self._pools = self.req.pools.setdefault(i, {})
+        # per pooled family: its acceptance for i as an order key, and its
+        # deviation arcs read back through i's arc table (`decode`)
+        self.accept = self.req.accept.setdefault(i, {})
+        self.deviations = self.req.deviations.setdefault(i, {})
         self._min_accept = self.req.min_accept.setdefault(i, {})
-        self._deviations = {}
 
     def pool(self, u):
         """Candidate families proposable at u, sorted by (acceptance for
         i, h, c, W) and dominance-pruned: the shapes at u that visit no
         vertex of requirement +inf, each with its core's LP-vertex
-        payoff.  One +inf test, floors lookup and LP payoff per group of
-        i's skeleton at u."""
+        payoff.  One +inf test and one LP payoff lookup
+        (`_MpRequirement.payoff`) per group of i's skeleton at u."""
         if u in self._pools:
             return self._pools[u]
         shared = self.shared
@@ -976,44 +1033,40 @@ class _MpContext:
         for W0, vmask, members in shared.skeleton(i, u):
             if vmask & req.blocked:
                 continue
-            xbar = shared.lp(i, W0, req.floors(shared, vmask))
-            if xbar is not None:
-                key = _order_key(xbar[i])
+            found = req.payoff(shared, i, W0, vmask)
+            if found is not None:
+                key, xbar = found
                 cands += [(key, k, arcs, xbar, h, c, W0, W)
                           for k, arcs, h, c, W in members]
         # the shape index k breaks ties as the order of `shapes(u)` does;
         # it is unique, so the sort compares nothing after it
         cands.sort()
-        pool = [Family(h, c, W, W0, xbar)
-                for _, _, _, xbar, h, c, W0, W in _undominated(cands, 2)]
-        self._min_accept[u] = (pool[0].xbar[i] if pool else PINF)
+        pool = []
+        for key, _, arcs, xbar, h, c, W0, W in _undominated(cands, 2):
+            fam = Family(h, c, W, W0, xbar)
+            self.accept[fam] = key
+            self.deviations[fam] = self.table.decode(arcs)
+            pool.append(fam)
+        self._min_accept[u] = self.accept[pool[0]] if pool else _PINF_KEY
         self._pools[u] = pool
         return pool
 
-    def min_accept(self, u):
-        if u not in self._min_accept:
+    def min_accept_key(self, u):
+        """The least acceptance of u's pool, as an order key."""
+        out = self._min_accept.get(u)
+        if out is None:
             self.pool(u)
-        return self._min_accept[u]
+            out = self._min_accept[u]
+        return out
+
+    def min_accept(self, u):
+        """The least acceptance of u's pool (+inf when it is empty)."""
+        return self.min_accept_key(u)[1]
 
     def val_lb(self, u):
         """Adversarial value: a lower bound on the negotiation value at u
         for every requirement (monotonicity from the vacuous one)."""
         return self.shared.values(self.i)[u]
-
-    def deviations(self, fam):
-        """fam's deviation arcs for i, read back through i's arc table:
-        (pre-cycle arcs (target, int weight, length), post-cycle arcs
-        (target, mean), targets)."""
-        out = self._deviations.get(fam)
-        if out is None:
-            shared = self.shared
-            out = self._deviations[fam] = self.table.decode(
-                shared.pre_arcs(self.i, fam.h, fam.c)
-                | shared.post_arcs(self.i, fam.c, fam.W))
-        return out
-
-    def targets(self, fam):
-        return self.deviations(fam)[2]
 
 
 def _undominated(items, at):
@@ -1035,18 +1088,17 @@ def _undominated(items, at):
     return out
 
 
-def _order_key(x):
-    """A sort key that orders Fractions as they are: floor(x * 2**32),
-    compared as an int, decides all but near-equal pairs without a
-    Fraction comparison."""
-    return (x.numerator << 32) // x.denominator, x
+# the order keys of +-inf (`_MpStructure.order_key`)
+_PINF_KEY = (math.inf, PINF)
+_NINF_KEY = (-math.inf, NINF)
 
 
 def _challenger_reach(ctx, root, assignment):
-    """The best acceptance the Challenger is offered and the vertices
-    reached from root along the deviation arcs of the assigned families.
-    An unassigned vertex offers its pool's least acceptance, which
-    lower-bounds every completion, and is not left."""
+    """The best acceptance the Challenger is offered, as an order key,
+    and the vertices reached from root along the deviation arcs of the
+    assigned families.  An unassigned vertex offers its pool's least
+    acceptance, which lower-bounds every completion, and is not left."""
+    accept, deviations = ctx.accept, ctx.deviations
     reached = {root}
     stack = [root]
     best = None
@@ -1054,10 +1106,10 @@ def _challenger_reach(ctx, root, assignment):
         u = stack.pop()
         fam = assignment.get(u)
         if fam is None:
-            x = ctx.min_accept(u)
+            x = ctx.min_accept_key(u)
         else:
-            x = fam.xbar[ctx.i]
-            for w in ctx.targets(fam):
+            x = accept[fam]
+            for w in deviations[fam][2]:
                 if w not in reached:
                     reached.add(w)
                     stack.append(w)
@@ -1069,12 +1121,12 @@ def _challenger_reach(ctx, root, assignment):
 def _leaf_graph(ctx, assignment, reached):
     """The deviation arcs of a complete assignment on int nodes, one per
     reached vertex: (pre-cycle arcs (u, w, int weight, length),
-    post-cycle arcs (u, w, mean))."""
+    post-cycle arcs (u, w, mean's order key))."""
     node = {u: k for k, u in enumerate(reached)}
     pre, post = [], []
     for u in reached:
         k = node[u]
-        fam_pre, fam_post, _ = ctx.deviations(assignment[u])
+        fam_pre, fam_post, _ = ctx.deviations[assignment[u]]
         pre += [(k, node[w], wt, ln) for w, wt, ln in fam_pre]
         post += [(k, node[w], m) for w, m in fam_post]
     return pre, post
@@ -1098,22 +1150,26 @@ def _assignment_value(ctx, root, assignment):
         unit.append((prev, w, wt))
     val = zs.karp_max_mean(extra, unit)
     if val is not None:
-        val /= ctx.table.scale
+        val = ctx.shared.order_key(val / ctx.table.scale)
         if val > best:
             best = val
-    # the best post mean m on a cycle of pre arcs and post arcs of mean >= m
-    for m in sorted({m for _, _, m in post}, reverse=True):
+    # the best post mean m on a cycle of pre arcs and post arcs of mean >=
+    # m, each distinct mean tried once
+    tried = None
+    for m in sorted([m for _, _, m in post], reverse=True):
         if m <= best:
             break
-        if _on_cycle(len(reached), pre, post, lambda x: x >= m):
-            best = m
-            break
-    return best
+        if m != tried:
+            tried = m
+            if _on_cycle(len(reached), pre, post, lambda x: x >= m):
+                best = m
+                break
+    return best[1]
 
 
 def _on_cycle(n, pre, post, hot):
-    """Whether a post-cycle arc whose mean passes `hot` lies on a cycle of
-    pre-cycle arcs and such post-cycle arcs."""
+    """Whether a post-cycle arc whose mean's order key passes `hot`
+    lies on a cycle of pre-cycle arcs and such post-cycle arcs."""
     posts = [(u, w) for u, w, m in post if hot(m)]
     if not posts:
         return False
@@ -1127,16 +1183,18 @@ def _leaf_reaches(ctx, assignment, reached, accept, t, strict):
     acceptance `accept` passes t, some cycle of pre-cycle arcs has a mean
     that does (`_ratio_cycle_reaches`), or some post-cycle arc of a mean
     that does lies on a cycle of pre-cycle arcs and such post-cycle arcs
-    (`_on_cycle`).  The value is finite at a leaf."""
-    if t == PINF or t == NINF:
-        return t == NINF
-    passes = (lambda x: x > t) if strict else (lambda x: x >= t)
+    (`_on_cycle`).  `accept` and t are order keys.  The value is finite
+    at a leaf."""
+    x = t[1]
+    if x is PINF or x is NINF:
+        return x is NINF
+    passes = (lambda m: m > t) if strict else (lambda m: m >= t)
     if passes(accept):
         return True
     pre, post = _leaf_graph(ctx, assignment, reached)
     n = len(reached)
     return (_on_cycle(n, pre, post, passes)
-            or _ratio_cycle_reaches(n, pre, ctx.table.scale, t, strict))
+            or _ratio_cycle_reaches(n, pre, ctx.table.scale, x, strict))
 
 
 def _ratio_cycle_reaches(n, arcs, scale, t, strict):
@@ -1191,34 +1249,38 @@ def _mp_value_at(ctx, root, stop_at=None):
     over per-vertex proposal pools.  With `stop_at` the search
     short-circuits on the first strategy at or below that bound and
     returns it (witness extraction)."""
-    lb = ctx.min_accept(root)
-    vlb = ctx.val_lb(root)
+    key = ctx.shared.order_key
+    lb = ctx.min_accept_key(root)
+    vlb = key(ctx.val_lb(root))
     if vlb > lb:
         lb = vlb
-    search = _Search(ctx, root, stop_at, lb)
+    stop = None if stop_at is None else key(stop_at)
+    search = _Search(ctx, root, stop, lb)
     greedy = _greedy_assignment(ctx, root)
     if greedy is not None:
-        val = _assignment_value(ctx, root, greedy)
-        if stop_at is not None and val <= stop_at:
-            return val, greedy
+        val = key(_assignment_value(ctx, root, greedy))
+        if stop is not None and val <= stop:
+            return val[1], greedy
         search.best, search.best_assign = val, dict(greedy)
     if search.best > lb:
         search.rec({})
-    return search.best, search.best_assign
+    return search.best[1], search.best_assign
 
 
 class _Search:
     """The branch and bound of `_mp_value_at` and its incumbent.  It is an
     object rather than a closure that calls itself: such a closure is a
     reference cycle, which keeps the view, its game and the game's
-    structure alive until the cyclic collector runs."""
+    structure alive until the cyclic collector runs.  The bounds, the
+    incumbent's value and every value it is compared with are order
+    keys."""
 
     def __init__(self, ctx, root, stop_at, lb):
         self.ctx = ctx
         self.root = root
         self.stop_at = stop_at
         self.lb = lb
-        self.best = PINF
+        self.best = _PINF_KEY
         self.best_assign = None
 
     def limit(self):
@@ -1250,12 +1312,13 @@ class _Search:
             # exact value is needed only at a leaf that is not cut
             if _leaf_reaches(ctx, assignment, reached, accept, *self.limit()):
                 return False
-            self.best = _assignment_value(ctx, self.root, assignment)
+            self.best = ctx.shared.order_key(
+                _assignment_value(ctx, self.root, assignment))
             self.best_assign = dict(assignment)
             return self.stop_at is not None or self.best <= self.lb
         u = pending[0]
         for fam in ctx.pool(u):
-            if self.beaten(fam.xbar[ctx.i]):
+            if self.beaten(ctx.accept[fam]):
                 break
             assignment[u] = fam
             if self.rec(assignment):
@@ -1360,12 +1423,12 @@ def _eps_fixed(lam, nxt, eps, vertices):
     no finite nxt over a -inf lam."""
     for v in vertices:
         cur, new = lam[v], nxt[v]
-        if new == PINF:
-            if cur != PINF:
+        if new is PINF:
+            if cur is not PINF:
                 return False
             continue
-        if cur == PINF:
+        if cur is PINF:
             continue
-        if cur == NINF or new > cur + eps:
+        if cur is NINF or new > cur + eps:
             return False
     return True

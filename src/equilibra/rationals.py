@@ -12,12 +12,31 @@ __all__ = ["PINF", "NINF", "Ext", "ext", "parse_rational", "format_rational",
 
 
 class _Infinity:
-    """Signed infinity singleton; compares against Fraction/int/_Infinity."""
+    """Signed infinity; compares against Fraction/int/_Infinity.
+
+    There is one object per sign: constructing, copying or unpickling one
+    returns `PINF` or `NINF` itself, so `x is PINF` is a sound test."""
 
     __slots__ = ("sign",)
+    _made = {}
 
-    def __init__(self, sign):
-        self.sign = sign
+    def __new__(cls, sign):
+        self = cls._made.get(sign)
+        if self is None:
+            if sign not in (1, -1):
+                raise ValueError(f"infinity sign {sign!r} is not 1 or -1")
+            self = cls._made[sign] = super().__new__(cls)
+            self.sign = sign
+        return self
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return _Infinity, (self.sign,)
 
     def __repr__(self):
         return "+inf" if self.sign > 0 else "-inf"

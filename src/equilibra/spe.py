@@ -279,15 +279,17 @@ def check_mp_witness(game, eps, witness, query):
 
 
 def _adjust(lam, nxt, eps, vertices):
+    """max(lam, nxt - eps) on `vertices`, +-inf kept as they are."""
     out = {}
     for v in vertices:
-        new = nxt[v]
-        if new == PINF or new == NINF:
-            adj = new
+        cur, new = lam[v], nxt[v]
+        if new is NINF or cur is PINF:
+            out[v] = cur
+        elif new is PINF or cur is NINF:
+            out[v] = new if new is PINF else new - eps
         else:
             adj = new - eps
-        cur = lam[v]
-        out[v] = cur if adj < cur else adj
+            out[v] = cur if adj < cur else adj
     return out
 
 
@@ -369,7 +371,7 @@ def _decide_mp(game, eps, query, max_iters):
         if not plain_done:
             plain_next = nego_mp(game, plain)
             if _eps_fixed(plain, plain_next, eps, verts) and all(
-                    plain[v] != NINF for v in verts):
+                    plain[v] is not NINF for v in verts):
                 found = search_consistent_combo(game, plain, query)
                 if found is not None:
                     return {"answer": "yes", "lam": dict(plain),
@@ -392,7 +394,7 @@ def _decide_mp(game, eps, query, max_iters):
             continue
         adjusted_next = nego_mp(game, adjusted)
         new_adjusted = _adjust(adjusted, adjusted_next, eps, verts)
-        if new_adjusted[v0] == PINF:
+        if new_adjusted[v0] is PINF:
             return {"answer": "no", "iterates": k,
                     "reason": "every eps-fixed point is +inf at the start"}
         if new_adjusted == adjusted:

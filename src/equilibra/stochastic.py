@@ -412,11 +412,15 @@ def xrse_search_bounded(game, partition, query, memory_bound):
     randomization over chosen sub-supports; first profile that verifies
     as an XRSE with measures in range wins.  Deterministic-first order.
     The search checks candidates on the measures it walked; the profile
-    it returns is checked once more, in full, by `verify_xrse`."""
+    it returns is checked once more, in full, by `verify_xrse`.  When the
+    query admits no support at all (`_measure_caps`), no profile is
+    tried."""
     if game.mode != "terminal":
         raise GameError("terminal mode required")
     if memory_bound < 1:
         raise GameError(f"memory bound {memory_bound} is not at least 1")
+    if _measure_caps(game, partition, query) is None:
+        return {"answer": "none-at-cap", "memory_bound": memory_bound}
     for nstates in range(1, memory_bound + 1):
         states = [f"q{k}" for k in range(nstates)]
         slots = _memory_slots(game.arena, states)
@@ -453,7 +457,7 @@ def _memory_slots(arena, states):
 
 def _measure_caps(game, partition, query):
     """For each player, a value their extreme measure exceeds on no
-    support that the query admits.
+    support that the query admits, or None when it admits none.
 
     An outcome is a terminal or non-termination (0 for everyone).  Every
     outcome of an admitted support meets each pessimist's lower bound and
@@ -462,8 +466,8 @@ def _measure_caps(game, partition, query):
     lists the outcomes in `every` that meet player j's).  So a measure is
     at most the player's greatest payoff over `every`, and a pessimist's,
     the least payoff in the support, is also at most their greatest
-    payoff over each `some[j]`.  A player is left out when one of those
-    lists is empty, since no support is admitted then."""
+    payoff over each `some[j]`.  When `every` or some `some[j]` is empty,
+    no support is admitted."""
     pay = game.payoff.terminal_payoffs
     outcomes = [pay[t] for t in game.terminals()]
     outcomes.append({p: Fraction(0) for p in game.players})
@@ -474,12 +478,11 @@ def _measure_caps(game, partition, query):
     some = [[o for o in every
              if (o[j] <= query.hi(j) if pess(j) else query.lo(j) <= o[j])]
             for j in game.players]
-    caps = {}
-    for i in game.players:
-        fits = [every] + (some if pess(i) else [])
-        if all(fits):
-            caps[i] = min(max(o[i] for o in f) for f in fits)
-    return caps
+    if not every or not all(some):
+        return None
+    return {i: min(max(o[i] for o in f)
+                   for f in [every] + (some if pess(i) else []))
+            for i in game.players}
 
 
 def _search_slots(game, partition, query, states, slots):

@@ -539,6 +539,32 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     assert captured.err == doc["diagnostics"][0] + "\n"
 
 
+# a mean-payoff game with a chance vertex, on which no requirement is
+# defined: the negotiation commands once ended in KeyError: 'c'
+CHANCE_MP = {"players": ["circle"], "mode": "mean-payoff", "init": "a",
+             "vertices": [{"id": "a", "owner": "circle"},
+                          {"id": "c", "owner": "chance"}],
+             "edges": [{"from": "a", "to": "a", "rewards": {"circle": "0"}},
+                       {"from": "a", "to": "c", "rewards": {"circle": "1"}},
+                       {"from": "c", "to": "a", "prob": "1",
+                        "rewards": {"circle": "2"}}]}
+
+
+@pytest.mark.parametrize("command", ["validate", "nego-iterate",
+                                     "spe-exists", "eps-min", "ne-exists"])
+def test_chance_vertex_in_mean_payoff_is_an_error(tmp_path, capsys,
+                                                  command):
+    path = tmp_path / "chance_mp.json"
+    path.write_text(json.dumps(CHANCE_MP))
+    code = run([command, str(path)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["answer"] == "error" and doc["payload"] == {}
+    assert doc["diagnostics"] == [
+        "vertex c: no chance vertex in mean-payoff mode"]
+    assert captured.err == doc["diagnostics"][0] + "\n"
+
+
 def test_deviation_only_memory_update_must_not_read_the_output(tmp_path,
                                                               capsys):
     # circle's profile move a -> t1 never reaches b; at b square's memory

@@ -594,6 +594,59 @@ def test_simplex_runs_only_where_a_floor_cuts_a_multi_cycle_core(
 
 
 @st.composite
+def compared_values(draw):
+    """(structure, values): the structure of a one-core flower game and
+    values of each kind the mean-payoff search compares there: its cycle
+    means (`mp_of`), LP acceptances under drawn floors (`lp`), Karp
+    values of small graphs divided by a reward scale, requirement values
+    (some shifted by an eps of the bisection) and +-inf.  Each finite
+    value also comes as an equal Fraction of its own and as values less
+    than 2**-32 away, negatives among them."""
+    players, means = draw(cores())
+    game = flower_mp_game(players, means)
+    shared = negotiation._mp_structure(game)
+    W0 = frozenset(game.arena.vertices)
+    values = [shared.mp_of(c, j) for c in shared.scyc[W0] for j in players]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(players))
+        floors = tuple(sorted((j, draw(st.sampled_from(FLOORS)))
+                              for j in players if draw(st.booleans())))
+        xbar = shared.lp(i, W0, floors)
+        if xbar is not None:
+            values += list(xbar.values())
+    scale = draw(st.sampled_from([1, 2, 6]))
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(1, 4))
+        node = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(node, node, st.builds(
+            Fraction, st.integers(-9, 9))), min_size=1, max_size=6))
+        best = zs.karp_max_mean(n, edges)
+        if best is not None:
+            values.append(best / scale)
+    values += [x - Fraction(draw(st.integers(0, 2 ** 24)), 2 ** 24)
+               for x in draw(st.lists(st.sampled_from(FLOORS), max_size=3))]
+    near = [x + Fraction(draw(st.integers(-2, 2)),
+                         draw(st.integers(2 ** 32 + 1, 2 ** 70)))
+            for x in values]
+    twins = [Fraction(x.numerator, x.denominator) for x in values]
+    return shared, values + near + twins + [PINF, NINF]
+
+
+@settings(max_examples=100, deadline=None)
+@given(compared_values())
+def test_order_keys_order_values_as_fractions_do(case):
+    shared, values = case
+    keys = [shared.order_key(x) for x in values]
+    assert all(k[1] == x for k, x in zip(keys, values))
+    for x, kx in zip(values, keys):
+        for y, ky in zip(values, keys):
+            assert (kx < ky) == (x < y)
+            assert (kx >= ky) == (x >= y)
+            # one key object per value, whichever Fraction it came from
+            assert (kx is ky) == (x == y)
+
+
+@st.composite
 def arenas(draw):
     """An arena of 1-6 vertices: a tree of edges from the first vertex, a
     successor for each vertex without one, and up to eight more edges, so

@@ -1,8 +1,11 @@
-import pytest
+import copy
+import pickle
 from fractions import Fraction
 
+import pytest
+
 from equilibra.rationals import (PINF, NINF, parse_rational, parse_ext,
-                                 format_ext, format_rational)
+                                 format_ext, format_rational, _Infinity)
 
 
 def test_order_total():
@@ -34,3 +37,23 @@ def test_parse_format():
         parse_rational("2/4")  # not in lowest terms
     with pytest.raises(ValueError):
         parse_rational("1/-2")
+
+
+# the search tests the infinities by identity (`x is PINF`), which holds
+# only if no second object of either sign can be made
+
+
+@pytest.mark.parametrize("inf", [PINF, NINF])
+def test_infinities_are_singletons(inf):
+    assert _Infinity(inf.sign) is inf
+    assert copy.copy(inf) is inf
+    assert copy.deepcopy(inf) is inf
+    assert copy.deepcopy({"x": [inf]})["x"][0] is inf
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(inf, protocol)) is inf
+
+
+def test_only_two_infinities():
+    assert _Infinity(1) is PINF and _Infinity(-1) is NINF
+    with pytest.raises(ValueError):
+        _Infinity(0)

@@ -3,6 +3,7 @@ and simple paths.
 
 `reachable`, `attractor` and `scc` work on CSR arrays over int vertex ids
 (`csr` builds them); `IndexedGraph` maps named vertices onto those arrays.
+Each arena holds one, `Arena.graph`, which every helper on that arena reads.
 `scc_of`, `reach` and `simple_paths` take named (any hashable) vertices
 directly.
 
@@ -205,16 +206,21 @@ def simple_paths(succ, start, stop=()):
 
 
 class IndexedGraph:
-    """Int-indexed digraph with the CSR forms `reachable` and `attractor`
-    take; `mask` and `unmask` convert vertex sets to and from bitmasks."""
+    """Int-indexed digraph (vertex k of `vertices` is id k) with the CSR
+    forms, successors and predecessors in `edges` order, that `reachable`,
+    `attractor` and `scc` take; `mask` and `unmask` convert vertex sets to
+    and from bitmasks."""
 
     def __init__(self, vertices, edges):
-        self.vertices = list(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.vertices = tuple(vertices)
+        self.index = index = {v: i for i, v in enumerate(self.vertices)}
         self.n = len(self.vertices)
-        iedges = [(self.index[u], self.index[v]) for u, v in edges]
-        self.off, self.dst = csr(self.n, iedges)
-        self.poff, self.psrc = csr(self.n, [(v, u) for u, v in iedges])
+        self.off, self.dst, self.poff, self.psrc = self.restrict(
+            [(index[u], index[v]) for u, v in edges])
+
+    def restrict(self, edges):
+        """(off, dst, poff, psrc) of the int edge list `edges`."""
+        return (*csr(self.n, edges), *csr(self.n, [(v, u) for u, v in edges]))
 
     def mask(self, vs):
         m = 0

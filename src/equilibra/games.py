@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 from .rationals import parse_rational, format_rational
-from ._kernels import reach
+from ._kernels import IndexedGraph, reach
 
 MODES = ("parity", "mean-payoff", "energy", "discounted-sum", "terminal")
 CHANCE = "chance"
@@ -29,6 +29,8 @@ class Arena:
 
     owner[v] is a player name, "chance", or "terminal".  Edges are ordered
     pairs of vertex ids; chance_prob maps chance edges to exact rationals.
+    `graph`, its one int view (`_kernels.IndexedGraph`), numbers `vertices`
+    in order and lists successors in `succ` order.
     """
 
     def __init__(self, players, vertices, owner, edges, chance_prob=None,
@@ -40,21 +42,15 @@ class Arena:
         self.chance_prob = dict(chance_prob or {})
         self.init = init
         self._succ = {v: [] for v in self.vertices}
-        self._pred = {v: [] for v in self.vertices}
         for (u, v) in self.edges:
-            if u not in self._succ or v not in self._pred:
+            if u not in self._succ or v not in self._succ:
                 raise GameError("dangling vertex reference",
                                 where=f"edge {u}->{v}")
             self._succ[u].append(v)
-            self._pred[v].append(u)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.player_index = {p: i for i, p in enumerate(self.players)}
+        self.graph = IndexedGraph(self.vertices, self.edges)
 
     def succ(self, v):
         return self._succ[v]
-
-    def pred(self, v):
-        return self._pred[v]
 
     def is_chance(self, v):
         return self.owner[v] == CHANCE
@@ -69,10 +65,6 @@ class Arena:
             o = self.owner[v]
             if o not in self.players and o not in (CHANCE, TERMINAL):
                 raise GameError(f"unknown owner {o!r}", where=f"vertex {v}")
-        for (u, v) in self.edges:
-            if u not in self.owner or v not in self.owner:
-                raise GameError(f"dangling vertex reference {u}->{v}",
-                                where=f"edge {u}->{v}")
         if mode == "terminal":
             for v in self.vertices:
                 if self.is_terminal(v) and self._succ[v]:
@@ -101,8 +93,9 @@ class Arena:
                     if p is None or not (0 < p <= 1):
                         raise GameError("chance edge needs prob in (0,1]",
                                         where=f"edge {v}->{w}")
-        for v in self.vertices:
-            if v != self.init and not self._pred[v]:
+        poff = self.graph.poff
+        for k, v in enumerate(self.vertices):
+            if v != self.init and poff[k] == poff[k + 1]:
                 raise GameError("vertex (non-init) has no ingoing edge",
                                 where=f"vertex {v}")
 

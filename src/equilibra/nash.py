@@ -59,12 +59,12 @@ def search_consistent_parity(game, lam, query):
     and per-player minimal infinite colors, first component reachable from
     the initial vertex.  Returns a Lasso or None."""
     arena = game.arena
-    names = arena.vertices
+    names = arena.graph.vertices
     v0 = arena.init
     succ = {u: arena.succ(u) for u in names}
     for bits, forbidden, comps in parity_components(game, lam):
         bvec = {p: Fraction(b) for p, b in zip(game.players, bits)}
-        if not query.admits(bvec) or forbidden[arena.index[v0]]:
+        if not query.admits(bvec) or forbidden[arena.graph.index[v0]]:
             continue
         tree = _bfs_tree(succ, v0, {v for v, f in zip(names, forbidden)
                                     if f})

@@ -100,26 +100,23 @@ def _shared(game, kind):
 
 
 class _ParityStructure:
-    """What parity negotiation on one game shares across requirements:
-    the vertices numbered 0..n-1 in `arena.vertices` order (`names`), each
-    player's colours as one int list (`col`, players in `game.players`
-    order) with, per colour z, the vertices of colour >= z and == z as int
-    bitmasks, owner ids, each vertex's rank in sorted name order, and the
-    successor and predecessor CSR (successors in `arena.succ` order), and
-    each player's own winning region (`won`) once solved.  It reads every
-    colour once and holds no reference to its game."""
+    """What parity negotiation on one game shares across requirements,
+    over the ids of the arena's view (`graph`, `arena.vertices` order):
+    each player's colours as one int list (`col`, players in
+    `game.players` order) with, per colour z, the vertices of colour >= z
+    and == z as int bitmasks, owner ids, each vertex's rank in sorted name
+    order, and each player's own winning region (`won`) once solved.  It
+    reads every colour once and holds no reference to its game."""
 
     def __init__(self, game):
         arena = game.arena
-        self.names = arena.vertices
-        self.index = arena.index
-        n = self.n = len(self.names)
+        g = self.graph = arena.graph
         self.players = list(game.players)
         pid = {p: k for k, p in enumerate(self.players)}
-        if any(arena.owner[v] not in pid for v in self.names):
+        if any(arena.owner[v] not in pid for v in g.vertices):
             raise GameError("parity negotiation needs a chance-free arena")
-        self.owner = [pid[arena.owner[v]] for v in self.names]
-        self.col = [[game.payoff.color(p, v) for v in self.names]
+        self.owner = [pid[arena.owner[v]] for v in g.vertices]
+        self.col = [[game.payoff.color(p, v) for v in g.vertices]
                     for p in self.players]
         self.at_least, self.equal = [], []
         for col in self.col:
@@ -132,14 +129,10 @@ class _ParityStructure:
                 acc |= bits[z]
                 above[z] = acc
             self.at_least.append(above)
-        order = sorted(range(n), key=self.names.__getitem__)
-        self.rank = [0] * n
+        order = sorted(range(g.n), key=g.vertices.__getitem__)
+        self.rank = [0] * g.n
         for r, v in enumerate(order):
             self.rank[v] = r
-        edges = [(u, self.index[w]) for u, v in enumerate(self.names)
-                 for w in arena.succ(v)]
-        self.off, self.dst = csr(n, edges)
-        self.poff, self.psrc = csr(n, [(w, u) for u, w in edges])
         self._won = {}
 
     def won(self, i):
@@ -148,44 +141,39 @@ class _ParityStructure:
         Zielonka on the successor CSR, solved on first use and kept."""
         region = self._won.get(i)
         if region is None:
-            off, dst, owner, col = self.off, self.dst, self.owner, self.col[i]
+            g, owner, col = self.graph, self.owner, self.col[i]
             w0, _, _, _ = zs.solve_parity(
-                range(self.n), [dst[off[v]:off[v + 1]] for v in range(self.n)],
+                range(g.n), [g.dst[g.off[v]:g.off[v + 1]] for v in range(g.n)],
                 lambda v: owner[v] == i, lambda v: col[v])
             region = self._won[i] = sum(1 << v for v in w0)
         return region
 
     def constraints(self, lam):
         """`_parity_constraint` of every vertex, by id."""
-        return [_parity_constraint(lam, v) for v in self.names]
-
-    def mask(self, vertices):
-        m = [0] * self.n
-        for v in vertices:
-            m[self.index[v]] = 1
-        return m
+        return [_parity_constraint(lam, v) for v in self.graph.vertices]
 
     def allowed(self, i, inS):
         """(off, dst, poff, psrc) of the edges whose deviation options for
-        player id i stay in the 0/1 mask `inS`: i's vertex u keeps u->x
-        iff every other successor of u is in `inS`."""
-        off, dst, owner = self.off, self.dst, self.owner
-        if all(inS[x] for u in range(self.n) if owner[u] == i
+        player id i stay in the vertex bitmask `inS`: i's vertex u keeps
+        u->x iff every other successor of u is in `inS`."""
+        g, owner = self.graph, self.owner
+        off, dst = g.off, g.dst
+        if all(inS >> x & 1 for u in range(g.n) if owner[u] == i
                for x in dst[off[u]:off[u + 1]]):
-            return off, dst, self.poff, self.psrc
+            return off, dst, g.poff, g.psrc
         edges = []
-        for u in range(self.n):
+        for u in range(g.n):
             outs = dst[off[u]:off[u + 1]]
             if owner[u] == i:
                 outs = [x for x in outs
-                        if all(inS[w] for w in outs if w != x)]
+                        if all(inS >> w & 1 for w in outs if w != x)]
             edges += [(u, x) for x in outs]
-        return (*csr(self.n, edges), *csr(self.n, [(x, u) for u, x in edges]))
+        return g.restrict(edges)
 
     def components(self, off, dst, bits, free):
         """The components of `parity_components` for one bit vector, kept
         inside the vertex bitmask `free`."""
-        n = self.n
+        n = self.graph.n
         zchoices = [[z for z in sorted(eq) if z % 2 != b]
                     for eq, b in zip(self.equal, bits)]
         for zbar in itertools.product(*zchoices):
@@ -219,7 +207,7 @@ def _parity_structure(game):
 
 def parity_components(game, lam, edges=None):
     """The colour-tuple SCC search for lambda-consistent parity plays, over
-    the vertex ids of `_parity_structure(game)` (`arena.vertices` order)
+    the ids of the arena's view (`arena.graph`, `arena.vertices` order)
     and along the successor CSR `edges` = (off, dst), the arena's edges by
     default.
 
@@ -246,7 +234,7 @@ def _components(game, con, edges):
     """`parity_components` for the requirement whose
     `_ParityStructure.constraints` are `con`."""
     ps = _parity_structure(game)
-    off, dst = edges or (ps.off, ps.dst)
+    off, dst = edges or (ps.graph.off, ps.graph.dst)
     for bits in itertools.product((1, 0), repeat=len(ps.players)):
         forbidden = [1 if c < 0 or (c > 0 and not bits[o]) else 0
                      for c, o in zip(con, ps.owner)]
@@ -285,10 +273,11 @@ def _feasible_round(game, con, i, S):
     components `parity_components` yields.  Live vertices only
     accumulate, so the search stops once every vertex of S is live."""
     ps = _parity_structure(game)
-    inS = ps.mask(S)
-    need = sum(inS)
+    g = ps.graph
+    inS = g.mask(S)
+    need = inS.bit_count()
     off, dst, poff, psrc = ps.allowed(ps.players.index(i), inS)
-    live = [0] * ps.n
+    live = 0
     for _, forbidden, comps in _components(game, con, (off, dst)):
         if not need:
             break
@@ -299,9 +288,9 @@ def _feasible_round(game, con, i, S):
                 seen[u] = 1
             while stack:
                 u = stack.pop()
-                if not live[u]:
-                    live[u] = 1
-                    need -= inS[u]
+                if not live >> u & 1:
+                    live |= 1 << u
+                    need -= inS >> u & 1
                 for k in range(poff[u], poff[u + 1]):
                     w = psrc[k]
                     if not seen[w]:
@@ -309,8 +298,7 @@ def _feasible_round(game, con, i, S):
                         stack.append(w)
             if not need:
                 break
-    names = ps.names
-    return {names[v] for v in range(ps.n) if inS[v] and live[v]}
+    return g.unmask(inS & live)
 
 
 def _strongly_connected(Cset, allowed):
@@ -329,10 +317,10 @@ _SINK = ("W",)
 def _concrete_game1(game, con, i, S):
     """The Pi-compressed concrete negotiation game restricted to the
     feasible region S, for the requirement whose
-    `_ParityStructure.constraints` are `con`, over the vertex and player
-    ids of `_parity_structure(game)`: (states, succ, roots), succ[k]
-    listing the successors of states[k] and roots mapping each of player
-    i's vertices in S to the id of its root state.  Only what those roots
+    `_ParityStructure.constraints` are `con`, over the vertex ids of the
+    arena's view and the player ids of `_parity_structure(game)`: (states,
+    succ, roots), succ[k] listing the successors of states[k] and roots
+    mapping each of player i's vertices in S to the id of its root state.  Only what those roots
     reach is built: the other vertices' values are never read, and a
     winning region does not depend on what its states cannot reach.
 
@@ -351,10 +339,11 @@ def _concrete_game1(game, con, i, S):
     it), which keeps the play inside the region and wins i's parity
     objective, a Rabin disjunct that no prefix can spoil."""
     ps = _parity_structure(game)
-    off, dst = ps.off, ps.dst
+    g = ps.graph
+    off, dst = g.off, g.dst
     me = ps.players.index(i)
     won = ps.won(me)
-    inS = ps.mask(S)
+    inS = g.mask(S)
     constr = [1 << o if c == 1 else 0 for c, o in zip(con, ps.owner)]
     index, states, succ = {}, [], []
 
@@ -367,18 +356,18 @@ def _concrete_game1(game, con, i, S):
     def prover(v, M):
         return state(_SINK if won >> v & 1 else ("P", v, M))
 
-    roots = {v: prover(ps.index[v], constr[ps.index[v]])
-             for v in sorted(S) if ps.owner[ps.index[v]] == me}
+    roots = {v: prover(g.index[v], constr[g.index[v]])
+             for v in sorted(S) if ps.owner[g.index[v]] == me}
     for s in states:  # grows as the walk goes
         if s[0] == "P":
             _, v, M = s
-            outs = [x for x in dst[off[v]:off[v + 1]] if inS[x]]
+            outs = [x for x in dst[off[v]:off[v + 1]] if inS >> x & 1]
             # feasible-region fixpoint: witnesses stay inside S, and the
             # constrained player's vertices keep all successors inside
-            assert outs, f"feasible region starves {ps.names[v]}"
+            assert outs, f"feasible region starves {g.vertices[v]}"
             if ps.owner[v] == me:
                 assert len(outs) == off[v + 1] - off[v], \
-                    f"deviation target of {ps.names[v]} escapes the " \
+                    f"deviation target of {g.vertices[v]} escapes the " \
                     f"feasible region"
                 succ.append([state(("C", v, x, M)) for x in outs])
             else:
@@ -574,12 +563,12 @@ def _sc_subsets(arena):
     """Nonempty vertex sets strongly connected with at least one edge,
     by size, then by sorted tuple.  Each lies inside one SCC of the arena,
     so only subsets of an SCC are tested."""
-    verts = sorted(arena.vertices)
-    succ = {u: arena.succ(u) for u in verts}
-    comp, _ = scc_of(verts, [(u, w) for u in verts for w in succ[u]])
+    g = arena.graph
+    succ = {u: arena.succ(u) for u in g.vertices}
+    comp, _ = scc(g.n, g.off, g.dst)
     members = {}
-    for u in verts:
-        members.setdefault(comp[u], []).append(u)
+    for u in sorted(g.vertices):
+        members.setdefault(comp[g.index[u]], []).append(u)
     subs = []
     for group in members.values():
         for size in range(1, len(group) + 1):
@@ -620,7 +609,6 @@ class _MpStructure:
         self._game = weakref.ref(game)
         self.arena = game.arena
         self.payoff = game.payoff
-        self.bit = {v: 1 << k for k, v in enumerate(game.arena.vertices)}
         self.nego_memo = {}
         self.last_requirement = None
         self._shapes = {}
@@ -662,29 +650,30 @@ class _MpStructure:
         """Every family shape proposable at u, whatever the requirement:
         (h, c, W0, W, vmask) for a simple history h from u, a cycle
         rotation c entered from h's last vertex, a core W0 and a connector
-        q into it from c, with W = W0 | q and vmask the mask (over `bit`)
-        of V, the vertices of h, c and W.  Sorted by (h, c, sorted W),
-        stably, so that a stable sort on one player's payoff gives the
-        pool order."""
+        q into it from c, with W = W0 | q and vmask the bitmask (over the
+        arena's view) of V, the vertices of h, c and W.  Sorted by (h, c,
+        sorted W), stably, so that a stable sort on one player's payoff
+        gives the pool order."""
         out = self._shapes.get(u)
         if out is None:
             arena = self.arena
+            mask = arena.graph.mask
             tails = {}
             keyed = []
             for h in simple_paths(arena.succ, u):
                 entries = arena.succ(h[-1])
-                hmask = self.mask(h)
+                hmask = mask(h)
                 for c in self.cycles:
                     if c[0] not in entries:
                         continue
-                    hcmask = hmask | self.mask(c)
+                    hcmask = hmask | mask(c)
                     for W0 in self.sc_subsets:
                         for q in self.connectors(c[-1], W0):
                             tail = tails.get((W0, q))
                             if tail is None:
                                 W = W0.union(q)
                                 tail = tails[W0, q] = (
-                                    W, tuple(sorted(W)), self.mask(W))
+                                    W, tuple(sorted(W)), mask(W))
                             W, Wsorted, Wmask = tail
                             keyed.append(((h, c, Wsorted),
                                           (h, c, W0, W, hcmask | Wmask)))
@@ -714,21 +703,14 @@ class _MpStructure:
                 for (W0, vmask), members in groups.items()]
         return out
 
-    def mask(self, vertices):
-        """The mask of a vertex set over `bit`."""
-        m = 0
-        for x in vertices:
-            m |= self.bit[x]
-        return m
-
     def owner_groups(self, vmask):
         """The vertices of vmask grouped by owner, owners sorted: (owner,
         vertices) pairs."""
         out = self._groups.get(vmask)
         if out is None:
             groups = {}
-            for v in self.arena.vertices:
-                if vmask & self.bit[v]:
+            for k, v in enumerate(self.arena.graph.vertices):
+                if vmask >> k & 1:
                     groups.setdefault(self.arena.owner[v], []).append(v)
             out = self._groups[vmask] = tuple(
                 (j, tuple(vs)) for j, vs in sorted(groups.items()))
@@ -943,7 +925,8 @@ class _MpRequirement:
         vertices = shared.arena.vertices
         self.lam = dict(lam)
         self.key = tuple(lam[v] for v in vertices)
-        self.blocked = shared.mask(x for x in vertices if lam[x] is PINF)
+        self.blocked = shared.arena.graph.mask(x for x in vertices
+                                               if lam[x] is PINF)
         self.pools = {}
         self.accept = {}
         self.deviations = {}
@@ -1367,7 +1350,7 @@ def val_requirement(game):
     if game.mode == "parity":
         ps = _parity_structure(game)
         return {v: Fraction(ps.won(ps.owner[k]) >> k & 1)
-                for k, v in enumerate(ps.names)}
+                for k, v in enumerate(ps.graph.vertices)}
     if game.mode != "mean-payoff":
         raise GameError(f"adversarial values unsupported in {game.mode}")
     shared = _mp_structure(game)

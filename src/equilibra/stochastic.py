@@ -15,7 +15,7 @@ from .games import (GameError, MemoryProfile, CHANCE, TERMINAL,
                     induced_chain, chain_hit_probabilities, profile_product,
                     covered_product)
 from . import zerosum as zs
-from ._kernels import reach
+from ._kernels import IndexedGraph, reach
 from .nash import _verify_ne_expectation
 
 
@@ -153,8 +153,8 @@ def best_extreme_response(game, partition, profile, player):
     edges = [(s, t) for s, moves in product.items() for t, _ in moves]
     start = (arena.init, profile.initial)
     return zs.extreme_threshold_sweep(
-        product, edges, owner, pay, partition.is_pessimist(player), player,
-        [start])[start]
+        IndexedGraph(product, edges), owner, pay,
+        partition.is_pessimist(player), player, [start])[start]
 
 
 def verify_xrse(game, partition, profile):
@@ -279,8 +279,8 @@ def _adversarial_values(game, partition):
         pay = {t: game.payoff.terminal_payoffs[t][p]
                for t in game.terminals()}
         out.update(zs.extreme_threshold_sweep(
-            arena.vertices, arena.edges, arena.owner, pay,
-            partition.is_pessimist(p), p, mine))
+            arena.graph, arena.owner, pay, partition.is_pessimist(p), p,
+            mine))
     return out
 
 
@@ -635,8 +635,10 @@ class _SlotSearch:
             owner[s] = o
             for t in nexts:
                 link(s, t)
+        if above >= 0 and all(y <= above for y in pay.values()):
+            return above  # no threshold to sweep, so no graph to build
         return zs.extreme_threshold_sweep(
-            list(owner), edges, owner, pay,
+            IndexedGraph(owner, edges), owner, pay,
             self.partition.is_pessimist(player), player, [self.init],
             above=above)[self.init]
 

@@ -1,8 +1,8 @@
 """Two-player zero-sum and one-player graph primitives.
 
-Everything here works on an indexed view of an arena (or on a raw digraph)
-and returns exact values.  The graph kernels (attractor, reachability, SCC)
-come from `equilibra._kernels`.
+Everything here works on an arena's int view, `arena.graph`, which an edge
+subset only restricts (or on a raw digraph), and returns exact values.  The
+graph kernels (attractor, reachability, SCC) come from `equilibra._kernels`.
 """
 
 import itertools
@@ -13,25 +13,36 @@ from . import _kernels as K
 from .games import GameError, CHANCE
 
 
-def arena_graph(arena, edge_subset=None):
-    edges = arena.edges if edge_subset is None else sorted(edge_subset)
-    return K.IndexedGraph(arena.vertices, edges)
+def _arrays(g, edge_subset):
+    """The CSR arrays of the arena view g restricted to `edge_subset`, some
+    of the arena's edges (none more often than there): g's own when that
+    is all of them."""
+    if edge_subset is None or len(edge_subset) == len(g.dst):
+        return g.off, g.dst, g.poff, g.psrc
+    index = g.index
+    return g.restrict([(index[u], index[v]) for u, v in edge_subset])
+
+
+def _owned(g, owner, labels):
+    """The bitmask of g's vertices whose owner is in `labels`."""
+    return g.mask(v for v in g.vertices if owner[v] in labels)
 
 
 def attractor(arena, coalition, target, edge_subset=None):
     """Least set containing `target`, closed under coalition-can /
     others-must moves.  `coalition` is a set of player names; "chance" may
     be included to give chance vertices the existential role."""
-    g = arena_graph(arena, edge_subset)
-    coal = g.mask([v for v in arena.vertices if arena.owner[v] in coalition])
-    res = K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal,
-                      g.mask(target), (1 << g.n) - 1)
+    g = arena.graph
+    res = K.attractor(g.n, *_arrays(g, edge_subset),
+                      _owned(g, arena.owner, coalition), g.mask(target),
+                      (1 << g.n) - 1)
     return g.unmask(res)
 
 
 def reachable_from(arena, sources, edge_subset=None):
-    g = arena_graph(arena, edge_subset)
-    return g.unmask(K.reachable(g.off, g.dst, g.mask(sources)))
+    g = arena.graph
+    off, dst, _, _ = _arrays(g, edge_subset)
+    return g.unmask(K.reachable(off, dst, g.mask(sources)))
 
 
 def positive_prob_attractor(game, target, edge_subset=None):
@@ -41,14 +52,12 @@ def positive_prob_attractor(game, target, edge_subset=None):
     arena = game.arena
     if game.mode != "terminal":
         raise GameError("positive_prob_attractor needs terminal mode")
-    edges = arena.edges if edge_subset is None else sorted(edge_subset)
-    live = set()
-    for u, v in edges:
-        live.add(u)
+    live = {u for u, _ in (arena.edges if edge_subset is None
+                           else edge_subset)}
     for v in arena.vertices:
         if not arena.is_terminal(v) and v not in live:
             raise GameError(f"edge set starves vertex {v}")
-    return attractor(arena, {"chance"}, target, edges)
+    return attractor(arena, {"chance"}, target, edge_subset)
 
 
 # ---------------------------------------------------------------------------
@@ -60,54 +69,54 @@ def almost_sure_reach_game(arena, protagonists, adversaries, target,
     """States from which the protagonist coalition forces reaching `target`
     with probability 1 against hostile adversaries; chance is random,
     unlisted players count as random too."""
-    target = set(target)
-    edges = arena.edges if edge_subset is None else sorted(edge_subset)
+    g = arena.graph
+    index, goal = g.index, g.mask(target)
+    edges = arena.edges if edge_subset is None else edge_subset
     # a target's own moves never matter, and `_value_one` needs none
-    g = K.IndexedGraph(arena.vertices,
-                       [(u, v) for u, v in edges if u not in target])
-    return g.unmask(_value_one(g, arena.owner, set(protagonists),
-                               set(adversaries), g.mask(target)))
+    arrays = g.restrict([(index[u], index[v]) for u, v in edges
+                         if not goal >> index[u] & 1])
+    full = (1 << g.n) - 1
+    return g.unmask(_value_one(
+        g.n, arrays, full & ~_owned(g, arena.owner, adversaries),
+        full & ~_owned(g, arena.owner, protagonists), goal))
 
 
-def _value_one(g, owner, protags, adversaries, target):
+def _value_one(n, arrays, reach_coal, spoil_coal, target):
     """Value-1 region, as a bitmask, of reaching the bitmask `target` on
-    the `IndexedGraph` g; `owner` maps g's vertices to owner names.  The
-    targets must have no moves in g.
+    the CSR `arrays` over ids 0..n-1; `reach_coal` holds the protagonist
+    and random vertices, `spoil_coal` the adversaries and random ones.  The
+    targets must have no moves.
 
     The iterated attractor on a shrinking sub-game mask: vertices that
-    cannot reach the targets with positive probability (protagonist and
-    random vertices existential, adversaries universal) are removed with
-    their contamination attractor (the roles flipped) until none is
-    left."""
-    n, off, dst, poff, psrc = g.n, g.off, g.dst, g.poff, g.psrc
-    reach_coal = g.mask(v for v in g.vertices if owner[v] not in adversaries)
-    spoil_coal = g.mask(v for v in g.vertices if owner[v] not in protags)
+    cannot reach the targets with positive probability (`reach_coal`
+    existential) are removed with their contamination attractor
+    (`spoil_coal` existential) until none is left."""
     sub = (1 << n) - 1
     while True:
-        pos = K.attractor(n, off, dst, poff, psrc, reach_coal, target, sub)
+        pos = K.attractor(n, *arrays, reach_coal, target, sub)
         zero = sub & ~pos
         if not zero:
             return sub
-        sub &= ~K.attractor(n, off, dst, poff, psrc, spoil_coal, zero, sub)
+        sub &= ~K.attractor(n, *arrays, spoil_coal, zero, sub)
 
 
 # ---------------------------------------------------------------------------
 # extreme adversarial values (simple stochastic games)
 
 
-def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
-                            starts, above=None):
+def extreme_threshold_sweep(g, owner, pay, is_pess, player, starts,
+                            above=None):
     """The best extreme risk `player` can secure from each vertex in
     `starts` (any vertices, chance included) against hostile others: the
     least payoff in the support of the outcome when `is_pess`, else the
     greatest.  Returns start -> value.
 
-    The graph is `vertices` and `edges`; `owner` maps each vertex to a
-    player, CHANCE or TERMINAL, and every other owner (a player, or any
-    other label) is hostile.  `pay` maps each terminal to the player's
+    The graph is the `_kernels.IndexedGraph` g; `owner` maps each vertex
+    to a player, CHANCE or TERMINAL, and every other owner (a player, or
+    any other label) is hostile.  `pay` maps each terminal to the player's
     payoff; the terminals must have no moves.  Extreme measures depend on
     supports only, so no probabilities are read.  Decided by a threshold
-    sweep over {0} + terminal payoffs on one indexed graph, from the
+    sweep over {0} + terminal payoffs on g, from the
     highest threshold down; each threshold is an almost-sure or
     positive-probability reachability game, and a start's value is the
     first threshold whose winning region holds it.
@@ -125,32 +134,28 @@ def extreme_threshold_sweep(vertices, edges, owner, pay, is_pess, player,
         floor = above
         if not candidates:
             return {v: floor for v in starts}
-    g = K.IndexedGraph(vertices, edges)
-    full = (1 << g.n) - 1
-    others = set(owner.values()) - {player, CHANCE}
-
-    def attracted(coalition, target):
-        coal = g.mask(u for u in g.vertices if owner[u] in coalition)
-        return K.attractor(g.n, g.off, g.dst, g.poff, g.psrc, coal, target,
-                           full)
-
+    n, arrays = g.n, (g.off, g.dst, g.poff, g.psrc)
+    full = (1 << n) - 1
+    mine = _owned(g, owner, {player})
+    # the player's vertices and the hostile ones, each with chance's
+    ours, theirs = mine | _owned(g, owner, {CHANCE}), full & ~mine
     out = {}
     for x in candidates:
         good = g.mask(t for t, y in pay.items() if y >= x)
         bad = g.mask(t for t, y in pay.items() if y < x)
         if is_pess:
             if x > 0:
-                wins = _value_one(g, owner, {player}, others, good)
+                wins = _value_one(n, arrays, ours, theirs, good)
             else:
                 # P(bad) = 0: surely avoid bad, chance universal
-                wins = full & ~attracted(others | {CHANCE}, bad)
+                wins = full & ~K.attractor(n, *arrays, theirs, bad, full)
         else:
             if x > 0:
-                wins = attracted({player, CHANCE}, good)
+                wins = K.attractor(n, *arrays, ours, good, full)
             else:
                 # some outcome >= x possible: adversaries would need to
                 # force almost-sure absorption in bad terminals
-                wins = full & ~_value_one(g, owner, others, {player}, bad)
+                wins = full & ~_value_one(n, arrays, theirs, ours, bad)
         for v in starts:
             if v not in out and wins >> g.index[v] & 1:
                 out[v] = x
@@ -353,16 +358,16 @@ def mp_values(game, player):
     never None as the arena has no dead end.
     """
     arena = game.arena
-    n = len(arena.vertices)
-    index = arena.index
+    g = arena.graph
+    n, off, dst, index = g.n, g.off, g.dst, g.index
     denom, iedges = _scaled([(index[u], index[v],
                               game.payoff.reward(player, u, v))
                              for u, v in arena.edges])
     scale = math.lcm(*range(1, n + 1))
     # a strategy picks one successor at each of the player's vertices
     # and leaves every other vertex's moves (-1) to the hostile rest
-    choices = [[index[w] for w in arena.succ(v)]
-               if arena.owner[v] == player else [-1] for v in arena.vertices]
+    choices = [dst[off[k]:off[k + 1]] if arena.owner[v] == player else [-1]
+               for k, v in enumerate(g.vertices)]
     best = [None] * n
     for fixed in itertools.product(*choices):
         edges = [e for e in iedges if fixed[e[0]] < 0 or fixed[e[0]] == e[1]]

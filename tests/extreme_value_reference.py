@@ -21,5 +21,5 @@ def extreme_adversarial_value(game, partition, v):
     pess, _ = partition
     pay = {t: game.payoff.terminal_payoffs[t][player]
            for t in game.terminals()}
-    return extreme_threshold_sweep(arena.vertices, arena.edges, arena.owner,
-                                   pay, player in pess, player, [v])[v]
+    return extreme_threshold_sweep(arena.graph, arena.owner, pay,
+                                   player in pess, player, [v])[v]

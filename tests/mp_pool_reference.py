@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
-from equilibra.negotiation import (Family, _MpContext, _MpStructure,
-                                   _strongly_connected)
+from equilibra.negotiation import Family, _MpStructure, _strongly_connected
 from equilibra.rationals import NINF, PINF
 from equilibra.simplex import OPTIMAL, lex_min_vertex
 from path_walk_reference import _simple_paths_from
@@ -163,12 +162,28 @@ class ReferenceStructure(_MpStructure):
         return out
 
 
-class ReferenceContext(_MpContext):
-    """A negotiation view on its own `ReferenceStructure` of the game."""
+class ReferenceContext:
+    """A negotiation view on its own `ReferenceStructure` of the game, with
+    its own pools and least acceptances (Fractions, not order keys)."""
 
     def __init__(self, game, lam, i):
-        super().__init__(game, lam, i)
+        self.i = i
+        self.arena = game.arena
+        self.lam = dict(lam)
         self.shared = ReferenceStructure(game)
+        self._pools = {}
+        self._min_accept = {}
+
+    def min_accept(self, u):
+        """The least acceptance of u's pool (+inf when it is empty)."""
+        if u not in self._min_accept:
+            self.pool(u)
+        return self._min_accept[u]
+
+    def val_lb(self, u):
+        """Adversarial value: a lower bound on the negotiation value at u
+        for every requirement."""
+        return self.shared.values(self.i)[u]
 
     def pool(self, u):
         """Candidate families proposable at u, dominance-pruned and sorted

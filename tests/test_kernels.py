@@ -1,15 +1,20 @@
-"""Graph kernels against naive definitions written out here, and the
-simple-path walker against the recursive enumerators it replaced."""
+"""Graph kernels against naive definitions written out here, the
+simple-path walker against the recursive enumerators it replaced, and an
+arena's one int view (`Arena.graph`) with the zerosum helpers that read
+it."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 import path_walk_reference as ref
-from conftest import random_mp_game, random_parity_game
+import xrse_support_reference as xref
+from conftest import random_mp_game, random_parity_game, random_terminal_game
 from equilibra import zerosum as zs
-from equilibra._kernels import (attractor, csr, reach, reachable, scc,
-                                scc_of, simple_paths)
+from equilibra._kernels import (IndexedGraph, attractor, csr, reach,
+                                reachable, scc, scc_of, simple_paths)
+from equilibra.cli import run
+from equilibra.games import Arena
 from equilibra.negotiation import _MpStructure, _strongly_connected
 
 
@@ -211,3 +216,122 @@ def test_simple_paths_stop_and_order():
     assert list(simple_paths(succ, "a", {"b"})) == [
         ("a",), ("a", "b"), ("a", "c"), ("a", "c", "b")]
     assert list(simple_paths(succ, "a", {"a"})) == [("a",)]
+
+
+# ---------------------------------------------------------------------------
+# the arena's one int view, the zerosum helpers that read it, and a guard
+# against numbering an arena's vertices a second time
+
+SEEDED = st.integers(0, 2 ** 32 - 1).map(random.Random)
+GAMES = (SEEDED.map(lambda rng: random_terminal_game(rng, n=6))
+         | SEEDED.map(lambda rng: random_parity_game(rng, n=6, players=3))
+         | SEEDED.map(lambda rng: random_mp_game(rng, n=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(GAMES, st.data())
+def test_arena_view_is_a_fresh_index_of_the_arena(game, data):
+    arena = game.arena
+    g = arena.graph
+    fresh = IndexedGraph(arena.vertices, arena.edges)
+    assert g.vertices == fresh.vertices == arena.vertices
+    assert g.index == fresh.index == {v: k for k, v
+                                      in enumerate(arena.vertices)}
+    assert (g.off, g.dst, g.poff) == (fresh.off, fresh.dst, fresh.poff)
+    for k, v in enumerate(arena.vertices):
+        # successors in `succ` order, predecessors as a multiset
+        assert [g.vertices[x] for x in g.dst[g.off[k]:g.off[k + 1]]] == \
+            arena.succ(v)
+        want = sorted(g.index[u] for u, w in arena.edges if w == v)
+        assert sorted(g.psrc[g.poff[k]:g.poff[k + 1]]) == want
+        assert sorted(fresh.psrc[fresh.poff[k]:fresh.poff[k + 1]]) == want
+    vs = {v for v in arena.vertices if data.draw(st.booleans())}
+    assert g.unmask(g.mask(vs)) == vs
+    m = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert g.mask(g.unmask(m)) == m
+
+
+def draw_edge_subset(draw, arena):
+    """None, a sub-list or sub-set of the arena's edges, or all of them
+    shuffled (as long as the arena's list, so the view's own arrays
+    serve)."""
+    kind = draw(st.sampled_from(["none", "list", "set", "all"]))
+    if kind == "none":
+        return None
+    if kind == "all":
+        return draw(st.permutations(arena.edges))
+    edges = [e for e in arena.edges if draw(st.booleans())]
+    return set(edges) if kind == "set" else edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(GAMES, st.data())
+def test_arena_helpers_on_edge_subsets_match_naive(game, data):
+    draw = data.draw
+    arena = game.arena
+    names = arena.vertices
+    n = len(names)
+    index = {v: k for k, v in enumerate(names)}
+    edge_subset = draw_edge_subset(draw, arena)
+    edges = [(index[u], index[v]) for u, v in
+             (arena.edges if edge_subset is None else edge_subset)]
+
+    def named(ks):
+        return {names[k] for k in ks}
+
+    def some(items):
+        return {x for x in items if draw(st.booleans())}
+
+    labels = some(set(arena.owner.values()))
+    target = some(names)
+    coal = bits(index[v] for v in names if arena.owner[v] in labels)
+    want = least_attractor(n, edges, coal, bits(index[v] for v in target))
+    assert zs.attractor(arena, labels, target, edge_subset) == named(
+        v for v in range(n) if want >> v & 1)
+    assert zs.reachable_from(arena, target, edge_subset) == named(
+        closure(edges, {index[v] for v in target}, set(range(n))))
+    protags = some(arena.players)
+    adversaries = some(set(arena.players) - protags)
+    assert zs.almost_sure_reach_game(
+        arena, protags, adversaries, target, edge_subset) == \
+        xref.almost_sure_reach_game(arena, protags, adversaries, target,
+                                    edge_subset)
+    if game.mode == "terminal" and edge_subset is not None:
+        # keep an edge out of every inner vertex, so none is starved
+        kept = set(edge_subset) | {(u, arena.succ(u)[0]) for u in names
+                                   if not arena.is_terminal(u)}
+        chance = bits(index[v] for v in names if arena.is_chance(v))
+        want = least_attractor(n, [(index[u], index[v]) for u, v in kept],
+                               chance, bits(index[v] for v in target))
+        assert zs.positive_prob_attractor(game, target, kept) == named(
+            v for v in range(n) if want >> v & 1)
+
+
+def test_no_arena_is_indexed_twice(monkeypatch, capsys):
+    # the view `Arena.__init__` builds is the only index of each arena:
+    # every other `IndexedGraph` is over some other vertex set
+    arenas, graphs = [], []
+    arena_init, graph_init = Arena.__init__, IndexedGraph.__init__
+
+    def spied_arena(self, *args, **kwargs):
+        arena_init(self, *args, **kwargs)
+        arenas.append(self)
+
+    def spied_graph(self, *args, **kwargs):
+        graph_init(self, *args, **kwargs)
+        graphs.append(self)
+
+    monkeypatch.setattr(Arena, "__init__", spied_arena)
+    monkeypatch.setattr(IndexedGraph, "__init__", spied_graph)
+    for argv in (["xrse-exists", "ex_extreme3", "--pessimists", "all"],
+                 ["xrse-constrained", "lottery"],
+                 ["nego-iterate", "fig_first_example"]):
+        arenas.clear()
+        graphs.clear()
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert arenas, argv
+        for arena in arenas:
+            same = [g for g in graphs
+                    if set(g.vertices) == set(arena.vertices)]
+            assert same == [arena.graph], argv

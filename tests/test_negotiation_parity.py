@@ -475,7 +475,8 @@ def test_sink_alone_is_won_without_a_solve():
         ps = negotiation._parity_structure(game)
         won = ps.won(list(game.players).index(i))  # solved before the spy
         mine = {v for v in S if game.arena.owner[v] == i}
-        if not mine or any(not won >> ps.index[v] & 1 for v in mine):
+        index = game.arena.graph.index
+        if not mine or any(not won >> index[v] & 1 for v in mine):
             continue
         sunk += 1
         with mock.patch.object(zs, "solve_parity",
@@ -569,10 +570,11 @@ def test_concrete_game_contests_only_own_proposals():
         if not S:
             continue
         ps = negotiation._parity_structure(game)
-        owner, off, dst = ps.owner, ps.off, ps.dst
+        g = game.arena.graph
+        owner, off, dst = ps.owner, g.off, g.dst
         me = list(game.players).index(i)
         won = ps.won(me)
-        inS = ps.mask(S)
+        inS = g.mask(S)
         con = constraints(game, lam)
         constr = [1 << o if c == 1 else 0 for c, o in zip(con, owner)]
         states, succ, roots = negotiation._concrete_game1(game, con, i, S)
@@ -584,7 +586,7 @@ def test_concrete_game_contests_only_own_proposals():
             return ("P", x, M)
 
         for v, r in roots.items():
-            x = ps.index[v]
+            x = g.index[v]
             assert states[r] == proposal(x, constr[x]), v
         for k, (s, outs) in enumerate(zip(states, succ)):
             got = [states[t] for t in outs]
@@ -609,7 +611,7 @@ def test_concrete_game_contests_only_own_proposals():
                     # the others' go straight on, to a P state or the sink
                     assert got == [proposal(x, M | constr[x])
                                    for x in dst[off[v]:off[v + 1]]
-                                   if inS[x]], s
+                                   if inS >> x & 1], s
     assert own > 0 and sunk > 0
 
 
@@ -626,7 +628,7 @@ def test_won_matches_reference_zielonka_and_parity_value(case):
     arena = game.arena
     succ = {v: list(arena.succ(v)) for v in arena.vertices}
     for me, i in enumerate(game.players):
-        got = {ps.names[v] for v in range(ps.n) if ps.won(me) >> v & 1}
+        got = arena.graph.unmask(ps.won(me))
         w0, _, _, _ = zielonka_reference.solve_parity(
             arena.vertices, succ, lambda v: arena.owner[v] == i,
             lambda v: game.payoff.color(i, v))

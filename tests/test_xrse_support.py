@@ -4,6 +4,7 @@ against the code they replaced (`tests/xrse_support_reference.py`), and
 the bounded search's cuts and one-threshold checks against brute force and
 the full best-response sweep."""
 
+import inspect
 import itertools
 import math
 import random
@@ -222,9 +223,10 @@ def test_adversarial_values_sweep_once_per_player(monkeypatch):
     sweeps = []
     sweep = zs.extreme_threshold_sweep
 
-    def counted(*args):
-        sweeps.append(args[5])
-        return sweep(*args)
+    def counted(*args, **kwargs):
+        sweeps.append(inspect.signature(sweep).bind(
+            *args, **kwargs).arguments["player"])
+        return sweep(*args, **kwargs)
 
     monkeypatch.setattr(zs, "extreme_threshold_sweep", counted)
     for seed in range(20):

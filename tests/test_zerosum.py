@@ -182,7 +182,7 @@ def test_karp_vs_enumeration():
     for kind in ["fraction"] * 40 + ["int"] * 20 + ["mixed"] * 20:
         g = random_parity_game(rng, n=5)
         weights = {e: weight(kind) for e in g.arena.edges}
-        idx = g.arena.index
+        idx = g.arena.graph.index
         edges = [(idx[u], idx[v], weights[(u, v)])
                  for (u, v) in g.arena.edges]
         karp = zs.karp_min_mean(len(g.arena.vertices), edges)
@@ -316,7 +316,7 @@ def test_mp_values_and_karp_match_reference(game):
     arena = game.arena
     for p in arena.players:
         assert zs.mp_values(game, p) == mp_ref.mp_values(game, p)
-        edges = [(arena.index[u], arena.index[v],
+        edges = [(arena.graph.index[u], arena.graph.index[v],
                   game.payoff.reward(p, u, v)) for u, v in arena.edges]
         n = len(arena.vertices)
         assert zs.karp_min_mean(n, edges) == mp_ref.karp_min_mean(n, edges)

@@ -167,7 +167,16 @@ def _read_requirement(args, game):
     missing = [v for v in game.arena.vertices if v not in lam]
     if missing:
         raise GameError(f"requirement misses vertex {missing[0]}")
+    unknown = [v for v in lam if v not in game.arena.graph.index]
+    if unknown:
+        raise GameError(f"requirement names unknown vertex {unknown[0]}")
     return lam
+
+
+def _max_iters(args):
+    if args.max < 0:
+        raise GameError(f"--max {args.max} is negative")
+    return args.max
 
 
 def _trace_json(trace):
@@ -203,7 +212,7 @@ def _nego(args, game):
 
 
 def _nego_iterate(args, game):
-    seq, conv = nego_iterate(game, max_iters=args.max)
+    seq, conv = nego_iterate(game, max_iters=_max_iters(args))
     return ("yes" if conv else "unknown",
             {"converged": conv,
              "iterates": [requirement_to_json(l) for l in seq]})
@@ -230,12 +239,13 @@ def _ne_exists(args, game):
 def _spe_exists(args, game):
     query = _thresholds(args, game)
     eps = _rational("--eps", args.eps)
+    max_iters = _max_iters(args)
     if game.mode == "parity":
         if eps != 0:
             raise GameError("parity SPE existence takes eps = 0")
         res = spe_exists_parity(game, query)
     else:
-        res = spe_exists_mp(game, eps, query, max_iters=args.max)
+        res = spe_exists_mp(game, eps, query, max_iters=max_iters)
     payload = dict(res)
     if "lam" in payload:
         payload["lam"] = requirement_to_json(payload["lam"])
@@ -251,7 +261,7 @@ def _spe_check_witness(args, game):
 
 def _eps_min(args, game):
     res = epsilon_min_search(game, precision_bits=args.precision,
-                             max_iters=args.max)
+                             max_iters=_max_iters(args))
     return res["answer"], _jsonable({k: v for k, v in res.items()
                                      if k != "answer"})
 
@@ -265,13 +275,13 @@ def _product(args, game):
 def _rational_verify(args, game):
     concept = "Nash" if args.concept == "nash" else "SubgamePerfect"
     res = rational_verify(*_leader_args(args, game), concept,
-                          max_iters=args.max)
+                          max_iters=_max_iters(args))
     return res["answer"], _jsonable(res)
 
 
 def _achaotic_verify(args, game):
     res = achaotic_rational_verify_mp(*_leader_args(args, game),
-                                      max_iters=args.max,
+                                      max_iters=_max_iters(args),
                                       precision_bits=args.precision)
     return res["answer"], _jsonable(res)
 

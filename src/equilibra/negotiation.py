@@ -16,7 +16,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_ext, parse_ext
 from .games import GameError, Lasso, eval_lasso
 from . import zerosum as zs
-from ._kernels import csr, scc, scc_of, simple_paths
+from ._kernels import csr, ids, scc, scc_of, simple_paths
 from .simplex import lex_min_vertex, OPTIMAL
 
 
@@ -138,14 +138,14 @@ class _ParityStructure:
     def won(self, i):
         """The bitmask of the vertices from which player id i alone wins its
         parity objective against all the others, whatever the requirement:
-        Zielonka on the successor CSR, solved on first use and kept."""
+        Zielonka on the view's own CSR, solved on first use and kept."""
         region = self._won.get(i)
         if region is None:
             g, owner, col = self.graph, self.owner, self.col[i]
-            w0, _, _, _ = zs.solve_parity(
-                range(g.n), [g.dst[g.off[v]:g.off[v + 1]] for v in range(g.n)],
+            region, _, _, _ = zs.solve_parity(
+                range(g.n), g.off, g.dst, g.poff, g.psrc,
                 lambda v: owner[v] == i, lambda v: col[v])
-            region = self._won[i] = sum(1 << v for v in w0)
+            self._won[i] = region
         return region
 
     def constraints(self, lam):
@@ -250,31 +250,31 @@ def parity_feasible_region(game, lam, i):
     Computed by the colour-tuple SCC search (`parity_components`), one
     search per round of the fixpoint: polynomial in the graph, exponential
     only in the number of players."""
-    return _feasible_region(game, _parity_structure(game).constraints(lam),
-                            i)
+    ps = _parity_structure(game)
+    return ps.graph.unmask(_feasible_region(game, ps.constraints(lam), i))
 
 
 def _feasible_region(game, con, i):
     """`parity_feasible_region` for the requirement whose
-    `_ParityStructure.constraints` are `con`."""
-    S = set(game.arena.vertices)
+    `_ParityStructure.constraints` are `con`, as a bitmask over the ids of
+    the arena's view."""
+    inS = (1 << game.arena.graph.n) - 1
     while True:
-        newS = _feasible_round(game, con, i, S)
-        if newS == S:
-            return S
-        S = newS
+        live = _feasible_round(game, con, i, inS)
+        if live == inS:
+            return inS
+        inS = live
 
 
-def _feasible_round(game, con, i, S):
-    """The vertices of S with a lambda-consistent play along the edges
-    whose deviation options for player i stay in S (other players' edges
-    may leave S), `con` the requirement's `_ParityStructure.constraints`:
-    backward reachability, avoiding the forbidden vertices, from the
-    components `parity_components` yields.  Live vertices only
-    accumulate, so the search stops once every vertex of S is live."""
+def _feasible_round(game, con, i, inS):
+    """The vertices of the bitmask `inS` with a lambda-consistent play
+    along the edges whose deviation options for player i stay in `inS`
+    (other players' edges may leave it), as a bitmask, `con` the
+    requirement's `_ParityStructure.constraints`: backward reachability,
+    avoiding the forbidden vertices, from the components
+    `parity_components` yields.  Live vertices only accumulate, so the
+    search stops once every vertex of `inS` is live."""
     ps = _parity_structure(game)
-    g = ps.graph
-    inS = g.mask(S)
     need = inS.bit_count()
     off, dst, poff, psrc = ps.allowed(ps.players.index(i), inS)
     live = 0
@@ -298,7 +298,7 @@ def _feasible_round(game, con, i, S):
                         stack.append(w)
             if not need:
                 break
-    return g.unmask(inS & live)
+    return inS & live
 
 
 def _strongly_connected(Cset, allowed):
@@ -314,13 +314,14 @@ def _strongly_connected(Cset, allowed):
 _SINK = ("W",)
 
 
-def _concrete_game1(game, con, i, S):
+def _concrete_game1(game, con, i, inS):
     """The Pi-compressed concrete negotiation game restricted to the
-    feasible region S, for the requirement whose
+    feasible region, the bitmask `inS`, for the requirement whose
     `_ParityStructure.constraints` are `con`, over the vertex ids of the
     arena's view and the player ids of `_parity_structure(game)`: (states,
     succ, roots), succ[k] listing the successors of states[k] and roots
-    mapping each of player i's vertices in S to the id of its root state.  Only what those roots
+    mapping the id of each of player i's vertices in the region, in
+    increasing order, to the id of its root state.  Only what those roots
     reach is built: the other vertices' values are never read, and a
     winning region does not depend on what its states cannot reach.
 
@@ -343,7 +344,6 @@ def _concrete_game1(game, con, i, S):
     off, dst = g.off, g.dst
     me = ps.players.index(i)
     won = ps.won(me)
-    inS = g.mask(S)
     constr = [1 << o if c == 1 else 0 for c, o in zip(con, ps.owner)]
     index, states, succ = {}, [], []
 
@@ -356,8 +356,7 @@ def _concrete_game1(game, con, i, S):
     def prover(v, M):
         return state(_SINK if won >> v & 1 else ("P", v, M))
 
-    roots = {v: prover(g.index[v], constr[g.index[v]])
-             for v in sorted(S) if ps.owner[g.index[v]] == me}
+    roots = {v: prover(v, constr[v]) for v in ids(inS) if ps.owner[v] == me}
     for s in states:  # grows as the walk goes
         if s[0] == "P":
             _, v, M = s
@@ -384,28 +383,28 @@ def _concrete_game1(game, con, i, S):
     return states, succ, roots
 
 
-def _solve_game1(game, con, i, S):
-    """Player i's vertices in the feasible region S whose Prover roots the
-    Challenger wins in the Pi-compressed concrete negotiation game
-    restricted to S (threshold 1), for the requirement whose
+def _solve_game1(game, con, i, inS):
+    """The bitmask of player i's vertices in the feasible region, the
+    bitmask `inS`, whose Prover roots the Challenger wins in the
+    Pi-compressed concrete negotiation game restricted to the region
+    (threshold 1), for the requirement whose
     `_ParityStructure.constraints` are `con`.
 
     Challenger wins iff player i wins the projection, or deviations stop
     and some activated requirement is violated in the limit: a Rabin
     objective, reduced to parity by index appearance records and solved
     by Zielonka.  One walk builds the concrete game (`_concrete_game1`),
-    a second its record product over int ids 0..N-1; colours come from
+    a second its record product over int ids 0..N-1 and its successor
+    CSR, then its predecessor CSR is built once; colours come from
     `_parity_structure(game)`.  The concrete game's `_SINK`, which stands
     for every proposal inside i's own winning region, is one product node
     whatever the record, with no Rabin hits and min-parity priority 0, so
     Challenger wins there.  Without such a vertex nothing is built, and
     when the concrete game is that sink alone, every root is won without
     a product or a solve."""
-    states, succ, roots = _concrete_game1(game, con, i, S)
-    if not roots:
-        return set()
-    if states == [_SINK]:
-        return set(roots)
+    states, succ, roots = _concrete_game1(game, con, i, inS)
+    if states == [_SINK] or not roots:
+        return sum(1 << v for v in roots)
     sink = states.index(_SINK) if _SINK in states else -1
     ps = _parity_structure(game)
     col = ps.col
@@ -438,14 +437,14 @@ def _solve_game1(game, con, i, S):
     hit = [(set(), set()) if k == sink else hits(s)
            for k, s in enumerate(states)]
     top = 2 * len(pairs) + 2
-    ids, nodes, moves, challenger, priority = {}, [], [], [], []
+    number, nodes, challenger, priority = {}, [], [], []
 
     def node(s, rec):
         if s == sink:
             rec = ()
         key = (s, rec)
-        if key not in ids:
-            ids[key] = len(nodes)
+        if key not in number:
+            number[key] = len(nodes)
             nodes.append(key)
             # max-parity priority from 1-based positions in the record
             # before the update, flipped to min-parity
@@ -460,19 +459,23 @@ def _solve_game1(game, con, i, S):
                             top - (2 * maxE + 1 if maxE >= maxF
                                    else 2 * maxF))
             challenger.append(states[s][0] != "P")
-        return ids[key]
+        return number[key]
 
     init = tuple(range(len(pairs)))
     seeds = {v: node(r, init) for v, r in roots.items()}
+    off, dst = [0], []
     for s, rec in nodes:  # grows as the walk goes
         E = hit[s][0]
         rec = tuple([j for j in rec if j in E]
                     + [j for j in rec if j not in E])
-        moves.append([node(t, rec) for t in succ[s]])
-    w0, _, _, _ = zs.solve_parity(range(len(nodes)), moves,
-                                  lambda n: challenger[n],
-                                  lambda n: priority[n])
-    return {v for v, n in seeds.items() if n in w0}
+        dst += [node(t, rec) for t in succ[s]]
+        off.append(len(dst))
+    n = len(nodes)
+    w0, _, _, _ = zs.solve_parity(
+        range(n), off, dst,
+        *csr(n, [(w, u) for u in range(n) for w in dst[off[u]:off[u + 1]]]),
+        lambda k: challenger[k], lambda k: priority[k])
+    return sum(1 << v for v, k in seeds.items() if w0 >> k & 1)
 
 
 def nego_parity(game, lam):
@@ -488,33 +491,31 @@ def nego_parity(game, lam):
     index-appearance-record product in a second, over int ids, both
     seeded only from that player's vertices in the region, with every
     proposal inside that player's own winning region cut to one sink that
-    Challenger wins, and hands the product to Zielonka.  Each player's
-    winning region is solved once per game object and kept in
-    `_ParityStructure`.  The requirement is read once per call, into
-    `_ParityStructure.constraints`, which every region round and concrete
-    game reads.
+    Challenger wins, and hands the product and its CSR to Zielonka.  Each
+    player's winning region is solved once per game object, on the CSR of
+    the arena's view, and kept in `_ParityStructure`.  The requirement is
+    read once per call, into `_ParityStructure.constraints`, which every
+    region round and concrete game reads.  From the requirement to the
+    winners everything is numbered by the ids of the arena's view (the
+    region, the roots and the winners are bitmasks over them); vertex
+    names appear only in the returned map.
     """
     if game.mode != "parity":
         raise GameError("nego_parity needs parity mode")
     if not is_boolean_requirement(game, lam):
         raise GameError("non-Boolean requirement values in parity mode")
-    arena = game.arena
     ps = _parity_structure(game)
     con = ps.constraints(lam)
     out = {}
-    for i in ps.players:
-        mine = [v for v in arena.vertices if arena.owner[v] == i]
+    for me, i in enumerate(ps.players):
+        mine = [v for v in range(ps.graph.n) if ps.owner[v] == me]
         if not mine:
             continue
-        S = _feasible_region(game, con, i)
-        winners = _solve_game1(game, con, i, S)
+        inS = _feasible_region(game, con, i)
+        winners = _solve_game1(game, con, i, inS)
         for v in mine:
-            if v not in S:
-                out[v] = PINF
-            elif v in winners:
-                out[v] = Fraction(1)
-            else:
-                out[v] = Fraction(0)
+            out[ps.graph.vertices[v]] = (Fraction(winners >> v & 1)
+                                         if inS >> v & 1 else PINF)
     return out
 
 

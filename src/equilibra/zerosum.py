@@ -2,7 +2,10 @@
 
 Everything here works on an arena's int view, `arena.graph`, which an edge
 subset only restricts (or on a raw digraph), and returns exact values.  The
-graph kernels (attractor, reachability, SCC) come from `equilibra._kernels`.
+parity solver (Zielonka) takes int ids with their successor and predecessor
+CSR, such as the view's own arrays, and answers in bitmasks and id -> id
+strategies.  The graph kernels (attractor, reachability, SCC) come from
+`equilibra._kernels`.
 """
 
 import itertools
@@ -263,56 +266,47 @@ def karp_max_mean(n, edges):
 # parity solving (Zielonka, min-color convention)
 
 
-def solve_parity(vertices, succ_map, is_protag, color):
-    """Zero-sum parity game: protagonist (side 0) wins a play iff the
-    minimal color seen infinitely often is even.  Returns (win0, win1,
-    strat0, strat1) with positional witness strategies on each region.
+def solve_parity(vertices, off, dst, poff, psrc, is_protag, color):
+    """Zero-sum parity game on the ids `vertices` = range(n), with their
+    successor CSR (off, dst) and predecessor CSR (poff, psrc): protagonist
+    (side 0) wins a play iff the minimal color seen infinitely often is
+    even.  Returns (win0, win1, strat0, strat1): the winning regions as
+    bitmasks and positional witness strategies on them as id -> id maps.
 
-    `is_protag` and `color` are read once per vertex.  Vertices are
-    numbered in sorted(vertices) order, and a strategy picks the first
-    successor in that order (the least successor when vertices are
-    totally ordered).  Zielonka's recursion runs on int bitmasks over
-    that numbering, with `_kernels.attractor` for both of its attractors,
-    which records the attractor strategies as vertices join."""
-    names = sorted(vertices)
-    n = len(names)
-    index = {v: k for k, v in enumerate(names)}
+    `is_protag` and `color` are read once per id.  Zielonka's recursion
+    runs on int bitmasks, with `_kernels.attractor` for both of its
+    attractors, which records the attractor strategies as vertices join
+    (so they follow the order of `psrc`); a vertex of the least colour
+    picks its least-id successor in the sub-game."""
+    n = len(vertices)
     protag, by_colour = 0, {}
-    for k, v in enumerate(names):
+    for v in vertices:
         if is_protag(v):
-            protag |= 1 << k
+            protag |= 1 << v
         z = color(v)
-        by_colour[z] = by_colour.get(z, 0) | 1 << k
+        by_colour[z] = by_colour.get(z, 0) | 1 << v
     full = (1 << n) - 1
     side = (protag, full & ~protag)
-    off = [0, *itertools.accumulate(len(succ_map[v]) for v in names)]
-    dst = [index[w] for v in names for w in succ_map[v]]
-    # predecessors in `vertices` order, then `succ_map` order
-    pred = K.csr(n, [(index[w], index[u]) for u in vertices
-                     for w in succ_map[u]])
-    graph = (n, off, dst, *pred, sorted(by_colour.items()), side)
+    graph = (n, off, dst, poff, psrc, by_colour, side)
     strat = {}
     wins = _zielonka(full, graph, strat)
-    regions = [{names[v] for v in K.ids(w)} for w in wins]
-    strats = [{names[v]: names[x] for v, x in strat.items()
-               if (w & own) >> v & 1} for w, own in zip(wins, side)]
-    return regions[0], regions[1], strats[0], strats[1]
+    strats = [{v: x for v, x in strat.items() if (w & own) >> v & 1}
+              for w, own in zip(wins, side)]
+    return wins[0], wins[1], strats[0], strats[1]
 
 
 def _zielonka(sub, graph, strat):
     """The winning bitmasks [w0, w1] of the sub-game on the bitmask `sub`
-    of `graph` = (n, off, dst, poff, psrc, colours, side), `colours` the
-    (colour, bitmask) pairs in increasing colour order and `side` the two
+    of `graph` = (n, off, dst, poff, psrc, colours, side), `colours`
+    mapping each colour to the bitmask of its vertices and `side` the two
     players' bitmasks.  Each winner's vertices have their witness move in
     `strat` (moves left there for vertices their owner loses are filtered
     out by `solve_parity`)."""
     if not sub:
         return [0, 0]
     n, off, dst, poff, psrc, colours, side = graph
-    for m, at_m in colours:
-        target = sub & at_m
-        if target:
-            break
+    m = min(z for z, at_z in colours.items() if sub & at_z)
+    target = sub & colours[m]
     sigma = m % 2
     moves = {}
     a = K.attractor(n, off, dst, poff, psrc, side[sigma], target, sub, moves)
@@ -328,19 +322,6 @@ def _zielonka(sub, graph, strat):
     wins = _zielonka(sub & ~b, graph, strat)
     wins[1 - sigma] |= b
     return wins
-
-
-def parity_region(arena, colors, coalition):
-    """Exact winning region for a coalition maximizing a parity condition,
-    plus a positional witness strategy on it.  No chance vertices."""
-    for v in arena.vertices:
-        if arena.is_chance(v) or arena.is_terminal(v):
-            raise GameError("parity_region needs a chance-free arena")
-    succ_map = {v: list(arena.succ(v)) for v in arena.vertices}
-    w0, w1, s0, s1 = solve_parity(arena.vertices, succ_map,
-                                  lambda v: arena.owner[v] in coalition,
-                                  lambda v: colors[v])
-    return w0, s0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
 from equilibra.negotiation import _parity_constraint, _strongly_connected
 from equilibra.nash import _cycle_through
+from zielonka_reference import solve_parity_on_names
 
 
 def _constr_players(game, lam, v):
@@ -370,8 +371,8 @@ def _solve_game1(game, lam, i, S):
     def color(node):
         return priority(node[1], node[0])
 
-    w0, w1, _, _ = zs.solve_parity(list(seen), prod_succ, is_challenger,
-                                   color)
+    w0, w1, _, _ = solve_parity_on_names(list(seen), prod_succ,
+                                         is_challenger, color)
     winners = set()
     for v, root in roots.items():
         if (root, init_rec) in w0:

@@ -1,13 +1,14 @@
 """The adversarial parity value of every vertex, as `equilibra.zerosum`
 exported it until parity negotiation and `nash.val_requirement` read each
 player's winning region from `negotiation._ParityStructure.won`: Zielonka
-on the whole arena through `zerosum.parity_region`, once per call.  Kept
-verbatim as the oracle those regions are checked against
+on the whole arena through `parity_region` (which `zerosum` exported and
+tests/zielonka_reference.py now holds), once per call.  Kept verbatim as
+the oracle those regions are checked against
 (tests/test_negotiation_parity.py)."""
 
 from fractions import Fraction
 
-from equilibra.zerosum import parity_region
+from zielonka_reference import parity_region
 
 
 def parity_value(game, player):

@@ -486,12 +486,26 @@ WITNESS_EDITS = {
     (["er-eval", "lottery", "--profile", "{blue}", "--player", "circle",
       "--rho", "circle=1", "--precision", "0"],
      "precision 0 is not at least 1"),
+    (["nego-iterate", "sans_spe", "--max=-1"], "--max -1 is negative"),
+    (["spe-exists", "inf_spe", "--max", "-3"], "--max -3 is negative"),
+    (["spe-exists", "fig_ne_spe", "--max", "-3"], "--max -3 is negative"),
+    (["eps-min", "sans_spe", "--max=-2"], "--max -2 is negative"),
+    (["rational-verify", "fig_first_example", "--machine",
+      "machine_1player", "--leader", "square", "--threshold", "9/10",
+      "--max", "-1"], "--max -1 is negative"),
+    (["achaotic-verify", "chaos", "--leader=leader", "--threshold=0",
+      "--max=-4"], "--max -4 is negative"),
+    (["nego", "fig_ne_spe", "--requirement", "{extra_vertex}"],
+     "requirement names unknown vertex zz"),
+    (["fixed-point", "fig_ne_spe", "--requirement", "{extra_vertex}"],
+     "requirement names unknown vertex zz"),
 ])
 def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files = {"missing": tmp_path / "missing.json",
              "truncated": tmp_path / "truncated.json",
              "no_alpha": tmp_path / "no_alpha.json",
              "lam": tmp_path / "lam.json", "blue": tmp_path / "blue.json",
+             "extra_vertex": tmp_path / "extra_vertex.json",
              "directory": tmp_path, "latin1": tmp_path / "latin1.json",
              "fork": tmp_path / "fork.json",
              "zero_weight": tmp_path / "zero_weight.json",
@@ -529,6 +543,8 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     files["no_alpha"].write_text(json.dumps(
         {"W": ["a"], "Wp": ["a"], "lambda": {"a": "0"}, "prover": {}}))
     files["lam"].write_text(json.dumps({"a": "0", "b": "1", "c": "1"}))
+    files["extra_vertex"].write_text(json.dumps(
+        {"a": "1", "b": "0", "c": "0", "zz": "1"}))
     files["blue"].write_text(json.dumps(BLUE))
     argv = [a.format(**files) for a in argv]
     code = run(argv)
@@ -537,6 +553,18 @@ def test_bad_input_is_an_error_answer(tmp_path, capsys, argv, needle):
     assert code == 2 and doc["answer"] == "error" and doc["payload"] == {}
     assert needle in doc["diagnostics"][0]
     assert captured.err == doc["diagnostics"][0] + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nego-iterate", "sans_spe"], ["spe-exists", "inf_spe"],
+    ["eps-min", "sans_spe"],
+    ["rational-verify", "fig_first_example", "--machine", "machine_1player",
+     "--leader", "square", "--threshold", "9/10"],
+    ["achaotic-verify", "chaos", "--leader=leader", "--threshold=0"]])
+def test_max_zero_is_an_answer(capsys, argv):
+    # no iterate at all: an answer, "unknown" where it needs one
+    code, doc = run_cli(capsys, *argv, "--max", "0")
+    assert code == 0 and doc["answer"] in ("yes", "no", "unknown"), doc
 
 
 # a mean-payoff game with a chance vertex, on which no requirement is
@@ -675,6 +703,7 @@ RUNS = [
      "--player", "circle"],
     ["nego", "sans_spe"],
     ["nego-iterate", "sans_spe", "--max", "8"],
+    ["nego-iterate", "fig_ne_spe"],
     ["ne-check", "fig_ne_spe", "--lasso", ";a"],
     ["ne-exists", "fig_ne_spe", "--lower", "circle=1", "--upper",
      "square=1"],
@@ -682,6 +711,7 @@ RUNS = [
      "--lower", "square=1", "--upper", "square=1"],
     ["spe-exists", "sans_spe", "--eps", "1/2", "--max", "4"],
     ["spe-exists", "fig_first_example", "--eps", "1"],
+    ["spe-exists", "fig_ne_spe", "--lower", "circle=1"],
     ["eps-min", "sans_spe", "--precision", "6", "--max", "8"],
     ["product", "fig_first_example", "--machine", "machine_1player",
      "--leader", "square"],

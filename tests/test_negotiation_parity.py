@@ -11,7 +11,7 @@ import parity_region_reference as ref
 import parity_value_reference
 import zielonka_reference
 
-from equilibra import zerosum as zs
+from equilibra import _kernels as K, zerosum as zs
 from equilibra.corpus import load_game
 from equilibra.games import (GameError, Lasso, Arena, PayoffSpec, Game,
                              parse_game, serialize_game)
@@ -352,9 +352,11 @@ def constraints(game, lam):
 @example(DEVIATION_ROBUST)
 def test_feasible_region_matches_subset_enumeration(case):
     game, lam, i, S, _ = case
+    g = game.arena.graph
     assert parity_feasible_region(game, lam, i) == \
         ref.parity_feasible_region(game, lam, i)
-    assert _feasible_round(game, constraints(game, lam), i, S) == {
+    assert g.unmask(_feasible_round(game, constraints(game, lam), i,
+                                    g.mask(S))) == {
         v for v in S if ref._exists_consistent_play(game, lam, i, v, S)}
 
 
@@ -385,9 +387,18 @@ def test_nego_parity_matches_reference_zielonka(case, data):
     got = nego_parity(game, lam)
     solve = zs.solve_parity
 
-    def reference(*args):
-        want = zielonka_reference.solve_parity(*args)
-        assert solve(*args) == want
+    def reference(vertices, off, dst, poff, psrc, is_protag, color):
+        succ = {u: dst[off[u]:off[u + 1]] for u in vertices}
+        want = zielonka_reference.solve_parity(vertices, succ, is_protag,
+                                               color)
+        want = (*[sum(1 << v for v in w) for w in want[:2]], *want[2:])
+        assert solve(vertices, off, dst, poff, psrc, is_protag,
+                     color)[:2] == want[:2]
+        # with the predecessors in the reference's order, the strategies
+        # are the reference's too
+        pred = K.csr(len(vertices), [(w, u) for u in vertices
+                                     for w in succ[u]])
+        assert solve(vertices, off, dst, *pred, is_protag, color) == want
         return want
 
     with mock.patch.object(zs, "solve_parity", reference):
@@ -408,15 +419,16 @@ def test_solve_game1_matches_reference(case, data):
     lam = {v: data.draw(st.sampled_from(BOOLEAN_REQUIREMENTS))
            for v in game.arena.vertices}
     con = constraints(game, lam)
+    g = game.arena.graph
     for i in game.players:
         S = parity_feasible_region(game, lam, i)
         mine = {v for v in S if game.arena.owner[v] == i}
-        assert _solve_game1(game, con, i, S) == \
+        assert g.unmask(_solve_game1(game, con, i, g.mask(S))) == \
             ref._solve_game1(game, lam, i, S) & mine
     got = nego_parity(game, lam)
 
-    def reference(game, con, i, S):
-        return ref._solve_game1(game, lam, i, S)
+    def reference(game, con, i, inS):
+        return g.mask(ref._solve_game1(game, lam, i, g.unmask(inS)))
 
     with mock.patch.object(negotiation, "_solve_game1", reference):
         assert nego_parity(game, lam) == got
@@ -453,17 +465,23 @@ def test_solve_parity_gets_int_ids():
     solve = zs.solve_parity
     sizes = []
 
-    def spy(vertices, succ_map, is_protag, color):
+    def spy(vertices, off, dst, poff, psrc, is_protag, color):
         n = len(vertices)
         assert list(vertices) == list(range(n))
-        assert all(type(w) is int and 0 <= w < n
-                   for u in vertices for w in succ_map[u])
+        assert len(off) == len(poff) == n + 1
+        assert off[n] == poff[n] == len(dst) == len(psrc)
+        assert all(type(w) is int and 0 <= w < n for w in dst)
+        # the predecessor CSR holds the successor CSR's edges reversed
+        edges = [(u, w) for u in vertices for w in dst[off[u]:off[u + 1]]]
+        assert sorted(edges) == sorted(
+            (u, w) for w in vertices for u in psrc[poff[w]:poff[w + 1]])
         sizes.append(n)
-        return solve(vertices, succ_map, is_protag, color)
+        return solve(vertices, off, dst, poff, psrc, is_protag, color)
 
     with mock.patch.object(zs, "solve_parity", spy):
         for game, lam, i, S in guard_games():
-            _solve_game1(game, constraints(game, lam), i, S)
+            _solve_game1(game, constraints(game, lam), i,
+                         game.arena.graph.mask(S))
     assert sizes and max(sizes) > 1
 
 
@@ -481,8 +499,10 @@ def test_sink_alone_is_won_without_a_solve():
         sunk += 1
         with mock.patch.object(zs, "solve_parity",
                                side_effect=AssertionError("solved")):
-            got = _solve_game1(game, constraints(game, lam), i, S)
-        assert got == mine == ref._solve_game1(game, lam, i, S) & mine
+            got = _solve_game1(game, constraints(game, lam), i,
+                               game.arena.graph.mask(S))
+        assert game.arena.graph.unmask(got) == mine == \
+            ref._solve_game1(game, lam, i, S) & mine
     assert sunk > 0
 
 
@@ -577,7 +597,7 @@ def test_concrete_game_contests_only_own_proposals():
         inS = g.mask(S)
         con = constraints(game, lam)
         constr = [1 << o if c == 1 else 0 for c, o in zip(con, owner)]
-        states, succ, roots = negotiation._concrete_game1(game, con, i, S)
+        states, succ, roots = negotiation._concrete_game1(game, con, i, inS)
 
         def proposal(x, M):
             """What a move to x with activation M must reach."""
@@ -585,9 +605,10 @@ def test_concrete_game_contests_only_own_proposals():
                 return negotiation._SINK
             return ("P", x, M)
 
-        for v, r in roots.items():
-            x = g.index[v]
-            assert states[r] == proposal(x, constr[x]), v
+        # a root for each of i's vertices in the region, in id order
+        assert list(roots) == [x for x in K.ids(inS) if owner[x] == me]
+        for x, r in roots.items():
+            assert states[r] == proposal(x, constr[x]), x
         for k, (s, outs) in enumerate(zip(states, succ)):
             got = [states[t] for t in outs]
             if s == negotiation._SINK:
@@ -676,6 +697,34 @@ def test_won_solved_once_per_player_and_never_proposed_into():
             # on the whole arena, once per player that owns a vertex
             assert solved == [len(game.arena.vertices)] * len(owners)
     assert proposals
+
+
+def test_won_hands_zielonka_the_views_own_csr():
+    # no CSR and no index is built to solve a player's own winning region
+    rng = random.Random(47)
+    games = [load_game("fig_ne_spe"), deviation_robust_game()[0]]
+    games += [random_parity_game(rng, n=6, players=3, max_color=3)
+              for _ in range(4)]
+    solve = mock.Mock(wraps=zs.solve_parity)
+    csr = mock.Mock(wraps=K.csr)
+    index = mock.Mock(wraps=K.IndexedGraph.__init__)
+    for game in games:
+        ps = negotiation._ParityStructure(game)
+        g = game.arena.graph
+        solve.reset_mock()
+        with mock.patch.object(zs, "solve_parity", solve), \
+                mock.patch.object(K, "csr", csr), \
+                mock.patch.object(negotiation, "csr", csr), \
+                mock.patch.object(K.IndexedGraph, "__init__", index):
+            regions = [ps.won(me) for me in range(len(ps.players))]
+        assert csr.call_count == 0 and index.call_count == 0
+        assert solve.call_count == len(ps.players)
+        for args in solve.call_args_list:
+            assert args.args[1:5] == (g.off, g.dst, g.poff, g.psrc)
+        for i, region in zip(ps.players, regions):
+            values = parity_value_reference.parity_value(game, i)
+            assert g.unmask(region) == {v for v, x in values.items()
+                                        if x == 1}
 
 
 # ---------------------------------------------------------------------------

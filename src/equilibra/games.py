@@ -1,10 +1,13 @@
 """Game data model: arenas, payoff specifications, lassos, memory profiles.
 
 Everything is immutable after construction and validated on construction.
-Payoffs are exact rationals throughout.
+Payoffs are exact rationals throughout.  Mean-payoff code reads a game's
+rewards through its one integer view, `Game.weights` (`int_weights`).
 """
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 from .rationals import parse_rational, format_rational
@@ -165,6 +168,22 @@ class Game:
 
     def terminals(self):
         return [v for v in self.arena.vertices if self.arena.is_terminal(v)]
+
+    @functools.cached_property
+    def weights(self):
+        """`int_weights` of the game, built on first read."""
+        return int_weights(self.arena, self.payoff)
+
+
+def int_weights(arena, payoff):
+    """(D, weights): D the lcm of every player's reward denominators on
+    every edge, weights[p][(u, v)] the int D * (p's reward on u->v)."""
+    rewards = {p: {e: payoff.reward(p, *e) for e in arena.edges}
+               for p in arena.players}
+    d = math.lcm(*(r.denominator for rs in rewards.values()
+                   for r in rs.values()))
+    return d, {p: {e: r.numerator * (d // r.denominator)
+                   for e, r in rs.items()} for p, rs in rewards.items()}
 
 
 def _rotations(seq):

@@ -379,7 +379,9 @@ def verify_ne_energy(game, profile):
 
 def _verify_ne_expectation(game, profile, transform=None, tol=None):
     """Expectation-NE in terminal mode: exact hit probabilities; terminal
-    payoffs optionally transformed (used by the entropic-risk check)."""
+    payoffs optionally transformed (used by the entropic-risk check).  A
+    gain that is an exact Fraction must not be positive; only an inexact
+    one (a transform's mpf) is allowed up to `tol`."""
     chain = induced_chain(game, profile)
     probs, _ = chain_hit_probabilities(chain)
 
@@ -391,15 +393,8 @@ def _verify_ne_expectation(game, profile, transform=None, tol=None):
         mine = value_of(probs, i)
         best = _best_expectation(game, profile, i, transform)
         gap = best - mine
-        if tol is None:
-            if gap > 0:
-                return False
-        else:
-            if isinstance(gap, Fraction):
-                import mpmath
-                gap = mpmath.mpf(gap.numerator) / mpmath.mpf(gap.denominator)
-            if gap > tol:
-                return False
+        if gap > (0 if tol is None or isinstance(gap, Fraction) else tol):
+            return False
     return True
 
 

@@ -7,6 +7,7 @@ Parity and mean-payoff instantiations are provided; their (eps-)fixed
 points characterize (eps-)SPE outcomes.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_ext, parse_ext
 from .games import GameError, Lasso, eval_lasso
 from . import zerosum as zs
-from ._kernels import csr, ids, scc, scc_of, simple_paths
+from ._kernels import csr, ids, scc, simple_paths
 from .simplex import lex_min_vertex, OPTIMAL
 
 
@@ -301,14 +302,6 @@ def _feasible_round(game, con, i, inS):
     return inS & live
 
 
-def _strongly_connected(Cset, allowed):
-    """Cset (non-empty) is strongly connected along `allowed` and every
-    vertex in it keeps an edge inside it: one SCC with an inner edge."""
-    inner = [(u, x) for u in Cset for x in allowed[u] if x in Cset]
-    _, ncomp = scc_of(Cset, inner)
-    return ncomp == 1 and bool(inner)
-
-
 # the one concrete state for every proposal inside the constrained
 # player's own winning region (`_concrete_game1`)
 _SINK = ("W",)
@@ -563,10 +556,12 @@ def family_consistent(game, lam, fam):
 def _sc_subsets(arena):
     """Nonempty vertex sets strongly connected with at least one edge,
     by size, then by sorted tuple.  Each lies inside one SCC of the arena,
-    so only subsets of an SCC are tested."""
+    so only subsets of an SCC are tested, each as a bitmask over the
+    arena's view: the subgraph it induces is one SCC, with an edge (a
+    self-loop, for one vertex)."""
     g = arena.graph
-    succ = {u: arena.succ(u) for u in g.vertices}
-    comp, _ = scc(g.n, g.off, g.dst)
+    n, off, dst = g.n, g.off, g.dst
+    comp, _ = scc(n, off, dst)
     members = {}
     for u in sorted(g.vertices):
         members.setdefault(comp[g.index[u]], []).append(u)
@@ -574,7 +569,8 @@ def _sc_subsets(arena):
     for group in members.values():
         for size in range(1, len(group) + 1):
             for C in itertools.combinations(group, size):
-                if _strongly_connected(set(C), succ):
+                if scc(n, off, dst, g.mask(C))[1] == 1 and (
+                        size > 1 or C[0] in arena.succ(C[0])):
                     subs.append(C)
     subs.sort(key=lambda C: (len(C), C))
     return [frozenset(C) for C in subs]
@@ -588,8 +584,9 @@ class _MpStructure:
     """What the reduced negotiation game of one mean-payoff game shares
     across requirements: simple cycles and their rotations, strongly
     connected cores with their inner cycles, connectors, the family shapes
-    proposable at each vertex, cycle means, one order key per value the
-    search compares (`order_key`), and per player the lex-least
+    proposable at each vertex, cycle means over the game's int weight
+    view (`Game.weights`, kept as `denom` and `weights`), one order key
+    per value the search compares (`order_key`), and per player the lex-least
     cycle-mean vector of each core, the simplex's LP-vertex payoffs,
     adversarial values, deviation arcs (numbered in one `_ArcTable` per
     player) and the pool skeleton of each vertex; plus the memo of
@@ -609,13 +606,13 @@ class _MpStructure:
     def __init__(self, game):
         self._game = weakref.ref(game)
         self.arena = game.arena
-        self.payoff = game.payoff
+        self.denom, self.weights = game.weights
         self.nego_memo = {}
         self.last_requirement = None
         self._shapes = {}
         self._skeletons = {}
         self._groups = {}
-        self._tables = {}
+        self.tables = collections.defaultdict(_ArcTable)
         self._connectors = {}
         self._means = {}
         self._keys = {}
@@ -735,10 +732,9 @@ class _MpStructure:
         key = (cyc, player)
         m = self._means.get(key)
         if m is None:
-            table = self.table(player)
-            total = sum(table.reward[u, v]
-                        for u, v in zip(cyc, cyc[1:] + cyc[:1]))
-            m = self._means[key] = Fraction(total, len(cyc) * table.scale)
+            weight = self.weights[player]
+            total = sum(weight[u, v] for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            m = self._means[key] = Fraction(total, len(cyc) * self.denom)
         return m
 
     def order_key(self, x):
@@ -819,24 +815,16 @@ class _MpStructure:
             vals = self._vals[i] = zs.mp_values(self._game(), i)
         return vals
 
-    def table(self, i):
-        """Player i's `_ArcTable`."""
-        out = self._tables.get(i)
-        if out is None:
-            out = self._tables[i] = _ArcTable(self.arena, self.payoff, i)
-        return out
-
     def pre_arcs(self, i, h, c):
         """Deviation options of i before the punishing cycle: (target,
-        int weight of the projected segment for i, segment edge count), as
-        a mask over i's arc table."""
+        int weight (`weights`) of the projected segment for i, segment edge
+        count), as a mask over i's arc table."""
         key = (i, h, c)
         out = self._pre.get(key)
         if out is not None:
             return out
         arena = self.arena
-        table = self.table(i)
-        r = table.reward
+        r = self.weights[i]
         arcs = []
         walk = h + c
         wsum = 0
@@ -846,7 +834,7 @@ class _MpStructure:
             if arena.owner[z] == i:
                 arcs.extend((w, wsum + r[z, w], k + 1)
                             for w in arena.succ(z))
-        out = self._pre[key] = table.mask(arcs)
+        out = self._pre[key] = self.tables[i].mask(arcs)
         return out
 
     def post_arcs(self, i, c, W):
@@ -859,25 +847,20 @@ class _MpStructure:
             return out
         arena = self.arena
         m = self.order_key(self.mp_of(c, i))
-        out = self._post[key] = self.table(i).mask(
+        out = self._post[key] = self.tables[i].mask(
             [(w, m) for z in W if arena.owner[z] == i
              for w in arena.succ(z)])
         return out
 
 
 class _ArcTable:
-    """Player i's deviation arcs, each numbered once: a pre-cycle arc as
-    (target, weight, length), with i's rewards scaled to ints by `scale`,
-    the lcm of their denominators, and a post-cycle arc as (target, mean's
+    """One player's deviation arcs, each numbered once: a pre-cycle arc as
+    (target, int weight, length) and a post-cycle arc as (target, mean's
     order key).
     A set of arcs is an int mask over that numbering, so one family's
     arcs are a subset of another's exactly when `a & ~b == 0`."""
 
-    def __init__(self, arena, payoff, i):
-        rewards = {e: payoff.reward(i, *e) for e in arena.edges}
-        self.scale = math.lcm(*(r.denominator for r in rewards.values()))
-        self.reward = {e: r.numerator * (self.scale // r.denominator)
-                       for e, r in rewards.items()}
+    def __init__(self):
         self.arcs = []
         self._ids = {}
         self._decoded = {}
@@ -993,7 +976,7 @@ class _MpContext:
     def __init__(self, game, lam, i):
         self.i = i
         self.shared = _mp_structure(game)
-        self.table = self.shared.table(i)
+        self.table = self.shared.tables[i]
         self.req = _requirement(game, lam)
         self._pools = self.req.pools.setdefault(i, {})
         # per pooled family: its acceptance for i as an order key, and its
@@ -1042,10 +1025,6 @@ class _MpContext:
             self.pool(u)
             out = self._min_accept[u]
         return out
-
-    def min_accept(self, u):
-        """The least acceptance of u's pool (+inf when it is empty)."""
-        return self.min_accept_key(u)[1]
 
     def val_lb(self, u):
         """Adversarial value: a lower bound on the negotiation value at u
@@ -1117,10 +1096,11 @@ def _leaf_graph(ctx, assignment, reached):
 
 
 def _assignment_value(ctx, root, assignment):
-    """Challenger's exact best value against a complete Prover map: the
-    best reached acceptance, the best mean of a cycle of pre-cycle
-    deviations (Karp, each arc of length ln cut into ln unit edges), and
-    the best min-pumped mean of a cycle through post-cycle deviations."""
+    """Challenger's exact best value against a complete Prover map, as an
+    order key: the best reached acceptance, the best mean of a cycle of
+    pre-cycle deviations (Karp, each arc of length ln cut into ln unit
+    edges, over D), and the best min-pumped mean of a cycle through
+    post-cycle deviations."""
     best, reached = _challenger_reach(ctx, root, assignment)
     pre, post = _leaf_graph(ctx, assignment, reached)
     unit = []
@@ -1134,7 +1114,7 @@ def _assignment_value(ctx, root, assignment):
         unit.append((prev, w, wt))
     val = zs.karp_max_mean(extra, unit)
     if val is not None:
-        val = ctx.shared.order_key(val / ctx.table.scale)
+        val = ctx.shared.order_key(val / ctx.shared.denom)
         if val > best:
             best = val
     # the best post mean m on a cycle of pre arcs and post arcs of mean >=
@@ -1148,7 +1128,7 @@ def _assignment_value(ctx, root, assignment):
             if _on_cycle(len(reached), pre, post, lambda x: x >= m):
                 best = m
                 break
-    return best[1]
+    return best
 
 
 def _on_cycle(n, pre, post, hot):
@@ -1178,7 +1158,7 @@ def _leaf_reaches(ctx, assignment, reached, accept, t, strict):
     pre, post = _leaf_graph(ctx, assignment, reached)
     n = len(reached)
     return (_on_cycle(n, pre, post, passes)
-            or _ratio_cycle_reaches(n, pre, ctx.table.scale, x, strict))
+            or _ratio_cycle_reaches(n, pre, ctx.shared.denom, x, strict))
 
 
 def _ratio_cycle_reaches(n, arcs, scale, t, strict):
@@ -1242,7 +1222,7 @@ def _mp_value_at(ctx, root, stop_at=None):
     search = _Search(ctx, root, stop, lb)
     greedy = _greedy_assignment(ctx, root)
     if greedy is not None:
-        val = key(_assignment_value(ctx, root, greedy))
+        val = _assignment_value(ctx, root, greedy)
         if stop is not None and val <= stop:
             return val[1], greedy
         search.best, search.best_assign = val, dict(greedy)
@@ -1296,8 +1276,7 @@ class _Search:
             # exact value is needed only at a leaf that is not cut
             if _leaf_reaches(ctx, assignment, reached, accept, *self.limit()):
                 return False
-            self.best = ctx.shared.order_key(
-                _assignment_value(ctx, self.root, assignment))
+            self.best = _assignment_value(ctx, self.root, assignment)
             self.best_assign = dict(assignment)
             return self.stop_at is not None or self.best <= self.lb
         u = pending[0]

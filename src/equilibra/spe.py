@@ -8,15 +8,15 @@ fits the thresholds at all, a converged iteration identifies the least
 iteration blows up at the initial vertex), or unknown at the cap.
 """
 
+import math
 from fractions import Fraction
 
 from .rationals import PINF, NINF, format_rational, parse_rational
 from .games import GameError, payoff_vector, cycle_id
 from . import zerosum as zs
-from ._kernels import reach, scc_of
+from ._kernels import csr, reach, scc, scc_of
 from .negotiation import (vacuous_requirement, nego_iterate, nego_mp,
-                          family_consistent,
-                          _MpContext, _mp_value_at, _strongly_connected,
+                          family_consistent, _MpContext, _mp_value_at,
                           _eps_fixed, requirement_to_json,
                           requirement_from_json, Family)
 from .nash import Query, search_consistent_parity, search_consistent_combo
@@ -158,18 +158,27 @@ def mp_deviation_graph_value(game, lam, i, tau, alpha):
             prev = extra
             extra += 1
         unit.append((prev, idx[w], wt))
-    val = zs.karp_max_mean(extra, unit)
-    if val is not None and val > alpha:
+    d = math.lcm(*(wt.denominator for _, _, wt in unit))  # Karp takes ints
+    val = zs.karp_max_mean(extra, [(u, w, int(wt * d)) for u, w, wt in unit])
+    if val is not None and val / d > alpha:
         return False
     # (c) a cycle through post-cycle deviations all above alpha
     edges = {(idx[v], idx[w]) for (v, w, _, _) in pre}
     hot = [(idx[v], idx[w]) for (v, w, m) in post if m > alpha]
     edges |= set(hot)
-    comp, _ = scc_of(range(len(roots)), sorted(edges))
+    comp, _ = scc(len(roots), *csr(len(roots), sorted(edges)))
     for (a, b) in hot:
         if comp[a] == comp[b]:
             return False
     return True
+
+
+def _strongly_connected(Cset, allowed):
+    """Cset (non-empty) is strongly connected along `allowed` and every
+    vertex in it keeps an edge inside it: one SCC with an inner edge."""
+    inner = [(u, x) for u in Cset for x in allowed[u] if x in Cset]
+    _, ncomp = scc_of(Cset, inner)
+    return ncomp == 1 and bool(inner)
 
 
 def _validate_family(game, v, fam):
@@ -476,13 +485,9 @@ def epsilon_min_search(game, precision_bits=24, max_iters=24):
         return {"answer": "yes", "eps_min": Fraction(0)}
     if first == "unknown":
         return {"answer": "unknown"}
-    spread = Fraction(0)
-    for p in game.players:
-        vals = [game.payoff.reward(p, u, v) for (u, v) in game.arena.edges]
-        d = max(vals) - min(vals)
-        if d > spread:
-            spread = d
-    hi = spread
+    denom, weights = game.weights
+    hi = Fraction(max((max(w.values()) - min(w.values())
+                       for w in weights.values()), default=0), denom)
     hi_ans = pred(hi)
     if hi_ans != "yes":
         return {"answer": "unknown"}

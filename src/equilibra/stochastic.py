@@ -699,7 +699,8 @@ def modified_reward(params, player, x):
 
 def verify_erse_stationary(game, params, profile, tol=None):
     """Stationary ERSE check: replace terminal payoffs by the modified
-    rewards, then an expectation-NE check with tolerance."""
+    rewards, then an expectation-NE check: exact for a player whose rho
+    is 0 (the gain is a Fraction), within `tol` (1e-9) for the others."""
     if game.mode != "terminal":
         raise GameError("terminal mode required")
     if len(profile.states) != 1:

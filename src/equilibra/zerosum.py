@@ -192,22 +192,12 @@ def cycle_mean(cycle, weight):
 
 def karp_min_mean(n, edges):
     """Karp's algorithm: exact min cycle mean over a digraph given as
-    (u, v, weight) triples; returns None if acyclic.  Value only.
-    Weights (ints or Fractions) are scaled to integers once, the DP and
-    the comparisons run on ints."""
-    denom, iedges = _scaled(edges)
+    (u, v, int weight) triples; returns None if acyclic.  Value only."""
     scale = math.lcm(*range(1, n + 1))
-    comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in iedges]))
-    best = min((x for x in _scc_min_means(comp, ncomp, iedges, scale)
+    comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in edges]))
+    best = min((x for x in _scc_min_means(comp, ncomp, edges, scale)
                 if x is not None), default=None)
-    return None if best is None else Fraction(best, scale * denom)
-
-
-def _scaled(edges):
-    """(D, the edges with each weight times D), D the lcm of denominators."""
-    denom = math.lcm(*[w.denominator for _, _, w in edges])
-    return denom, [(u, v, w.numerator * (denom // w.denominator))
-                   for u, v, w in edges]
+    return None if best is None else Fraction(best, scale)
 
 
 def _scc_min_means(comp, ncomp, edges, scale):
@@ -336,14 +326,14 @@ def mp_values(game, player):
     reachable cycle with least mean.  Per strategy, one Tarjan pass numbers
     each SCC after those it reaches, so one sweep in increasing SCC id
     gives each SCC the least of its Karp mean and its successors' values,
-    never None as the arena has no dead end.
+    never None as the arena has no dead end.  Reads `game.weights`.
     """
     arena = game.arena
     g = arena.graph
     n, off, dst, index = g.n, g.off, g.dst, g.index
-    denom, iedges = _scaled([(index[u], index[v],
-                              game.payoff.reward(player, u, v))
-                             for u, v in arena.edges])
+    denom, weights = game.weights
+    weight = weights[player]
+    iedges = [(index[u], index[v], weight[u, v]) for u, v in arena.edges]
     scale = math.lcm(*range(1, n + 1))
     # a strategy picks one successor at each of the player's vertices
     # and leaves every other vertex's moves (-1) to the hostile rest

@@ -5,9 +5,12 @@ positional enumeration, exhaustive subsets) so the clever implementations
 are checked against independent code.
 """
 
+import gc
 import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from equilibra.corpus import read_text
 from equilibra.games import (Arena, PayoffSpec, Game, GameError,
@@ -15,6 +18,18 @@ from equilibra.games import (Arena, PayoffSpec, Game, GameError,
 from equilibra.games import chain_hit_probabilities
 
 PLAYERS = ["circle", "square", "diamond"]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _gc_callbacks_as_found():
+    """Leave the collector's callbacks as each module found them.
+    Hypothesis adds one on first use and never takes it out; a later test
+    that times a signal (querybench/test_trace_counts.py) would then see
+    its handler run inside that callback whenever a collection overlaps
+    the signal, which `test_budget_alarm.py` shows on purpose."""
+    before = list(gc.callbacks)
+    yield
+    gc.callbacks[:] = before
 
 
 def _patch_ingoing(rng, vertices, edges, init, may_source):

@@ -21,9 +21,11 @@ from fractions import Fraction
 
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
-from equilibra.negotiation import Family, _MpStructure, _strongly_connected
+from equilibra.negotiation import Family, _MpStructure
 from equilibra.rationals import NINF, PINF
 from equilibra.simplex import OPTIMAL, lex_min_vertex
+from equilibra.spe import _strongly_connected
+from mp_values_reference import on_fractions
 from path_walk_reference import _simple_paths_from
 
 
@@ -58,6 +60,7 @@ class ReferenceStructure(_MpStructure):
 
     def __init__(self, game):
         super().__init__(game)
+        self.payoff = game.payoff
         self._paths = {}
 
     @functools.cached_property
@@ -318,7 +321,7 @@ def _assignment_value(ctx, root, assignment, cheap=False):
             prev = extra
             extra += 1
         unit.append((prev, nodes[w], wt))
-    val = zs.karp_max_mean(extra, unit)
+    val = on_fractions(zs.karp_max_mean, extra, unit)
     if val is not None and val > best:
         best = val
     # (c): cycles through post arcs, value = min pumped mean on the cycle

@@ -5,13 +5,25 @@
 # into SCCs, ran `karp_min_mean` (which split each component again) on
 # every component and closed reachability with a fixpoint loop.  The
 # positional-strategy enumeration itself is also the oracle for any
-# replacement of `mp_values` that does not enumerate strategies.
+# replacement of `mp_values` that does not enumerate strategies.  This
+# `karp_min_mean` still takes rational weights; `on_fractions` hands such
+# weights to the package's Karp, which takes ints only.
 
 import itertools
 import math
 from fractions import Fraction
 
 from equilibra import _kernels as K
+
+
+def on_fractions(karp, n, edges):
+    """`karp` (`zerosum.karp_min_mean` or `karp_max_mean`, which take int
+    weights) on (u, v, weight) edges with rational weights: each weight
+    times d, the lcm of their denominators, and the mean over d."""
+    d = math.lcm(*(w.denominator for _, _, w in edges))
+    val = karp(n, [(u, v, w.numerator * (d // w.denominator))
+                   for u, v, w in edges])
+    return None if val is None else val / d
 
 
 def karp_min_mean(n, edges):

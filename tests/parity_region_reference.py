@@ -19,7 +19,8 @@ from fractions import Fraction
 from equilibra.games import Lasso
 from equilibra import zerosum as zs
 from equilibra._kernels import scc_of
-from equilibra.negotiation import _parity_constraint, _strongly_connected
+from equilibra.negotiation import _parity_constraint
+from equilibra.spe import _strongly_connected
 from equilibra.nash import _cycle_through
 from zielonka_reference import solve_parity_on_names
 

@@ -20,6 +20,7 @@ from equilibra._kernels import reach, scc_of
 from equilibra import zerosum as zs
 
 from xrse_support_reference import almost_sure_reach_game, extreme_measure
+from mp_values_reference import on_fractions
 
 
 def induced_chain(game, profile):
@@ -401,8 +402,7 @@ def _best_mp(game, i, nodes, succ, start):
             if t in idx:
                 edges.append((idx[s], idx[t],
                               game.payoff.reward(i, s[0], t[0])))
-    best = zs.karp_max_mean(len(order), edges)
-    return best
+    return on_fractions(zs.karp_max_mean, len(order), edges)
 
 
 def _verify_ne_expectation(game, profile, transform=None, tol=None):

@@ -142,6 +142,26 @@ def test_er_eval_cli(tmp_path, capsys):
     assert doc["payload"]["value"].startswith("0.02531780")
 
 
+def test_erse_verify_is_exact_where_every_rho_is_0(tmp_path, capsys):
+    # circle's profile takes tA; deviating to tB gains exactly 10^-12
+    fork, to_a = tmp_path / "fork.json", tmp_path / "to_a.json"
+    fork.write_text(json.dumps(dict(FORK, terminals={
+        "tA": {"circle": "1"},
+        "tB": {"circle": "1000000000001/1000000000000"}})))
+    to_a.write_text(json.dumps({
+        "states": ["q0"], "initial": "q0", "owners": ["circle"],
+        "transitions": [{"from": "q0", "reads": "a", "to": "q0",
+                         "emit": "tA"}]}))
+    argv = ["erse-verify", str(fork), "--profile", str(to_a)]
+    for rho in [[], ["--rho", "circle=0"]]:
+        code, doc = run_cli(capsys, *argv, *rho)
+        assert (code, doc["answer"]) == (0, "no")
+        assert doc["payload"] == {"tolerance": "exact"}
+    # rho 1 still compares with a tolerance
+    _, doc = run_cli(capsys, *argv, "--rho", "circle=1")
+    assert doc["payload"] == {"tolerance": "1e-9"}
+
+
 def test_byte_stability(capsys):
     outs = set()
     for _ in range(3):

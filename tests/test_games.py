@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from equilibra.corpus import corpus_list, load_game, read_text, GAMES, \
     MACHINES
+from equilibra import games
 from equilibra.games import (GameError, Lasso, parse_game, serialize_game,
                              parse_memory, serialize_memory, eval_lasso,
                              payoff_vector, product_game, vacuous_memory,
                              induced_chain, chain_hit_probabilities,
-                             MemoryProfile, canonical_cycle)
-from conftest import load_memory, uniform_profile
+                             MemoryProfile, canonical_cycle, Arena,
+                             PayoffSpec, int_weights)
+from conftest import PLAYERS, load_memory, uniform_profile
 
 
 def test_corpus_roundtrip():
@@ -239,3 +242,51 @@ def test_enabled_keeps_transition_order():
     assert prof.enabled("q1", "a") == ()
     assert not prof.is_deterministic()
     assert prof.weight(ts[2]) == Fraction(1, 2)
+
+
+@st.composite
+def reward_tables(draw):
+    """(arena, payoff): 1-5 vertices, each with a successor, and 2-3
+    players.  The first player's rewards are all ints; the others' have
+    mixed denominators.  Some edges give some players no reward (0)."""
+    vertices = [f"v{k}" for k in range(draw(st.integers(1, 5)))]
+    vertex = st.sampled_from(vertices)
+    edges = sorted({(v, draw(vertex)) for v in vertices}
+                   | set(draw(st.lists(st.tuples(vertex, vertex),
+                                       max_size=6))))
+    names = PLAYERS[:draw(st.integers(2, 3))]
+    kinds = [st.integers(-5, 5)] + [st.builds(
+        Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7]))
+        for _ in names[1:]]
+    rewards = {e: {p: draw(kind) for p, kind in zip(names, kinds)
+                   if draw(st.booleans())} for e in edges}
+    arena = Arena(names, vertices, {v: names[0] for v in vertices}, edges)
+    return arena, PayoffSpec("mean-payoff", rewards=rewards)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reward_tables())
+def test_int_weights_scale_every_reward_by_one_denominator(table):
+    arena, payoff = table
+    denom, weights = int_weights(arena, payoff)
+    rewards = {p: {e: payoff.reward(p, *e) for e in arena.edges}
+               for p in arena.players}
+    assert denom == math.lcm(*(r.denominator for rs in rewards.values()
+                               for r in rs.values()))
+    assert set(weights) == set(arena.players)
+    for p, rs in rewards.items():
+        assert set(weights[p]) == set(arena.edges)
+        for e, r in rs.items():
+            assert type(weights[p][e]) is int
+            assert Fraction(weights[p][e], denom) == r
+
+
+def test_weight_view_built_once_per_game(monkeypatch):
+    built = []
+    real = games.int_weights
+    monkeypatch.setattr(games, "int_weights",
+                        lambda *args: built.append(args) or real(*args))
+    game = load_game("not_stationary")
+    assert not built  # not before the first read
+    assert game.weights is game.weights
+    assert built == [(game.arena, game.payoff)]

@@ -15,7 +15,8 @@ from equilibra._kernels import (IndexedGraph, attractor, csr, reach,
                                 reachable, scc, scc_of, simple_paths)
 from equilibra.cli import run
 from equilibra.games import Arena
-from equilibra.negotiation import _MpStructure, _strongly_connected
+from equilibra.negotiation import _MpStructure
+from equilibra.spe import _strongly_connected
 
 
 graphs = st.integers(1, 9).flatmap(

@@ -186,6 +186,30 @@ def test_warm_spe_and_eps_min_match_cold_copy():
         assert warm == cold, serialize_game(g)
 
 
+def test_no_reward_read_once_the_weight_view_is_built(monkeypatch):
+    # `mp_values` and `nego_mp` read the rewards only through `Game.weights`
+    games = [load_game(name) for name in MP_CORPUS] + [random_mp_game(
+        random.Random(seed), n=4, rewards=(Fraction(-1, 2), 0, 1,
+                                           Fraction(5, 3)))
+        for seed in range(3)]
+    reads = []
+    real = PayoffSpec.reward
+
+    def spy(self, *args):
+        reads.append(args)
+        return real(self, *args)
+
+    for game in games:
+        game.weights  # built before the spy goes in
+        with monkeypatch.context() as patch:
+            patch.setattr(PayoffSpec, "reward", spy)
+            for p in game.players:
+                zs.mp_values(game, p)
+            nego_mp(game, val_requirement(game))
+            nego_iterate(game, max_iters=3)
+    assert not reads
+
+
 def test_nego_mp_returns_a_fresh_dict():
     sans = load_game("sans_spe")
     lam = vacuous_requirement(sans)
@@ -618,8 +642,8 @@ def compared_values(draw):
     for _ in range(draw(st.integers(0, 2))):
         n = draw(st.integers(1, 4))
         node = st.integers(0, n - 1)
-        edges = draw(st.lists(st.tuples(node, node, st.builds(
-            Fraction, st.integers(-9, 9))), min_size=1, max_size=6))
+        edges = draw(st.lists(st.tuples(node, node, st.integers(-9, 9)),
+                              min_size=1, max_size=6))
         best = zs.karp_max_mean(n, edges)
         if best is not None:
             values.append(best / scale)
@@ -702,7 +726,7 @@ def expanded_max_mean(n, arcs):
             prev = extra
             extra += 1
         unit.append((prev, w, wt))
-    return zs.karp_max_mean(extra, unit)
+    return mp_ref.on_fractions(zs.karp_max_mean, extra, unit)
 
 
 @settings(max_examples=300, deadline=None)
@@ -735,8 +759,9 @@ def test_exact_leaf_values_only_where_the_search_moves(monkeypatch):
     exact, reaches = negotiation._assignment_value, negotiation._leaf_reaches
 
     def counting_exact(ctx, root, assignment):
-        values.append(exact(ctx, root, assignment))
-        return values[-1]
+        key = exact(ctx, root, assignment)  # an order key carrying the value
+        values.append(key[1])
+        return key
 
     def counting_test(*args, **kwargs):
         tests.append(1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from equilibra.corpus import load_game
 from equilibra.games import (GameError, MemoryProfile, Arena, PayoffSpec,
                              Game)
-from equilibra.nash import Query
+from equilibra.nash import Query, _verify_ne_expectation
 from equilibra.stochastic import (RiskPartition, EntropicParams,
                                   extreme_measure, entropic_measure,
                                   verify_xrse, xrse_exists,
@@ -319,6 +319,20 @@ def test_erse_lottery():
     pm = EntropicParams("e", {"circle": Fraction(-2)})
     assert verify_erse_stationary(lot, pm, blue)
     assert not verify_erse_stationary(lot, pm, red)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.data())
+def test_erse_at_rho_0_is_the_exact_expectation_check(seed, data):
+    # terminal payoffs 10^-12 apart: every gain between terminals lies far
+    # below the 1e-9 tolerance
+    game = random_terminal_game(random.Random(seed), n=4, payoffs=(
+        1, 1 + Fraction(1, 10 ** 12)))
+    choices = data.draw(st.sampled_from(list(positional_profiles(game))))
+    profile = profile_of_choices(game, choices)
+    params = EntropicParams("e", {p: Fraction(0) for p in game.players})
+    assert verify_erse_stationary(game, params, profile) \
+        == _verify_ne_expectation(game, profile, tol=None)
 
 
 def oracle_averse_constrained(game, query):

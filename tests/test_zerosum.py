@@ -13,7 +13,8 @@ import zielonka_reference as ref
 from extreme_value_reference import extreme_adversarial_value
 
 from equilibra.corpus import load_game
-from equilibra.games import Arena, GameError, Lasso, PayoffSpec, eval_lasso
+from equilibra.games import (Arena, Game, GameError, Lasso, PayoffSpec,
+                             eval_lasso, int_weights)
 from equilibra import _kernels as K, zerosum as zs
 from conftest import (PLAYERS, random_parity_game, random_terminal_game,
                       oracle_parity_val, oracle_extreme_value,
@@ -145,11 +146,14 @@ def rewards_of(game, player):
     return lambda u, v: game.payoff.reward(player, u, v)
 
 
-def karp_of(arena, weight, verts):
+def karp_of(game, player, verts):
+    """Karp's min mean of player's rewards on the subgraph of verts, fed
+    from the game's int view."""
+    denom, weights = game.weights
     index = {v: k for k, v in enumerate(sorted(verts))}
     return zs.karp_min_mean(len(index), [
-        (index[u], index[w], weight(u, w)) for u in index
-        for w in arena.succ(u) if w in index])
+        (index[u], index[w], weights[player][u, w]) for u in index
+        for w in game.arena.succ(u) if w in index]) / denom
 
 
 def test_min_mean_cycle_examples():
@@ -158,17 +162,19 @@ def test_min_mean_cycle_examples():
     circle = rewards_of(sans, "circle")
     val, cyc = min_mean_cycle(sans.arena, circle, restrict={"a", "b"})
     assert val == 0 and cyc == ["a", "b"]
-    assert karp_of(sans.arena, circle, {"a", "b"}) == val
+    assert karp_of(sans, "circle", {"a", "b"}) == val
     inf = load_game("inf_spe")
     circle = rewards_of(inf, "circle")
     val, cyc = min_mean_cycle(inf.arena, circle)
     assert val == 0 and cyc == ["a"]
-    assert karp_of(inf.arena, circle, inf.arena.vertices) == val
+    assert karp_of(inf, "circle", inf.arena.vertices) == val
     # single self-loop
     arena = Arena(["circle"], ["a"], {"a": "circle"}, [("a", "a")], init="a")
     val, cyc = min_mean_cycle(arena, lambda u, v: Fraction(5))
     assert val == 5 and cyc == ["a"]
-    assert karp_of(arena, lambda u, v: Fraction(5), {"a"}) == 5
+    loop = Game(arena, PayoffSpec("mean-payoff", rewards={
+        ("a", "a"): {"circle": Fraction(5)}}))
+    assert karp_of(loop, "circle", {"a"}) == 5
 
 
 def test_karp_vs_enumeration():
@@ -185,11 +191,11 @@ def test_karp_vs_enumeration():
         idx = g.arena.graph.index
         edges = [(idx[u], idx[v], weights[(u, v)])
                  for (u, v) in g.arena.edges]
-        karp = zs.karp_min_mean(len(g.arena.vertices), edges)
+        karp = mp_ref.on_fractions(zs.karp_min_mean, len(idx), edges)
         cycles = zs.simple_cycles(g.arena.vertices, g.arena.succ)
         best = min(zs.cycle_mean(c, lambda u, v: weights[(u, v)])
                    for c in cycles)
-        assert karp == best
+        assert karp == best == mp_ref.karp_min_mean(len(idx), edges)
 
 
 def test_parity_region_examples():
@@ -292,8 +298,9 @@ def test_mp_values_inf_spe():
 def mp_games(draw):
     """A mean-payoff game on 2-7 vertices with out-degree 1-3 (self-loops
     allowed) and 2-3 players; its rewards are all ints or a mix of
-    denominators.  `mp_values` reads only the arena and the rewards, so
-    vertices with no ingoing edge are kept: the game is not validated."""
+    denominators.  `mp_values` reads only the arena and the int weight
+    view of the rewards, so vertices with no ingoing edge are kept: the
+    game is not validated."""
     vertices = [f"v{k}" for k in range(draw(st.integers(2, 7)))]
     names = PLAYERS[:draw(st.integers(2, 3))]
     owner = {v: draw(st.sampled_from(names)) for v in vertices}
@@ -306,20 +313,25 @@ def mp_games(draw):
                            st.sampled_from([1, 2, 3, 4, 5]))
     rewards = {e: {p: draw(weight) for p in names} for e in edges}
     arena = Arena(names, vertices, owner, edges, init=vertices[0])
-    return types.SimpleNamespace(
-        arena=arena, payoff=PayoffSpec("mean-payoff", rewards=rewards))
+    payoff = PayoffSpec("mean-payoff", rewards=rewards)
+    return types.SimpleNamespace(arena=arena, payoff=payoff,
+                                 weights=int_weights(arena, payoff))
 
 
 @settings(max_examples=300, deadline=None)
 @given(mp_games())
 def test_mp_values_and_karp_match_reference(game):
     arena = game.arena
+    index, n = arena.graph.index, len(arena.vertices)
+    denom, weights = game.weights
     for p in arena.players:
         assert zs.mp_values(game, p) == mp_ref.mp_values(game, p)
-        edges = [(arena.graph.index[u], arena.graph.index[v],
-                  game.payoff.reward(p, u, v)) for u, v in arena.edges]
-        n = len(arena.vertices)
-        assert zs.karp_min_mean(n, edges) == mp_ref.karp_min_mean(n, edges)
+        edges = [(index[u], index[v], game.payoff.reward(p, u, v))
+                 for u, v in arena.edges]
+        iedges = [(index[u], index[v], weights[p][u, v])
+                  for u, v in arena.edges]
+        assert zs.karp_min_mean(n, iedges) / denom \
+            == mp_ref.karp_min_mean(n, edges)
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,9 +3,11 @@ and simple paths.
 
 `reachable`, `attractor` and `scc` work on CSR arrays over int vertex ids
 (`csr` builds them); `IndexedGraph` maps named vertices onto those arrays.
-Each arena holds one, `Arena.graph`, which every helper on that arena reads.
-`scc_of`, `reach` and `simple_paths` take named (any hashable) vertices
-directly.
+Each arena holds one, `Arena.graph`, which every helper on that arena reads;
+an edge subset of the arena is a list of id pairs, which `restrict` turns
+into the same arrays.  `reach` and `simple_paths` take named (any
+hashable) vertices directly, for graphs with no int view such as product
+closures.
 
 Vertex sets are int bitmasks over the ids (bit v set for vertex v).
 `attractor`, the package's only attractor, works inside a sub-game mask
@@ -152,18 +154,6 @@ def scc(n, off, dst, sub=None):
                             break
                     ncomp += 1
     return comp, ncomp
-
-
-def scc_of(vertices, edges):
-    """SCCs of a digraph over hashable vertices: (component id per vertex
-    as a dict, count).  Ids are those `scc` gives when vertex k of
-    `vertices` is int k and the edges keep their order, so callers that
-    pick witnesses by component id see a stable numbering."""
-    vertices = list(vertices)
-    index = {v: k for k, v in enumerate(vertices)}
-    n = len(vertices)
-    comp, ncomp = scc(n, *csr(n, [(index[u], index[v]) for u, v in edges]))
-    return dict(zip(vertices, comp)), ncomp
 
 
 def reach(succ, sources, within=None):

@@ -13,7 +13,7 @@ from .rationals import PINF, NINF
 from .games import (GameError, Lasso, eval_lasso, payoff_vector, cycle_id,
                     CHANCE, TERMINAL, profile_product, product_chain,
                     induced_chain, chain_hit_probabilities)
-from ._kernels import scc_of, simple_paths
+from ._kernels import csr, scc, simple_paths
 from .negotiation import (is_lambda_consistent, parity_components,
                           val_requirement, _mp_structure)
 from .simplex import lp_feasible
@@ -339,7 +339,8 @@ def _energy_feasible(game, player, product, start):
             if abs(r) > cap:
                 cap = abs(r)
     bound = cap * (len(product) + 1) + 1
-    seen = {(start, Fraction(0))}
+    # the saturated states, numbered as they are found
+    number = {(start, Fraction(0)): 0}
     stack = [(start, Fraction(0))]
     edges = []
     while stack:
@@ -351,12 +352,13 @@ def _energy_feasible(game, player, product, start):
             if e2 > bound:
                 e2 = bound
             after = (nxt, e2)
-            edges.append((state, after))
-            if after not in seen:
-                seen.add(after)
+            if after not in number:
+                number[after] = len(number)
                 stack.append(after)
+            edges.append((number[state], number[after]))
     # cycle detection over the saturated state graph
-    comp, _ = scc_of(seen, edges)
+    n = len(number)
+    comp, _ = scc(n, *csr(n, edges))
     return any(comp[s] == comp[t] for s, t in edges)
 
 

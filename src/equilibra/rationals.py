@@ -7,8 +7,8 @@ since the underlying theory never forms it.
 
 from fractions import Fraction
 
-__all__ = ["PINF", "NINF", "Ext", "ext", "parse_rational", "format_rational",
-           "parse_ext", "format_ext"]
+__all__ = ["PINF", "NINF", "parse_rational", "format_rational", "parse_ext",
+           "format_ext"]
 
 
 class _Infinity:
@@ -82,20 +82,6 @@ class _Infinity:
 
 PINF = _Infinity(1)
 NINF = _Infinity(-1)
-
-#: An extended rational is a Fraction, or one of the two module-level
-#: infinity singletons.  "Ext" exists for documentation and isinstance use.
-Ext = (Fraction, _Infinity)
-
-
-def ext(x):
-    """Coerce int/str/Fraction to an extended rational."""
-    if isinstance(x, _Infinity) or isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return parse_ext(x)
-    return Fraction(x)
-
 
 def parse_rational(text):
     """Parse a "p/q" or integer string into a Fraction; q > 0 and gcd = 1

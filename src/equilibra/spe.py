@@ -14,7 +14,7 @@ from fractions import Fraction
 from .rationals import PINF, NINF, format_rational, parse_rational
 from .games import GameError, payoff_vector, cycle_id
 from . import zerosum as zs
-from ._kernels import csr, reach, scc, scc_of
+from ._kernels import csr, ids, reach, scc
 from .negotiation import (vacuous_requirement, nego_iterate, nego_mp,
                           family_consistent, _MpContext, _mp_value_at,
                           _eps_fixed, requirement_to_json,
@@ -173,12 +173,14 @@ def mp_deviation_graph_value(game, lam, i, tau, alpha):
     return True
 
 
-def _strongly_connected(Cset, allowed):
-    """Cset (non-empty) is strongly connected along `allowed` and every
-    vertex in it keeps an edge inside it: one SCC with an inner edge."""
-    inner = [(u, x) for u in Cset for x in allowed[u] if x in Cset]
-    _, ncomp = scc_of(Cset, inner)
-    return ncomp == 1 and bool(inner)
+def _strongly_connected(g, sub):
+    """The bitmask `sub` (non-empty) of the int view g's ids is strongly
+    connected in g and every vertex in it keeps an edge inside it: one
+    SCC of the subgraph it induces, with an inner edge."""
+    off, dst = g.off, g.dst
+    _, ncomp = scc(g.n, off, dst, sub)
+    return ncomp == 1 and any(sub >> dst[k] & 1 for u in ids(sub)
+                              for k in range(off[u], off[u + 1]))
 
 
 def _validate_family(game, v, fam):
@@ -259,7 +261,7 @@ def check_mp_witness(game, eps, witness, query):
                 Fraction(0))
             for j in game.players)
     # W strongly connected and accessible from init through W'
-    if not _strongly_connected(W, inner):
+    if not _strongly_connected(arena.graph, arena.graph.mask(W)):
         return False
     if not W & reach({u: arena.succ(u) for u in Wp}, [arena.init],
                      within=Wp):

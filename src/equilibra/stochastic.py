@@ -15,7 +15,7 @@ from .games import (GameError, MemoryProfile, CHANCE, TERMINAL,
                     induced_chain, chain_hit_probabilities, profile_product,
                     covered_product)
 from . import zerosum as zs
-from ._kernels import IndexedGraph, reach
+from ._kernels import IndexedGraph, attractor, csr, reach, reachable
 from .nash import _verify_ne_expectation
 
 
@@ -179,53 +179,63 @@ def _top_thresholds(game):
 
 # ---------------------------------------------------------------------------
 # Algorithm 1: exhibition of a stationary XRSE (nonnegative payoffs)
+#
+# Algorithms 1-3 run on the arena's int view g = arena.graph.  An edge set
+# is a list of id pairs in the order of the names they stand for, and it
+# becomes CSR once per round (`_edge_arrays`); vertex sets are bitmasks,
+# named only in trace rows and return values.
 
 
-def _support_measures(game, edges, mode):
-    """Support of the uniform profile over an edge set, from init:
-    reachable terminal payoffs plus 0 when non-termination has positive
-    probability.  mode picks the non-termination criterion: "chain" for
-    fully randomizing profiles and per-visit re-randomization,
-    "positional" for first-visit commitment."""
+def _edge_arrays(g, edges):
+    """(off, dst, poff, psrc) of the id pairs `edges`, some of the arena
+    view g's edges (none twice): g's own arrays when that is all of them."""
+    if len(edges) == len(g.dst):
+        return g.off, g.dst, g.poff, g.psrc
+    return g.restrict(edges)
+
+
+def _named(g, edges):
+    """The id pairs `edges` of the view g as pairs of vertex names."""
+    names = g.vertices
+    return [(names[u], names[v]) for u, v in edges]
+
+
+def _support_measures(game, arrays, mode):
+    """Support of the uniform profile over an edge set, given by its CSR
+    `arrays` on the arena view, from init: the reachable terminals, and
+    whether non-termination has positive probability.  mode picks the
+    non-termination criterion: "chain" for fully randomizing profiles and
+    per-visit re-randomization, "positional" for first-visit commitment."""
     arena = game.arena
-    succ = {v: [] for v in arena.vertices}
-    for u, w in edges:
-        succ[u].append(w)
-    terms, nonterm = _support(succ, arena.init,
-                              {t: t for t in game.terminals()})
+    g = arena.graph
+    off, dst, poff, psrc = arrays
+    terms = zs._owned(g, arena.owner, {TERMINAL})
+    reached = reachable(off, dst, 1 << g.index[arena.init])
     if mode == "positional":
         # a positional sample can trap the play in a terminal-free region:
-        # players pick single edges, chance keeps all its branches
-        nonterm = bool(_sure_avoid_region(game, edges)
-                       & reach(succ, [arena.init]))
-    return terms, nonterm
+        # players pick single edges, chance keeps all its branches, so
+        # play surely ends only in chance's attractor to the terminals
+        ends = attractor(g.n, *arrays, zs._owned(g, arena.owner, {CHANCE}),
+                         terms, (1 << g.n) - 1)
+    else:
+        ends = reachable(poff, psrc, terms)
+    return g.unmask(reached & terms), bool(reached & ~ends)
 
 
-def _sure_avoid_region(game, edges):
-    """Vertices from which the players can jointly (positionally) avoid all
-    terminals; chance is universal."""
+def _pessimist_safe_region(game, arrays, player, z):
+    """The bitmask of vertices from which the player can keep the payoff
+    above z almost surely when everyone else randomizes over the edge set
+    with CSR `arrays`: surely avoid the bad terminals, then reach the good
+    ones almost surely without leaving the safe region that leaves."""
     arena = game.arena
-    targets = set(game.terminals())
-    att = zs.attractor(arena, {"chance"}, targets, edges)
-    return set(v for v in arena.vertices
-               if not arena.is_terminal(v)) - att
-
-
-def _pessimist_safe_region(game, edges, player, z):
-    """Vertices from which the player can keep the payoff above z almost
-    surely when everyone else randomizes over the edge set: surely avoid
-    the bad terminals, then reach the good ones almost surely."""
-    arena = game.arena
-    bad = {t for t in game.terminals()
-           if game.payoff.terminal_payoffs[t][player] <= z}
-    good = {t for t in game.terminals()
-            if game.payoff.terminal_payoffs[t][player] > z}
-    others = [p for p in game.players if p != player]
-    reach_bad = zs.attractor(arena, set(others) | {"chance"}, bad, edges)
-    safe = set(arena.vertices) - reach_bad
-    sub_edges = [(u, v) for (u, v) in edges if u in safe and v in safe]
-    return safe & zs.almost_sure_reach_game(arena, {player}, set(),
-                                            good & safe, sub_edges)
+    g = arena.graph
+    pay = game.payoff.terminal_payoffs
+    bad = g.mask(t for t in game.terminals() if pay[t][player] <= z)
+    good = g.mask(t for t in game.terminals() if pay[t][player] > z)
+    full = (1 << g.n) - 1
+    theirs = full & ~zs._owned(g, arena.owner, {player})
+    safe = full & ~attractor(g.n, *arrays, theirs, bad, full)
+    return zs._value_one(g.n, arrays, full, theirs, good, safe)
 
 
 def xrse_exists(game, partition):
@@ -240,28 +250,32 @@ def xrse_exists(game, partition):
             if x < 0:
                 raise GameError("negative payoff present")
     arena = game.arena
-    edges = sorted(arena.edges)
+    g = arena.graph
+    index = g.index
+    edges = [(index[u], index[v]) for u, v in sorted(arena.edges)]
+    init = 1 << index[arena.init]
+    full = (1 << g.n) - 1
     trace = []
     pessimists = [p for p in game.players if partition.is_pessimist(p)]
     k = 0
     while True:
-        acc = zs.reachable_from(arena, [arena.init], edges)
+        arrays = _edge_arrays(g, edges)
+        acc = reachable(arrays[0], arrays[1], init)
         z = _extremes(game, partition,
-                      *_support_measures(game, edges, "chain"))
-        Ws = {i: set(arena.vertices)
-              - _pessimist_safe_region(game, edges, i, z[i])
+                      *_support_measures(game, arrays, "chain"))
+        Ws = {i: full & ~_pessimist_safe_region(game, arrays, i, z[i])
               for i in pessimists}
-        trace.append({"k": k, "edges": list(edges),
+        trace.append({"k": k, "edges": _named(g, edges),
                       "z": {i: z[i] for i in pessimists},
-                      "W": {i: sorted(Ws[i]) for i in pessimists},
-                      "A": sorted(acc)})
-        deviator = next((i for i in pessimists if arena.init not in Ws[i]),
-                        None)
+                      "W": {i: sorted(g.unmask(Ws[i])) for i in pessimists},
+                      "A": sorted(g.unmask(acc))})
+        deviator = next((i for i in pessimists if not Ws[i] & init), None)
         if deviator is None:
-            return edges, z, trace
+            return _named(g, edges), z, trace
         Wi = Ws[deviator]
-        edges = [(u, v) for (u, v) in edges
-                 if not (u in acc and u not in Wi and v in Wi)]
+        cut = acc & ~Wi
+        edges = [(u, v) for u, v in edges
+                 if not (cut >> u & 1 and Wi >> v & 1)]
         k += 1
 
 
@@ -294,112 +308,98 @@ def xrse_constrained_optimists(game, query, partition=None):
         raise GameError("a pessimist in the partition")
     partition = RiskPartition(game, [])
     arena = game.arena
+    g = arena.graph
+    index, n = g.index, g.n
+    full = (1 << n) - 1
+    init = 1 << index[arena.init]
+    chance = zs._owned(g, arena.owner, {CHANCE})
     averse = any(query.hi(p) != PINF and query.hi(p) < 0
                  for p in game.players)
+    mode = "positional" if not averse else "chain"
     val = _adversarial_values(game, partition)
     trace = []
-    edges = sorted(arena.edges)
-    terms = game.terminals()
-
-    def bad_terminals():
-        return {t for t in terms
-                if any(game.payoff.terminal_payoffs[t][p] > query.hi(p)
-                       for p in game.players)}
-
-    def measures(es):
-        mode = "positional" if not averse else "chain"
-        return _extremes(game, partition, *_support_measures(game, es, mode))
-
-    def frown_step(es):
-        # V-frown: vertices whose adversarial value beats their owner's
-        # measure, and the edges' positive-probability attractor to them
-        z = measures(es)
-        vf = {v for v in val if val[v] > z[arena.owner[v]]}
-        att = zs.positive_prob_attractor(game, vf, es)
-        trace.append({"k": k, "edges": list(es), "z": dict(z),
-                      "Vfrown": sorted(vf), "A": sorted(att)})
-        return z, att
+    edges = [(index[u], index[v]) for u, v in sorted(arena.edges)]
+    pay = game.payoff.terminal_payoffs
 
     def prune(es, att):
-        return [e for e in es if not (e[0] not in att and e[1] in att)]
+        # drop the edges that enter the attractor from outside it
+        return [(u, v) for u, v in es if att >> u & 1 or not att >> v & 1]
 
     k = 0
-    vf = bad_terminals()
-    att = zs.positive_prob_attractor(game, vf, edges)
-    trace.append({"k": k, "edges": list(edges), "Vfrown": sorted(vf),
-                  "A": sorted(att)})
-    if arena.init in att:
+    vf = g.mask(t for t in game.terminals()
+                if any(pay[t][p] > query.hi(p) for p in game.players))
+    att = attractor(n, g.off, g.dst, g.poff, g.psrc, chance, vf, full)
+    trace.append({"k": k, "edges": _named(g, edges),
+                  "Vfrown": sorted(g.unmask(vf)), "A": sorted(g.unmask(att))})
+    if att & init:
         return {"answer": "no", "trace": trace}
-    nxt = prune(edges, att)
-    if not averse:
-        changed = True
-        edges = nxt
-        while changed:
-            k += 1
-            zs_now, att = frown_step(edges)
-            if arena.init in att:
-                return {"answer": "no", "trace": trace}
-            nxt = prune(edges, att)
-            changed = nxt != edges
-            edges = nxt
-        if all(zs_now[p] >= query.lo(p) for p in game.players):
-            return {"answer": "yes", "edges": edges, "trace": trace,
-                    "measures": zs_now}
-        return {"answer": "no", "trace": trace}
-    # cycle-averse
-    streak = 0
-    edges = nxt
-    while streak < 2:
+    # Cycle-friendly, V-frown rounds go on until one prunes nothing.
+    # Cycle-averse, the odd rounds attract the vertices from which the
+    # players together cannot end the play almost surely against chance,
+    # and rounds go on until two in a row prune nothing.  Either way the
+    # last V-frown round ran on the final edges, so z is their measures.
+    edges, streak = prune(edges, att), 0
+    while streak < (2 if averse else 1):
         k += 1
-        if k % 2 == 0:
-            _, att = frown_step(edges)
+        arrays = _edge_arrays(g, edges)
+        if averse and k % 2:
+            terms = zs._owned(g, arena.owner, {TERMINAL})
+            att = full & ~zs._value_one(n, arrays, full, chance, terms, full)
+            trace.append({"k": k, "edges": _named(g, edges),
+                          "A": sorted(g.unmask(att))})
         else:
-            winners = zs.almost_sure_reach_game(
-                arena, set(game.players), set(), set(terms), edges)
-            att = set(arena.vertices) - winners
-            trace.append({"k": k, "edges": list(edges), "A": sorted(att)})
-        if arena.init in att:
+            # V-frown: vertices whose adversarial value beats their owner's
+            # measure, and the edges' positive-probability attractor to them
+            z = _extremes(game, partition,
+                          *_support_measures(game, arrays, mode))
+            vf = g.mask(v for v in val if val[v] > z[arena.owner[v]])
+            att = attractor(n, *arrays, chance, vf, full)
+            trace.append({"k": k, "edges": _named(g, edges), "z": dict(z),
+                          "Vfrown": sorted(g.unmask(vf)),
+                          "A": sorted(g.unmask(att))})
+        if att & init:
             return {"answer": "no", "trace": trace}
         nxt = prune(edges, att)
         streak = streak + 1 if nxt == edges else 0
         edges = nxt
-    zs_now = measures(edges)
-    if not all(zs_now[p] >= query.lo(p) for p in game.players):
+    if not all(z[p] >= query.lo(p) for p in game.players):
         return {"answer": "no", "trace": trace}
-    F = list(edges)
-    l = 0
-    while True:
-        cut = _refinement_edge(game, F)
-        if cut is None:
-            break
-        F = [e for e in F if e != cut]
-        l += 1
-        trace.append({"l": l, "edges": list(F), "cut": cut})
-    return {"answer": "yes", "edges": F, "trace": trace,
-            "measures": zs_now}
+    if averse:
+        l = 0
+        while True:
+            cut = _refinement_edge(game, edges)
+            if cut is None:
+                break
+            edges = [e for e in edges if e != cut]
+            l += 1
+            trace.append({"l": l, "edges": _named(g, edges),
+                          "cut": _named(g, [cut])[0]})
+    return {"answer": "yes", "edges": _named(g, edges), "trace": trace,
+            "measures": z}
 
 
 def _refinement_edge(game, F):
-    """First edge satisfying the cycle-averse final-refinement conditions:
-    removable without losing any terminal's accessibility from the start
-    and without starving its source of terminal access."""
+    """First edge of F (id pairs of the arena view, in name order)
+    satisfying the cycle-averse final-refinement conditions: removable
+    without losing any terminal's accessibility from the start and
+    without starving its source of terminal access."""
     arena = game.arena
-    terms = set(game.terminals())
-    for (u, v) in sorted(F):
-        if arena.is_chance(u) or arena.is_terminal(u):
+    g = arena.graph
+    terms = zs._owned(g, arena.owner, {TERMINAL})
+    init = 1 << g.index[arena.init]
+    off, dst = csr(g.n, F)
+    for u, v in F:
+        if arena.owner[g.vertices[u]] in (CHANCE, TERMINAL):
             continue
-        if sum(1 for e in F if e[0] == u) < 2:
+        if off[u + 1] - off[u] < 2:
             continue
-        without = [e for e in F if e != (u, v)]
-        from_v = zs.reachable_from(arena, [v], F)
-        tv = terms & from_v
-        from_v0 = zs.reachable_from(arena, [arena.init], without)
-        if not (tv <= from_v0):
+        woff, wdst = csr(g.n, [e for e in F if e != (u, v)])
+        if terms & reachable(off, dst, 1 << v) & ~reachable(woff, wdst,
+                                                            init):
             continue
-        from_u = zs.reachable_from(arena, [u], without)
-        if not (terms & from_u):
+        if not terms & reachable(woff, wdst, 1 << u):
             continue
-        return (u, v)
+        return u, v
     return None
 
 
@@ -697,17 +697,16 @@ def modified_reward(params, player, x):
         return val - 1
 
 
-def verify_erse_stationary(game, params, profile, tol=None):
+def verify_erse_stationary(game, params, profile):
     """Stationary ERSE check: replace terminal payoffs by the modified
     rewards, then an expectation-NE check: exact for a player whose rho
-    is 0 (the gain is a Fraction), within `tol` (1e-9) for the others."""
+    is 0 (the gain is a Fraction), within 1e-9 for the others."""
     if game.mode != "terminal":
         raise GameError("terminal mode required")
     if len(profile.states) != 1:
         raise GameError("profile must be stationary")
     import mpmath
-    if tol is None:
-        tol = mpmath.mpf(10) ** (-9)
+    tol = mpmath.mpf(10) ** (-9)
 
     def transform(player, x):
         return modified_reward(params, player, x)

@@ -1,10 +1,10 @@
-"""Two-player zero-sum and one-player graph primitives.
+"""Two-player zero-sum and one-player graph primitives, with exact values.
 
-Everything here works on an arena's int view, `arena.graph`, which an edge
-subset only restricts (or on a raw digraph), and returns exact values.  The
-parity solver (Zielonka) takes int ids with their successor and predecessor
-CSR, such as the view's own arrays, and answers in bitmasks and id -> id
-strategies.  The graph kernels (attractor, reachability, SCC) come from
+The almost-sure loop (`_value_one`), the extreme-value sweep and the
+parity solver (Zielonka) work on int ids with CSR arrays, such as an
+arena's int view `arena.graph` or an edge subset's restriction of it, and
+hold vertex sets as bitmasks; Zielonka's strategies are id -> id maps.
+The graph kernels (attractor, reachability, SCC) come from
 `equilibra._kernels`.
 """
 
@@ -13,17 +13,7 @@ import math
 from fractions import Fraction
 
 from . import _kernels as K
-from .games import GameError, CHANCE
-
-
-def _arrays(g, edge_subset):
-    """The CSR arrays of the arena view g restricted to `edge_subset`, some
-    of the arena's edges (none more often than there): g's own when that
-    is all of them."""
-    if edge_subset is None or len(edge_subset) == len(g.dst):
-        return g.off, g.dst, g.poff, g.psrc
-    index = g.index
-    return g.restrict([(index[u], index[v]) for u, v in edge_subset])
+from .games import CHANCE
 
 
 def _owned(g, owner, labels):
@@ -31,70 +21,21 @@ def _owned(g, owner, labels):
     return g.mask(v for v in g.vertices if owner[v] in labels)
 
 
-def attractor(arena, coalition, target, edge_subset=None):
-    """Least set containing `target`, closed under coalition-can /
-    others-must moves.  `coalition` is a set of player names; "chance" may
-    be included to give chance vertices the existential role."""
-    g = arena.graph
-    res = K.attractor(g.n, *_arrays(g, edge_subset),
-                      _owned(g, arena.owner, coalition), g.mask(target),
-                      (1 << g.n) - 1)
-    return g.unmask(res)
-
-
-def reachable_from(arena, sources, edge_subset=None):
-    g = arena.graph
-    off, dst, _, _ = _arrays(g, edge_subset)
-    return g.unmask(K.reachable(off, dst, g.mask(sources)))
-
-
-def positive_prob_attractor(game, target, edge_subset=None):
-    """Vertices from which every profile restricted to the edge set reaches
-    `target` with positive probability (chance plays the existential role,
-    every player the universal one)."""
-    arena = game.arena
-    if game.mode != "terminal":
-        raise GameError("positive_prob_attractor needs terminal mode")
-    live = {u for u, _ in (arena.edges if edge_subset is None
-                           else edge_subset)}
-    for v in arena.vertices:
-        if not arena.is_terminal(v) and v not in live:
-            raise GameError(f"edge set starves vertex {v}")
-    return attractor(arena, {"chance"}, target, edge_subset)
-
-
 # ---------------------------------------------------------------------------
 # qualitative reachability with randomness
 
 
-def almost_sure_reach_game(arena, protagonists, adversaries, target,
-                           edge_subset=None):
-    """States from which the protagonist coalition forces reaching `target`
-    with probability 1 against hostile adversaries; chance is random,
-    unlisted players count as random too."""
-    g = arena.graph
-    index, goal = g.index, g.mask(target)
-    edges = arena.edges if edge_subset is None else edge_subset
-    # a target's own moves never matter, and `_value_one` needs none
-    arrays = g.restrict([(index[u], index[v]) for u, v in edges
-                         if not goal >> index[u] & 1])
-    full = (1 << g.n) - 1
-    return g.unmask(_value_one(
-        g.n, arrays, full & ~_owned(g, arena.owner, adversaries),
-        full & ~_owned(g, arena.owner, protagonists), goal))
+def _value_one(n, arrays, reach_coal, spoil_coal, target, sub):
+    """Value-1 region, as a bitmask, of reaching the bitmask `target` in
+    the sub-game on the bitmask `sub` of the CSR `arrays` over ids
+    0..n-1, whose edges out of `sub` are no moves; `reach_coal` holds the
+    protagonist and random vertices, `spoil_coal` the adversaries and
+    random ones.  The targets must have no moves.
 
-
-def _value_one(n, arrays, reach_coal, spoil_coal, target):
-    """Value-1 region, as a bitmask, of reaching the bitmask `target` on
-    the CSR `arrays` over ids 0..n-1; `reach_coal` holds the protagonist
-    and random vertices, `spoil_coal` the adversaries and random ones.  The
-    targets must have no moves.
-
-    The iterated attractor on a shrinking sub-game mask: vertices that
-    cannot reach the targets with positive probability (`reach_coal`
-    existential) are removed with their contamination attractor
-    (`spoil_coal` existential) until none is left."""
-    sub = (1 << n) - 1
+    The iterated attractor on a shrinking sub-game mask, from `sub`:
+    vertices that cannot reach the targets with positive probability
+    (`reach_coal` existential) are removed with their contamination
+    attractor (`spoil_coal` existential) until none is left."""
     while True:
         pos = K.attractor(n, *arrays, reach_coal, target, sub)
         zero = sub & ~pos
@@ -148,7 +89,7 @@ def extreme_threshold_sweep(g, owner, pay, is_pess, player, starts,
         bad = g.mask(t for t, y in pay.items() if y < x)
         if is_pess:
             if x > 0:
-                wins = _value_one(n, arrays, ours, theirs, good)
+                wins = _value_one(n, arrays, ours, theirs, good, full)
             else:
                 # P(bad) = 0: surely avoid bad, chance universal
                 wins = full & ~K.attractor(n, *arrays, theirs, bad, full)
@@ -158,7 +99,7 @@ def extreme_threshold_sweep(g, owner, pay, is_pess, player, starts,
             else:
                 # some outcome >= x possible: adversaries would need to
                 # force almost-sure absorption in bad terminals
-                wins = full & ~_value_one(n, arrays, theirs, ours, bad)
+                wins = full & ~_value_one(n, arrays, theirs, ours, bad, full)
         for v in starts:
             if v not in out and wins >> g.index[v] & 1:
                 out[v] = x

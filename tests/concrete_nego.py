@@ -7,7 +7,7 @@ parity proposals."""
 from equilibra.games import GameError, eval_lasso
 from equilibra.negotiation import is_lambda_consistent
 from equilibra.rationals import PINF
-from equilibra._kernels import scc_of
+from named_graph_reference import scc_of
 from parity_region_reference import _constr_players
 
 

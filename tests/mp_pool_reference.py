@@ -20,12 +20,11 @@ import itertools
 from fractions import Fraction
 
 from equilibra import zerosum as zs
-from equilibra._kernels import scc_of
 from equilibra.negotiation import Family, _MpStructure
 from equilibra.rationals import NINF, PINF
 from equilibra.simplex import OPTIMAL, lex_min_vertex
-from equilibra.spe import _strongly_connected
 from mp_values_reference import on_fractions
+from named_graph_reference import _strongly_connected, scc_of
 from path_walk_reference import _simple_paths_from
 
 

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from equilibra import _kernels as K
+from named_graph_reference import scc_of
 
 
 def on_fractions(karp, n, edges):
@@ -36,7 +36,7 @@ def karp_min_mean(n, edges):
     denom = math.lcm(*[w.denominator for _, _, w in edges])
     iedges = [(u, v, w.numerator * (denom // w.denominator))
               for u, v, w in edges]
-    comp, ncomp = K.scc_of(range(n), [(u, v) for u, v, _ in iedges])
+    comp, ncomp = scc_of(range(n), [(u, v) for u, v, _ in iedges])
     members = [[] for _ in range(ncomp)]
     for v in range(n):
         members[comp[v]].append(v)
@@ -112,7 +112,7 @@ def mp_values(game, player):
 def _min_reachable_cycle_means(vertices, edges, weight):
     """For each vertex: min mean over cycles reachable from it (graph has a
     cycle from everywhere by the no-deadend invariant)."""
-    comp, ncomp = K.scc_of(vertices, edges)
+    comp, ncomp = scc_of(vertices, edges)
     local = {}
     size = [0] * ncomp
     for v in vertices:

@@ -17,12 +17,10 @@ import itertools
 from fractions import Fraction
 
 from equilibra.games import Lasso
-from equilibra import zerosum as zs
-from equilibra._kernels import scc_of
 from equilibra.negotiation import _parity_constraint
-from equilibra.spe import _strongly_connected
 from equilibra.nash import _cycle_through
 from zielonka_reference import solve_parity_on_names
+from named_graph_reference import _strongly_connected, reachable_from, scc_of
 
 
 def _constr_players(game, lam, v):
@@ -147,9 +145,9 @@ def _parity_witness(game, forbidden, ztup):
     for u in keep:
         members.setdefault(comp[u], []).append(u)
     outside = set(arena.vertices) - set(forbidden)
-    reach = zs.reachable_from(arena, [arena.init],
-                              [(u, w) for (u, w) in arena.edges
-                               if u in outside and w in outside]) \
+    reach = reachable_from(arena, [arena.init],
+                           [(u, w) for (u, w) in arena.edges
+                            if u in outside and w in outside]) \
         if arena.init not in forbidden else set()
     for c in sorted(members):
         K = members[c]

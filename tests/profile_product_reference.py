@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from equilibra.games import (GameError, Arena, PayoffSpec, Game, Chain,
                              Lasso, eval_lasso, chain_hit_probabilities)
-from equilibra.zerosum import attractor
-from equilibra._kernels import reach, scc_of
+from equilibra._kernels import reach
 from equilibra import zerosum as zs
 
 from xrse_support_reference import almost_sure_reach_game, extreme_measure
 from mp_values_reference import on_fractions
+from named_graph_reference import attractor, scc_of
 
 
 def induced_chain(game, profile):

@@ -26,7 +26,7 @@ from equilibra.stochastic import (RiskPartition, EntropicParams,
                                   extreme_measure, entropic_measure,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
-                                  xrse_search_bounded, _support_measures)
+                                  xrse_search_bounded)
 from equilibra.verification import rational_verify, \
     achaotic_rational_verify_mp
 from equilibra.rationals import PINF, NINF
@@ -38,6 +38,7 @@ from conftest import (random_parity_game, random_energy_game,
                       oracle_parity_val, uniform_profile, load_memory)
 from test_nash import oracle_energy_ne
 from test_stochastic import oracle_verify_xrse, oracle_optimist_constrained
+from xrse_support_reference import _support_measures
 
 F = Fraction
 

@@ -1,7 +1,7 @@
 """Graph kernels against naive definitions written out here, the
 simple-path walker against the recursive enumerators it replaced, and an
-arena's one int view (`Arena.graph`) with the zerosum helpers that read
-it."""
+arena's one int view (`Arena.graph`) with the kernels run on the arrays of
+its edge subsets."""
 
 import random
 
@@ -11,12 +11,14 @@ import path_walk_reference as ref
 import xrse_support_reference as xref
 from conftest import random_mp_game, random_parity_game, random_terminal_game
 from equilibra import zerosum as zs
-from equilibra._kernels import (IndexedGraph, attractor, csr, reach,
-                                reachable, scc, scc_of, simple_paths)
+from equilibra._kernels import (IndexedGraph, attractor, csr, ids, reach,
+                                reachable, scc, simple_paths)
 from equilibra.cli import run
 from equilibra.games import Arena
 from equilibra.negotiation import _MpStructure
 from equilibra.spe import _strongly_connected
+from equilibra.stochastic import _edge_arrays
+from named_graph_reference import scc_of
 
 
 graphs = st.integers(1, 9).flatmap(
@@ -113,7 +115,8 @@ def test_kernels_match_naive_definitions(data):
         expect = (all(any(v in within for v in allowed[u]) for u in within)
                   and all(closure(edges, {u}, within) == within
                           for u in within))
-        assert _strongly_connected(within, allowed) == expect
+        assert _strongly_connected(IndexedGraph(range(n), edges),
+                                   bits(within)) == expect
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,8 +223,8 @@ def test_simple_paths_stop_and_order():
 
 
 # ---------------------------------------------------------------------------
-# the arena's one int view, the zerosum helpers that read it, and a guard
-# against numbering an arena's vertices a second time
+# the arena's one int view, the kernels on its edge subsets' arrays, and a
+# guard against numbering an arena's vertices a second time
 
 SEEDED = st.integers(0, 2 ** 32 - 1).map(random.Random)
 GAMES = (SEEDED.map(lambda rng: random_terminal_game(rng, n=6))
@@ -268,44 +271,40 @@ def draw_edge_subset(draw, arena):
 @settings(max_examples=200, deadline=None)
 @given(GAMES, st.data())
 def test_arena_helpers_on_edge_subsets_match_naive(game, data):
+    # the kernels on the arrays `stochastic._edge_arrays` gives an edge
+    # subset, with coalitions from `zerosum._owned`, as the XRSE
+    # algorithms run them
     draw = data.draw
     arena = game.arena
-    names = arena.vertices
-    n = len(names)
-    index = {v: k for k, v in enumerate(names)}
+    g = arena.graph
+    n, full = g.n, (1 << g.n) - 1
     edge_subset = draw_edge_subset(draw, arena)
-    edges = [(index[u], index[v]) for u, v in
+    edges = [(g.index[u], g.index[v]) for u, v in
              (arena.edges if edge_subset is None else edge_subset)]
-
-    def named(ks):
-        return {names[k] for k in ks}
+    arrays = _edge_arrays(g, edges)
 
     def some(items):
         return {x for x in items if draw(st.booleans())}
 
     labels = some(set(arena.owner.values()))
-    target = some(names)
-    coal = bits(index[v] for v in names if arena.owner[v] in labels)
-    want = least_attractor(n, edges, coal, bits(index[v] for v in target))
-    assert zs.attractor(arena, labels, target, edge_subset) == named(
-        v for v in range(n) if want >> v & 1)
-    assert zs.reachable_from(arena, target, edge_subset) == named(
-        closure(edges, {index[v] for v in target}, set(range(n))))
+    target = bits(g.index[v] for v in some(arena.vertices))
+    coal = zs._owned(g, arena.owner, labels)
+    assert coal == bits(k for k, v in enumerate(arena.vertices)
+                        if arena.owner[v] in labels)
+    assert attractor(n, *arrays, coal, target, full) == least_attractor(
+        n, edges, coal, target)
+    assert reachable(arrays[0], arrays[1], target) == bits(
+        closure(edges, set(ids(target)), set(range(n))))
     protags = some(arena.players)
     adversaries = some(set(arena.players) - protags)
-    assert zs.almost_sure_reach_game(
-        arena, protags, adversaries, target, edge_subset) == \
-        xref.almost_sure_reach_game(arena, protags, adversaries, target,
-                                    edge_subset)
-    if game.mode == "terminal" and edge_subset is not None:
-        # keep an edge out of every inner vertex, so none is starved
-        kept = set(edge_subset) | {(u, arena.succ(u)[0]) for u in names
-                                   if not arena.is_terminal(u)}
-        chance = bits(index[v] for v in names if arena.is_chance(v))
-        want = least_attractor(n, [(index[u], index[v]) for u, v in kept],
-                               chance, bits(index[v] for v in target))
-        assert zs.positive_prob_attractor(game, target, kept) == named(
-            v for v in range(n) if want >> v & 1)
+    # `_value_one` needs the targets without moves
+    moves = [(u, v) for u, v in edges if not target >> u & 1]
+    won = zs._value_one(n, _edge_arrays(g, moves),
+                        full & ~zs._owned(g, arena.owner, adversaries),
+                        full & ~zs._owned(g, arena.owner, protags),
+                        target, full)
+    assert g.unmask(won) == xref.almost_sure_reach_game(
+        arena, protags, adversaries, g.unmask(target), edge_subset)
 
 
 def test_no_arena_is_indexed_twice(monkeypatch, capsys):

@@ -15,13 +15,13 @@ from equilibra.stochastic import (RiskPartition, EntropicParams,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
                                   xrse_search_bounded,
-                                  verify_erse_stationary, _support_measures,
-                                  _sure_avoid_region)
-from equilibra import zerosum as zs
+                                  verify_erse_stationary)
 from conftest import random_terminal_game, positional_profiles, \
     profile_of_choices, uniform_profile
 from extreme_value_reference import extreme_adversarial_value
 from profile_product_reference import _profile_mdp
+from named_graph_reference import attractor, reachable_from
+from xrse_support_reference import _support_measures
 
 
 def blue_red(lot):
@@ -226,7 +226,7 @@ def oracle_optimist_constrained(game, query, averse):
             pass
         if not query.admits(meas):
             continue
-        reach = zs.reachable_from(arena, [arena.init], sorted(F))
+        reach = reachable_from(arena, [arena.init], sorted(F))
         ok = True
         for v in reach:
             if v in val and val[v] > meas[arena.owner[v]]:
@@ -364,16 +364,15 @@ def oracle_averse_constrained(game, query):
             meas[p] = max(vals) if vals else Fraction(0)
         if not query.admits(meas):
             continue
-        reach = zs.reachable_from(arena, [arena.init], sorted(F_))
+        reach = reachable_from(arena, [arena.init], sorted(F_))
         if any(v in val and val[v] > meas[arena.owner[v]] for v in reach):
             continue
         ok = True
         for i in game.players:
             if meas[i] >= 0:
                 continue
-            att = zs.attractor(arena,
-                               set(game.players) - {i} | {"chance"},
-                               terms, sorted(F_))
+            att = attractor(arena, set(game.players) - {i} | {"chance"},
+                            terms, sorted(F_))
             avoid = set(arena.vertices) - att - terms
             if avoid & reach:
                 ok = False

@@ -1,8 +1,9 @@
 """The XRSE support walk (`stochastic._support`), measure fold
-(`stochastic._extremes`) and almost-sure loop (`zerosum._value_one`)
-against the code they replaced (`tests/xrse_support_reference.py`), and
-the bounded search's cuts and one-threshold checks against brute force and
-the full best-response sweep."""
+(`stochastic._extremes`), almost-sure loop (`zerosum._value_one`) and
+Algorithms 1-3 on the arena's int view against the code they replaced
+(`tests/xrse_support_reference.py`), and the bounded search's cuts and
+one-threshold checks against brute force and the full best-response
+sweep."""
 
 import inspect
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from equilibra.corpus import load_game
 from equilibra.games import Arena, Game, PayoffSpec, serialize_memory
+from equilibra._kernels import IndexedGraph
 from equilibra.nash import Query
 from equilibra.rationals import parse_rational
 from equilibra import stochastic
@@ -22,7 +24,8 @@ from equilibra.stochastic import (RiskPartition, extreme_measure,
                                   best_extreme_response,
                                   verify_xrse, xrse_exists,
                                   xrse_constrained_optimists,
-                                  xrse_search_bounded, _support_measures)
+                                  xrse_search_bounded, _edge_arrays,
+                                  _support_measures)
 from equilibra import zerosum as zs
 
 import xrse_support_reference as ref
@@ -78,20 +81,52 @@ def draw_query(draw, game):
     return Query(*bounds)
 
 
+def ids_of(g, edges):
+    """The name pairs `edges` as id pairs of the view g."""
+    return [(g.index[u], g.index[v]) for u, v in edges]
+
+
 @settings(max_examples=200, deadline=None)
 @given(ARENAS, st.data())
 def test_almost_sure_reach_game_matches_reference(arena, data):
-    # targets may be any vertices, terminal or not, with their out-edges
-    # in the edge set
+    # `_value_one` on an edge subset's arrays; targets may be any
+    # vertices, terminal or not, and lose their moves, as it needs
     draw = data.draw
+    g = arena.graph
+    full = (1 << g.n) - 1
     edges = subset(draw, arena.edges) if draw(st.booleans()) else None
     target = set(subset(draw, arena.vertices))
     protags = set(subset(draw, arena.players))
     adversaries = set(subset(draw, [p for p in arena.players
                                     if p not in protags]))
-    assert zs.almost_sure_reach_game(arena, protags, adversaries, target,
-                                     edges) == ref.almost_sure_reach_game(
+    moves = ids_of(g, [(u, v) for u, v in
+                       (arena.edges if edges is None else edges)
+                       if u not in target])
+    won = zs._value_one(g.n, _edge_arrays(g, moves),
+                        full & ~zs._owned(g, arena.owner, adversaries),
+                        full & ~zs._owned(g, arena.owner, protags),
+                        g.mask(target), full)
+    assert g.unmask(won) == ref.almost_sure_reach_game(
         arena, protags, adversaries, target, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERMINAL_GAMES, st.data())
+def test_value_one_from_a_sub_game_mask_is_the_restricted_game(game, data):
+    # the pessimist safe region's step: starting `_value_one` from the
+    # mask S is solving the game whose edges stay inside S
+    draw = data.draw
+    arena = game.arena
+    g = arena.graph
+    edges = ids_of(g, subset(draw, arena.edges))
+    safe, reach_coal, spoil_coal = (g.mask(subset(draw, arena.vertices))
+                                    for _ in range(3))
+    target = g.mask(subset(draw, game.terminals()))
+    inside = [(u, v) for u, v in edges if safe >> u & 1 and safe >> v & 1]
+    assert zs._value_one(g.n, _edge_arrays(g, edges), reach_coal,
+                         spoil_coal, target, safe) == safe & zs._value_one(
+        g.n, g.restrict(inside), reach_coal, spoil_coal, target,
+        (1 << g.n) - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,11 +138,12 @@ def test_measures_and_supports_match_reference(game, data):
     assert outcome(extreme_measure, game, part, profile) == outcome(
         ref.extreme_measure, game, part, profile)
     edges = sorted(subset(draw, game.arena.edges))
+    arrays = _edge_arrays(game.arena.graph, ids_of(game.arena.graph, edges))
     for mode in ("chain", "positional"):
-        assert _support_measures(game, edges, mode) == \
+        assert _support_measures(game, arrays, mode) == \
             ref._support_measures(game, edges, mode)
     # the reference's "averse" was an alias of "chain"
-    assert _support_measures(game, edges, "chain") == \
+    assert _support_measures(game, arrays, "chain") == \
         ref._support_measures(game, edges, "averse")
 
 
@@ -130,6 +166,57 @@ def test_xrse_algorithms_match_reference(game, data):
     query = draw_query(draw, game)
     assert outcome(xrse_constrained_optimists, game, query) == outcome(
         ref.xrse_constrained_optimists, game, query)
+
+
+def test_cycle_averse_refinement_matches_reference():
+    # every upper bound is -1 and every payoff at most that, so the play
+    # must end almost surely and the final refinement cuts edges in about
+    # a quarter of the games
+    rng = random.Random(1)
+    cuts = 0
+    for _ in range(60):
+        game = random_terminal_game(rng, n=5, payoffs=(-2, -1))
+        hi = {p: Fraction(-1) for p in game.players}
+        for lo in ({}, {game.players[0]: Fraction(-1)}):
+            query = Query(lo, hi)
+            got = xrse_constrained_optimists(game, query)
+            assert got == ref.xrse_constrained_optimists(game, query)
+            cuts += sum("cut" in row for row in got["trace"])
+    assert cuts >= 20
+
+
+def test_each_round_restricts_the_arena_view_once(monkeypatch):
+    # an edge set becomes CSR once per round of `xrse_exists` and of
+    # `xrse_constrained_optimists` (a V-frown step or an almost-sure
+    # step); the first round's edges are the whole arena, whose view's
+    # own arrays serve
+    made = []
+    restrict = IndexedGraph.restrict
+
+    def counted(self, edges):
+        made.append(edges)
+        return restrict(self, edges)
+
+    monkeypatch.setattr(IndexedGraph, "restrict", counted)
+    rng = random.Random(3)
+    rounds = restricted = 0
+    for _ in range(60):
+        game = random_terminal_game(rng, n=5, payoffs=(0, 1, 2))
+        made.clear()
+        _, _, trace = xrse_exists(game, RiskPartition(game, game.players))
+        assert len(made) <= len(trace) - 1
+        restricted += len(made)
+        # cycle-friendly at upper bounds 0 and 1, cycle-averse at -1
+        averse = random_terminal_game(rng, n=5, payoffs=(-2, -1))
+        for g, hi in ((game, None), (game, 0), (game, 1), (averse, -1)):
+            query = Query({}, {} if hi is None else
+                          {p: Fraction(hi) for p in g.players})
+            made.clear()
+            trace = xrse_constrained_optimists(g, query)["trace"]
+            assert len(made) <= sum(row.get("k", 0) > 0 for row in trace)
+            rounds += len(trace)
+            restricted += len(made)
+    assert restricted > 50 and rounds > 300
 
 
 def search_outcome(search, game, part, query, bound):

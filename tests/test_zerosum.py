@@ -11,22 +11,32 @@ from hypothesis import example, given, settings, strategies as st
 import mp_values_reference as mp_ref
 import zielonka_reference as ref
 from extreme_value_reference import extreme_adversarial_value
+from named_graph_reference import reachable_from
 
 from equilibra.corpus import load_game
-from equilibra.games import (Arena, Game, GameError, Lasso, PayoffSpec,
-                             eval_lasso, int_weights)
+from equilibra.games import (CHANCE, Arena, Game, GameError, Lasso,
+                             PayoffSpec, eval_lasso, int_weights)
 from equilibra import _kernels as K, zerosum as zs
 from conftest import (PLAYERS, random_parity_game, random_terminal_game,
                       oracle_parity_val, oracle_extreme_value,
                       positional_profiles, outcome_of_choices)
 
 
+def attractor(arena, labels, target):
+    """`_kernels.attractor` on the whole of the arena's int view, for the
+    coalition of the vertices whose owner is in `labels`, as names."""
+    g = arena.graph
+    return g.unmask(K.attractor(g.n, g.off, g.dst, g.poff, g.psrc,
+                                zs._owned(g, arena.owner, labels),
+                                g.mask(target), (1 << g.n) - 1))
+
+
 def test_attractor_examples():
     fig = load_game("fig_ne_spe")
     allv = set(fig.arena.vertices)
-    assert zs.attractor(fig.arena, {"circle", "square"}, allv) == allv
-    assert zs.attractor(fig.arena, {"circle", "square"}, {"c"}) == allv
-    assert zs.attractor(fig.arena, {"circle", "square"}, set()) == set()
+    assert attractor(fig.arena, {"circle", "square"}, allv) == allv
+    assert attractor(fig.arena, {"circle", "square"}, {"c"}) == allv
+    assert attractor(fig.arena, {"circle", "square"}, set()) == set()
 
 
 def test_attractor_monotone_idempotent():
@@ -37,22 +47,20 @@ def test_attractor_monotone_idempotent():
         t1 = set(rng.sample(verts, rng.randint(0, len(verts))))
         t2 = t1 | set(rng.sample(verts, rng.randint(0, len(verts))))
         coal = {"circle"}
-        a1 = zs.attractor(g.arena, coal, t1)
-        a2 = zs.attractor(g.arena, coal, t2)
+        a1 = attractor(g.arena, coal, t1)
+        a2 = attractor(g.arena, coal, t2)
         assert a1 <= a2
-        assert zs.attractor(g.arena, coal, a1) == a1
+        assert attractor(g.arena, coal, a1) == a1
 
 
 def test_positive_prob_attractor_examples():
-    ex1 = load_game("ex_extreme1")
-    assert zs.positive_prob_attractor(ex1, {"t1"}) == {"t1"}
-    assert "t1" in zs.positive_prob_attractor(ex1, {"t1", "a"})
-    terms = set(ex1.terminals())
-    assert zs.positive_prob_attractor(ex1, terms) == set(
-        ex1.arena.vertices) - {"a", "b"} | {"a", "b"} - set() or True
+    # chance plays the existential role, every player the universal one
+    ex1 = load_game("ex_extreme1").arena
+    assert attractor(ex1, {CHANCE}, {"t1"}) == {"t1"}
+    assert "t1" in attractor(ex1, {CHANCE}, {"t1", "a"})
     # forced termination in a dag-like game
     lot = load_game("lottery")
-    assert zs.positive_prob_attractor(lot, set(lot.terminals())) == set(
+    assert attractor(lot.arena, {CHANCE}, set(lot.terminals())) == set(
         lot.arena.vertices)
 
 
@@ -68,7 +76,7 @@ def oracle_positive_attr(game, W, edges):
             sub = [(u, w) for (u, w) in edges
                    if (arena.is_chance(u) or arena.is_terminal(u)
                        or choices.get(u) == w)]
-            reach = zs.reachable_from(arena, [v], sub)
+            reach = reachable_from(arena, [v], sub)
             if not (reach & set(W)):
                 hit_all = False
                 break
@@ -83,15 +91,9 @@ def test_positive_prob_attractor_brute():
         g = random_terminal_game(rng, n=4)
         terms = g.terminals()
         W = set(rng.sample(terms, rng.randint(1, len(terms))))
-        edges = [(u, v) for (u, v) in g.arena.edges
-                 if not (v in positional_skip(g, u, rng))]
-        got = zs.positive_prob_attractor(g, W, g.arena.edges)
+        got = attractor(g.arena, {CHANCE}, W)
         want = oracle_positive_attr(g, W, list(g.arena.edges))
         assert got == want, (g.arena.edges, W, got, want)
-
-
-def positional_skip(game, u, rng):
-    return set()
 
 
 def test_extreme_value_examples():
@@ -134,7 +136,7 @@ def min_mean_cycle(arena, weight, restrict=None):
     least canonical witness among minimizers.  Exhaustive at desk scale."""
     verts = set(restrict) if restrict is not None else set(arena.vertices)
     if arena.init is not None and restrict is None:
-        verts &= zs.reachable_from(arena, [arena.init])
+        verts &= reachable_from(arena, [arena.init])
     cycles = zs.simple_cycles(verts, lambda u: [w for w in arena.succ(u)
                                                  if w in verts])
     if not cycles:

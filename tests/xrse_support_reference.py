@@ -6,12 +6,16 @@ of `xrse_constrained_optimists`, and `_search_slots`, which verified every
 candidate through `verify_xrse` and `induced_chain`; `_almost_sure`
 rebuilt its graph on every round.  Kept as the reference the differential
 tests in `tests/test_xrse_support.py` compare against, and as the
-almost-sure step of `tests/profile_product_reference.py`.  The function
-bodies are verbatim; only the imports are adapted, `zs` names the old
-zerosum functions next to the unchanged ones, `RiskPartition.as_pair()`,
-since deleted, is spelt out inline as the (pessimists, optimists) pair of
-sets it returned, and `_almost_sure` hands `_kernels.attractor` its whole
-sub-game as the bitmask that kernel now takes."""
+almost-sure step of `tests/profile_product_reference.py`.  With them are
+`stochastic._sure_avoid_region` and `_refinement_edge` as they were on
+vertex names, so that no part of the reference runs the algorithms it
+checks.  The function bodies are verbatim; only the imports are adapted,
+`zs` names the old zerosum functions (the name-keyed ones from
+`tests/named_graph_reference.py`) next to the unchanged ones,
+`RiskPartition.as_pair()`, since deleted, is spelt out inline as the
+(pessimists, optimists) pair of sets it returned, and `_almost_sure` hands
+`_kernels.attractor` its whole sub-game as the bitmask that kernel now
+takes."""
 
 import itertools
 import types
@@ -20,12 +24,11 @@ from fractions import Fraction
 from equilibra.rationals import PINF
 from equilibra.games import (GameError, MemoryProfile, Arena, CHANCE,
                              TERMINAL, induced_chain, profile_product)
-from equilibra.stochastic import (RiskPartition, _sure_avoid_region,
-                                  _refinement_edge)
-from equilibra.zerosum import attractor
-from equilibra import zerosum as _zerosum
+from equilibra.stochastic import RiskPartition
 from equilibra import _kernels as K
 from equilibra._kernels import reach
+import named_graph_reference as _named
+from named_graph_reference import attractor
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +134,8 @@ def extreme_threshold_sweep(arena, pay, is_pess, player, v):
 
 
 zs = types.SimpleNamespace(
-    attractor=_zerosum.attractor, reachable_from=_zerosum.reachable_from,
-    positive_prob_attractor=_zerosum.positive_prob_attractor,
+    attractor=_named.attractor, reachable_from=_named.reachable_from,
+    positive_prob_attractor=_named.positive_prob_attractor,
     almost_sure_reach_mdp=almost_sure_reach_mdp,
     almost_sure_reach_game=almost_sure_reach_game,
     extreme_adversarial_value=extreme_adversarial_value,
@@ -234,6 +237,16 @@ def _support_measures(game, edges, mode):
         avoid = _sure_avoid_region(game, edges)
         nonterm = bool(avoid & reached)
     return terms, nonterm
+
+
+def _sure_avoid_region(game, edges):
+    """Vertices from which the players can jointly (positionally) avoid all
+    terminals; chance is universal."""
+    arena = game.arena
+    targets = set(game.terminals())
+    att = zs.attractor(arena, {"chance"}, targets, edges)
+    return set(v for v in arena.vertices
+               if not arena.is_terminal(v)) - att
 
 
 def _pessimist_safe_region(game, edges, player, z):
@@ -573,3 +586,27 @@ def _search_slots(game, partition, query, states, slots):
         return None
 
     return rec({})
+
+
+def _refinement_edge(game, F):
+    """First edge satisfying the cycle-averse final-refinement conditions:
+    removable without losing any terminal's accessibility from the start
+    and without starving its source of terminal access."""
+    arena = game.arena
+    terms = set(game.terminals())
+    for (u, v) in sorted(F):
+        if arena.is_chance(u) or arena.is_terminal(u):
+            continue
+        if sum(1 for e in F if e[0] == u) < 2:
+            continue
+        without = [e for e in F if e != (u, v)]
+        from_v = zs.reachable_from(arena, [v], F)
+        tv = terms & from_v
+        from_v0 = zs.reachable_from(arena, [arena.init], without)
+        if not (tv <= from_v0):
+            continue
+        from_u = zs.reachable_from(arena, [u], without)
+        if not (terms & from_u):
+            continue
+        return (u, v)
+    return None

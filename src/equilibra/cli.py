@@ -85,12 +85,9 @@ def _rational(option, text, parse=parse_rational):
         raise GameError(f"{option}: bad rational {text!r} ({e})")
 
 
-_PLAIN = (str, int, bool, type(None))
-
-
-def _jsonable(x):
-    if type(x) in _PLAIN:
-        return x
+def _json_default(x):
+    """The JSON form of an answer's values that `json` cannot write itself;
+    `json.dumps` calls it on each one, and encodes what it returns."""
     if isinstance(x, Fraction) or x is PINF or x is NINF:
         return format_ext(x)
     mpmath = sys.modules.get("mpmath")
@@ -102,13 +99,15 @@ def _jsonable(x):
         return x.to_json()
     if isinstance(x, MemoryProfile):
         return memory_doc(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(x, key=str)]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+        return sorted(x, key=str)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _dumps(result, indent=None):
+    """An answer as the JSON text the CLI prints, keys sorted."""
+    return json.dumps(result, sort_keys=True, default=_json_default,
+                      indent=indent)
 
 
 def _assignments(option, items, parse=parse_rational, players=None):
@@ -181,7 +180,7 @@ def _max_iters(args):
 
 def _trace_json(trace):
     return [{key: _edges(val) if key == "edges"
-             else f"{val[0]}->{val[1]}" if key == "cut" else _jsonable(val)
+             else f"{val[0]}->{val[1]}" if key == "cut" else val
              for key, val in row.items()} for row in trace]
 
 
@@ -202,8 +201,7 @@ def _validate(args, game):
 def _eval(args, game):
     lasso = Lasso.parse(args.lasso)
     val = eval_lasso(game, lasso, _player(args, game))
-    return "yes", {"value": _jsonable(val),
-                   "all": _jsonable(payoff_vector(game, lasso))}
+    return "yes", {"value": val, "all": payoff_vector(game, lasso)}
 
 
 def _nego(args, game):
@@ -228,12 +226,12 @@ def _fixed_point(args, game):
 def _ne_check(args, game):
     lasso = Lasso.parse(args.lasso)
     ok = ne_outcome_check(game, lasso)
-    return _yes_no(ok), {"payoffs": _jsonable(payoff_vector(game, lasso))}
+    return _yes_no(ok), {"payoffs": payoff_vector(game, lasso)}
 
 
 def _ne_exists(args, game):
     res = ne_constrained_exists(game, _thresholds(args, game))
-    return res["answer"], _jsonable(res)
+    return res["answer"], res
 
 
 def _spe_exists(args, game):
@@ -249,7 +247,7 @@ def _spe_exists(args, game):
     payload = dict(res)
     if "lam" in payload:
         payload["lam"] = requirement_to_json(payload["lam"])
-    return res["answer"], _jsonable(payload)
+    return res["answer"], payload
 
 
 def _spe_check_witness(args, game):
@@ -262,8 +260,7 @@ def _spe_check_witness(args, game):
 def _eps_min(args, game):
     res = epsilon_min_search(game, precision_bits=args.precision,
                              max_iters=_max_iters(args))
-    return res["answer"], _jsonable({k: v for k, v in res.items()
-                                     if k != "answer"})
+    return res["answer"], {k: v for k, v in res.items() if k != "answer"}
 
 
 def _product(args, game):
@@ -276,20 +273,20 @@ def _rational_verify(args, game):
     concept = "Nash" if args.concept == "nash" else "SubgamePerfect"
     res = rational_verify(*_leader_args(args, game), concept,
                           max_iters=_max_iters(args))
-    return res["answer"], _jsonable(res)
+    return res["answer"], res
 
 
 def _achaotic_verify(args, game):
     res = achaotic_rational_verify_mp(*_leader_args(args, game),
                                       max_iters=_max_iters(args),
                                       precision_bits=args.precision)
-    return res["answer"], _jsonable(res)
+    return res["answer"], res
 
 
 def _xrse_exists(args, game):
     partition = _partition(args, game)
     edges, measures, trace = xrse_exists(game, partition)
-    return "yes", {"edges": _edges(edges), "measures": _jsonable(measures),
+    return "yes", {"edges": _edges(edges), "measures": measures,
                    "trace": _trace_json(trace)}
 
 
@@ -300,7 +297,7 @@ def _xrse_constrained(args, game):
     payload = {"trace": _trace_json(res["trace"])}
     if "edges" in res:
         payload["edges"] = _edges(res["edges"])
-        payload["measures"] = _jsonable(res["measures"])
+        payload["measures"] = res["measures"]
     return res["answer"], payload
 
 
@@ -309,7 +306,7 @@ def _xrse_search(args, game):
     res = xrse_search_bounded(game, partition, _thresholds(args, game),
                               args.memory_bound)
     if res["answer"] == "yes":
-        return "yes", {"profile": _jsonable(res["profile"]),
+        return "yes", {"profile": res["profile"],
                        "states": res["states"]}
     return ("no", {"scope": f"memory-bound {args.memory_bound}"},
             ["exhausted all profiles within the memory bound; a larger "
@@ -321,14 +318,14 @@ def _xrse_verify(args, game):
     profile = _load_memory_arg(args.profile, game.arena)
     ok = verify_xrse(game, partition, profile)
     measures = extreme_measure(game, partition, profile)
-    return _yes_no(ok), {"measures": _jsonable(measures)}
+    return _yes_no(ok), {"measures": measures}
 
 
 def _er_eval(args, game):
     profile = _load_memory_arg(args.profile, game.arena)
     params = _rho(args, game)
     val = entropic_measure(game, params, profile, _player(args, game))
-    return "yes", {"value": _jsonable(val),
+    return "yes", {"value": val,
                    "tolerance": "exact" if isinstance(val, Fraction)
                    else f"float({params.precision} bits)"}
 
@@ -542,8 +539,7 @@ def run(argv):
                   "diagnostics": diagnostics[0] if diagnostics else []}
     except GameError as e:
         result = {"answer": "error", "payload": {}, "diagnostics": [str(e)]}
-    print(json.dumps(result, sort_keys=True,
-                     indent=2 if args.format == "pretty" else None))
+    print(_dumps(result, indent=2 if args.format == "pretty" else None))
     for d in result["diagnostics"]:
         print(d, file=sys.stderr)
     return 2 if result["answer"] == "error" else 0

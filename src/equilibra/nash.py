@@ -192,7 +192,22 @@ def _combo_feasible(game, cycles, lo, hi):
     Every distribution's payoff lies between the least and the largest
     cycle mean, player by player, so a bound beyond those (a lower bound
     above every mean, an upper bound below every mean) rules out the shared
-    LP and every min-form LP; no simplex runs then."""
+    LP and every min-form LP; no simplex runs then.
+
+    The min-form is one LP per player block rather than one joint LP.  The
+    joint LP (one distribution per player) shares no row and no column
+    between blocks, so Bland's rule pivots each block as it would alone:
+    a pivot in one block changes no other block's reduced costs, ratio
+    ties compare basic indices inside the block, and a leftover artificial
+    is driven out inside its row's block.  A block's rows are the simplex
+    row, the lower-bound rows in player order and the upper-bound rows of
+    the bounded players assigned to it in `bounded` order, as in the joint
+    LP, and its answer depends on that set of players alone, so each set is
+    solved once.  The set of every bounded player has the shared LP's
+    constraints (in another order, which does not change feasibility), so
+    it is known infeasible from the start, and an assignment holding an
+    infeasible block is skipped.  With fewer than two upper bounds every
+    assignment holds that block, and the min-form runs no LP."""
     players = list(game.players)
     mp = _mp_structure(game).mp_of
     rows = {p: [mp(c, p) for c in cycles] for p in players}
@@ -201,6 +216,8 @@ def _combo_feasible(game, cycles, lo, hi):
                 (hi[p] is not PINF and hi[p] < min(row)):
             return None
     n = len(cycles)
+    bounded = [p for p in players if hi[p] is not PINF]
+    neg = {p: [-m for m in rows[p]] for p in bounded}
     a_eq = [[Fraction(1)] * n]
     b_eq = [Fraction(1)]
     a_ge = []
@@ -210,7 +227,7 @@ def _combo_feasible(game, cycles, lo, hi):
             a_ge.append(rows[p])
             b_ge.append(lo[p])
         if hi[p] is not PINF:
-            a_ge.append([-m for m in rows[p]])
+            a_ge.append(neg[p])
             b_ge.append(-hi[p])
     feas, alpha = lp_feasible(a_eq, b_eq, a_ge, b_ge, nvar=n)
     if feas:
@@ -219,35 +236,28 @@ def _combo_feasible(game, cycles, lo, hi):
         pay = {p: sum(a * rows[p][i] for i, a in combos[p].items())
                for p in players}
         return _combo_out(cycles, combos), pay
-    # general min-form: one distribution per player, row k * n + i being
-    # player k's weight on cycle i; only the upper-bound rows depend on
-    # the argmin assignment
-    nv = n * len(players)
-
-    def block(k, values):
-        row = [Fraction(0)] * nv
-        row[k * n:(k + 1) * n] = values
-        return row
-
-    a_eq2 = [block(k, [Fraction(1)] * n) for k in range(len(players))]
-    b_eq2 = [Fraction(1)] * len(players)
-    lo_rows = []
-    lo_rhs = []
-    for p in players:
-        if lo[p] is not NINF:
-            for k in range(len(players)):
-                lo_rows.append(block(k, rows[p]))
-                lo_rhs.append(lo[p])
-    bounded = [p for p in players if hi[p] is not PINF]
-    neg = {p: [-m for m in rows[p]] for p in bounded}
+    # general min-form, one LP per block: a block is keyed by the bounded
+    # players assigned to it, in `bounded` order
+    lo_rows = [rows[p] for p in players if lo[p] is not NINF]
+    lo_rhs = [lo[p] for p in players if lo[p] is not NINF]
+    infeasible = {tuple(bounded)}
+    solved = {}
     for assign in itertools.product(range(len(players)), repeat=len(bounded)):
-        a_ge2 = lo_rows + [block(k, neg[p]) for k, p in zip(assign, bounded)]
-        b_ge2 = lo_rhs + [-hi[p] for p in bounded]
-        feas, sol = lp_feasible(a_eq2, b_eq2, a_ge2, b_ge2, nvar=nv)
-        if feas:
-            combos = {p: {i: sol[k * n + i] for i in range(n)
-                          if sol[k * n + i] != 0}
-                      for k, p in enumerate(players)}
+        held = [tuple(p for j, p in zip(assign, bounded) if j == k)
+                for k in range(len(players))]
+        if infeasible.intersection(held):
+            continue
+        for s in held:
+            if s not in solved:
+                feas, solved[s] = lp_feasible(
+                    a_eq, b_eq, lo_rows + [neg[p] for p in s],
+                    lo_rhs + [-hi[p] for p in s], nvar=n)
+                if not feas:
+                    infeasible.add(s)
+                    break
+        else:
+            combos = {p: {i: a for i, a in enumerate(solved[s]) if a != 0}
+                      for p, s in zip(players, held)}
             pay = {p: min(sum(a * rows[p][i] for i, a in combos[j].items())
                           for j in players)
                    for p in players}

@@ -18,6 +18,17 @@ negative reduced cost, the leaving row the least ratio with ties broken by
 the least basic index, and leftover artificials are driven out row by row on
 their first nonzero column.  Witnesses downstream are the vertices this
 order reaches, so another order, even a faster one, could change answers.
+
+One case needs no tableau.  When the equality rows have rank nvar (so there
+are at least nvar of them), they fix one point or none: `_pinned` solves
+them by integer elimination on the rows the tableau would be built from,
+and checks the point against x >= 0 and the >= rows.  The feasible set is
+then that single point or empty, so the two phases could only end at that
+point, with value cost.x, or report the LP infeasible; `_pinned` returns
+the same (status, x, value), Fractions included.  Single-cycle cores (one
+variable, the row sum = 1) and `lex_min_vertex`'s objectives once as many
+are fixed as there are variables take this path.  Every other LP runs the
+two phases.
 """
 
 import math
@@ -36,17 +47,23 @@ def lp_minimize(cost, a_eq, b_eq, a_ge=(), b_ge=()):
     nvar = len(cost)
     a_eq = list(a_eq)
     a_ge = list(a_ge)
+    neq = len(a_eq)
     nsur = len(a_ge)
     total = nvar + nsur
-    given = list(zip(a_eq, b_eq)) + list(zip(a_ge, b_ge))
+    given = [_scaled(list(r) + [b])
+             for r, b in zip(a_eq + a_ge, list(b_eq) + list(b_ge))]
+    if neq >= nvar:
+        answer = _pinned(cost, [line for line, _ in given[:neq]],
+                         [line for line, _ in given[neq:]])
+        if answer is not None:
+            return answer
     m = len(given)
     tab = []
     den = []
-    for i, (r, b) in enumerate(given):
-        line, d = _scaled(list(r) + [b])
-        rhs = line.pop()
-        line += [0] * nsur
-        k = i - len(a_eq)
+    for i, (line, d) in enumerate(given):
+        rhs = line[-1]
+        line = line[:-1] + [0] * nsur
+        k = i - neq
         if k >= 0:
             # a.x >= b  ->  a.x - s = b with surplus s >= 0
             line[nvar + k] = -d
@@ -97,6 +114,62 @@ def _scaled(values):
     """Ints over the least common denominator of int/Fraction values."""
     d = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _pinned(cost, eq, ge):
+    """The answer of an LP whose equality rows have rank nvar, so fix one
+    point or none; None when their rank is lower.  eq and ge are int rows,
+    right-hand side last.
+
+    Gauss-Jordan elimination without fractions: each column's pivot row
+    is the first remaining row that is nonzero there, and the column is
+    cleared from every other row by cross-multiplying.  Rows with no
+    pivot end with every coefficient zero; one with a nonzero right-hand
+    side makes the equalities inconsistent."""
+    nvar = len(cost)
+    rows = eq
+    solved = []
+    for j in range(nvar):
+        for k, piv in enumerate(rows):
+            if piv[j]:
+                break
+        else:
+            return None
+        rows = [_cleared(r, j, piv) for r in rows[:k] + rows[k + 1:]]
+        solved = [_cleared(r, j, piv) for r in solved] + [piv]
+    if any(r[-1] for r in rows):
+        return INFEASIBLE, None, None
+    # x_j = num_j / den_j, and x_j = X_j / D over their least common
+    # denominator D > 0
+    num = []
+    den = []
+    for j, r in enumerate(solved):
+        n, d = r[-1], r[j]
+        if d < 0:
+            n, d = -n, -d
+        if n < 0:
+            return INFEASIBLE, None, None
+        num.append(n)
+        den.append(d)
+    lcd = math.lcm(*den)
+    scaled = [n * (lcd // d) for n, d in zip(num, den)]
+    for r in ge:
+        if sum(a * x for a, x in zip(r, scaled)) < r[-1] * lcd:
+            return INFEASIBLE, None, None
+    c, dc = _scaled(list(cost))
+    return (OPTIMAL, [Fraction(n, d) for n, d in zip(num, den)],
+            Fraction(sum(a * x for a, x in zip(c, scaled)), lcd * dc))
+
+
+def _cleared(row, j, piv):
+    """row with column j eliminated by the pivot row piv, gcd-reduced."""
+    f = row[j]
+    if not f:
+        return row
+    p = piv[j]
+    new = [x * p - f * y for x, y in zip(row, piv)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
 
 
 def _priced(obj, d, tab, den, basis):
@@ -172,11 +245,9 @@ def _run_simplex(tab, den, basis, width):
         obj = tab[m]
 
 
-def lp_feasible(a_eq, b_eq, a_ge=(), b_ge=(), nvar=None):
-    """Feasibility check; nvar inferred from the first row if not given."""
-    if nvar is None:
-        first = list(a_eq) + list(a_ge)
-        nvar = len(first[0]) if first else 0
+def lp_feasible(a_eq, b_eq, a_ge=(), b_ge=(), *, nvar):
+    """Feasibility check over nvar nonnegative variables: (True, a
+    feasible point) or (False, None)."""
     status, x, _ = lp_minimize([Fraction(0)] * nvar, a_eq, b_eq, a_ge, b_ge)
     return status == OPTIMAL, x
 

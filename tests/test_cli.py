@@ -189,7 +189,7 @@ def test_memory_json_is_the_serialized_document():
             profiles.append(res["profile"])
     assert len(profiles) > 10
     for m in profiles:
-        assert cli._jsonable(m) == json.loads(serialize_memory(m))
+        assert json.loads(cli._dumps(m)) == json.loads(serialize_memory(m))
 
 
 # -- the table path against argparse ------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import combo_feasible_reference as ref
 
+from equilibra import nash
 from equilibra.corpus import load_game
 from equilibra.games import (GameError, Lasso, MemoryProfile, Arena,
                              PayoffSpec, Game, eval_lasso)
@@ -152,6 +154,94 @@ def test_min_form_combo_matches_reference(means, hi):
     combos, _ = got
     assert len({tuple(sorted(cmb.items())) for cmb in combos.values()}) > 1
     assert got == ref._combo_feasible(game, cycles, lo, hi)
+
+
+def spy_lp_feasible(monkeypatch):
+    """(variables, feasible) of each LP `_combo_feasible` runs, logged
+    while the test runs."""
+    log = []
+    real = nash.lp_feasible
+
+    def spy(*args, nvar):
+        answer = real(*args, nvar=nvar)
+        log.append((nvar, answer[0]))
+        return answer
+
+    monkeypatch.setattr(nash, "lp_feasible", spy)
+    return log
+
+
+@st.composite
+def flower_bounds(draw, players, bounded, unset):
+    """(game, cycles, lo, hi) on a flower game of 2-4 cycles, with upper
+    bounds for the players in `bounded` only and a lower bound unset
+    `unset` times in (`unset` + cycles).  Every bound is at one of the
+    player's own means, an upper bound most often at the least: no single
+    combination then meets every bound in many draws, while one per player
+    often does."""
+    vector = st.tuples(*[st.sampled_from(MEANS) for _ in players])
+    means = draw(st.lists(vector, min_size=2, max_size=4))
+    game = flower_mp_game(players, means)
+    cycles = _mp_structure(game).scyc[frozenset(game.arena.vertices)]
+    own = {p: sorted(m[k] for m in means) for k, p in enumerate(players)}
+    lo = {p: draw(st.sampled_from([NINF] * unset + own[p]))
+          for p in players}
+    hi = {p: draw(st.sampled_from(own[p][:1] * 3 + own[p])) if p in bounded
+          else PINF for p in players}
+    return game, cycles, lo, hi
+
+
+def check_combo(log, seen, game, cycles, lo, hi):
+    """`_combo_feasible` equals the joint min-form LP of the reference,
+    and every LP it runs has one variable per cycle; `seen` counts the
+    calls that reach the min-form, those it answers, and its LPs."""
+    start = len(log)
+    got = _combo_feasible(game, cycles, lo, hi)
+    assert got == ref._combo_feasible(game, cycles, lo, hi)
+    lps = log[start:]
+    assert all(nvar == len(cycles) for nvar, _ in lps)
+    if lps and not lps[0][1]:
+        seen["reached"] += 1
+        seen["succeeded"] += got is not None
+        seen["lps"] += len(lps) - 1
+
+
+def test_min_form_blocks_match_joint_lp(monkeypatch):
+    # with two or more upper bounds, one LP per player block finds the
+    # combinations and payoffs the joint LP over every block finds
+    log = spy_lp_feasible(monkeypatch)
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        players = PLAYERS[:data.draw(st.integers(2, 3))]
+        bounded = data.draw(st.lists(st.sampled_from(players), min_size=2,
+                                     unique=True))
+        check_combo(log, seen, *data.draw(flower_bounds(players, bounded,
+                                                        12)))
+
+    check()
+    assert seen["reached"] >= 15 and seen["succeeded"] >= 5
+
+
+def test_min_form_runs_no_lp_below_two_upper_bounds(monkeypatch):
+    # the block of every bounded player is the shared LP's, so with at
+    # most one upper bound every assignment holds that infeasible block
+    log = spy_lp_feasible(monkeypatch)
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        players = PLAYERS[:data.draw(st.integers(1, 3))]
+        bounded = data.draw(st.lists(st.sampled_from(players), max_size=1))
+        check_combo(log, seen, *data.draw(flower_bounds(players, bounded,
+                                                        1)))
+
+    check()
+    assert seen["reached"] >= 8 and seen["lps"] == 0
+    assert seen["succeeded"] == 0
 
 
 def test_energy_verify_examples():

@@ -177,13 +177,21 @@ class Game:
 
 def int_weights(arena, payoff):
     """(D, weights): D the lcm of every player's reward denominators on
-    every edge, weights[p][(u, v)] the int D * (p's reward on u->v)."""
-    rewards = {p: {e: payoff.reward(p, *e) for e in arena.edges}
-               for p in arena.players}
-    d = math.lcm(*(r.denominator for rs in rewards.values()
-                   for r in rs.values()))
-    return d, {p: {e: r.numerator * (d // r.denominator)
-                   for e, r in rs.items()} for p, rs in rewards.items()}
+    every edge, weights[p][(u, v)] the int D * (p's reward on u->v).  Each
+    edge's rewards are read once; a denominator of 1 leaves D as it is."""
+    players = arena.players
+    rows = []
+    d = 1
+    for e in arena.edges:
+        row = payoff.rewards.get(e, {})
+        rs = [row.get(p, _ZERO) for p in players]
+        for r in rs:
+            if r.denominator != 1:
+                d = math.lcm(d, r.denominator)
+        rows.append(rs)
+    return d, {p: {e: rs[k].numerator * (d // rs[k].denominator)
+                   for e, rs in zip(arena.edges, rows)}
+               for k, p in enumerate(players)}
 
 
 def _rotations(seq):

@@ -187,12 +187,8 @@ def _combo_feasible(game, cycles, lo, hi):
     """Feasibility of lo <= (min_j sum alpha_jc mp_i(c))_i <= hi over the
     cycle set: (combinations, payoffs), or None.  Tries a shared
     combination first, then the general min-form with an argmin assignment
-    per bounded dimension.
-
-    Every distribution's payoff lies between the least and the largest
-    cycle mean, player by player, so a bound beyond those (a lower bound
-    above every mean, an upper bound below every mean) rules out the shared
-    LP and every min-form LP; no simplex runs then.
+    per bounded dimension.  No simplex runs when `_bounded_means` rules
+    the bounds out.
 
     The min-form is one LP per player block rather than one joint LP.  The
     joint LP (one distribution per player) shares no row and no column
@@ -209,12 +205,9 @@ def _combo_feasible(game, cycles, lo, hi):
     infeasible block is skipped.  With fewer than two upper bounds every
     assignment holds that block, and the min-form runs no LP."""
     players = list(game.players)
-    mp = _mp_structure(game).mp_of
-    rows = {p: [mp(c, p) for c in cycles] for p in players}
-    for p, row in rows.items():
-        if (lo[p] is not NINF and lo[p] > max(row)) or \
-                (hi[p] is not PINF and hi[p] < min(row)):
-            return None
+    rows = _bounded_means(game, cycles, lo, hi)
+    if rows is None:
+        return None
     n = len(cycles)
     bounded = [p for p in players if hi[p] is not PINF]
     neg = {p: [-m for m in rows[p]] for p in bounded}
@@ -265,6 +258,21 @@ def _combo_feasible(game, cycles, lo, hi):
     return None
 
 
+def _bounded_means(game, cycles, lo, hi):
+    """Each player's cycle means over `cycles`, or None when the bounds
+    `lo` and `hi` rule out every distribution over them.  A distribution's
+    payoff lies between the least and the largest cycle mean, player by
+    player, so a lower bound above every mean or an upper bound below every
+    mean rules them all out, and so does any tighter bound."""
+    mp = _mp_structure(game).mp_of
+    rows = {p: [mp(c, p) for c in cycles] for p in game.players}
+    for p, row in rows.items():
+        if (lo[p] is not NINF and lo[p] > max(row)) or \
+                (hi[p] is not PINF and hi[p] < min(row)):
+            return None
+    return rows
+
+
 def _combo_out(cycles, combos):
     return {p: {cycle_id(cycles[i]): a for i, a in cmb.items()}
             for p, cmb in combos.items()}
@@ -302,6 +310,15 @@ def ne_constrained_exists(game, query):
         return {"answer": "yes", "lasso": lasso,
                 "payoffs": payoff_vector(game, lasso)}
     if game.mode == "mean-payoff":
+        # the search's lower bounds are the query's raised by requirement
+        # floors, so when the query's bounds rule out every core, the
+        # search's do too, and no value needs computing
+        shared = _mp_structure(game)
+        lo = {p: query.lo(p) for p in game.players}
+        hi = {p: query.hi(p) for p in game.players}
+        if all(_bounded_means(game, shared.scyc[W0], lo, hi) is None
+               for W0 in shared.sc_subsets):
+            return {"answer": "no"}
         lam = val_requirement(game)
         found = search_consistent_combo(game, lam, query)
         if found is None:

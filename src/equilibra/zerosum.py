@@ -9,8 +9,8 @@ The graph kernels (attractor, reachability, SCC) come from
 """
 
 import itertools
-import math
 from fractions import Fraction
+from operator import itemgetter
 
 from . import _kernels as K
 from .games import CHANCE
@@ -133,59 +133,105 @@ def cycle_mean(cycle, weight):
 
 def karp_min_mean(n, edges):
     """Karp's algorithm: exact min cycle mean over a digraph given as
-    (u, v, int weight) triples; returns None if acyclic.  Value only."""
-    scale = math.lcm(*range(1, n + 1))
-    comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in edges]))
-    best = min((x for x in _scc_min_means(comp, ncomp, edges, scale)
-                if x is not None), default=None)
-    return None if best is None else Fraction(best, scale)
+    (u, v, int weight) triples; returns None if acyclic.  Value only: the
+    least of `_reachable_min_means` over every SCC.  The edges are sorted
+    by source, so the weights line up with the CSR."""
+    edges = sorted(edges, key=itemgetter(0))
+    off, dst = K.csr(n, [(u, v) for u, v, _ in edges])
+    _, val = _reachable_min_means(n, off, dst, [w for _, _, w in edges])
+    best = None
+    for x in val:
+        if x is not None and (best is None or x[0] * best[1] < best[0] * x[1]):
+            best = x
+    return None if best is None else Fraction(*best)
 
 
-def _scc_min_means(comp, ncomp, edges, scale):
-    """Karp's DP on each SCC: at index c, the least mean of a cycle inside
-    SCC c times `scale` (an int, as every SCC size divides `scale`), or
-    None.  `comp` gives each vertex's SCC id and `edges` are (u, v, int
-    weight) triples.  d[k][v] is the least weight of a k-edge walk from
-    the SCC's first vertex to v; the least mean is min over v of max over
-    k < m of (d[m][v] - d[k][v]) / (m - k) on an m-vertex SCC."""
-    local, size = [], [0] * ncomp
-    for c in comp:
-        local.append(size[c])
-        size[c] += 1
-    adj = [[[] for _ in range(m)] for m in size]
-    for u, v, w in edges:
-        if comp[u] == comp[v]:
-            adj[comp[u]][local[u]].append((local[v], w))
-    out = []
-    for sub in adj:
-        if not any(sub):
-            out.append(None)
-            continue
-        m = len(sub)
-        d = [[None] * m for _ in range(m + 1)]
-        d[0][0] = 0
-        for k in range(1, m + 1):
-            row, prev = d[k], d[k - 1]
-            for u in range(m):
-                du = prev[u]
-                if du is None:
-                    continue
-                for v, w in sub[u]:
-                    cand = du + w
-                    if row[v] is None or cand < row[v]:
-                        row[v] = cand
+def _reachable_min_means(n, off, dst, wt):
+    """The least mean of a cycle reachable from each SCC of the CSR graph
+    (off, dst) over ids 0..n-1 with int weights `wt` aligned with `dst`.
+    Returns (comp, val): `_kernels.scc`'s component id per vertex, and at
+    each SCC id the least mean as an exact (num, den) pair with den > 0,
+    or None when no cycle is reachable.  Pairs compare by
+    cross-multiplication.
+
+    Tarjan numbers each SCC after those it reaches, so in increasing id
+    every exit's value is final when read.  Each SCC's arcs are collected
+    once, into its exits and its inner arcs.  A single vertex's own mean is
+    its least self-loop weight, with no DP; a larger SCC's is `_karp_mean`.
+    """
+    comp, ncomp = K.scc(n, off, dst)
+    members = [[] for _ in range(ncomp)]
+    local = [0] * n
+    for v in range(n):
+        nodes = members[comp[v]]
+        local[v] = len(nodes)
+        nodes.append(v)
+    val = [None] * ncomp
+    for c, nodes in enumerate(members):
         best = None
-        for v in range(m):
-            dm = d[m][v]
-            if dm is None:
+        if len(nodes) == 1:
+            # the least of its self-loops' weights and its exits' values
+            u = nodes[0]
+            for k in range(off[u], off[u + 1]):
+                t = dst[k]
+                x = (wt[k], 1) if t == u else val[comp[t]]
+                if x is not None and (best is None
+                                      or x[0] * best[1] < best[0] * x[1]):
+                    best = x
+            val[c] = best
+            continue
+        adj = [[] for _ in nodes]
+        for i, u in enumerate(nodes):
+            for k in range(off[u], off[u + 1]):
+                t = dst[k]
+                if comp[t] == c:
+                    adj[i].append((local[t], wt[k]))
+                else:
+                    x = val[comp[t]]
+                    if x is not None and (best is None
+                                          or x[0] * best[1] < best[0] * x[1]):
+                        best = x
+        x = _karp_mean(adj)
+        if best is None or x[0] * best[1] < best[0] * x[1]:
+            best = x
+        val[c] = best
+    return comp, val
+
+
+def _karp_mean(adj):
+    """Karp's DP on a strongly connected graph of m >= 2 vertices, given as
+    (target, int weight) lists: its least cycle mean as a (num, den) pair.
+    d[k][v] is the least weight of a k-edge walk from vertex 0 to v, and
+    the least mean is min over v of max over k < m of (d[m][v] - d[k][v])
+    / (m - k)."""
+    m = len(adj)
+    d = [[None] * m for _ in range(m + 1)]
+    d[0][0] = 0
+    for k in range(1, m + 1):
+        row, prev = d[k], d[k - 1]
+        for u in range(m):
+            du = prev[u]
+            if du is None:
                 continue
-            # every v is reached by some walk of fewer than m edges
-            worst = max((dm - d[k][v]) * (scale // (m - k))
-                        for k in range(m) if d[k][v] is not None)
-            if best is None or worst < best:
-                best = worst
-        out.append(best)
-    return out
+            for v, w in adj[u]:
+                cand = du + w
+                if row[v] is None or cand < row[v]:
+                    row[v] = cand
+    best = None
+    for v in range(m):
+        dm = d[m][v]
+        if dm is None:
+            continue
+        # every v is reached by some walk of fewer than m edges
+        worst = None
+        for k in range(m):
+            dk = d[k][v]
+            if dk is not None and (worst is None or (dm - dk) * worst[1]
+                                   > worst[0] * (m - k)):
+                worst = (dm - dk, m - k)
+        if best is None or worst[0] * best[1] < best[0] * worst[1]:
+            best = worst
+    return best
 
 
 def karp_max_mean(n, edges):
@@ -262,35 +308,54 @@ def _zielonka(sub, graph, strat):
 def mp_values(game, player):
     """Adversarial mean-payoff value of every vertex for `player`.
 
-    Positional determinacy on both sides: maximize over the player's
-    positional strategies; the hostile rest then drives the play to the
-    reachable cycle with least mean.  Per strategy, one Tarjan pass numbers
-    each SCC after those it reaches, so one sweep in increasing SCC id
-    gives each SCC the least of its Karp mean and its successors' values,
-    never None as the arena has no dead end.  Reads `game.weights`.
+    Mean-payoff games are positionally determined (Ehrenfeucht and
+    Mycielski 1979), so max-min equals min-max at every vertex, and either
+    side's positional strategies may be enumerated: the side with fewer,
+    counted as the product of out-degrees over its vertices, and the
+    player's own side on a tie.  Fixing the player's strategy, the hostile
+    rest drives the play to the reachable cycle of least mean, and each
+    vertex takes the max over strategies.  Fixing the others' joint
+    strategy, the player alone reaches the cycle of greatest mean, and each
+    vertex takes the min over strategies: on negated weights this is the
+    same least-mean pass and the same max, negated at the end.
+
+    Each vertex's moves (target id, signed int weight) are read once from
+    `arena.graph` and `game.weights`; each strategy's CSR is filled from
+    them and gets one `_reachable_min_means` pass (never None: the arena
+    has no dead end).  The Fractions are built only at the end.
     """
     arena = game.arena
     g = arena.graph
-    n, off, dst, index = g.n, g.off, g.dst, g.index
+    n, off, dst, verts = g.n, g.off, g.dst, g.vertices
     denom, weights = game.weights
     weight = weights[player]
-    iedges = [(index[u], index[v], weight[u, v]) for u, v in arena.edges]
-    scale = math.lcm(*range(1, n + 1))
-    # a strategy picks one successor at each of the player's vertices
-    # and leaves every other vertex's moves (-1) to the hostile rest
-    choices = [dst[off[k]:off[k + 1]] if arena.owner[v] == player else [-1]
-               for k, v in enumerate(g.vertices)]
+    mine = [arena.owner[v] == player for v in verts]
+    ours = theirs = 1
+    for k in range(n):
+        if mine[k]:
+            ours *= off[k + 1] - off[k]
+        else:
+            theirs *= off[k + 1] - off[k]
+    swap = theirs < ours
+    sign = -1 if swap else 1
+    moves = [[(t, sign * weight[v, verts[t]]) for t in dst[off[k]:off[k + 1]]]
+             for k, v in enumerate(verts)]
+    # the enumerated side picks one move at each of its vertices, the
+    # other side keeps all of its moves
+    choices = [[[mv] for mv in ms] if mine[k] != swap else [ms]
+               for k, ms in enumerate(moves)]
     best = [None] * n
     for fixed in itertools.product(*choices):
-        edges = [e for e in iedges if fixed[e[0]] < 0 or fixed[e[0]] == e[1]]
-        comp, ncomp = K.scc(n, *K.csr(n, [(u, v) for u, v, _ in edges]))
-        val = _scc_min_means(comp, ncomp, edges, scale)
-        for cu, cv in sorted({(comp[u], comp[v]) for u, v, _ in edges}):
-            if cu != cv and (val[cu] is None or val[cv] < val[cu]):
-                val[cu] = val[cv]
+        soff, sdst, swt = [0], [], []
+        for ms in fixed:
+            for t, w in ms:
+                sdst.append(t)
+                swt.append(w)
+            soff.append(len(sdst))
+        comp, val = _reachable_min_means(n, soff, sdst, swt)
         for v in range(n):
-            x = val[comp[v]]
-            if best[v] is None or x > best[v]:
+            x, b = val[comp[v]], best[v]
+            if b is None or x[0] * b[1] > b[0] * x[1]:
                 best[v] = x
-    return {v: Fraction(best[k], scale * denom)
-            for k, v in enumerate(arena.vertices)}
+    return {v: Fraction(sign * num, den * denom)
+            for v, (num, den) in zip(verts, best)}

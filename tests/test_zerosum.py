@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -314,32 +315,37 @@ def mp_games(draw):
         weight = st.builds(Fraction, st.integers(-6, 6),
                            st.sampled_from([1, 2, 3, 4, 5]))
     rewards = {e: {p: draw(weight) for p in names} for e in edges}
-    arena = Arena(names, vertices, owner, edges, init=vertices[0])
+    return unvalidated_mp_game(names, vertices, owner, rewards)
+
+
+def unvalidated_mp_game(names, vertices, owner, rewards):
+    """What `mp_values` reads of a mean-payoff game on the edges that
+    `rewards` keys, with no validation; the first vertex is the initial
+    one."""
+    arena = Arena(names, vertices, owner, list(rewards), init=vertices[0])
     payoff = PayoffSpec("mean-payoff", rewards=rewards)
     return types.SimpleNamespace(arena=arena, payoff=payoff,
                                  weights=int_weights(arena, payoff))
 
 
-@settings(max_examples=300, deadline=None)
-@given(mp_games())
-def test_mp_values_and_karp_match_reference(game):
-    arena = game.arena
-    index, n = arena.graph.index, len(arena.vertices)
-    denom, weights = game.weights
-    for p in arena.players:
-        assert zs.mp_values(game, p) == mp_ref.mp_values(game, p)
-        edges = [(index[u], index[v], game.payoff.reward(p, u, v))
-                 for u, v in arena.edges]
-        iedges = [(index[u], index[v], weights[p][u, v])
-                  for u, v in arena.edges]
-        assert zs.karp_min_mean(n, iedges) / denom \
-            == mp_ref.karp_min_mean(n, edges)
+def side_counts(arena, player):
+    """The positional strategies of `player` and of the rest: the products
+    of out-degrees over the player's vertices and over the others'."""
+    ours = math.prod(len(arena.succ(v)) for v in arena.vertices
+                     if arena.owner[v] == player)
+    theirs = math.prod(len(arena.succ(v)) for v in arena.vertices
+                       if arena.owner[v] != player)
+    return ours, theirs
 
 
 @settings(max_examples=50, deadline=None)
 @given(mp_games())
 def test_mp_values_runs_one_scc_pass_per_strategy(game):
+    """One Tarjan pass per positional strategy of the side with fewer, the
+    player's own side on a tie: every pass sees that side's vertices with
+    one move each."""
     arena = game.arena
+    index = arena.graph.index
     real = K.scc
     calls = []
 
@@ -351,6 +357,79 @@ def test_mp_values_runs_one_scc_pass_per_strategy(game):
         for p in arena.players:
             calls.clear()
             zs.mp_values(game, p)
-            assert len(calls) == math.prod(
-                len(arena.succ(v)) for v in arena.vertices
-                if arena.owner[v] == p)
+            ours, theirs = side_counts(arena, p)
+            assert len(calls) == min(ours, theirs)
+            fixed = [index[v] for v in arena.vertices
+                     if (arena.owner[v] == p) == (ours <= theirs)]
+            for _, off, _ in calls:
+                assert all(off[k + 1] - off[k] == 1 for k in fixed)
+
+
+@st.composite
+def layered_mp_games(draw):
+    """A mean-payoff game on 1-12 vertices in 1-4 layers of 1-3 vertices:
+    a vertex's 1-3 successors lie in its own layer or earlier ones, so
+    there are often several SCCs, and a one-vertex layer is a single-vertex
+    SCC with or without a self-loop (a vertex alone in the first layer
+    always has one).  2-3 players; the ownership leans towards one of them
+    or towards none, so for each player either side may have the fewer
+    positional strategies, or both as many.  Vertices are listed in a drawn
+    order, so Tarjan's numbering does not follow the layers."""
+    names = PLAYERS[:draw(st.integers(2, 3))]
+    lean = draw(st.sampled_from([None] + names))
+    owners = names if lean is None else [lean] * 3 + names
+    vertices, layers = [], []
+    for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        layers.append([f"v{len(vertices) + k}" for k in range(size)])
+        vertices += layers[-1]
+    edges, seen = [], []
+    for layer in layers:
+        seen += layer
+        for v in layer:
+            edges += [(v, w) for w in draw(st.lists(
+                st.sampled_from(seen), min_size=1, max_size=3, unique=True))]
+    owner = {v: draw(st.sampled_from(owners)) for v in vertices}
+    if draw(st.booleans()):
+        weight = st.integers(-3, 3)
+    else:
+        weight = st.builds(Fraction, st.integers(-6, 6),
+                           st.sampled_from([1, 2, 3, 4]))
+    rewards = {e: {p: draw(weight) for p in names} for e in edges}
+    return unvalidated_mp_game(names, draw(st.permutations(vertices)),
+                               owner, rewards)
+
+
+def test_mp_values_and_karp_match_reference():
+    """`mp_values` enumerates whichever side has fewer positional
+    strategies; both sides must give the reference's values (which always
+    enumerate the player's), and Karp the reference's least mean, on games
+    with any shape and on layered ones with several SCCs and single-vertex
+    ones.  The swapped side, and a tie where both sides have a choice, must
+    each have run in a fixed minimum number of the checks."""
+    sides = collections.Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(mp_games(), layered_mp_games()))
+    @example(unvalidated_mp_game(  # two moves on each side, for either player
+        PLAYERS[:2], ["a", "b"], {"a": "circle", "b": "square"},
+        {(u, v): {"circle": Fraction(w), "square": Fraction(-w)}
+         for (u, v), w in {("a", "a"): 1, ("a", "b"): 3, ("b", "a"): 0,
+                           ("b", "b"): 2}.items()}))
+    def check(game):
+        arena = game.arena
+        index, n = arena.graph.index, len(arena.vertices)
+        denom, weights = game.weights
+        for p in arena.players:
+            ours, theirs = side_counts(arena, p)
+            sides["swapped" if theirs < ours else
+                  "tie" if theirs == ours > 1 else "own"] += 1
+            assert zs.mp_values(game, p) == mp_ref.mp_values(game, p)
+            edges = [(index[u], index[v], game.payoff.reward(p, u, v))
+                     for u, v in arena.edges]
+            iedges = [(index[u], index[v], weights[p][u, v])
+                      for u, v in arena.edges]
+            assert zs.karp_min_mean(n, iedges) / denom \
+                == mp_ref.karp_min_mean(n, edges)
+
+    check()
+    assert sides["swapped"] >= 100 and sides["tie"] >= 10, sides
